@@ -15,13 +15,11 @@ from pathlib import Path
 
 from . import _threads  # noqa: F401
 
-import numpy as np
-
 from .ip import IpConfig, SolverFailure, ip_solve
 from .model import SdpaParseError, load_sdpa, write_sdpa
 from .pcg import CgTolerance
 from .pdal import PdalConfig, pdal_config_profile, pdal_solve
-from .report import CSV_COLUMNS, SolveReport
+from .report import CSV_COLUMNS, SolveReport, _json_default
 from .truss import (
     TrussSdpSpec,
     assemble_sdp,
@@ -217,7 +215,7 @@ def cmd_solve(args) -> int:
             payload["verification"] = verify_solution(gs, spec, pt.y, pt.X.blocks[0])
         else:
             payload["verification"] = {"error": f"no geometry sidecar at {side}"}
-    text = json.dumps(payload, indent=2, default=_np_default)
+    text = json.dumps(payload, indent=2, default=_json_default)
     if args.csv_append is not None:
         new = not args.csv_append.exists()
         with open(args.csv_append, "a", newline="") as fh:
@@ -250,14 +248,6 @@ def cmd_bench(args) -> int:
     else:
         csv.writer(sys.stdout).writerows(rows)
     return 0
-
-
-def _np_default(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 if __name__ == "__main__":

@@ -92,8 +92,7 @@ class Scaling:
 
     def lin_diag(self, prob: SdpProblem) -> np.ndarray:
         """Diagonal of D' diag(x/s) D (exact for disjoint box rows)."""
-        d = prob.D
-        return np.asarray(d.multiply(d).T @ self.lin_w2).ravel()
+        return prob.ops.d_sq_t @ self.lin_w2
 
 
 def make_scaling(pt: PrimalDualPoint) -> Scaling:
@@ -103,11 +102,12 @@ def make_scaling(pt: PrimalDualPoint) -> Scaling:
 
 def schur_matvec(prob: SdpProblem, scal: Scaling, dy: np.ndarray) -> np.ndarray:
     """H dy computed as p sandwiches W (sum dy_j A_j) W plus the linear term."""
-    out = prob.D.T @ (scal.lin_w2 * (prob.D @ dy))
-    for a_op, nt in zip(prob.A, scal.blocks):
+    ops = prob.ops
+    out = ops.d_t @ (scal.lin_w2 * (prob.D @ dy))
+    for a_op, a_t, nt in zip(prob.A, ops.a_t, scal.blocks):
         m = nt.w.shape[0]
         mat = np.asarray(a_op @ dy).reshape(m, m)
-        out += a_op.T @ vec(nt.w @ mat @ nt.w)
+        out += a_t @ vec(nt.w @ mat @ nt.w)
     return out
 
 
@@ -148,20 +148,21 @@ def _rhs(
     Predictor: r = r_p + A'vec(W R_d W + X); the corrector subtracts the
     centering term sigma mu S^{-1} and the second-order correction.
     """
+    ops = prob.ops
     r = rp.copy()
-    for i, (a_op, nt) in enumerate(zip(prob.A, scal.blocks)):
+    for i, (a_t, nt) in enumerate(zip(ops.a_t, scal.blocks)):
         mat = nt.w @ rd_blocks[i] @ nt.w + pt.X.blocks[i]
         if sigma_mu:
             mat = mat - sigma_mu * cho_solve((nt.s_chol, True), np.eye(nt.w.shape[0]))
         if corr_blocks is not None:
             mat = mat - corr_blocks[i]
-        r += a_op.T @ vec(mat)
+        r += a_t @ vec(mat)
     lin = scal.lin_w2 * rd_lin + pt.X.lin
     if sigma_mu:
         lin = lin - sigma_mu / pt.S.lin
     if corr_lin is not None:
         lin = lin - corr_lin
-    r += prob.D.T @ lin
+    r += ops.d_t @ lin
     return r
 
 
@@ -243,7 +244,7 @@ def initial_point(prob: SdpProblem) -> PrimalDualPoint:
 
     The linear dual slack starts componentwise near d so the bound rows do
     not contribute a huge initial dual residual when the box is wide."""
-    col_norms = [np.sqrt(pc.column_norms_sq(a)) for a in prob.A]
+    col_norms = [np.sqrt(sq) for sq in prob.ops.a_norms_sq]
     xi = 10.0
     eta = 10.0
     for i, m in enumerate(prob.block_dims):
@@ -460,7 +461,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
                 "cg": rep_p.iterations + rep_c.iterations,
                 "cg_stagnated": rep_p.stagnated or rep_c.stagnated,
                 "cg_tol": cg_tol.current,
-                "precond": kind,
+                "precond": prec.kind if prec is not None else "none",
                 "dimacs_max": errs.max(),
                 "time": time.perf_counter() - t0,
             }

@@ -15,6 +15,8 @@ LMI block.
 Per-block constraint data is stored as the stacked operator ``A[i]``, a
 scipy CSR matrix of shape (m_i^2, n) whose column j is vec(A_j^(i)).  This
 gives O(nnz) operator applications without any n x m^2 dense intermediate.
+The transposes and diagonals the solvers apply on every iteration are derived
+from it once per problem (:class:`ConstraintOps`, ``SdpProblem.ops``).
 """
 
 from __future__ import annotations
@@ -126,6 +128,28 @@ class DimacsErrors:
         return {f"err{i}": getattr(self, f"err{i}") for i in range(1, 7)}
 
 
+def column_norms_sq(a_op: sp.csr_matrix) -> np.ndarray:
+    """diag(A'A): squared Frobenius norms of the per-variable matrices."""
+    return np.asarray(a_op.multiply(a_op).sum(axis=0)).ravel()
+
+
+@dataclass(frozen=True)
+class ConstraintOps:
+    """Fixed operators derived from the constraint data, built once per
+    problem so the solve path never re-creates a transpose or a square.
+
+    a_t        : per block, A_i' as CSR of shape (n, m_i^2)
+    a_norms_sq : per block, diag(A_i'A_i)
+    d_t        : D' as CSR of shape (n, nu)
+    d_sq_t     : (D o D)' as CSR, so d_sq_t @ w = diag(D' diag(w) D)
+    """
+
+    a_t: list[sp.csr_matrix]
+    a_norms_sq: list[np.ndarray]
+    d_t: sp.csr_matrix
+    d_sq_t: sp.csr_matrix
+
+
 class SdpaParseError(ValueError):
     def __init__(self, message: str, lineno: int | None = None):
         if lineno is not None:
@@ -153,7 +177,7 @@ class SdpProblem:
     D: sp.csr_matrix
     d: np.ndarray
     _c_dense: list[np.ndarray] | None = field(default=None, repr=False)
-    _d_csc: sp.csc_matrix | None = field(default=None, repr=False)
+    _ops: ConstraintOps | None = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -176,10 +200,18 @@ class SdpProblem:
             self._c_dense = [c.to_dense() for c in self.C]
         return self._c_dense[i]
 
-    def d_csc(self) -> sp.csc_matrix:
-        if self._d_csc is None:
-            self._d_csc = self.D.tocsc()
-        return self._d_csc
+    @property
+    def ops(self) -> ConstraintOps:
+        """Derived constraint operators, built on first use; the problem
+        data must not be modified afterwards."""
+        if self._ops is None:
+            self._ops = ConstraintOps(
+                [a.T.tocsr() for a in self.A],
+                [column_norms_sq(a) for a in self.A],
+                self.D.T.tocsr(),
+                self.D.multiply(self.D).T.tocsr(),
+            )
+        return self._ops
 
     def validate(self) -> list[str]:
         """Consistency checks; returns a list of warnings (empty when clean)."""
@@ -215,11 +247,12 @@ def apply_A_adjoint(prob: SdpProblem, y: np.ndarray) -> BlockSymMatrix:
 
 def apply_A(prob: SdpProblem, m: BlockSymMatrix) -> np.ndarray:
     """Forward map: component j is sum_i A_j^(i) . M_i (+ (D' m.lin)_j)."""
+    ops = prob.ops
     out = np.zeros(prob.n)
-    for a, blk in zip(prob.A, m.blocks):
-        out += a.T @ vec(sym(blk))
+    for a_t, blk in zip(ops.a_t, m.blocks):
+        out += a_t @ vec(sym(blk))
     if m.lin is not None:
-        out += prob.D.T @ m.lin
+        out += ops.d_t @ m.lin
     return out
 
 

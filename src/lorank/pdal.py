@@ -239,10 +239,11 @@ def evaluate_point(ctx: OuterCtx, y: np.ndarray) -> PointEval:
     _, d1, d2 = penalty_eval(ctx.fn_lin, t_lin, ctx.pi_lin)
     xbar_lin = ctx.x_lin * d1
     wbar_lin = ctx.x_lin * d2
+    ops = prob.ops
     grad = ctx.b_min + ctx.r * (y - ctx.y_prox)
-    for a_op, xbar in zip(prob.A, xbar_blocks):
-        grad = grad + a_op.T @ vec(xbar)
-    grad = grad + prob.D.T @ xbar_lin
+    for a_t, xbar in zip(ops.a_t, xbar_blocks):
+        grad = grad + a_t @ vec(xbar)
+    grad = grad + ops.d_t @ xbar_lin
     return PointEval(y, a_blocks, z_blocks, xbar_blocks, t_lin, xbar_lin, wbar_lin, grad)
 
 
@@ -264,11 +265,12 @@ def aug_lagrangian_value(ctx: OuterCtx, y: np.ndarray) -> float:
 def hessian_matvec(ctx: OuterCtx, ev: PointEval, dy: np.ndarray) -> np.ndarray:
     """(r I + 2 sum_i A_i'(Xbar_i x Z_i) A_i + D' Wbar D) dy, matrix-free."""
     prob = ctx.prob
-    out = ctx.r * dy + prob.D.T @ (ev.wbar_lin * (prob.D @ dy))
-    for a_op, xbar, z in zip(prob.A, ev.xbar_blocks, ev.z_blocks):
+    ops = prob.ops
+    out = ctx.r * dy + ops.d_t @ (ev.wbar_lin * (prob.D @ dy))
+    for a_op, a_t, xbar, z in zip(prob.A, ops.a_t, ev.xbar_blocks, ev.z_blocks):
         m = xbar.shape[0]
         mat = np.asarray(a_op @ dy).reshape(m, m)
-        out = out + a_op.T @ vec(xbar @ mat @ z + z @ mat @ xbar)
+        out = out + a_t @ vec(xbar @ mat @ z + z @ mat @ xbar)
     return out
 
 
@@ -277,10 +279,11 @@ def pd_residuals(
 ) -> tuple[np.ndarray, BlockSymMatrix]:
     """G1 = grad of the Lagrangian part at (y, Xhat); G2 = Xhat - Xbar(y)."""
     prob = ctx.prob
+    ops = prob.ops
     g1 = ctx.b_min + ctx.r * (ev.y - ctx.y_prox)
-    for a_op, xb in zip(prob.A, x_hat.blocks):
-        g1 = g1 + a_op.T @ vec(xb)
-    g1 = g1 + prob.D.T @ x_hat.lin
+    for a_t, xb in zip(ops.a_t, x_hat.blocks):
+        g1 = g1 + a_t @ vec(xb)
+    g1 = g1 + ops.d_t @ x_hat.lin
     g2 = BlockSymMatrix(
         [x_hat.blocks[i] - ev.xbar_blocks[i] for i in range(prob.p)],
         x_hat.lin - ev.xbar_lin,
@@ -305,11 +308,11 @@ def merit_dderiv(
     dG2 = -G2 holds exactly by construction of dx; dG1 picks up the PCG
     residual, so it is evaluated honestly from the Jacobian.
     """
-    prob = ctx.prob
+    ops = ctx.prob.ops
     dg1 = ctx.r * dy
-    for a_op, b in zip(prob.A, dx.blocks):
-        dg1 = dg1 + a_op.T @ vec(b)
-    dg1 = dg1 + prob.D.T @ dx.lin
+    for a_t, b in zip(ops.a_t, dx.blocks):
+        dg1 = dg1 + a_t @ vec(b)
+    dg1 = dg1 + ops.d_t @ dx.lin
     return float(g1 @ dg1) - g2.dot(g2)
 
 
@@ -373,9 +376,7 @@ def _pdal_preconditioner(ctx: OuterCtx, ev: PointEval, cfg: PdalConfig, ranks: l
     if kind == "none":
         return None
     prob = ctx.prob
-    h_lin_diag = ctx.r + np.asarray(
-        prob.D.multiply(prob.D).T @ ev.wbar_lin
-    ).ravel()
+    h_lin_diag = ctx.r + prob.ops.d_sq_t @ ev.wbar_lin
     w_mats = [xb / ctx.pi_lmi for xb in ev.xbar_blocks]
     v_mats = [ctx.pi_lmi * z for z in ev.z_blocks]
     w_splits = [pc.spectral_split(w, k, cfg.tau_rule) for w, k in zip(w_mats, ranks)]
@@ -399,9 +400,9 @@ def _pdal_preconditioner(ctx: OuterCtx, ev: PointEval, cfg: PdalConfig, ranks: l
             kind = "beta"
     if kind == "beta":
         a_diag = h_lin_diag.copy()
-        for a_op, s, v_mat in zip(prob.A, w_splits, v_mats):
+        for norms_sq, s, v_mat in zip(prob.ops.a_norms_sq, w_splits, v_mats):
             tau2 = float(np.trace(v_mat)) / v_mat.shape[0]
-            a_diag += 10.0 * s.min_eig_w0() * tau2 * pc.column_norms_sq(a_op)
+            a_diag += 10.0 * s.min_eig_w0() * tau2 * norms_sq
         return pc.SmwPreconditioner(
             kind="beta",
             base_solve=lambda xx: xx / a_diag,
@@ -423,6 +424,7 @@ class InnerResult:
     early_stop: bool
     converged: bool
     line_search_failures: int = 0
+    precond_kinds: list[str] = field(default_factory=list)  # applied, in order of first use
 
 
 def inner_solve(
@@ -449,12 +451,13 @@ def inner_solve(
     ev = evaluate_point(ctx, y)
     cg_total = 0
     ls_failures = 0
+    kinds: list[str] = []
 
     for ell in range(cfg.max_inner):
         g1, g2 = pd_residuals(ctx, ev, x_hat)
         m_val = merit(g1, g2)
         if m_val <= eps_inner and _block_pd(x_hat, tol=1e-10):
-            return InnerResult(y, x_hat, ell, cg_total, m_val, False, True, ls_failures)
+            return InnerResult(y, x_hat, ell, cg_total, m_val, False, True, ls_failures, kinds)
         if ell > 0:
             e_now = pd_error(prob, y, x_hat)
             g2n = g2.dot(g2)
@@ -465,10 +468,13 @@ def inner_solve(
                 and g1n < 0.05 * max(1.0, float(np.linalg.norm(ev.grad)))
                 and _block_pd(x_hat, tol=1e-10)
             ):
-                return InnerResult(y, x_hat, ell, cg_total, m_val, True, True, ls_failures)
+                return InnerResult(y, x_hat, ell, cg_total, m_val, True, True, ls_failures, kinds)
 
         prec = _pdal_preconditioner(ctx, ev, cfg, ranks)
         prec_apply = prec.apply_inv if prec is not None else None
+        kind = prec.kind if prec is not None else "none"
+        if kind not in kinds:
+            kinds.append(kind)
         if diagnostics is not None and prob.n <= cfg.diag_limit:
             diagnostics.append(
                 _dense_hessian_record(ctx, ev, outer_index, ell)
@@ -513,11 +519,13 @@ def inner_solve(
             m_best = merit(g1, g2)
             ok = m_best <= eps_inner and _block_pd(x_hat, tol=1e-10)
             return InnerResult(
-                y, x_hat, ell + 1, cg_total, m_best, False, ok, ls_failures
+                y, x_hat, ell + 1, cg_total, m_best, False, ok, ls_failures, kinds
             )
 
     g1, g2 = pd_residuals(ctx, ev, x_hat)
-    return InnerResult(y, x_hat, cfg.max_inner, cg_total, merit(g1, g2), False, False, ls_failures)
+    return InnerResult(
+        y, x_hat, cfg.max_inner, cg_total, merit(g1, g2), False, False, ls_failures, kinds
+    )
 
 
 def _dense_hessian_record(ctx: OuterCtx, ev: PointEval, outer: int, inner: int) -> dict:
@@ -674,6 +682,8 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
                 "merit": res.merit,
                 "early_stop": res.early_stop,
                 "inner_converged": res.converged,
+                "line_search_failures": res.line_search_failures,
+                "precond": "+".join(res.precond_kinds),
                 "pd_error": e_outer,
                 "pi_lin": pi_lin,
                 "pi_lmi": pi_lmi,

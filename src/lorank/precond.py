@@ -126,21 +126,24 @@ def spectral_split(
     return SplitBlock(w0, u, tau, k, lam, degenerate)
 
 
-def low_rank_factor(a_op: sp.csr_matrix, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def low_rank_factor(a_t: sp.csr_matrix, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Columns A'(vec of outer(left[:,a], right[:,b])) for all (a, b).
 
-    ``left`` is the m x k tall outlier factor, ``right`` a full m x m factor;
-    the result is the n x (k m) low-rank block of the preconditioner.
+    ``a_t`` is A' as CSR (``SdpProblem.ops.a_t``), ``left`` the m x k outlier
+    factor and ``right`` a full m x m factor; the result is the n x (k m)
+    low-rank block of the preconditioner.  For outlier u the m columns are
+    G_u @ right with G_u[j, c] = sum_r u_r (A_j)_{rc}, an n x m sparse matrix
+    folded from the entries of A' without forming the (m^2, m) Kronecker
+    product.
     """
     m = right.shape[0]
-    k = left.shape[1]
+    r, c = np.divmod(a_t.indices, m)
     cols = []
-    at = a_op.T.tocsr()
-    for a in range(k):
-        block = np.kron(left[:, a : a + 1], right)  # (m^2, m)
-        cols.append(at @ block)
+    for a in range(left.shape[1]):
+        g_u = sp.csr_matrix((a_t.data * left[r, a], c, a_t.indptr), shape=(a_t.shape[0], m))
+        cols.append(g_u @ right)
     if not cols:
-        return np.zeros((a_op.shape[1], 0))
+        return np.zeros((a_t.shape[0], 0))
     return np.hstack(cols)
 
 
@@ -215,9 +218,9 @@ def build_h_alpha(
     if lin_diag is not None:
         a_diag = a_diag + lin_diag
     cols = []
-    for a_op, s in zip(prob.A, splits):
+    for a_t, s in zip(prob.ops.a_t, splits):
         gamma = chol(2.0 * s.w0 + s.u @ s.u.T, "alpha block factor")
-        cols.append(low_rank_factor(a_op, s.u, gamma))
+        cols.append(low_rank_factor(a_t, s.u, gamma))
     v = np.hstack(cols) if cols else np.zeros((n, 0))
     return _smw_from_diag("alpha", a_diag, v)
 
@@ -250,10 +253,10 @@ def build_h_tilde(
             f"tilde base factorization refused for n={n} > {dense_limit}: "
             "A'A is not cheaply invertible at this size"
         )
+    a_ts = prob.ops.a_t
     base = np.zeros((n, n))
-    for a_op, s in zip(prob.A, splits):
-        gram = (a_op.T @ a_op).toarray()
-        base += s.tau**2 * gram
+    for a_t, a_op, s in zip(a_ts, prob.A, splits):
+        base += s.tau**2 * (a_t @ a_op).toarray()
     if lin_diag is not None:
         base[np.diag_indices(n)] += lin_diag
     try:
@@ -262,9 +265,9 @@ def build_h_tilde(
         # the defining assumption (cheaply invertible A'A base) failed
         raise ValueError(f"tilde base factorization failed: {exc}") from exc
     cols = []
-    for a_op, s in zip(prob.A, splits):
+    for a_t, s in zip(a_ts, splits):
         gamma = chol(2.0 * s.w0 + s.u @ s.u.T, "tilde block factor")
-        cols.append(low_rank_factor(a_op, s.u, gamma))
+        cols.append(low_rank_factor(a_t, s.u, gamma))
     v = np.hstack(cols) if cols else np.zeros((n, 0))
     binv_v = chol_solve(base_l, v) if v.size else v
     theta = np.eye(v.shape[1]) + v.T @ binv_v
@@ -277,11 +280,6 @@ def build_h_tilde(
         theta_l=theta_l,
         base_dense=base,
     )
-
-
-def column_norms_sq(a_op: sp.csr_matrix) -> np.ndarray:
-    """diag(A'A): squared Frobenius norms of the per-variable matrices."""
-    return np.asarray(a_op.multiply(a_op).sum(axis=0)).ravel()
 
 
 def build_h_gamma(
@@ -299,14 +297,15 @@ def build_h_gamma(
     the Hessian is carried in the low-rank columns.
     """
     n = prob.n
+    ops = prob.ops
     a_diag = h_lin_diag.astype(float).copy()
     cols = []
-    for a_op, s, v_mat in zip(prob.A, w_splits, v_mats):
+    for a_t, norms_sq, s, v_mat in zip(ops.a_t, ops.a_norms_sq, w_splits, v_mats):
         tau1 = 10.0 * s.min_eig_w0()
         tau2 = float(np.trace(v_mat)) / v_mat.shape[0]
-        a_diag += tau1 * tau2 * column_norms_sq(a_op)
+        a_diag += tau1 * tau2 * norms_sq
         delta = chol(sym(v_mat), "gamma companion factor")
-        cols.append(math.sqrt(2.0) * low_rank_factor(a_op, s.u, delta))
+        cols.append(math.sqrt(2.0) * low_rank_factor(a_t, s.u, delta))
     v = np.hstack(cols) if cols else np.zeros((n, 0))
     return _smw_from_diag("gamma", a_diag, v)
 
@@ -325,19 +324,20 @@ def build_h_delta(
     gamma structure.
     """
     n = prob.n
+    ops = prob.ops
     a_diag = h_lin_diag.astype(float).copy()
     cols = []
-    for a_op, sw, sv in zip(prob.A, w_splits, v_splits):
+    for a_t, norms_sq, sw, sv in zip(ops.a_t, ops.a_norms_sq, w_splits, v_splits):
         tau1 = 10.0 * sw.min_eig_w0()
         tau2 = sv.mean_eig_w0()
-        a_diag += tau1 * tau2 * column_norms_sq(a_op)
+        a_diag += tau1 * tau2 * norms_sq
         gamma = chol(sw.w0 + 0.5 * sw.u @ sw.u.T, "delta W factor")
         theta = chol(sv.w0 + 0.5 * sv.u @ sv.u.T, "delta V factor")
         root2 = math.sqrt(2.0)
         if sw.k:
-            cols.append(root2 * low_rank_factor(a_op, sw.u, theta))
+            cols.append(root2 * low_rank_factor(a_t, sw.u, theta))
         if sv.k:
-            cols.append(root2 * low_rank_factor(a_op, sv.u, gamma))
+            cols.append(root2 * low_rank_factor(a_t, sv.u, gamma))
     v = np.hstack(cols) if cols else np.zeros((n, 0))
     return _smw_from_diag("delta", a_diag, v)
 

@@ -134,6 +134,11 @@ def vib3():
 
 
 @pytest.fixture(scope="session")
+def vib5():
+    return make_truss_problem(5, "vib")
+
+
+@pytest.fixture(scope="session")
 def tru3_ip(tru3):
     _, _, prob = tru3
     return ip_solve(prob, IpConfig(precond="hybrid"))

@@ -17,7 +17,8 @@ from lorank.ip import (
     _residuals,
     _rhs,
 )
-from lorank.linalg import sym, sym_eig
+from lorank import precond
+from lorank.linalg import NotPositiveDefinite, sym, sym_eig
 from lorank.model import (
     BlockSymMatrix,
     PrimalDualPoint,
@@ -311,6 +312,15 @@ class TestIpSolve:
         _, rep = tru3_ip
         assert rep.cg_total == sum(t["cg"] for t in rep.trace)
         assert all(t["cg_pred"] >= 0 and t["cg_corr"] >= 0 for t in rep.trace)
+
+    def test_trace_records_beta_fallback(self, tru3, monkeypatch):
+        def failing_build(*args):
+            raise NotPositiveDefinite(0, "alpha block factor")
+
+        monkeypatch.setattr(precond, "build_h_alpha", failing_build)
+        _, _, prob = tru3
+        _, rep = ip_solve(prob, IpConfig(precond="alpha", max_iter=2))
+        assert [t["precond"] for t in rep.trace] == ["beta", "beta"]
 
     def test_vib3_converges(self, vib3_ip):
         _, rep = vib3_ip

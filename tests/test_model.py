@@ -9,9 +9,11 @@ from lorank.model import (
     BlockSymMatrix,
     PrimalDualPoint,
     SdpaParseError,
+    SdpProblem,
     apply_A,
     apply_A_adjoint,
     build_problem,
+    column_norms_sq,
     dimacs,
     dual_slack,
     load_sdpa,
@@ -159,6 +161,34 @@ class TestOperators:
         a = prob.A[0].toarray()
         traces = [a[:, j].reshape(4, 4).trace() for j in range(8)]
         assert np.allclose(out, traces)
+
+    def test_cached_operators_match_fresh(self, vib3):
+        """The derived operators follow the data they were built from: on a
+        problem with reordered variables and box rows they equal transposes,
+        squares and column norms computed afresh."""
+        _, _, base = vib3
+        rng = np.random.default_rng(7)
+        perm = rng.permutation(base.n)
+        rows = rng.permutation(base.nu)
+        prob = SdpProblem(
+            list(base.block_dims),
+            [sp.csr_matrix(a[:, perm]) for a in base.A],
+            list(base.C),
+            base.b[perm],
+            sp.csr_matrix(base.D[rows][:, perm]),
+            base.d[rows],
+        )
+        ops = prob.ops
+        assert prob.ops is ops
+        for i, a in enumerate(prob.A):
+            assert ops.a_t[i].format == "csr"
+            assert ops.a_t[i].shape == (prob.n, prob.block_dims[i] ** 2)
+            assert np.array_equal(ops.a_t[i].toarray(), a.toarray().T)
+            assert np.array_equal(ops.a_norms_sq[i], column_norms_sq(a))
+        d = prob.D.toarray()
+        assert ops.d_t.format == "csr" and ops.d_sq_t.format == "csr"
+        assert np.array_equal(ops.d_t.toarray(), d.T)
+        assert np.array_equal(ops.d_sq_t.toarray(), (d * d).T)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_adjoint_identity(self, seed):

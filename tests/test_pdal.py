@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lorank.linalg import SparseSym, sym
+from lorank import precond
+from lorank.linalg import NotPositiveDefinite, SparseSym, sym
 from lorank.model import BlockSymMatrix, SdpProblem, apply_A_adjoint, load_sdpa
 from lorank.pdal import (
     DomainViolation,
@@ -433,6 +434,19 @@ class TestInnerSolve:
         res = inner_solve(ctx, y, x0, 1e-10, PdalConfig(max_inner=30), 1e-8, [1], e_outer=0.0)
         assert res.merit <= 1e-10
         assert res.converged
+        assert res.precond_kinds == ["gamma"]
+
+    def test_beta_fallback_is_recorded(self, tru3, monkeypatch):
+        def failing_build(*args):
+            raise NotPositiveDefinite(0, "gamma companion factor")
+
+        monkeypatch.setattr(precond, "build_h_gamma", failing_build)
+        _, _, prob = tru3
+        ctx, y = make_ctx(prob, seed=14)
+        x0 = BlockSymMatrix([np.eye(m) for m in prob.block_dims], np.ones(prob.nu))
+        res = inner_solve(ctx, y, x0, 1e-10, PdalConfig(max_inner=30), 1e-8, [1], e_outer=0.0)
+        assert res.converged
+        assert res.precond_kinds == ["beta"]
 
 
 class TestPenaltyUpdate:
@@ -487,6 +501,12 @@ class TestPdalSolve:
         _, rep = vib3_pdal
         assert rep.converged
         assert rep.dimacs.max() <= 1e-5
+
+    def test_trace_records_inner_events(self, tru3_pdal):
+        _, rep = tru3_pdal
+        for row in rep.trace:
+            assert row["line_search_failures"] >= 0
+            assert row["precond"] == ("gamma" if row["inner_iterations"] else "")
 
     def test_late_inner_counts_small(self, tru3_pdal):
         """Near the solution a couple of Newton steps per outer iteration

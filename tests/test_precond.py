@@ -3,6 +3,7 @@ import pytest
 
 from lorank.ip import initial_point, make_scaling, nt_scaling
 from lorank.linalg import sym
+from lorank.model import column_norms_sq
 from lorank.pdal import OuterCtx, PenaltyFn, evaluate_point
 from lorank.precond import (
     build_h_alpha,
@@ -10,10 +11,10 @@ from lorank.precond import (
     build_h_delta,
     build_h_gamma,
     build_h_tilde,
-    column_norms_sq,
     conditioning_report,
     dense_sandwich,
     hybrid_should_switch,
+    low_rank_factor,
     spectral_split,
     tau_cluster_mean,
 )
@@ -112,6 +113,20 @@ def ip_state_splits(prob, seed=0, k=1):
 
 
 class TestAlpha:
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("block", [0, 1])
+    def test_low_rank_factor_matches_kron_oracle(self, vib5, block, k):
+        """Columns folded from the cached A' equal the dense A'(u x F)."""
+        _, _, prob = vib5
+        m = prob.block_dims[block]
+        rng = np.random.default_rng(10 * block + k)
+        u = rng.standard_normal((m, k))
+        f = np.linalg.cholesky(rand_spd(rng, m))
+        got = low_rank_factor(prob.ops.a_t[block], u, f)
+        assert got.shape == (prob.n, k * m)
+        want = prob.A[block].toarray().T @ np.kron(u, f)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
     def test_toy_identity_scaling(self):
         # single block, identity scaling, no linear part: H_alpha = tau^2 I
         prob = random_problem(11, dims=(3,), n=3, nu=0)
