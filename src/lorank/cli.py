@@ -1,8 +1,10 @@
 """Command-line driver: instance generation, solving, benchmark sweeps.
 
 Exit codes for ``solve``: 0 when the DIMACS measures meet the tolerance,
-1 when the solver stopped short, 2 on input errors, 3 on solver failures.
-``bench`` records per-row failures in the CSV and keeps going.
+1 when the solver stopped short, 2 on input errors (including a
+configuration the solver rejects, such as a preconditioner kind of the other
+driver), 3 on solver failures.  ``bench`` records per-row failures in the CSV
+and keeps going; a rejected configuration ends it with exit code 2.
 """
 
 from __future__ import annotations
@@ -11,14 +13,15 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import _threads  # noqa: F401
 
-from .ip import IpConfig, SolverFailure, ip_solve
+from .ip import IP_KINDS, IpConfig, SolverFailure, ip_solve
 from .model import SdpaParseError, load_sdpa, write_sdpa
 from .pcg import CgTolerance
-from .pdal import PdalConfig, pdal_config_profile, pdal_solve
+from .pdal import PDAL_KINDS, PdalConfig, pdal_config_profile, pdal_solve
 from .report import CSV_COLUMNS, SolveReport, _json_default
 from .truss import (
     TrussSdpSpec,
@@ -30,7 +33,9 @@ from .truss import (
     verify_solution,
 )
 
-PRECOND_KINDS = ("alpha", "beta", "hybrid", "tilde", "gamma", "delta", "none")
+
+class ConfigError(ValueError):
+    """A solver configuration built from the command line was rejected."""
 
 
 def _rank_arg(value: str):
@@ -44,10 +49,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SdpaParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (SdpaParseError, FileNotFoundError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverFailure as exc:
@@ -93,8 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _solver_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--solver", choices=("ip", "pdal"), default="ip")
-    p.add_argument("--precond", choices=PRECOND_KINDS, default=None,
-                   help="default: hybrid for ip, gamma for pdal")
+    p.add_argument("--precond", choices=list(dict.fromkeys(IP_KINDS + PDAL_KINDS)), default=None,
+                   help=f"ip: {'|'.join(IP_KINDS)} (default hybrid); "
+                        f"pdal: {'|'.join(PDAL_KINDS)} (default gamma)")
     p.add_argument("--rank", type=_rank_arg, default=1,
                    help="expected dual rank per block, or 'auto'")
     p.add_argument("--tol", type=float, default=1e-5, help="DIMACS stopping tolerance")
@@ -158,7 +161,7 @@ def _pdal_config(args, input_path: Path) -> PdalConfig:
     profile = args.pdal_profile
     if profile == "auto":
         profile = _detect_profile(input_path)
-    cfg = pdal_config_profile(profile)
+    overrides = {}
     if args.pdal_config is not None:
         with open(args.pdal_config) as fh:
             overrides = json.load(fh)
@@ -168,25 +171,30 @@ def _pdal_config(args, input_path: Path) -> PdalConfig:
         }
         unknown = set(overrides) - allowed
         if unknown:
-            raise SdpaParseError(f"unknown PDAL config keys: {sorted(unknown)}")
-        for key, val in overrides.items():
-            setattr(cfg, key, float(val))
-    cfg.eps_dimacs = args.tol
-    cfg.rank = args.rank
-    cfg.precond = args.precond or "gamma"
-    cfg.tau_rule = args.tau_rule
-    cfg.cg_tol = CgTolerance(current=args.cg_tol0, floor=args.cg_floor)
-    cfg.cg_maxiter = args.cg_maxiter
+            raise ValueError(f"unknown PDAL config keys: {sorted(unknown)}")
+    cfg = pdal_config_profile(
+        profile,
+        **{key: float(val) for key, val in overrides.items()},
+        eps_dimacs=args.tol,
+        rank=args.rank,
+        precond=args.precond or "gamma",
+        tau_rule=args.tau_rule,
+        cg_tol=CgTolerance(current=args.cg_tol0, floor=args.cg_floor),
+        cg_maxiter=args.cg_maxiter,
+        diag=args.diag,
+    )
     if args.maxiter is not None:
-        cfg.max_outer = args.maxiter
-    cfg.diag = args.diag
+        cfg = replace(cfg, max_outer=args.maxiter)
     return cfg
 
 
-def _run(args, input_path: Path) -> tuple[SolveReport, "object"]:
-    prob = load_sdpa(input_path)
-    if args.solver == "ip":
-        cfg = IpConfig(
+def _config(args, input_path: Path) -> IpConfig | PdalConfig:
+    """The solver configuration; the config classes reject invalid values,
+    such as a preconditioner kind of the other driver."""
+    try:
+        if args.solver == "pdal":
+            return _pdal_config(args, input_path)
+        return IpConfig(
             eps_dimacs=args.tol,
             max_iter=args.maxiter if args.maxiter is not None else 200,
             rank=args.rank,
@@ -196,9 +204,16 @@ def _run(args, input_path: Path) -> tuple[SolveReport, "object"]:
             cg_maxiter=args.cg_maxiter,
             diag=args.diag,
         )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _run(args, input_path: Path) -> tuple[SolveReport, "object"]:
+    cfg = _config(args, input_path)
+    prob = load_sdpa(input_path)
+    if args.solver == "ip":
         pt, report = ip_solve(prob, cfg)
     else:
-        cfg = _pdal_config(args, input_path)
         pt, report = pdal_solve(prob, cfg)
     report.instance = input_path.name
     report.seed = args.seed

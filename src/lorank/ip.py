@@ -28,11 +28,12 @@ from .model import (
     apply_A,
     apply_A_adjoint,
     dimacs,
-    objective_values,
     vec,
 )
 from .pcg import CgTolerance, next_tolerance, pcg_solve
-from .report import SolveReport, spectrum_summary
+from .report import SolveReport, make_report
+
+IP_KINDS = ("alpha", "beta", "hybrid", "tilde", "none")
 
 
 @dataclass
@@ -42,7 +43,7 @@ class IpConfig:
     tau_frac: float = 0.9          # fraction-to-boundary in the step rule
     sigma_power: int = 3
     rank: int | list[int] | str = 1  # outlier count per block, or "auto"
-    precond: str = "hybrid"
+    precond: str = "hybrid"          # one of IP_KINDS
     tau_rule: str = "cluster_mean"
     cg_tol: CgTolerance = field(default_factory=CgTolerance)
     cg_maxiter: int = 100000
@@ -53,6 +54,7 @@ class IpConfig:
     def __post_init__(self):
         if not 0.0 < self.tau_frac < 1.0:
             raise ValueError("fraction-to-boundary must lie in (0, 1)")
+        pc.check_kind("ip", self.precond, IP_KINDS)
 
 
 class SolverFailure(RuntimeError):
@@ -259,41 +261,20 @@ def initial_point(prob: SdpProblem) -> PrimalDualPoint:
     return PrimalDualPoint(np.zeros(prob.n), X, S)
 
 
-def _ranks(config: IpConfig, prob: SdpProblem) -> list[int | str]:
-    if config.rank == "auto":
-        return ["auto"] * prob.p
-    if isinstance(config.rank, int):
-        ranks = [config.rank] * prob.p
-    else:
-        ranks = list(config.rank)
-    return [min(max(1, k), m - 1) if m > 1 else 0 for k, m in zip(ranks, prob.block_dims)]
-
-
 def _build_preconditioner(
-    kind: str,
-    prob: SdpProblem,
-    scal: Scaling,
-    splits: list[pc.SplitBlock],
-    lin_diag: np.ndarray,
+    kind: str, prob: SdpProblem, splits: list[pc.SplitBlock], lin_diag: np.ndarray
 ):
+    """The ``kind`` build (alpha, beta, tilde or none), or beta from alpha's
+    base when a stale split makes a low-rank build fail."""
     if kind == "none":
         return None
-    if kind == "beta":
-        return pc.build_h_beta(splits, lin_diag, prob.n)
-    try:
-        if kind == "alpha":
-            return pc.build_h_alpha(prob, splits, lin_diag)
-        if kind == "tilde":
-            return pc.build_h_tilde(prob, splits, lin_diag)
-        if kind == "gamma":
-            return pc.build_h_gamma(prob, splits, [nt.w for nt in scal.blocks], lin_diag)
-        if kind == "delta":
-            return pc.build_h_delta(prob, splits, splits, lin_diag)
-    except NotPositiveDefinite:
-        # stale split: fall back to the diagonal kind for this iteration
-        # (base-factorization failures of the tilde kind raise ValueError)
-        return pc.build_h_beta(splits, lin_diag, prob.n)
-    raise ValueError(f"unknown preconditioner kind {kind!r}")
+    if kind != "beta":
+        build = pc.build_h_alpha if kind == "alpha" else pc.build_h_tilde
+        try:
+            return build(prob, splits, lin_diag)
+        except NotPositiveDefinite:
+            pass
+    return pc.build_h_beta(pc.alpha_base(splits, lin_diag, prob.n))
 
 
 def _dense_diagnostics(
@@ -326,7 +307,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
     config = config or IpConfig()
     t0 = time.perf_counter()
     pt = initial_point(prob)
-    ranks = _ranks(config, prob)
+    ranks = pc.block_ranks(config.rank, prob.block_dims)
     cg_tol = config.cg_tol
     hybrid_on_alpha = False
     trace: list[dict] = []
@@ -335,23 +316,11 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
     cg_total = 0
 
     def finish(stat: str) -> SolveReport:
-        pobj, dobj = objective_values(prob, pt)
         final_errs = dimacs(prob, pt)
         if stat in ("max_iterations", "numerical_limit") and final_errs.max() <= config.eps_dimacs:
             stat = "optimal"
-        return SolveReport(
-            solver="ip",
-            status=stat,
-            iterations=len(trace),
-            cg_total=cg_total,
-            wall_time=time.perf_counter() - t0,
-            primal_objective=pobj,
-            dual_objective=dobj,
-            dimacs=final_errs,
-            precond=config.precond,
-            trace=trace,
-            spectra=spectrum_summary(pt.X.blocks),
-            diagnostics=diagnostics,
+        return make_report(
+            "ip", prob, pt, stat, final_errs, trace, cg_total, t0, config.precond, diagnostics
         )
 
     for it in range(config.max_iter):
@@ -371,7 +340,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
         kind = config.precond
         if kind == "hybrid":
             kind = "alpha" if hybrid_on_alpha else "beta"
-        prec = _build_preconditioner(kind, prob, scal, splits, lin_diag)
+        prec = _build_preconditioner(kind, prob, splits, lin_diag)
         prec_apply = prec.apply_inv if prec is not None else None
 
         if config.diag and prob.n <= config.diag_limit:

@@ -48,10 +48,6 @@ def vec(m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(m).reshape(-1)
 
 
-def unvec(v: np.ndarray, m: int) -> np.ndarray:
-    return v.reshape(m, m)
-
-
 def sym_eig(a: np.ndarray) -> EigDecomp:
     """Full eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
@@ -120,9 +116,9 @@ def min_eig_pencil(x: np.ndarray, dx: np.ndarray) -> float:
 class SparseSym:
     """Sparse symmetric matrix stored as the lower triangle (row >= col).
 
-    Invariants: no duplicate coordinates, indices < dim.  Matvecs expand the
-    stored triangle on the fly; duplicates are rejected at construction so
-    the coordinate list stays canonical.
+    Invariants: no duplicate coordinates, indices < dim.  ``dot`` and
+    ``norm_fro`` count the off-diagonal stored entries twice; duplicates are
+    rejected at construction so the coordinate list stays canonical.
     """
 
     dim: int
@@ -164,21 +160,11 @@ class SparseSym:
         a[self.col, self.row] = self.val
         return a
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.dim)
-        np.add.at(y, self.row, self.val * x[self.col])
-        off = self.row != self.col
-        np.add.at(y, self.col[off], self.val[off] * x[self.row[off]])
-        return y
-
     def dot(self, m: np.ndarray) -> float:
         """Frobenius inner product with a dense symmetric matrix."""
         full = self.val * m[self.row, self.col]
         off = self.row != self.col
         return float(full.sum() + full[off].sum())
-
-    def scaled(self, alpha: float) -> "SparseSym":
-        return SparseSym(self.dim, self.row, self.col, alpha * self.val)
 
     def norm_fro(self) -> float:
         sq = self.val**2

@@ -44,7 +44,9 @@ from .model import (
     objective_values,
 )
 from .pcg import CgTolerance, next_tolerance, pcg_solve
-from .report import SolveReport, spectrum_summary
+from .report import SolveReport, make_report
+
+PDAL_KINDS = ("gamma", "delta", "beta", "none")
 
 
 class InnerCgFailure(RuntimeError):
@@ -143,7 +145,7 @@ class PdalConfig:
     eps_dimacs: float = 1e-5
     qlog_tau: float = 0.5          # box-penalty extrapolation point
     rank: int | list[int] | str = 1  # outlier count per block, or "auto"
-    precond: str = "gamma"
+    precond: str = "gamma"         # one of PDAL_KINDS
     tau_rule: str = "cluster_mean"
     cg_tol: CgTolerance = field(default_factory=CgTolerance)
     cg_maxiter: int = 100000
@@ -164,6 +166,7 @@ class PdalConfig:
             raise ValueError("multiplier damping factors must lie in [0, 1]")
         if self.pi_lin_min <= 0 or self.pi_lmi_min <= 0:
             raise ValueError("penalty floors must be positive")
+        pc.check_kind("pdal", self.precond, PDAL_KINDS)
 
     def lin_penalty(self) -> PenaltyFn:
         return PenaltyFn("qlog", self.qlog_tau)
@@ -263,14 +266,17 @@ def aug_lagrangian_value(ctx: OuterCtx, y: np.ndarray) -> float:
 
 
 def hessian_matvec(ctx: OuterCtx, ev: PointEval, dy: np.ndarray) -> np.ndarray:
-    """(r I + 2 sum_i A_i'(Xbar_i x Z_i) A_i + D' Wbar D) dy, matrix-free."""
+    """(r I + 2 sum_i A_i'(Xbar_i x Z_i) A_i + D' Wbar D) dy, matrix-free.
+
+    Xbar_i, Z_i and A_i(dy) are symmetric, so Z M Xbar is the transpose of
+    Xbar M Z and one product per block suffices."""
     prob = ctx.prob
     ops = prob.ops
     out = ctx.r * dy + ops.d_t @ (ev.wbar_lin * (prob.D @ dy))
     for a_op, a_t, xbar, z in zip(prob.A, ops.a_t, ev.xbar_blocks, ev.z_blocks):
         m = xbar.shape[0]
-        mat = np.asarray(a_op @ dy).reshape(m, m)
-        out = out + a_t @ vec(xbar @ mat @ z + z @ mat @ xbar)
+        t = xbar @ np.asarray(a_op @ dy).reshape(m, m) @ z
+        out = out + a_t @ vec(t + t.T)
     return out
 
 
@@ -371,7 +377,10 @@ def _block_pd(x: BlockSymMatrix, tol: float = 0.0) -> bool:
     return True
 
 
-def _pdal_preconditioner(ctx: OuterCtx, ev: PointEval, cfg: PdalConfig, ranks: list[int]):
+def _pdal_preconditioner(ctx: OuterCtx, ev: PointEval, cfg: PdalConfig, ranks: list[int | str]):
+    """The ``cfg.precond`` build (gamma, delta, beta or none), or beta from
+    gamma's base when a low-rank build meets a matrix that is not positive
+    definite."""
     kind = cfg.precond
     if kind == "none":
         return None
@@ -380,38 +389,15 @@ def _pdal_preconditioner(ctx: OuterCtx, ev: PointEval, cfg: PdalConfig, ranks: l
     w_mats = [xb / ctx.pi_lmi for xb in ev.xbar_blocks]
     v_mats = [ctx.pi_lmi * z for z in ev.z_blocks]
     w_splits = [pc.spectral_split(w, k, cfg.tau_rule) for w, k in zip(w_mats, ranks)]
-    if kind in ("alpha", "gamma", "hybrid"):
-        # alpha/hybrid are interior-point vocabulary; the Lagrangian analog
-        # of the low-rank kind is gamma
-        try:
+    try:
+        if kind == "gamma":
             return pc.build_h_gamma(prob, w_splits, v_mats, h_lin_diag)
-        except NotPositiveDefinite:
-            kind = "beta"
-    if kind == "delta":
-        v_splits = [pc.spectral_split(v, k, cfg.tau_rule) for v, k in zip(v_mats, ranks)]
-        try:
+        if kind == "delta":
+            v_splits = [pc.spectral_split(v, k, cfg.tau_rule) for v, k in zip(v_mats, ranks)]
             return pc.build_h_delta(prob, w_splits, v_splits, h_lin_diag)
-        except NotPositiveDefinite:
-            kind = "beta"
-    if kind == "tilde":
-        try:
-            return pc.build_h_tilde(prob, w_splits, h_lin_diag)
-        except NotPositiveDefinite:
-            kind = "beta"
-    if kind == "beta":
-        a_diag = h_lin_diag.copy()
-        for norms_sq, s, v_mat in zip(prob.ops.a_norms_sq, w_splits, v_mats):
-            tau2 = float(np.trace(v_mat)) / v_mat.shape[0]
-            a_diag += 10.0 * s.min_eig_w0() * tau2 * norms_sq
-        return pc.SmwPreconditioner(
-            kind="beta",
-            base_solve=lambda xx: xx / a_diag,
-            v=np.zeros((prob.n, 0)),
-            binv_v=np.zeros((prob.n, 0)),
-            theta_l=np.zeros((0, 0)),
-            a_diag=a_diag,
-        )
-    raise ValueError(f"unknown preconditioner kind {cfg.precond!r}")
+    except NotPositiveDefinite:
+        pass
+    return pc.build_h_beta(pc.gamma_base(prob, w_splits, v_mats, h_lin_diag))
 
 
 @dataclass
@@ -565,11 +551,7 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
     t0 = time.perf_counter()
     n = prob.n
     fn_lin = cfg.lin_penalty()
-    if cfg.rank == "auto":
-        ranks: list[int | str] = ["auto"] * prob.p
-    else:
-        ranks = [cfg.rank] * prob.p if isinstance(cfg.rank, int) else list(cfg.rank)
-        ranks = [min(max(0, k), m - 1) for k, m in zip(ranks, prob.block_dims)]
+    ranks = pc.block_ranks(cfg.rank, prob.block_dims)
 
     y = np.zeros(n)
     x = BlockSymMatrix([np.eye(m) for m in prob.block_dims], np.ones(prob.nu))
@@ -596,25 +578,13 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
 
     def finish(stat: str) -> SolveReport:
         pt = current_point()
-        pobj, dobj = objective_values(prob, pt)
         final_errs = dimacs(prob, pt)
         if stat == "max_iterations" and (
             final_errs.max() <= cfg.eps_dimacs or pd_error(prob, y, x) < cfg.eps
         ):
             stat = "optimal"
-        return SolveReport(
-            solver="pdal",
-            status=stat,
-            iterations=len(trace),
-            cg_total=cg_total,
-            wall_time=time.perf_counter() - t0,
-            primal_objective=pobj,
-            dual_objective=dobj,
-            dimacs=final_errs,
-            precond=cfg.precond,
-            trace=trace,
-            spectra=spectrum_summary(x.blocks),
-            diagnostics=diagnostics or [],
+        return make_report(
+            "pdal", prob, pt, stat, final_errs, trace, cg_total, t0, cfg.precond, diagnostics
         )
 
     for k in range(cfg.max_outer):

@@ -11,9 +11,18 @@ by a multiple of the identity (or of diag(A'A)) leaves a diagonal-plus-low-rank
 preconditioner whose inverse is applied through the Sherman-Morrison-Woodbury
 identity with a small factored inner Schur complement.
 
-Kinds exposed to the drivers: alpha | beta | hybrid | tilde | gamma | delta |
-none.  ``hybrid`` starts with beta and switches to alpha once the CG iteration
-count justifies the setup cost.
+Each driver accepts only its own kinds and rejects any other when its config
+is constructed:
+
+- ``ip`` (Schur complement): alpha | beta | hybrid | tilde | none.  ``hybrid``
+  starts with beta and switches to alpha once the CG iteration count
+  justifies the setup cost.
+- ``pdal`` (augmented-Lagrangian Hessian): gamma | delta | beta | none.
+
+``beta`` is the base diagonal of the driver's low-rank kind alone (alpha's
+for ip, gamma's for pdal); both drivers fall back to it when a low-rank build
+meets a matrix that is not positive definite.  Every build returns through
+one SMW assembly.
 """
 
 from __future__ import annotations
@@ -95,6 +104,21 @@ def detect_rank(eigs: np.ndarray) -> int:
     return min(k, m - 1)
 
 
+def block_ranks(rank: int | Sequence[int] | str, dims: Sequence[int]) -> list[int | str]:
+    """Outlier count per block: "auto" for every block, or the given count
+    (one for all blocks or one per block) clamped to [0, m - 1]."""
+    if rank == "auto":
+        return ["auto"] * len(dims)
+    ranks = [rank] * len(dims) if isinstance(rank, int) else list(rank)
+    return [min(max(0, k), m - 1) for k, m in zip(ranks, dims)]
+
+
+def check_kind(solver: str, kind: str, kinds: Sequence[str]) -> None:
+    """Reject a preconditioner kind that ``solver`` does not accept."""
+    if kind not in kinds:
+        raise ValueError(f"{solver} preconditioner must be one of {'|'.join(kinds)}, got {kind!r}")
+
+
 def spectral_split(
     w: np.ndarray, k: int | str, tau_rule: str | float = "cluster_mean"
 ) -> SplitBlock:
@@ -151,24 +175,24 @@ def low_rank_factor(a_t: sp.csr_matrix, left: np.ndarray, right: np.ndarray) -> 
 class SmwPreconditioner:
     """base + V V' preconditioner applied through the SMW identity.
 
-    ``base_solve`` applies the inverse of the base (diagonal or factored);
-    ``theta_l`` is the Cholesky factor of Theta = I + V' base^{-1} V.
+    The base is the positive diagonal ``a_diag`` or, when ``base_l`` is set,
+    the dense matrix base_l base_l'; ``theta_l`` is the Cholesky factor of
+    Theta = I + V' base^{-1} V.
     """
 
     kind: str
-    base_solve: Callable[[np.ndarray], np.ndarray]
     v: np.ndarray
     binv_v: np.ndarray
     theta_l: np.ndarray
     a_diag: np.ndarray | None = None
-    base_dense: np.ndarray | None = None
+    base_l: np.ndarray | None = None
 
     @property
     def rank(self) -> int:
         return int(self.v.shape[1])
 
     def apply_inv(self, x: np.ndarray) -> np.ndarray:
-        t = self.base_solve(x)
+        t = x / self.a_diag if self.base_l is None else chol_solve(self.base_l, x)
         if self.rank == 0:
             return t
         s = chol_solve(self.theta_l, self.v.T @ t)
@@ -176,31 +200,64 @@ class SmwPreconditioner:
 
     def dense(self) -> np.ndarray:
         """Dense assembly base + V V' (diagnostic sizes only)."""
-        if self.base_dense is not None:
-            b = self.base_dense.copy()
-        elif self.a_diag is not None:
-            b = np.diag(self.a_diag)
-        else:
-            raise ValueError("no dense base available")
+        b = np.diag(self.a_diag) if self.base_l is None else self.base_l @ self.base_l.T
         if self.rank:
             b = b + self.v @ self.v.T
         return b
 
 
-def _smw_from_diag(kind: str, a_diag: np.ndarray, v: np.ndarray) -> SmwPreconditioner:
-    if np.any(a_diag <= 0.0):
-        raise ValueError(f"{kind}: nonpositive base diagonal entry")
-    binv_v = v / a_diag[:, None] if v.size else v
+def _smw_from_diag(
+    kind: str, a_diag: np.ndarray | None, v: np.ndarray, base_l: np.ndarray | None = None
+) -> SmwPreconditioner:
+    """The one SMW assembly: base^{-1} V and the Cholesky factor of
+    Theta = I + V' base^{-1} V.  The base is the diagonal ``a_diag``, which
+    must be positive, or the factored matrix base_l base_l' (tilde)."""
+    if base_l is None:
+        if np.any(a_diag <= 0.0):
+            raise ValueError(f"{kind}: nonpositive base diagonal entry")
+        binv_v = v / a_diag[:, None] if v.size else v
+    else:
+        binv_v = chol_solve(base_l, v) if v.size else v
     theta = np.eye(v.shape[1]) + v.T @ binv_v
     theta_l = chol(theta, f"{kind} inner Schur complement")
-    return SmwPreconditioner(
-        kind=kind,
-        base_solve=lambda x: x / a_diag,
-        v=v,
-        binv_v=binv_v,
-        theta_l=theta_l,
-        a_diag=a_diag,
-    )
+    return SmwPreconditioner(kind, v, binv_v, theta_l, a_diag, base_l)
+
+
+def alpha_base(splits: Sequence[SplitBlock], lin_diag: np.ndarray | None, n: int) -> np.ndarray:
+    """Base diagonal of alpha (and of ip's beta): sum_i tau_i^2 + linear term."""
+    a_diag = np.full(n, sum(s.tau**2 for s in splits))
+    if lin_diag is not None:
+        a_diag = a_diag + lin_diag
+    return a_diag
+
+
+def _lagrangian_base(
+    prob: SdpProblem, w_splits: Sequence[SplitBlock], v_means: Sequence[float], h_lin_diag: np.ndarray
+) -> np.ndarray:
+    """h_lin_diag + sum_i tau1_i tau2_i diag(A_i'A_i) with tau1 = 10 *
+    lambda_min(W_i^0) and tau2 = ``v_means[i]``."""
+    a_diag = h_lin_diag.astype(float)
+    for norms_sq, s, tau2 in zip(prob.ops.a_norms_sq, w_splits, v_means):
+        a_diag += 10.0 * s.min_eig_w0() * tau2 * norms_sq
+    return a_diag
+
+
+def gamma_base(
+    prob: SdpProblem, w_splits: Sequence[SplitBlock], v_mats: Sequence[np.ndarray], h_lin_diag: np.ndarray
+) -> np.ndarray:
+    """Base diagonal of gamma (and of pdal's beta); tau2 is the mean
+    eigenvalue of V_i."""
+    v_means = [float(np.trace(v)) / v.shape[0] for v in v_mats]
+    return _lagrangian_base(prob, w_splits, v_means, h_lin_diag)
+
+
+def _outlier_columns(prob: SdpProblem, splits: Sequence[SplitBlock], what: str) -> np.ndarray:
+    """Per block A_i'(U_i x Gamma_i) with Gamma_i Gamma_i' = 2 W_i^0 + U_i U_i'."""
+    cols = []
+    for a_t, s in zip(prob.ops.a_t, splits):
+        gamma = chol(2.0 * s.w0 + s.u @ s.u.T, f"{what} block factor")
+        cols.append(low_rank_factor(a_t, s.u, gamma))
+    return np.hstack(cols) if cols else np.zeros((prob.n, 0))
 
 
 def build_h_alpha(
@@ -213,26 +270,14 @@ def build_h_alpha(
     A factorization failure (stale split) propagates NotPositiveDefinite so
     the caller can refresh the split or fall back to beta.
     """
-    n = prob.n
-    a_diag = np.full(n, sum(s.tau**2 for s in splits))
-    if lin_diag is not None:
-        a_diag = a_diag + lin_diag
-    cols = []
-    for a_t, s in zip(prob.ops.a_t, splits):
-        gamma = chol(2.0 * s.w0 + s.u @ s.u.T, "alpha block factor")
-        cols.append(low_rank_factor(a_t, s.u, gamma))
-    v = np.hstack(cols) if cols else np.zeros((n, 0))
-    return _smw_from_diag("alpha", a_diag, v)
+    a_diag = alpha_base(splits, lin_diag, prob.n)
+    return _smw_from_diag("alpha", a_diag, _outlier_columns(prob, splits, "alpha"))
 
 
-def build_h_beta(
-    splits: Sequence[SplitBlock], lin_diag: np.ndarray | None, n: int
-) -> SmwPreconditioner:
-    """Diagonal-only simplification: sum tau_i^2 + linear diagonal."""
-    a_diag = np.full(n, sum(s.tau**2 for s in splits))
-    if lin_diag is not None:
-        a_diag = a_diag + lin_diag
-    return _smw_from_diag("beta", a_diag, np.zeros((n, 0)))
+def build_h_beta(a_diag: np.ndarray) -> SmwPreconditioner:
+    """Diagonal-only preconditioner: the base diagonal of the driver's
+    low-rank kind (``alpha_base`` or ``gamma_base``) without its columns."""
+    return _smw_from_diag("beta", a_diag, np.zeros((a_diag.size, 0)))
 
 
 def build_h_tilde(
@@ -245,7 +290,9 @@ def build_h_tilde(
 
     The base is no longer diagonal and must be factored once per build; on
     problems where A'A has no convenient structure this is exactly the cost
-    the alpha variant avoids.  Refuses n beyond ``dense_limit``.
+    the alpha variant avoids.  Refuses n beyond ``dense_limit``; a base that
+    does not factor raises ValueError, not NotPositiveDefinite, so the
+    drivers do not fall back to beta for it.
     """
     n = prob.n
     if n > dense_limit:
@@ -253,9 +300,8 @@ def build_h_tilde(
             f"tilde base factorization refused for n={n} > {dense_limit}: "
             "A'A is not cheaply invertible at this size"
         )
-    a_ts = prob.ops.a_t
     base = np.zeros((n, n))
-    for a_t, a_op, s in zip(a_ts, prob.A, splits):
+    for a_t, a_op, s in zip(prob.ops.a_t, prob.A, splits):
         base += s.tau**2 * (a_t @ a_op).toarray()
     if lin_diag is not None:
         base[np.diag_indices(n)] += lin_diag
@@ -264,22 +310,7 @@ def build_h_tilde(
     except NotPositiveDefinite as exc:
         # the defining assumption (cheaply invertible A'A base) failed
         raise ValueError(f"tilde base factorization failed: {exc}") from exc
-    cols = []
-    for a_t, s in zip(a_ts, splits):
-        gamma = chol(2.0 * s.w0 + s.u @ s.u.T, "tilde block factor")
-        cols.append(low_rank_factor(a_t, s.u, gamma))
-    v = np.hstack(cols) if cols else np.zeros((n, 0))
-    binv_v = chol_solve(base_l, v) if v.size else v
-    theta = np.eye(v.shape[1]) + v.T @ binv_v
-    theta_l = chol(theta, "tilde inner Schur complement")
-    return SmwPreconditioner(
-        kind="tilde",
-        base_solve=lambda x: chol_solve(base_l, x),
-        v=v,
-        binv_v=binv_v,
-        theta_l=theta_l,
-        base_dense=base,
-    )
+    return _smw_from_diag("tilde", None, _outlier_columns(prob, splits, "tilde"), base_l)
 
 
 def build_h_gamma(
@@ -292,21 +323,16 @@ def build_h_gamma(
     W is split; the companion matrices V (eigenvalues in (0,1] at feasible
     points) enter whole through their Cholesky factors.
 
-    Base: h_lin_diag + sum_i tau1_i tau2_i diag(A_i'A_i) with tau1 = 10 *
-    lambda_min(W_i^0) and tau2 the mean eigenvalue of V_i.  The factor 2 of
-    the Hessian is carried in the low-rank columns.
+    Base: ``gamma_base``, h_lin_diag + sum_i tau1_i tau2_i diag(A_i'A_i) with
+    tau1 = 10 * lambda_min(W_i^0) and tau2 the mean eigenvalue of V_i.  The
+    factor 2 of the Hessian is carried in the low-rank columns.
     """
-    n = prob.n
-    ops = prob.ops
-    a_diag = h_lin_diag.astype(float).copy()
+    a_diag = gamma_base(prob, w_splits, v_mats, h_lin_diag)
     cols = []
-    for a_t, norms_sq, s, v_mat in zip(ops.a_t, ops.a_norms_sq, w_splits, v_mats):
-        tau1 = 10.0 * s.min_eig_w0()
-        tau2 = float(np.trace(v_mat)) / v_mat.shape[0]
-        a_diag += tau1 * tau2 * norms_sq
+    for a_t, s, v_mat in zip(prob.ops.a_t, w_splits, v_mats):
         delta = chol(sym(v_mat), "gamma companion factor")
         cols.append(math.sqrt(2.0) * low_rank_factor(a_t, s.u, delta))
-    v = np.hstack(cols) if cols else np.zeros((n, 0))
+    v = np.hstack(cols) if cols else np.zeros((prob.n, 0))
     return _smw_from_diag("gamma", a_diag, v)
 
 
@@ -318,27 +344,23 @@ def build_h_delta(
 ) -> SmwPreconditioner:
     """Augmented-Lagrangian preconditioner with both factors split.
 
-    Low-rank part stacks (W-outliers x Theta_i) and (V-outliers x Gamma_i)
-    with Gamma_i Gamma_i' = W_i^0 + 0.5 U_i^W (U_i^W)' and Theta_i Theta_i' =
-    V_i^0 + 0.5 U_i^V (U_i^V)'.  With no V outliers it degenerates to the
-    gamma structure.
+    Base: as gamma with tau2 the mean eigenvalue of V_i^0.  Low-rank part
+    stacks (W-outliers x Theta_i) and (V-outliers x Gamma_i) with Gamma_i
+    Gamma_i' = W_i^0 + 0.5 U_i^W (U_i^W)' and Theta_i Theta_i' = V_i^0 + 0.5
+    U_i^V (U_i^V)'.  With no V outliers it degenerates to the gamma
+    structure.
     """
-    n = prob.n
-    ops = prob.ops
-    a_diag = h_lin_diag.astype(float).copy()
+    a_diag = _lagrangian_base(prob, w_splits, [sv.mean_eig_w0() for sv in v_splits], h_lin_diag)
     cols = []
-    for a_t, norms_sq, sw, sv in zip(ops.a_t, ops.a_norms_sq, w_splits, v_splits):
-        tau1 = 10.0 * sw.min_eig_w0()
-        tau2 = sv.mean_eig_w0()
-        a_diag += tau1 * tau2 * norms_sq
+    root2 = math.sqrt(2.0)
+    for a_t, sw, sv in zip(prob.ops.a_t, w_splits, v_splits):
         gamma = chol(sw.w0 + 0.5 * sw.u @ sw.u.T, "delta W factor")
         theta = chol(sv.w0 + 0.5 * sv.u @ sv.u.T, "delta V factor")
-        root2 = math.sqrt(2.0)
         if sw.k:
             cols.append(root2 * low_rank_factor(a_t, sw.u, theta))
         if sv.k:
             cols.append(root2 * low_rank_factor(a_t, sv.u, gamma))
-    v = np.hstack(cols) if cols else np.zeros((n, 0))
+    v = np.hstack(cols) if cols else np.zeros((prob.n, 0))
     return _smw_from_diag("delta", a_diag, v)
 
 

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .model import DimacsErrors
+from .model import DimacsErrors, PrimalDualPoint, SdpProblem, objective_values
 
 CSV_COLUMNS = [
     "instance",
@@ -117,6 +118,37 @@ class SolveReport:
             f"{gap:.6g}" if gap != "" else "",
         ]
         return [str(v) for v in vals]
+
+
+def make_report(
+    solver: str,
+    prob: SdpProblem,
+    pt: PrimalDualPoint,
+    status: str,
+    errs: DimacsErrors,
+    trace: list[dict],
+    cg_total: int,
+    t0: float,
+    precond: str,
+    diagnostics: list[dict] | None,
+) -> SolveReport:
+    """The report of a finished solve at ``pt``; ``errs`` are its final
+    DIMACS errors and ``t0`` the ``perf_counter`` value at its start."""
+    pobj, dobj = objective_values(prob, pt)
+    return SolveReport(
+        solver=solver,
+        status=status,
+        iterations=len(trace),
+        cg_total=cg_total,
+        wall_time=time.perf_counter() - t0,
+        primal_objective=pobj,
+        dual_objective=dobj,
+        dimacs=errs,
+        precond=precond,
+        trace=trace,
+        spectra=spectrum_summary(pt.X.blocks),
+        diagnostics=diagnostics or [],
+    )
 
 
 def _json_default(obj):

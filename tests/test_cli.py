@@ -124,6 +124,16 @@ class TestSolve:
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0 and payload["status"] == "optimal"
 
+    @pytest.mark.parametrize(
+        "solver, kind, kinds",
+        [("pdal", "alpha", "gamma|delta|beta|none"), ("ip", "gamma", "alpha|beta|hybrid|tilde|none")],
+    )
+    def test_other_driver_kind_exit_code(self, gen_dir, capsys, solver, kind, kinds):
+        rc = main(["solve", str(gen_dir / "tru3.dat-s"), "--solver", solver, "--precond", kind])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and kinds in err and "Traceback" not in err
+
     def test_pdal_config_rejects_unknown_keys(self, gen_dir, tmp_path, capsys):
         cfg = tmp_path / "pdal.json"
         cfg.write_text(json.dumps({"bogus": 1.0}))
@@ -160,6 +170,21 @@ class TestBench:
         assert len(rows) == 3
         assert rows[1][0] == "tru3.dat-s"
         assert rows[2][3].startswith("failed")
+
+    @pytest.mark.parametrize(
+        "solver, kind, kinds",
+        [("pdal", "alpha", "gamma|delta|beta|none"), ("ip", "gamma", "alpha|beta|hybrid|tilde|none")],
+    )
+    def test_other_driver_kind_exit_code(self, gen_dir, tmp_path, capsys, solver, kind, kinds):
+        out = tmp_path / "bench.csv"
+        rc = main(
+            ["bench", str(gen_dir / "tru3.dat-s"), "--solver", solver, "--precond", kind,
+             "--csv", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and kinds in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_determinism(self, gen_dir, tmp_path, capsys):
         """Identical config and seed give bitwise-identical numeric fields."""

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -321,6 +322,24 @@ class TestIpSolve:
         _, _, prob = tru3
         _, rep = ip_solve(prob, IpConfig(precond="alpha", max_iter=2))
         assert [t["precond"] for t in rep.trace] == ["beta", "beta"]
+
+    @pytest.mark.parametrize("kind", ["gamma", "delta", "bogus"])
+    def test_config_rejects_other_kinds(self, kind):
+        with pytest.raises(ValueError, match=re.escape("alpha|beta|hybrid|tilde|none")):
+            IpConfig(precond=kind)
+
+    def test_rank_zero_is_honoured(self, tru3, monkeypatch):
+        ranks = []
+        build = precond.build_h_alpha
+
+        def recording_build(prob, splits, lin_diag):
+            ranks.append([s.k for s in splits])
+            return build(prob, splits, lin_diag)
+
+        monkeypatch.setattr(precond, "build_h_alpha", recording_build)
+        _, _, prob = tru3
+        ip_solve(prob, IpConfig(precond="alpha", rank=0, max_iter=2))
+        assert ranks == [[0], [0]]
 
     def test_vib3_converges(self, vib3_ip):
         _, rep = vib3_ip

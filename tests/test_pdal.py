@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from lorank.linalg import NotPositiveDefinite, SparseSym, sym
 from lorank.model import BlockSymMatrix, SdpProblem, apply_A_adjoint, load_sdpa
 from lorank.pdal import (
     DomainViolation,
+    _pdal_preconditioner,
     OuterCtx,
     PdalConfig,
     PenaltyFn,
@@ -448,6 +450,25 @@ class TestInnerSolve:
         assert res.converged
         assert res.precond_kinds == ["beta"]
 
+    def test_beta_is_the_gamma_base(self, tru3, monkeypatch):
+        """The fallback and the configured beta kind are gamma's base
+        diagonal alone, bit for bit."""
+        _, _, prob = tru3
+        ctx, y = make_ctx(prob, seed=14)
+        ev = evaluate_point(ctx, y)
+        gamma = _pdal_preconditioner(ctx, ev, PdalConfig(), [1])
+        beta = _pdal_preconditioner(ctx, ev, PdalConfig(precond="beta"), [1])
+
+        def failing_build(*args):
+            raise NotPositiveDefinite(0, "gamma companion factor")
+
+        monkeypatch.setattr(precond, "build_h_gamma", failing_build)
+        fallback = _pdal_preconditioner(ctx, ev, PdalConfig(), [1])
+        assert gamma.kind == "gamma" and gamma.rank > 0
+        for pc in (beta, fallback):
+            assert pc.kind == "beta" and pc.rank == 0
+            assert np.array_equal(pc.a_diag, gamma.a_diag)
+
 
 class TestPenaltyUpdate:
     def test_floor_unchanged(self):
@@ -479,6 +500,11 @@ class TestPenaltyUpdate:
 
 
 class TestPdalSolve:
+    @pytest.mark.parametrize("kind", ["alpha", "hybrid", "tilde", "bogus"])
+    def test_config_rejects_other_kinds(self, kind):
+        with pytest.raises(ValueError, match=re.escape("gamma|delta|beta|none")):
+            PdalConfig(precond=kind)
+
     def test_toy_analytic(self):
         prob = load_sdpa(io.StringIO(TOY))
         pt, rep = pdal_solve(prob, PdalConfig())

@@ -6,6 +6,8 @@ from lorank.linalg import sym
 from lorank.model import column_norms_sq
 from lorank.pdal import OuterCtx, PenaltyFn, evaluate_point
 from lorank.precond import (
+    alpha_base,
+    block_ranks,
     build_h_alpha,
     build_h_beta,
     build_h_delta,
@@ -82,6 +84,16 @@ class TestSpectralSplit:
     def test_rank_hint_too_large(self):
         with pytest.raises(ValueError):
             spectral_split(np.eye(3), 3, "cluster_mean")
+
+    def test_block_ranks(self):
+        assert block_ranks(2, [13, 12]) == [2, 2]
+        assert block_ranks([1, 3], [13, 12]) == [1, 3]
+        assert block_ranks("auto", [13, 12]) == ["auto", "auto"]
+        # clamped to m - 1, negative counts to 0, a 1 x 1 block has no outliers
+        assert block_ranks(20, [13, 5]) == [12, 4]
+        assert block_ranks([-1, 4], [13, 1]) == [0, 0]
+        # rank 0 is honoured: both drivers take their ranks from here
+        assert block_ranks(0, [13, 12]) == [0, 0]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_reconstruction_property(self, seed):
@@ -174,7 +186,7 @@ class TestSmwInverse:
         prob = random_problem(12, dims=(4,), n=5, nu=3)
         splits = [spectral_split(np.eye(4), 0, "cluster_mean")]
         lin = np.arange(1.0, 6.0)
-        pc = build_h_beta(splits, lin, 5)
+        pc = build_h_beta(alpha_base(splits, lin, 5))
         v = np.arange(5.0) + 1.0
         assert np.allclose(pc.apply_inv(v), v / pc.a_diag)
 
@@ -211,13 +223,13 @@ class TestSmwInverse:
 class TestBeta:
     def test_single_block_constant(self):
         s = spectral_split(np.diag([4.0, 4.0, 4.0, 9.0]), 1, 2.0)
-        pc = build_h_beta([s], None, 6)
+        pc = build_h_beta(alpha_base([s], None, 6))
         assert np.allclose(pc.a_diag, 4.0)
 
     def test_matches_dense_diagonal(self, tru3):
         _, _, prob = tru3
         _, scal, splits, lin_diag = ip_state_splits(prob, seed=4)
-        pc = build_h_beta(splits, lin_diag, prob.n)
+        pc = build_h_beta(alpha_base(splits, lin_diag, prob.n))
         expected = sum(s.tau**2 for s in splits) + np.diag(
             prob.D.toarray().T @ np.diag(scal.lin_w2) @ prob.D.toarray()
         )
@@ -226,7 +238,7 @@ class TestBeta:
     def test_nonpositive_entry_rejected(self):
         s = spectral_split(np.eye(3), 0, "cluster_mean")
         with pytest.raises(ValueError, match="nonpositive"):
-            build_h_beta([s], np.array([-10.0, 0.0, 0.0]), 3)
+            build_h_beta(alpha_base([s], np.array([-10.0, 0.0, 0.0]), 3))
 
 
 class TestTilde:
@@ -472,7 +484,7 @@ class TestPreconditionerComparisons:
             scal = make_scaling(pt)
             splits = [spectral_split(nt.w, 1, "cluster_mean") for nt in scal.blocks]
             lin_diag = scal.lin_diag(prob)
-            pc_beta = build_h_beta(splits, lin_diag, prob.n)
+            pc_beta = build_h_beta(alpha_base(splits, lin_diag, prob.n))
             h = dense_schur(prob, [nt.w for nt in scal.blocks], scal.lin_w2)
             from lorank.precond import inv_sqrt
 
