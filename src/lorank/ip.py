@@ -54,6 +54,8 @@ class IpConfig:
     def __post_init__(self):
         if not 0.0 < self.tau_frac < 1.0:
             raise ValueError("fraction-to-boundary must lie in (0, 1)")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
         pc.check_kind("ip", self.precond, IP_KINDS)
 
 
@@ -316,17 +318,18 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
     cg_total = 0
 
     def finish(stat: str) -> SolveReport:
-        final_errs = dimacs(prob, pt)
-        if stat in ("max_iterations", "numerical_limit") and final_errs.max() <= config.eps_dimacs:
-            stat = "optimal"
+        """The report at ``pt``, with the errors the loop measured there."""
         return make_report(
-            "ip", prob, pt, stat, final_errs, trace, cg_total, t0, config.precond, diagnostics
+            "ip", prob, pt, stat, errs, trace, cg_total, t0, config.precond, diagnostics
         )
 
-    for it in range(config.max_iter):
+    # one pass more than max_iter: the last only measures the final iterate
+    for it in range(config.max_iter + 1):
         errs = dimacs(prob, pt)
         if errs.max() <= config.eps_dimacs:
             status = "optimal"
+            break
+        if it == config.max_iter:
             break
 
         mu = (pt.X.dot(pt.S)) / (prob.m_total + prob.nu)
@@ -353,13 +356,11 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
         graceful = max(1e-5, config.eps_dimacs)
 
         def check_cg(rep, what) -> bool:
-            """True when the direction is usable.  A stagnated solve at the
-            float64 floor still carries an accurate direction (the computed
-            residual is dominated by round-off in H dy when kappa(H) is
-            extreme); anything worse ends the run, gracefully if the point
-            already meets the standard tolerance."""
+            """True when the direction is usable (``PcgReport.usable``);
+            anything worse ends the run, gracefully if the point already
+            meets the standard tolerance."""
             nonlocal status
-            if rep.converged or (rep.stagnated and rep.relres <= 0.1):
+            if rep.usable:
                 return True
             if errs.max() <= graceful:
                 status = "numerical_limit"

@@ -82,22 +82,6 @@ class BlockSymMatrix:
     def norm(self) -> float:
         return float(np.sqrt(self.dot(self)))
 
-    @staticmethod
-    def zeros(dims: Sequence[int], nu: int | None = None) -> "BlockSymMatrix":
-        return BlockSymMatrix(
-            [np.zeros((m, m)) for m in dims],
-            None if nu is None else np.zeros(nu),
-        )
-
-    @staticmethod
-    def identity(dims: Sequence[int], nu: int | None = None, scale: float = 1.0,
-                 lin_scale: float | None = None) -> "BlockSymMatrix":
-        return BlockSymMatrix(
-            [scale * np.eye(m) for m in dims],
-            None if nu is None else (lin_scale if lin_scale is not None else scale)
-            * np.ones(nu),
-        )
-
 
 @dataclass
 class PrimalDualPoint:
@@ -230,10 +214,6 @@ class SdpProblem:
                 "n <= max block size: matrix-free solves lose their advantage here"
             )
         return warnings
-
-
-def block_matrix(prob: SdpProblem, maker) -> BlockSymMatrix:
-    return BlockSymMatrix([maker(m) for m in prob.block_dims], np.zeros(prob.nu))
 
 
 def apply_A_adjoint(prob: SdpProblem, y: np.ndarray) -> BlockSymMatrix:
@@ -589,8 +569,3 @@ def build_problem(
     prob = SdpProblem(list(block_dims), a_ops, list(c_blocks), b, sp.csr_matrix(D), d)
     prob.validate()
     return prob
-
-
-def dense_operator(prob: SdpProblem, i: int) -> np.ndarray:
-    """Dense (m_i^2, n) stacked operator; diagnostic sizes only."""
-    return prob.A[i].toarray()

@@ -18,6 +18,10 @@ Hessian of F) is applied matrix-free and solved by PCG with the gamma/delta
 preconditioners.  An early-stopping rule hands control back to the outer
 loop as soon as the combined primal-dual error halves, which near the
 solution reduces the inner loop to a single Newton step.
+
+The outer loop stops when the primal-dual error max(err1, err4, err5) of
+the DIMACS measures drops below eps or all six measures reach eps_dimacs;
+each iterate is measured once, and the report carries that measurement.
 """
 
 from __future__ import annotations
@@ -34,14 +38,12 @@ from .ip import SolverFailure
 from .linalg import NotPositiveDefinite, chol, is_pd, sym, vec
 from .model import (
     BlockSymMatrix,
+    DimacsErrors,
     PrimalDualPoint,
     SdpProblem,
-    apply_A,
     apply_A_adjoint,
-    data_inf_norms,
     dimacs,
     dual_slack,
-    objective_values,
 )
 from .pcg import CgTolerance, next_tolerance, pcg_solve
 from .report import SolveReport, make_report
@@ -166,6 +168,8 @@ class PdalConfig:
             raise ValueError("multiplier damping factors must lie in [0, 1]")
         if self.pi_lin_min <= 0 or self.pi_lmi_min <= 0:
             raise ValueError("penalty floors must be positive")
+        if self.max_outer < 0:
+            raise ValueError("max_outer must be >= 0")
         pc.check_kind("pdal", self.precond, PDAL_KINDS)
 
     def lin_penalty(self) -> PenaltyFn:
@@ -341,19 +345,13 @@ def newton_direction(
 
 
 def pd_error(prob: SdpProblem, y: np.ndarray, x: BlockSymMatrix) -> float:
-    """max of primal feasibility, dual cone violation and normalized gap."""
-    bnorm, cnorm = data_inf_norms(prob)
-    pf = float(np.linalg.norm(prob.b - apply_A(prob, x))) / (1.0 + bnorm)
-    slack = dual_slack(prob, y)
-    viol = 0.0
-    for blk in slack.blocks:
-        viol = max(viol, -float(np.linalg.eigvalsh(sym(blk))[0]))
-    if slack.lin is not None and slack.lin.size:
-        viol = max(viol, -float(slack.lin.min()))
-    df = max(0.0, viol) / (1.0 + cnorm)
-    pobj, dobj = objective_values(prob, PrimalDualPoint(y, x, slack))
-    gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-    return max(pf, df, gap)
+    """Primal feasibility, dual cone violation and normalized gap: the
+    DIMACS err1, err4 and err5 at (y, x) with the exact dual slack."""
+    return _pd_error_of(dimacs(prob, PrimalDualPoint(y, x, dual_slack(prob, y))))
+
+
+def _pd_error_of(errs: DimacsErrors) -> float:
+    return max(errs.err1, errs.err4, errs.err5)
 
 
 def _block_pd(x: BlockSymMatrix, tol: float = 0.0) -> bool:
@@ -402,7 +400,7 @@ def _pdal_preconditioner(ctx: OuterCtx, ev: PointEval, cfg: PdalConfig, ranks: l
 
 @dataclass
 class InnerResult:
-    y: np.ndarray
+    ev: PointEval                  # penalty state at the returned point ev.y
     x: BlockSymMatrix
     iterations: int
     cg_iterations: int
@@ -443,7 +441,7 @@ def inner_solve(
         g1, g2 = pd_residuals(ctx, ev, x_hat)
         m_val = merit(g1, g2)
         if m_val <= eps_inner and _block_pd(x_hat, tol=1e-10):
-            return InnerResult(y, x_hat, ell, cg_total, m_val, False, True, ls_failures, kinds)
+            return InnerResult(ev, x_hat, ell, cg_total, m_val, False, True, ls_failures, kinds)
         if ell > 0:
             e_now = pd_error(prob, y, x_hat)
             g2n = g2.dot(g2)
@@ -454,7 +452,7 @@ def inner_solve(
                 and g1n < 0.05 * max(1.0, float(np.linalg.norm(ev.grad)))
                 and _block_pd(x_hat, tol=1e-10)
             ):
-                return InnerResult(y, x_hat, ell, cg_total, m_val, True, True, ls_failures, kinds)
+                return InnerResult(ev, x_hat, ell, cg_total, m_val, True, True, ls_failures, kinds)
 
         prec = _pdal_preconditioner(ctx, ev, cfg, ranks)
         prec_apply = prec.apply_inv if prec is not None else None
@@ -468,9 +466,7 @@ def inner_solve(
         op = lambda v: hessian_matvec(ctx, ev, v)  # noqa: E731
         dy, rep = pcg_solve(op, prec_apply, -ev.grad, tol=cg_tol, maxiter=cfg.cg_maxiter)
         cg_total += rep.iterations
-        if rep.failed and not (rep.stagnated and rep.relres <= 0.1):
-            # stagnation at the float64 residual floor still yields a usable
-            # direction; everything else aborts the solve
+        if not rep.usable:
             raise InnerCgFailure(
                 f"inner Newton CG failed (outer {outer_index}, inner {ell}, "
                 f"breakdown={rep.breakdown})"
@@ -505,12 +501,12 @@ def inner_solve(
             m_best = merit(g1, g2)
             ok = m_best <= eps_inner and _block_pd(x_hat, tol=1e-10)
             return InnerResult(
-                y, x_hat, ell + 1, cg_total, m_best, False, ok, ls_failures, kinds
+                ev, x_hat, ell + 1, cg_total, m_best, False, ok, ls_failures, kinds
             )
 
     g1, g2 = pd_residuals(ctx, ev, x_hat)
     return InnerResult(
-        y, x_hat, cfg.max_inner, cg_total, merit(g1, g2), False, False, ls_failures, kinds
+        ev, x_hat, cfg.max_inner, cg_total, merit(g1, g2), False, False, ls_failures, kinds
     )
 
 
@@ -544,6 +540,11 @@ def penalty_update(
     return new_lin, new_lmi
 
 
+def lmi_lam_max(a_blocks: list[np.ndarray]) -> float:
+    """Largest eigenvalue over the blocks A0_i(y) - C_i."""
+    return max(float(np.linalg.eigvalsh(sym(a))[-1]) for a in a_blocks)
+
+
 def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[PrimalDualPoint, SolveReport]:
     """Outer loop: inner primal-dual solve, damped multiplier update, penalty
     decrease, until the primal-dual error or the DIMACS measures converge."""
@@ -556,10 +557,7 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
     y = np.zeros(n)
     x = BlockSymMatrix([np.eye(m) for m in prob.block_dims], np.ones(prob.nu))
     ay = apply_A_adjoint(prob, y)
-    lam0 = max(
-        float(np.linalg.eigvalsh(sym(ay.blocks[i] - prob.c_dense(i)))[-1])
-        for i in range(prob.p)
-    )
+    lam0 = lmi_lam_max([ay.blocks[i] - prob.c_dense(i) for i in range(prob.p)])
     pi_lmi = 1.1 * max(1.0, lam0)
     pi_lin = 1.0
     if fn_lin.tau_q >= 1.0:
@@ -573,25 +571,21 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
     diagnostics: list[dict] = [] if cfg.diag else None
     status = "max_iterations"
 
-    def current_point() -> PrimalDualPoint:
-        return PrimalDualPoint(y, x, dual_slack(prob, y))
-
     def finish(stat: str) -> SolveReport:
-        pt = current_point()
-        final_errs = dimacs(prob, pt)
-        if stat == "max_iterations" and (
-            final_errs.max() <= cfg.eps_dimacs or pd_error(prob, y, x) < cfg.eps
-        ):
-            stat = "optimal"
+        """The report at ``pt``, with the errors the loop measured there."""
         return make_report(
-            "pdal", prob, pt, stat, final_errs, trace, cg_total, t0, cfg.precond, diagnostics
+            "pdal", prob, pt, stat, errs, trace, cg_total, t0, cfg.precond, diagnostics
         )
 
-    for k in range(cfg.max_outer):
-        e_outer = pd_error(prob, y, x)
-        errs = dimacs(prob, current_point())
+    # one pass more than max_outer: the last only measures the final iterate
+    for k in range(cfg.max_outer + 1):
+        pt = PrimalDualPoint(y, x, dual_slack(prob, y))
+        errs = dimacs(prob, pt)
+        e_outer = _pd_error_of(errs)
         if e_outer < cfg.eps or errs.max() <= cfg.eps_dimacs:
             status = "optimal"
+            break
+        if k == cfg.max_outer:
             break
 
         ctx = OuterCtx(
@@ -615,34 +609,22 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
             raise SolverFailure(str(exc), report) from exc
         cg_total += res.cg_iterations
 
-        y = res.y
+        ev = res.ev
+        y = ev.y
         x_new_blocks = []
-        ev_new = None
         for i in range(prob.p):
             cand = (1.0 - cfg.gamma_lmi) * x.blocks[i] + cfg.gamma_lmi * res.x.blocks[i]
             if not is_pd(cand):
                 # blend with the always-positive closed-form update instead
-                if ev_new is None:
-                    ev_new = evaluate_point(ctx, y)
-                cand = (1.0 - cfg.gamma_lmi) * x.blocks[i] + cfg.gamma_lmi * ev_new.xbar_blocks[i]
+                cand = (1.0 - cfg.gamma_lmi) * x.blocks[i] + cfg.gamma_lmi * ev.xbar_blocks[i]
             x_new_blocks.append(sym(cand))
         x_lin_new = (1.0 - cfg.gamma_lin) * x.lin + cfg.gamma_lin * res.x.lin
-        if x_lin_new.size and x_lin_new.min() <= 0:
-            if ev_new is None:
-                ev_new = evaluate_point(ctx, y)
-            bad = x_lin_new <= 0
-            x_lin_new[bad] = (
-                (1.0 - cfg.gamma_lin) * x.lin[bad] + cfg.gamma_lin * ev_new.xbar_lin[bad]
-            )
+        bad = x_lin_new <= 0
+        x_lin_new[bad] = (1.0 - cfg.gamma_lin) * x.lin[bad] + cfg.gamma_lin * ev.xbar_lin[bad]
         x = BlockSymMatrix(x_new_blocks, x_lin_new)
 
-        ay = apply_A_adjoint(prob, y)
-        lam_max = max(
-            float(np.linalg.eigvalsh(sym(ay.blocks[i] - prob.c_dense(i)))[-1])
-            for i in range(prob.p)
-        )
-        t_lin_max = float((ay.lin - prob.d).max(initial=0.0))
-        pi_lin, pi_lmi = penalty_update(pi_lin, pi_lmi, cfg, lam_max, t_lin_max)
+        t_lin_max = float(ev.t_lin.max(initial=0.0))
+        pi_lin, pi_lmi = penalty_update(pi_lin, pi_lmi, cfg, lmi_lam_max(ev.a_blocks), t_lin_max)
 
         trace.append(
             {
@@ -664,4 +646,4 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
         )
         cg_tol = next_tolerance(cg_tol)
 
-    return current_point(), finish(status)
+    return pt, finish(status)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -71,9 +70,6 @@ class SolveReport:
     def dimacs_max(self) -> float:
         return self.dimacs.max() if self.dimacs is not None else float("inf")
 
-    def cg_counts(self) -> list[int]:
-        return [int(t.get("cg", 0)) for t in self.trace]
-
     def to_dict(self) -> dict:
         return {
             "schema": self.schema,
@@ -96,9 +92,6 @@ class SolveReport:
             "trace": self.trace,
             "diagnostics": self.diagnostics,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, default=_json_default)
 
     def csv_row(self) -> list[str]:
         gap = self.spectra[0]["gap_ratio"] if self.spectra else ""

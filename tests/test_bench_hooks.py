@@ -45,3 +45,43 @@ def test_builds_do_not_nest(tracing, tru3):
     builds = [rec for rec in spans if rec[0] == "precond.build_h"]
     assert builds
     assert all(rec[3] < 0 or spans[rec[3]][0] != "precond.build_h" for rec in builds)
+
+
+def _inside(spans, rec, layer):
+    parent = rec[3]
+    while parent >= 0:
+        if spans[parent][0] == layer:
+            return True
+        parent = spans[parent][3]
+    return False
+
+
+def test_pdal_evaluates_points_only_in_inner_solve(tracing, vib5):
+    """The multiplier repair reads the inner solve's last evaluation; on
+    vib5 it repairs from outer 49 on."""
+    from lorank.pdal import pdal_config_profile, pdal_solve
+
+    _, _, prob = vib5
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        pdal_solve(prob, pdal_config_profile("tru", max_outer=55))
+    spans = tracer.spans
+    evals = [rec for rec in spans if rec[0] == "pdal.evaluate_point"]
+    assert evals
+    assert all(_inside(spans, rec, "pdal.inner_solve") for rec in evals)
+
+
+def test_drivers_measure_each_iterate_once(tracing, tru3):
+    """One top-level DIMACS evaluation per iterate, the final one included;
+    the PDAL early-stopping test's evaluations nest inside pd_error."""
+    from lorank.ip import ip_solve
+    from lorank.pdal import pdal_solve
+
+    _, _, prob = tru3
+    for solve in (ip_solve, pdal_solve):
+        tracer = tracing.Tracer()
+        with tracer.patched():
+            _, rep = solve(prob)
+        top = [rec for rec in tracer.spans if rec[0] == "model.dimacs" and rec[3] < 0]
+        assert rep.converged
+        assert len(top) == rep.iterations + 1, solve.__name__

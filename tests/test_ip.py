@@ -6,6 +6,7 @@ import pytest
 
 from lorank.ip import (
     IpConfig,
+    SolverFailure,
     initial_point,
     ip_solve,
     make_scaling,
@@ -25,6 +26,7 @@ from lorank.model import (
     PrimalDualPoint,
     apply_A,
     apply_A_adjoint,
+    dimacs,
     load_sdpa,
 )
 from lorank.pcg import pcg_solve
@@ -328,6 +330,10 @@ class TestIpSolve:
         with pytest.raises(ValueError, match=re.escape("alpha|beta|hybrid|tilde|none")):
             IpConfig(precond=kind)
 
+    def test_config_rejects_negative_cap(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            IpConfig(max_iter=-1)
+
     def test_rank_zero_is_honoured(self, tru3, monkeypatch):
         ranks = []
         build = precond.build_h_alpha
@@ -340,6 +346,28 @@ class TestIpSolve:
         _, _, prob = tru3
         ip_solve(prob, IpConfig(precond="alpha", rank=0, max_iter=2))
         assert ranks == [[0], [0]]
+
+    def test_iteration_cap_at_convergence(self, tru3, tru3_ip):
+        """A cap equal to the converged run's count still measures the final
+        iterate and reports optimal; one less stops at the cap."""
+        _, _, prob = tru3
+        _, rep = tru3_ip
+        k = rep.iterations
+        _, capped = ip_solve(prob, IpConfig(max_iter=k))
+        assert capped.status == "optimal"
+        assert capped.iterations == k and capped.dimacs == rep.dimacs
+        _, short = ip_solve(prob, IpConfig(max_iter=k - 1))
+        assert short.status == "max_iterations" and short.iterations == k - 1
+
+    def test_report_dimacs_is_the_returned_point(self, tru3, tru3_ip):
+        _, _, prob = tru3
+        pt, rep = tru3_ip
+        assert rep.dimacs == dimacs(prob, pt)
+        with pytest.raises(SolverFailure) as info:
+            ip_solve(prob, IpConfig(cg_maxiter=1))
+        failed = info.value.report
+        assert failed.status == "cg_failure" and failed.iterations == 0
+        assert failed.dimacs == dimacs(prob, initial_point(prob))
 
     def test_vib3_converges(self, vib3_ip):
         _, rep = vib3_ip

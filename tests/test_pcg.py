@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lorank.pcg import CgTolerance, next_tolerance, pcg_solve
+from lorank.pcg import CgTolerance, PcgReport, next_tolerance, pcg_solve
 
 from conftest import rand_spd, spd_with_spectrum
 
@@ -54,6 +54,14 @@ class TestBasics:
         a = rand_spd(rng, 30)
         x, rep = pcg_solve(lambda v: a @ v, None, rng.standard_normal(30), tol=1e-14, maxiter=2)
         assert rep.failed and rep.iterations == 2
+
+    def test_usable(self):
+        """A converged solve, or a stagnation at relres <= 0.1, is usable."""
+        assert PcgReport(3, 1e-8, True).usable
+        assert PcgReport(150, 0.1, False, stagnated=True).usable
+        assert not PcgReport(150, 0.2, False, stagnated=True).usable
+        assert not PcgReport(2, 1e-3, False, breakdown=True).usable
+        assert not PcgReport(2, 1e-3, False).usable
 
 
 def _cg_reorthogonalized(a: np.ndarray, b: np.ndarray, iters: int) -> list[np.ndarray]:

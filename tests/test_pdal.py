@@ -7,7 +7,17 @@ import scipy.sparse as sp
 
 from lorank import precond
 from lorank.linalg import NotPositiveDefinite, SparseSym, sym
-from lorank.model import BlockSymMatrix, SdpProblem, apply_A_adjoint, load_sdpa
+from lorank import pdal
+from lorank.ip import SolverFailure
+from lorank.model import (
+    BlockSymMatrix,
+    PrimalDualPoint,
+    SdpProblem,
+    apply_A_adjoint,
+    dimacs,
+    dual_slack,
+    load_sdpa,
+)
 from lorank.pdal import (
     DomainViolation,
     _pdal_preconditioner,
@@ -23,7 +33,9 @@ from lorank.pdal import (
     multiplier_update_lin,
     multiplier_update_lmi,
     newton_direction,
+    pd_error,
     pd_residuals,
+    pdal_config_profile,
     pdal_solve,
     penalty_eval,
     penalty_update,
@@ -505,6 +517,10 @@ class TestPdalSolve:
         with pytest.raises(ValueError, match=re.escape("gamma|delta|beta|none")):
             PdalConfig(precond=kind)
 
+    def test_config_rejects_negative_cap(self):
+        with pytest.raises(ValueError, match="max_outer"):
+            PdalConfig(max_outer=-1)
+
     def test_toy_analytic(self):
         prob = load_sdpa(io.StringIO(TOY))
         pt, rep = pdal_solve(prob, PdalConfig())
@@ -546,6 +562,49 @@ class TestPdalSolve:
         pt, _ = tru3_pdal
         assert np.linalg.eigvalsh(pt.X.blocks[0])[0] > 0
         assert pt.X.lin.min() >= 0
+
+    @pytest.mark.parametrize("name, profile", [("tru3", "tru"), ("vib3", "vib")])
+    def test_pd_error_is_a_view_of_dimacs(self, name, profile, request, monkeypatch):
+        """pd_error equals max(err1, err4, err5) exactly at iterates of a run
+        (outer points and the inner points of the early-stopping test)."""
+        _, _, prob = request.getfixturevalue(name)
+        points = []
+
+        def recording_dimacs(prob, pt):
+            points.append((pt.y, pt.X))
+            return dimacs(prob, pt)
+
+        monkeypatch.setattr(pdal, "dimacs", recording_dimacs)
+        pdal_solve(prob, pdal_config_profile(profile))
+        monkeypatch.undo()
+        assert len(points) > 20
+        for y, x in points[:: len(points) // 10]:
+            e = dimacs(prob, PrimalDualPoint(y, x, dual_slack(prob, y)))
+            assert pd_error(prob, y, x) == max(e.err1, e.err4, e.err5)
+
+    def test_iteration_cap_at_convergence(self, tru3, tru3_pdal):
+        """A cap equal to the converged run's count still measures the final
+        iterate and reports optimal; one less stops at the cap."""
+        _, _, prob = tru3
+        _, rep = tru3_pdal
+        k = rep.iterations
+        _, capped = pdal_solve(prob, pdal_config_profile("tru", max_outer=k))
+        assert capped.status == "optimal"
+        assert capped.iterations == k and capped.dimacs == rep.dimacs
+        _, short = pdal_solve(prob, pdal_config_profile("tru", max_outer=k - 1))
+        assert short.status == "max_iterations" and short.iterations == k - 1
+
+    def test_report_dimacs_is_the_returned_point(self, tru3, tru3_pdal):
+        _, _, prob = tru3
+        pt, rep = tru3_pdal
+        assert rep.dimacs == dimacs(prob, pt)
+        with pytest.raises(SolverFailure) as info:
+            pdal_solve(prob, PdalConfig(cg_maxiter=1))
+        failed = info.value.report
+        assert failed.status == "cg_failure" and failed.iterations == 0
+        x0 = BlockSymMatrix([np.eye(m) for m in prob.block_dims], np.ones(prob.nu))
+        y0 = np.zeros(prob.n)
+        assert failed.dimacs == dimacs(prob, PrimalDualPoint(y0, x0, dual_slack(prob, y0)))
 
     def test_hessian_floor_diagnostics(self, tru3_pdal_diag):
         _, rep = tru3_pdal_diag
