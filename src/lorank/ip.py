@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve, solve_triangular, svd
+from scipy.linalg import solve_triangular, svd
 
 from . import precond as pc
-from .linalg import NotPositiveDefinite, chol, min_eig_pencil, sym
+from .linalg import NotPositiveDefinite, chol, chol_inv, min_eig_pencil, sym
 from .model import (
     BlockSymMatrix,
     PrimalDualPoint,
@@ -28,7 +28,6 @@ from .model import (
     apply_A,
     apply_A_adjoint,
     dimacs,
-    vec,
 )
 from .pcg import CgTolerance, next_tolerance, pcg_solve
 from .report import SolveReport, make_report
@@ -106,13 +105,9 @@ def make_scaling(pt: PrimalDualPoint) -> Scaling:
 
 def schur_matvec(prob: SdpProblem, scal: Scaling, dy: np.ndarray) -> np.ndarray:
     """H dy computed as p sandwiches W (sum dy_j A_j) W plus the linear term."""
-    ops = prob.ops
-    out = ops.d_t @ (scal.lin_w2 * (prob.D @ dy))
-    for a_op, a_t, nt in zip(prob.A, ops.a_t, scal.blocks):
-        m = nt.w.shape[0]
-        mat = np.asarray(a_op @ dy).reshape(m, m)
-        out += a_t @ vec(nt.w @ mat @ nt.w)
-    return out
+    ady = apply_A_adjoint(prob, dy)
+    blocks = [nt.w @ mat @ nt.w for nt, mat in zip(scal.blocks, ady.blocks)]
+    return apply_A(prob, BlockSymMatrix(blocks, scal.lin_w2 * ady.lin))
 
 
 def second_order_correction(
@@ -152,22 +147,20 @@ def _rhs(
     Predictor: r = r_p + A'vec(W R_d W + X); the corrector subtracts the
     centering term sigma mu S^{-1} and the second-order correction.
     """
-    ops = prob.ops
-    r = rp.copy()
-    for i, (a_t, nt) in enumerate(zip(ops.a_t, scal.blocks)):
+    blocks = []
+    for i, nt in enumerate(scal.blocks):
         mat = nt.w @ rd_blocks[i] @ nt.w + pt.X.blocks[i]
         if sigma_mu:
-            mat = mat - sigma_mu * cho_solve((nt.s_chol, True), np.eye(nt.w.shape[0]))
+            mat = mat - sigma_mu * chol_inv(nt.s_chol)
         if corr_blocks is not None:
             mat = mat - corr_blocks[i]
-        r += a_t @ vec(mat)
+        blocks.append(mat)
     lin = scal.lin_w2 * rd_lin + pt.X.lin
     if sigma_mu:
         lin = lin - sigma_mu / pt.S.lin
     if corr_lin is not None:
         lin = lin - corr_lin
-    r += ops.d_t @ lin
-    return r
+    return rp + apply_A(prob, BlockSymMatrix(blocks, lin))
 
 
 def recover_directions(
@@ -188,10 +181,9 @@ def recover_directions(
     ds_lin = rd_lin - ady.lin
     dx_blocks = []
     for i, nt in enumerate(scal.blocks):
-        m = nt.w.shape[0]
         dx = -pt.X.blocks[i] - nt.w @ ds_blocks[i] @ nt.w
         if sigma_mu:
-            dx = dx + sigma_mu * cho_solve((nt.s_chol, True), np.eye(m))
+            dx = dx + sigma_mu * chol_inv(nt.s_chol)
         if corr_blocks is not None:
             dx = dx + corr_blocks[i]
         dx_blocks.append(sym(dx))
@@ -358,13 +350,17 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
         def check_cg(rep, what) -> bool:
             """True when the direction is usable (``PcgReport.usable``);
             anything worse ends the run, gracefully if the point already
-            meets the standard tolerance."""
+            meets the standard tolerance.  Such a point keeps only converged
+            directions: there a stagnated solve marks the float64 floor, and
+            its step can undo the accuracy already reached."""
             nonlocal status
-            if rep.usable:
+            if rep.converged:
                 return True
             if errs.max() <= graceful:
                 status = "numerical_limit"
                 return False
+            if rep.usable:
+                return True
             raise SolverFailure(
                 f"{what} CG failed at iteration {it} "
                 f"(breakdown={rep.breakdown}, relres={rep.relres:.2e})",

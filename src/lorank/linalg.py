@@ -43,11 +43,6 @@ def sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def vec(m: np.ndarray) -> np.ndarray:
-    """Row-major vectorization; for symmetric input either convention agrees."""
-    return np.ascontiguousarray(m).reshape(-1)
-
-
 def sym_eig(a: np.ndarray) -> EigDecomp:
     """Full eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
@@ -65,7 +60,9 @@ def chol(a: np.ndarray, context: str = "") -> np.ndarray:
     """Lower Cholesky factor L with L L^T = a.
 
     Raises :class:`NotPositiveDefinite` with the failing pivot index when the
-    matrix is not positive definite.
+    matrix is not positive definite.  LAPACK's wrapper zeroes the upper
+    triangle and returns Fortran order, which the other factor kernels read
+    without a copy.
     """
     a = np.asarray(a, dtype=float)
     c, info = lapack.dpotrf(a, lower=1, overwrite_a=0)
@@ -73,7 +70,7 @@ def chol(a: np.ndarray, context: str = "") -> np.ndarray:
         raise NotPositiveDefinite(info - 1, context)
     if info < 0:
         raise ValueError(f"chol: illegal argument {-info}")
-    return np.tril(c)
+    return c
 
 
 def is_pd(a: np.ndarray) -> bool:
@@ -94,9 +91,19 @@ def solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def chol_solve(l: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve (L L^T) x = b given the lower Cholesky factor."""
-    from scipy.linalg import cho_solve
+    x, info = lapack.dpotrs(l, b, lower=1)
+    if info != 0:
+        raise ValueError(f"chol_solve: illegal argument {-info}")
+    return x
 
-    return cho_solve((l, True), b)
+
+def chol_inv(l: np.ndarray) -> np.ndarray:
+    """(L L^T)^{-1} given the lower Cholesky factor with a zero upper
+    triangle (as :func:`chol` returns it); the result is exactly symmetric."""
+    c, info = lapack.dpotri(l, lower=1)
+    if info != 0:
+        raise ValueError(f"chol_inv: singular factor or illegal argument ({info})")
+    return c + np.tril(c, -1).T
 
 
 def min_eig_pencil(x: np.ndarray, dx: np.ndarray) -> float:

@@ -15,8 +15,10 @@ LMI block.
 Per-block constraint data is stored as the stacked operator ``A[i]``, a
 scipy CSR matrix of shape (m_i^2, n) whose column j is vec(A_j^(i)).  This
 gives O(nnz) operator applications without any n x m^2 dense intermediate.
-The transposes and diagonals the solvers apply on every iteration are derived
-from it once per problem (:class:`ConstraintOps`, ``SdpProblem.ops``).
+The operators the solvers apply on every iteration are derived from it once
+per problem (:class:`ConstraintOps`, ``SdpProblem.ops``); among them the map
+[A_1; ...; A_p; D] over all blocks and the linear rows, so the adjoint and
+the forward map each cost one sparse product.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import SparseSym, sym, vec
+from .linalg import SparseSym, sym
 
 
 @dataclass
@@ -74,7 +76,7 @@ class BlockSymMatrix:
 
     def dot(self, other: "BlockSymMatrix") -> float:
         """Frobenius inner product across all blocks including the linear one."""
-        s = sum(float(np.tensordot(a, b)) for a, b in zip(self.blocks, other.blocks))
+        s = sum(float(np.vdot(a, b)) for a, b in zip(self.blocks, other.blocks))
         if self.lin is not None and other.lin is not None:
             s += float(self.lin @ other.lin)
         return s
@@ -122,15 +124,19 @@ class ConstraintOps:
     """Fixed operators derived from the constraint data, built once per
     problem so the solve path never re-creates a transpose or a square.
 
-    a_t        : per block, A_i' as CSR of shape (n, m_i^2)
+    stacked    : [A_1; ...; A_p; D] as CSR of shape (sum m_i^2 + nu, n),
+                 the adjoint map of all blocks and the linear rows
+    stacked_t  : its transpose as CSR, the forward map
+    a_t        : per block, A_i' as CSR of shape (n, m_i^2), for the
+                 preconditioner columns
     a_norms_sq : per block, diag(A_i'A_i)
-    d_t        : D' as CSR of shape (n, nu)
     d_sq_t     : (D o D)' as CSR, so d_sq_t @ w = diag(D' diag(w) D)
     """
 
+    stacked: sp.csr_matrix
+    stacked_t: sp.csr_matrix
     a_t: list[sp.csr_matrix]
     a_norms_sq: list[np.ndarray]
-    d_t: sp.csr_matrix
     d_sq_t: sp.csr_matrix
 
 
@@ -189,10 +195,12 @@ class SdpProblem:
         """Derived constraint operators, built on first use; the problem
         data must not be modified afterwards."""
         if self._ops is None:
+            stacked = sp.vstack(self.A + [self.D], format="csr")
             self._ops = ConstraintOps(
+                stacked,
+                stacked.T.tocsr(),
                 [a.T.tocsr() for a in self.A],
                 [column_norms_sq(a) for a in self.A],
-                self.D.T.tocsr(),
                 self.D.multiply(self.D).T.tocsr(),
             )
         return self._ops
@@ -217,23 +225,26 @@ class SdpProblem:
 
 
 def apply_A_adjoint(prob: SdpProblem, y: np.ndarray) -> BlockSymMatrix:
-    """Adjoint map: block i is sum_j y_j A_j^(i); linear part is D y."""
-    blocks = [
-        np.asarray((a @ y)).reshape(m, m)
-        for a, m in zip(prob.A, prob.block_dims)
-    ]
-    return BlockSymMatrix(blocks, prob.D @ y)
+    """Adjoint map: block i is sum_j y_j A_j^(i); linear part is D y.
+
+    One sparse product; the blocks and the linear part are views into its
+    result."""
+    v = prob.ops.stacked @ y
+    blocks = []
+    start = 0
+    for m in prob.block_dims:
+        blocks.append(v[start : start + m * m].reshape(m, m))
+        start += m * m
+    return BlockSymMatrix(blocks, v[start:])
 
 
 def apply_A(prob: SdpProblem, m: BlockSymMatrix) -> np.ndarray:
-    """Forward map: component j is sum_i A_j^(i) . M_i (+ (D' m.lin)_j)."""
-    ops = prob.ops
-    out = np.zeros(prob.n)
-    for a_t, blk in zip(ops.a_t, m.blocks):
-        out += a_t @ vec(sym(blk))
-    if m.lin is not None:
-        out += ops.d_t @ m.lin
-    return out
+    """Forward map: component j is sum_i A_j^(i) . M_i (+ (D' m.lin)_j).
+
+    One sparse product.  Each A_j is symmetric, so a block enters through
+    its symmetric part."""
+    lin = m.lin if m.lin is not None else np.zeros(prob.nu)
+    return prob.ops.stacked_t @ np.concatenate([b.ravel() for b in m.blocks] + [lin])
 
 
 def dual_slack(prob: SdpProblem, y: np.ndarray) -> BlockSymMatrix:
@@ -261,6 +272,25 @@ def objective_values(prob: SdpProblem, pt: PrimalDualPoint) -> tuple[float, floa
     return float(pobj), float(prob.b @ pt.y)
 
 
+def _min_eig(m: BlockSymMatrix) -> float:
+    """Smallest eigenvalue over the blocks and the linear part."""
+    return min(
+        [float(np.linalg.eigvalsh(sym(b))[0]) for b in m.blocks]
+        + ([float(m.lin.min())] if m.lin is not None and m.lin.size else [])
+    )
+
+
+def pd_errors(prob: SdpProblem, pt: PrimalDualPoint) -> tuple[float, float, float]:
+    """DIMACS err1, err4 and err5 of :func:`dimacs` alone: primal
+    infeasibility, dual cone violation and the normalized duality gap."""
+    bnorm, cnorm = data_inf_norms(prob)
+    pobj, dobj = objective_values(prob, pt)
+    err1 = float(np.linalg.norm(prob.b - apply_A(prob, pt.X))) / (1.0 + bnorm)
+    err4 = max(0.0, -_min_eig(pt.S)) / (1.0 + cnorm)
+    err5 = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+    return err1, err4, err5
+
+
 def dimacs(prob: SdpProblem, pt: PrimalDualPoint) -> DimacsErrors:
     """Six standard DIMACS measures for the point (X, y, S).
 
@@ -268,17 +298,11 @@ def dimacs(prob: SdpProblem, pt: PrimalDualPoint) -> DimacsErrors:
     counterparts, err5 the (absolute) normalized duality gap and err6 the
     normalized complementarity X.S.
     """
+    err1, err4, err5 = pd_errors(prob, pt)
     bnorm, cnorm = data_inf_norms(prob)
     pobj, dobj = objective_values(prob, pt)
 
-    rp = prob.b - apply_A(prob, pt.X)
-    err1 = float(np.linalg.norm(rp)) / (1.0 + bnorm)
-
-    min_eig_x = min(
-        [float(np.linalg.eigvalsh(sym(x))[0]) for x in pt.X.blocks]
-        + ([float(pt.X.lin.min())] if pt.X.lin is not None and pt.X.lin.size else [])
-    )
-    err2 = max(0.0, -min_eig_x) / (1.0 + bnorm)
+    err2 = max(0.0, -_min_eig(pt.X)) / (1.0 + bnorm)
 
     ay = apply_A_adjoint(prob, pt.y)
     rd2 = 0.0
@@ -288,15 +312,7 @@ def dimacs(prob: SdpProblem, pt: PrimalDualPoint) -> DimacsErrors:
         rd2 += float(np.sum((prob.d - ay.lin - pt.S.lin) ** 2))
     err3 = float(np.sqrt(rd2)) / (1.0 + cnorm)
 
-    min_eig_s = min(
-        [float(np.linalg.eigvalsh(sym(s))[0]) for s in pt.S.blocks]
-        + ([float(pt.S.lin.min())] if pt.S.lin is not None and pt.S.lin.size else [])
-    )
-    err4 = max(0.0, -min_eig_s) / (1.0 + cnorm)
-
-    scale = 1.0 + abs(pobj) + abs(dobj)
-    err5 = abs(pobj - dobj) / scale
-    err6 = abs(pt.X.dot(pt.S)) / scale
+    err6 = abs(pt.X.dot(pt.S)) / (1.0 + abs(pobj) + abs(dobj))
     return DimacsErrors(err1, err2, err3, err4, err5, err6)
 
 

@@ -31,19 +31,20 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve
 
 from . import precond as pc
 from .ip import SolverFailure
-from .linalg import NotPositiveDefinite, chol, is_pd, sym, vec
+from .linalg import NotPositiveDefinite, chol, chol_inv, is_pd, sym
 from .model import (
     BlockSymMatrix,
     DimacsErrors,
     PrimalDualPoint,
     SdpProblem,
+    apply_A,
     apply_A_adjoint,
     dimacs,
     dual_slack,
+    pd_errors,
 )
 from .pcg import CgTolerance, next_tolerance, pcg_solve
 from .report import SolveReport, make_report
@@ -116,7 +117,7 @@ def z_matrix(a_lmi: np.ndarray, pi: float) -> np.ndarray:
         l = chol(pi * np.eye(m) - a_lmi, "penalty resolvent")
     except NotPositiveDefinite as exc:
         raise DomainViolation("largest constraint eigenvalue reached pi") from exc
-    return sym(cho_solve((l, True), np.eye(m)))
+    return chol_inv(l)
 
 
 def multiplier_update_lmi(z: np.ndarray, x: np.ndarray, pi: float) -> np.ndarray:
@@ -246,11 +247,8 @@ def evaluate_point(ctx: OuterCtx, y: np.ndarray) -> PointEval:
     _, d1, d2 = penalty_eval(ctx.fn_lin, t_lin, ctx.pi_lin)
     xbar_lin = ctx.x_lin * d1
     wbar_lin = ctx.x_lin * d2
-    ops = prob.ops
-    grad = ctx.b_min + ctx.r * (y - ctx.y_prox)
-    for a_t, xbar in zip(ops.a_t, xbar_blocks):
-        grad = grad + a_t @ vec(xbar)
-    grad = grad + ops.d_t @ xbar_lin
+    xbar = BlockSymMatrix(xbar_blocks, xbar_lin)
+    grad = ctx.b_min + ctx.r * (y - ctx.y_prox) + apply_A(prob, xbar)
     return PointEval(y, a_blocks, z_blocks, xbar_blocks, t_lin, xbar_lin, wbar_lin, grad)
 
 
@@ -274,14 +272,12 @@ def hessian_matvec(ctx: OuterCtx, ev: PointEval, dy: np.ndarray) -> np.ndarray:
 
     Xbar_i, Z_i and A_i(dy) are symmetric, so Z M Xbar is the transpose of
     Xbar M Z and one product per block suffices."""
-    prob = ctx.prob
-    ops = prob.ops
-    out = ctx.r * dy + ops.d_t @ (ev.wbar_lin * (prob.D @ dy))
-    for a_op, a_t, xbar, z in zip(prob.A, ops.a_t, ev.xbar_blocks, ev.z_blocks):
-        m = xbar.shape[0]
-        t = xbar @ np.asarray(a_op @ dy).reshape(m, m) @ z
-        out = out + a_t @ vec(t + t.T)
-    return out
+    ady = apply_A_adjoint(ctx.prob, dy)
+    blocks = []
+    for xbar, mat, z in zip(ev.xbar_blocks, ady.blocks, ev.z_blocks):
+        t = xbar @ mat @ z
+        blocks.append(t + t.T)
+    return ctx.r * dy + apply_A(ctx.prob, BlockSymMatrix(blocks, ev.wbar_lin * ady.lin))
 
 
 def pd_residuals(
@@ -289,11 +285,7 @@ def pd_residuals(
 ) -> tuple[np.ndarray, BlockSymMatrix]:
     """G1 = grad of the Lagrangian part at (y, Xhat); G2 = Xhat - Xbar(y)."""
     prob = ctx.prob
-    ops = prob.ops
-    g1 = ctx.b_min + ctx.r * (ev.y - ctx.y_prox)
-    for a_t, xb in zip(ops.a_t, x_hat.blocks):
-        g1 = g1 + a_t @ vec(xb)
-    g1 = g1 + ops.d_t @ x_hat.lin
+    g1 = ctx.b_min + ctx.r * (ev.y - ctx.y_prox) + apply_A(prob, x_hat)
     g2 = BlockSymMatrix(
         [x_hat.blocks[i] - ev.xbar_blocks[i] for i in range(prob.p)],
         x_hat.lin - ev.xbar_lin,
@@ -318,11 +310,7 @@ def merit_dderiv(
     dG2 = -G2 holds exactly by construction of dx; dG1 picks up the PCG
     residual, so it is evaluated honestly from the Jacobian.
     """
-    ops = ctx.prob.ops
-    dg1 = ctx.r * dy
-    for a_t, b in zip(ops.a_t, dx.blocks):
-        dg1 = dg1 + a_t @ vec(b)
-    dg1 = dg1 + ops.d_t @ dx.lin
+    dg1 = ctx.r * dy + apply_A(ctx.prob, dx)
     return float(g1 @ dg1) - g2.dot(g2)
 
 
@@ -346,8 +334,9 @@ def newton_direction(
 
 def pd_error(prob: SdpProblem, y: np.ndarray, x: BlockSymMatrix) -> float:
     """Primal feasibility, dual cone violation and normalized gap: the
-    DIMACS err1, err4 and err5 at (y, x) with the exact dual slack."""
-    return _pd_error_of(dimacs(prob, PrimalDualPoint(y, x, dual_slack(prob, y))))
+    DIMACS err1, err4 and err5 at (y, x) with the exact dual slack, computed
+    without the three measures it does not read."""
+    return max(pd_errors(prob, PrimalDualPoint(y, x, dual_slack(prob, y))))
 
 
 def _pd_error_of(errs: DimacsErrors) -> float:

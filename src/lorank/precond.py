@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,19 +45,28 @@ class SplitBlock:
 
     ``tau`` is the cluster threshold; ``u`` has the k outlier columns scaled
     by sqrt(lambda - tau).  ``eigs`` keeps the full ascending spectrum of W
-    for the cheap scalar summaries the gamma/delta bases need.
+    for the cheap scalar summaries the gamma/delta bases need, ``q`` its
+    eigenvectors.  The m x m cluster part ``w0`` is formed on first read:
+    the gamma and beta bases never read it.
     """
 
-    w0: np.ndarray
     u: np.ndarray
     tau: float
     k: int
     eigs: np.ndarray
+    q: np.ndarray
     degenerate: bool = False
+
+    @cached_property
+    def w0(self) -> np.ndarray:
+        """Q diag(lambda_1..lambda_{m-k}, tau, ..., tau) Q'."""
+        m = self.dim
+        w0_eigs = np.concatenate([self.eigs[: m - self.k], np.full(self.k, self.tau)])
+        return sym((self.q * w0_eigs) @ self.q.T)
 
     @property
     def dim(self) -> int:
-        return self.w0.shape[0]
+        return self.eigs.size
 
     def min_eig_w0(self) -> float:
         return float(min(self.eigs[0], self.tau))
@@ -143,11 +153,8 @@ def spectral_split(
     degenerate = tau > lam_edge
     if degenerate:
         tau = lam_edge * (1.0 - 1e-8)
-    q_top = q[:, m - k :]
-    u = q_top * np.sqrt(np.maximum(lam[m - k :] - tau, 0.0))
-    w0_eigs = np.concatenate([lam[: m - k], np.full(k, tau)])
-    w0 = sym((q * w0_eigs) @ q.T)
-    return SplitBlock(w0, u, tau, k, lam, degenerate)
+    u = q[:, m - k :] * np.sqrt(np.maximum(lam[m - k :] - tau, 0.0))
+    return SplitBlock(u, tau, k, lam, q, degenerate)
 
 
 def low_rank_factor(a_t: sp.csr_matrix, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -235,10 +242,15 @@ def _lagrangian_base(
     prob: SdpProblem, w_splits: Sequence[SplitBlock], v_means: Sequence[float], h_lin_diag: np.ndarray
 ) -> np.ndarray:
     """h_lin_diag + sum_i tau1_i tau2_i diag(A_i'A_i) with tau1 = 10 *
-    lambda_min(W_i^0) and tau2 = ``v_means[i]``."""
+    lambda_min(W_i^0) and tau2 = ``v_means[i]``.
+
+    W_i = Xbar_i / pi is positive semidefinite in exact arithmetic, so tau1
+    is clamped at 0: next to a spectrum reaching 1e12 the computed
+    lambda_min can be a round-off -1e-4, whose term would outweigh
+    h_lin_diag and leave a nonpositive base."""
     a_diag = h_lin_diag.astype(float)
     for norms_sq, s, tau2 in zip(prob.ops.a_norms_sq, w_splits, v_means):
-        a_diag += 10.0 * s.min_eig_w0() * tau2 * norms_sq
+        a_diag += 10.0 * max(s.min_eig_w0(), 0.0) * tau2 * norms_sq
     return a_diag
 
 
@@ -324,8 +336,8 @@ def build_h_gamma(
     points) enter whole through their Cholesky factors.
 
     Base: ``gamma_base``, h_lin_diag + sum_i tau1_i tau2_i diag(A_i'A_i) with
-    tau1 = 10 * lambda_min(W_i^0) and tau2 the mean eigenvalue of V_i.  The
-    factor 2 of the Hessian is carried in the low-rank columns.
+    tau1 = 10 * max(lambda_min(W_i^0), 0) and tau2 the mean eigenvalue of
+    V_i.  The factor 2 of the Hessian is carried in the low-rank columns.
     """
     a_diag = gamma_base(prob, w_splits, v_mats, h_lin_diag)
     cols = []

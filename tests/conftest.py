@@ -82,6 +82,20 @@ def dense_operator(prob: SdpProblem, i: int) -> np.ndarray:
     return prob.A[i].toarray()
 
 
+def per_block_adjoint(prob: SdpProblem, y: np.ndarray):
+    """The adjoint map one block at a time: ([A_i y as m_i x m_i], D y)."""
+    blocks = [np.asarray(a @ y).reshape(m, m) for a, m in zip(prob.A, prob.block_dims)]
+    return blocks, prob.D @ y
+
+
+def per_block_forward(prob: SdpProblem, blocks, lin) -> np.ndarray:
+    """The forward map one block at a time: sum_i A_i' vec(M_i) + D' lin."""
+    out = prob.D.T @ lin
+    for a, blk in zip(prob.A, blocks):
+        out = out + a.T @ blk.ravel()
+    return out
+
+
 def dense_schur(prob: SdpProblem, w_blocks, lin_w2) -> np.ndarray:
     """Oracle for the condensed system matrix: explicit Kronecker assembly."""
     n = prob.n

@@ -85,3 +85,24 @@ def test_drivers_measure_each_iterate_once(tracing, tru3):
         top = [rec for rec in tracer.spans if rec[0] == "model.dimacs" and rec[3] < 0]
         assert rep.converged
         assert len(top) == rep.iterations + 1, solve.__name__
+
+
+def test_tracer_counts_accepted_stagnations_by_the_drivers_rule(tracing):
+    """``Tracer._on_pcg`` keeps its own copy of the CG acceptance rule; it
+    must count exactly the solves ``PcgReport.usable`` accepts without
+    convergence."""
+    from lorank.pcg import PcgReport
+
+    reports = [
+        PcgReport(iterations=5, relres=1e-7, converged=True),
+        PcgReport(iterations=9, relres=0.05, converged=False, stagnated=True),
+        PcgReport(iterations=9, relres=0.5, converged=False, stagnated=True),
+        PcgReport(iterations=9, relres=0.2, converged=False),
+    ]
+    tracer = tracing.Tracer()
+    for rep in reports:
+        tracer._on_pcg((), (None, rep), None)
+    accepted = sum(rep.usable and not rep.converged for rep in reports)
+    assert accepted == 1
+    assert tracer.counts["pcg.stagnations_accepted"] == accepted
+    assert tracer.counts["pcg.iterations"] == sum(rep.iterations for rep in reports)

@@ -31,7 +31,14 @@ from lorank.model import (
 )
 from lorank.pcg import pcg_solve
 
-from conftest import dense_schur, rand_spd, rand_sym, random_problem
+from conftest import (
+    dense_schur,
+    per_block_adjoint,
+    per_block_forward,
+    rand_spd,
+    rand_sym,
+    random_problem,
+)
 
 TOY = """\
 1
@@ -86,6 +93,26 @@ class TestSchurMatvec:
         assert np.allclose(
             schur_matvec(prob, scal, dy), h @ dy, rtol=1e-10, atol=1e-10 * np.linalg.norm(h @ dy)
         )
+
+    @pytest.mark.parametrize("nu", [0, 6])
+    def test_stacked_matches_per_block(self, nu):
+        """The stacked constraint map gives the Schur product that the
+        per-block maps give, with and without linear rows."""
+        prob = random_problem(23, dims=(5, 4), n=12, nu=nu)
+        rng = np.random.default_rng(nu)
+        pt = initial_point(prob)
+        pt.X.blocks = [rand_spd(rng, m) for m in prob.block_dims]
+        pt.S.blocks = [rand_spd(rng, m) for m in prob.block_dims]
+        pt.X.lin = rng.random(nu) + 0.5
+        pt.S.lin = rng.random(nu) + 0.5
+        scal = make_scaling(pt)
+        for _ in range(5):
+            dy = rng.standard_normal(prob.n)
+            mats, lin = per_block_adjoint(prob, dy)
+            blocks = [nt.w @ mat @ nt.w for nt, mat in zip(scal.blocks, mats)]
+            ref = per_block_forward(prob, blocks, scal.lin_w2 * lin)
+            got = schur_matvec(prob, scal, dy)
+            assert np.allclose(got, ref, rtol=1e-13, atol=1e-13 * np.linalg.norm(ref))
 
     def test_identity_scaling_gives_gram(self):
         prob = random_problem(31, dims=(4,), n=9, nu=5)

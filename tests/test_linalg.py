@@ -6,6 +6,8 @@ from lorank.linalg import (
     NotPositiveDefinite,
     SparseSym,
     chol,
+    chol_inv,
+    chol_solve,
     min_eig_pencil,
     sym_eig,
 )
@@ -67,6 +69,25 @@ class TestChol:
         assert np.linalg.norm(l @ l.T - a) <= 1e-12 * np.linalg.norm(a)
         assert np.allclose(np.triu(l, 1), 0.0)
         assert np.all(np.diag(l) > 0)
+
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_upper_triangle_is_exactly_zero(self, seed):
+        l = chol(rand_spd(np.random.default_rng(seed), 9))
+        assert np.all(np.triu(l, 1) == 0.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_solve_and_inverse(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rand_spd(rng, 9)
+        l = chol(a)
+        inv = chol_inv(l)
+        assert np.array_equal(inv, inv.T)
+        assert np.allclose(inv, np.linalg.inv(a), rtol=1e-12, atol=1e-14)
+        b = rng.standard_normal(9)
+        assert np.allclose(chol_solve(l, b), np.linalg.solve(a, b), rtol=1e-12)
+        rhs = rng.standard_normal((9, 3))
+        assert np.allclose(chol_solve(l, rhs), np.linalg.solve(a, rhs), rtol=1e-12)
 
 
 class TestMinEigPencil:

@@ -17,10 +17,17 @@ from lorank.model import (
     dimacs,
     dual_slack,
     load_sdpa,
+    pd_errors,
     write_sdpa,
 )
 
-from conftest import make_truss_problem, random_problem
+from conftest import (
+    make_truss_problem,
+    per_block_adjoint,
+    per_block_forward,
+    rand_spd,
+    random_problem,
+)
 
 TOY = """\
 * min x  subject to  x >= 1
@@ -186,9 +193,33 @@ class TestOperators:
             assert np.array_equal(ops.a_t[i].toarray(), a.toarray().T)
             assert np.array_equal(ops.a_norms_sq[i], column_norms_sq(a))
         d = prob.D.toarray()
-        assert ops.d_t.format == "csr" and ops.d_sq_t.format == "csr"
-        assert np.array_equal(ops.d_t.toarray(), d.T)
+        stacked = np.vstack([a.toarray() for a in prob.A] + [d])
+        assert ops.stacked.format == "csr" and ops.stacked_t.format == "csr"
+        assert np.array_equal(ops.stacked.toarray(), stacked)
+        assert np.array_equal(ops.stacked_t.toarray(), stacked.T)
+        assert ops.d_sq_t.format == "csr"
         assert np.array_equal(ops.d_sq_t.toarray(), (d * d).T)
+
+    @pytest.mark.parametrize("nu", [0, 6])
+    def test_stacked_maps_match_per_block(self, nu):
+        """One product with [A_1; A_2; D] and its transpose gives the maps
+        block by block, with and without linear rows."""
+        prob = random_problem(21, dims=(5, 4), n=12, nu=nu)
+        rng = np.random.default_rng(nu)
+        for _ in range(5):
+            y = rng.standard_normal(prob.n)
+            blocks, lin = per_block_adjoint(prob, y)
+            ay = apply_A_adjoint(prob, y)
+            for got, ref in zip(ay.blocks, blocks):
+                assert np.allclose(got, ref, rtol=1e-14, atol=1e-14)
+            assert ay.lin.shape == (nu,) and np.allclose(ay.lin, lin, rtol=1e-14, atol=1e-14)
+
+            m = BlockSymMatrix(
+                [0.5 * (b + b.T) for b in (rng.standard_normal((5, 5)), rng.standard_normal((4, 4)))],
+                rng.standard_normal(nu),
+            )
+            ref = per_block_forward(prob, m.blocks, m.lin)
+            assert np.allclose(apply_A(prob, m), ref, rtol=1e-13, atol=1e-13 * np.linalg.norm(ref))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_adjoint_identity(self, seed):
@@ -237,6 +268,18 @@ class TestDimacs:
         assert errs.err5 == pytest.approx(ref5, rel=1e-14)
         assert errs.err1 == 0.0
         assert errs.err6 == 0.0
+
+    def test_pd_errors_are_dimacs_measures(self, tru3):
+        """The helper the PDAL stopping test reads gives err1, err4 and err5
+        of the full measurement bit for bit."""
+        _, _, prob = tru3
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            y = rng.standard_normal(prob.n)
+            x = BlockSymMatrix([rand_spd(rng, 13)], rng.random(prob.nu))
+            pt = PrimalDualPoint(y, x, dual_slack(prob, y))
+            e = dimacs(prob, pt)
+            assert pd_errors(prob, pt) == (e.err1, e.err4, e.err5)
 
     def test_all_nonnegative(self, tru3):
         _, _, prob = tru3

@@ -42,7 +42,13 @@ from lorank.pdal import (
     z_matrix,
 )
 
-from conftest import dense_pdal_hessian, rand_spd
+from conftest import (
+    dense_pdal_hessian,
+    per_block_adjoint,
+    per_block_forward,
+    rand_spd,
+    random_problem,
+)
 
 TOY = """\
 1
@@ -140,6 +146,16 @@ class TestZMatrixAndMultipliers:
     def test_domain_violation(self):
         with pytest.raises(DomainViolation):
             z_matrix(np.diag([5.0, 0.0]), 2.0)
+
+    @pytest.mark.parametrize("excess", [0.0, 1e-3, 1.0])
+    def test_domain_violation_at_and_beyond_pi(self, excess):
+        """A >= pi I (the boundary included) leaves pi I - A singular or
+        indefinite, so the resolvent does not exist."""
+        rng = np.random.default_rng(3)
+        pi = 1.5
+        a = pi * np.eye(4) + excess * rand_spd(rng, 4)
+        with pytest.raises(DomainViolation):
+            z_matrix(a, pi)
 
     def test_multiplier_fixed_point_at_boundary(self):
         """A(y) = 0 gives Z = I/pi and the update leaves X unchanged."""
@@ -266,6 +282,36 @@ class TestGradientAndHessian:
             ref = h @ d
             got = hessian_matvec(ctx, ev, d)
             assert np.allclose(got, ref, rtol=1e-9, atol=1e-9 * np.linalg.norm(ref))
+
+    @pytest.mark.parametrize("nu", [0, 6])
+    def test_hessian_stacked_matches_per_block(self, nu):
+        """The stacked constraint map gives the Hessian product that the
+        per-block maps give, with and without linear rows."""
+        prob = random_problem(22, dims=(5, 4), n=12, nu=nu)
+        rng = np.random.default_rng(nu)
+        y = 0.1 * rng.standard_normal(prob.n)
+        lam = max(np.linalg.eigvalsh(a)[-1] for a in apply_A_adjoint(prob, y).blocks)
+        ctx = OuterCtx(
+            prob=prob,
+            y_prox=np.zeros(prob.n),
+            x_blocks=[rand_spd(rng, m) for m in prob.block_dims],
+            x_lin=rng.random(nu) + 0.5,
+            pi_lmi=2.0 * (1.0 + abs(lam) + max(c.norm_fro() for c in prob.C)),
+            pi_lin=10.0,
+            r=0.01,
+            fn_lin=PenaltyFn("qlog", 0.5),
+        )
+        ev = evaluate_point(ctx, y)
+        for _ in range(5):
+            dy = rng.standard_normal(prob.n)
+            mats, lin = per_block_adjoint(prob, dy)
+            blocks = []
+            for xbar, mat, z in zip(ev.xbar_blocks, mats, ev.z_blocks):
+                t = xbar @ mat @ z
+                blocks.append(t + t.T)
+            ref = ctx.r * dy + per_block_forward(prob, blocks, ev.wbar_lin * lin)
+            got = hessian_matvec(ctx, ev, dy)
+            assert np.allclose(got, ref, rtol=1e-13, atol=1e-13 * np.linalg.norm(ref))
 
     def test_hessian_matches_gradient_differences(self, tru3):
         _, _, prob = tru3

@@ -15,6 +15,7 @@ from lorank.precond import (
     build_h_tilde,
     conditioning_report,
     dense_sandwich,
+    gamma_base,
     hybrid_should_switch,
     low_rank_factor,
     spectral_split,
@@ -331,6 +332,22 @@ class TestGamma:
         expected = 1.0 + 10.0 * s.min_eig_w0() * 1.0 * column_norms_sq(prob.A[0])
         assert np.allclose(pc.a_diag, expected, rtol=1e-12)
         assert np.linalg.norm(pc.v) <= 1e-3
+
+    def test_round_off_negative_w_keeps_base_positive(self, tru3):
+        """W = Xbar/pi is positive semidefinite; a round-off negative
+        smallest eigenvalue next to a spectrum reaching 1e12 must not push
+        the base below the linear part (it raised ValueError in the build)."""
+        _, _, prob = tru3
+        rng = np.random.default_rng(8)
+        eigs = np.concatenate([[-1e-2], np.linspace(0.5, 6.0, 11), [2.3e12]])
+        s = spectral_split(spd_with_spectrum(rng, eigs), 1, "cluster_mean")
+        assert s.eigs[0] < 0 and s.min_eig_w0() < 0
+        h_lin = np.full(prob.n, 1e-3)
+        v = np.eye(13)
+        base = gamma_base(prob, [s], [v], h_lin)
+        assert np.all(base > 0)
+        assert np.array_equal(base, h_lin)
+        assert np.all(build_h_gamma(prob, [s], [v], h_lin).a_diag > 0)
 
     def test_inverse_probes(self, tru3):
         _, _, prob = tru3
