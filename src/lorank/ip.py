@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,6 +72,12 @@ class NtBlock:
     g_inv: np.ndarray
     d: np.ndarray        # diag(G' S G), the scaling singular values
     s_chol: np.ndarray
+
+    @cached_property
+    def s_inv(self) -> np.ndarray:
+        """S^{-1} from the S factor, formed on first read (the corrector's
+        right-hand side and its direction recovery both use it)."""
+        return chol_inv(self.s_chol)
 
 
 def nt_scaling(x: np.ndarray, s: np.ndarray) -> NtBlock:
@@ -151,7 +158,7 @@ def _rhs(
     for i, nt in enumerate(scal.blocks):
         mat = nt.w @ rd_blocks[i] @ nt.w + pt.X.blocks[i]
         if sigma_mu:
-            mat = mat - sigma_mu * chol_inv(nt.s_chol)
+            mat = mat - sigma_mu * nt.s_inv
         if corr_blocks is not None:
             mat = mat - corr_blocks[i]
         blocks.append(mat)
@@ -183,7 +190,7 @@ def recover_directions(
     for i, nt in enumerate(scal.blocks):
         dx = -pt.X.blocks[i] - nt.w @ ds_blocks[i] @ nt.w
         if sigma_mu:
-            dx = dx + sigma_mu * chol_inv(nt.s_chol)
+            dx = dx + sigma_mu * nt.s_inv
         if corr_blocks is not None:
             dx = dx + corr_blocks[i]
         dx_blocks.append(sym(dx))

@@ -283,8 +283,12 @@ def _min_eig(m: BlockSymMatrix) -> float:
 def pd_errors(prob: SdpProblem, pt: PrimalDualPoint) -> tuple[float, float, float]:
     """DIMACS err1, err4 and err5 of :func:`dimacs` alone: primal
     infeasibility, dual cone violation and the normalized duality gap."""
-    bnorm, cnorm = data_inf_norms(prob)
-    pobj, dobj = objective_values(prob, pt)
+    return _pd_errors(prob, pt, *data_inf_norms(prob), *objective_values(prob, pt))
+
+
+def _pd_errors(
+    prob: SdpProblem, pt: PrimalDualPoint, bnorm: float, cnorm: float, pobj: float, dobj: float
+) -> tuple[float, float, float]:
     err1 = float(np.linalg.norm(prob.b - apply_A(prob, pt.X))) / (1.0 + bnorm)
     err4 = max(0.0, -_min_eig(pt.S)) / (1.0 + cnorm)
     err5 = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
@@ -298,9 +302,9 @@ def dimacs(prob: SdpProblem, pt: PrimalDualPoint) -> DimacsErrors:
     counterparts, err5 the (absolute) normalized duality gap and err6 the
     normalized complementarity X.S.
     """
-    err1, err4, err5 = pd_errors(prob, pt)
     bnorm, cnorm = data_inf_norms(prob)
     pobj, dobj = objective_values(prob, pt)
+    err1, err4, err5 = _pd_errors(prob, pt, bnorm, cnorm, pobj, dobj)
 
     err2 = max(0.0, -_min_eig(pt.X)) / (1.0 + bnorm)
 

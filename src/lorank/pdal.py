@@ -143,7 +143,7 @@ class PdalConfig:
     pi_lmi_upd: float = 0.5
     gamma_lin: float = 0.5
     gamma_lmi: float = 0.5
-    r: float = 0.01
+    r: float = 1e-3                # proximal weight; also the floor of the inner Hessian
     eps: float = 1e-6              # outer primal-dual error target
     eps_dimacs: float = 1e-5
     qlog_tau: float = 0.5          # box-penalty extrapolation point
@@ -183,11 +183,14 @@ def pdal_config_profile(profile: str, **overrides) -> PdalConfig:
 
     The vib floor pi_lin_min is kept at 1e-6 rather than the nominal 1e-11:
     with a pure barrier the inner Newton needs the active box slacks resolved
-    to O(pi_lin), which float64 cannot deliver much below 1e-8."""
+    to O(pi_lin), which float64 cannot deliver much below 1e-8.  The vib
+    proximal weight r stays at 0.01: with the pure barrier a smaller r lets
+    the merit diverge (vib5 at r = 1e-3 ends in a CG failure)."""
     if profile == "tru":
         cfg = PdalConfig()
     elif profile == "vib":
         cfg = PdalConfig(
+            r=0.01,
             pi_lin_min=1e-6,
             pi_lin_upd=0.3,
             pi_lmi_upd=0.3,
@@ -332,11 +335,16 @@ def newton_direction(
     return BlockSymMatrix(blocks, lin)
 
 
-def pd_error(prob: SdpProblem, y: np.ndarray, x: BlockSymMatrix) -> float:
+def pd_error(
+    prob: SdpProblem, y: np.ndarray, x: BlockSymMatrix, s: BlockSymMatrix | None = None
+) -> float:
     """Primal feasibility, dual cone violation and normalized gap: the
-    DIMACS err1, err4 and err5 at (y, x) with the exact dual slack, computed
-    without the three measures it does not read."""
-    return max(pd_errors(prob, PrimalDualPoint(y, x, dual_slack(prob, y))))
+    DIMACS err1, err4 and err5 at (y, x) with the exact dual slack ``s``
+    (formed from y when not given), computed without the three measures it
+    does not read."""
+    if s is None:
+        s = dual_slack(prob, y)
+    return max(pd_errors(prob, PrimalDualPoint(y, x, s)))
 
 
 def _pd_error_of(errs: DimacsErrors) -> float:
@@ -432,7 +440,10 @@ def inner_solve(
         if m_val <= eps_inner and _block_pd(x_hat, tol=1e-10):
             return InnerResult(ev, x_hat, ell, cg_total, m_val, False, True, ls_failures, kinds)
         if ell > 0:
-            e_now = pd_error(prob, y, x_hat)
+            # S(y) = -(A0(y) - C): negating a rounded difference is exact,
+            # so this is dual_slack(prob, y) bit for bit
+            s_now = BlockSymMatrix([-a for a in ev.a_blocks], -ev.t_lin)
+            e_now = pd_error(prob, y, x_hat, s_now)
             g2n = g2.dot(g2)
             g1n = float(g1 @ g1)
             if (

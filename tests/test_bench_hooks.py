@@ -58,13 +58,14 @@ def _inside(spans, rec, layer):
 
 def test_pdal_evaluates_points_only_in_inner_solve(tracing, vib5):
     """The multiplier repair reads the inner solve's last evaluation; on
-    vib5 it repairs from outer 49 on."""
+    vib5 with r = 0.01 it repairs from outer 49 on (the default r solves
+    vib5 without a repair)."""
     from lorank.pdal import pdal_config_profile, pdal_solve
 
     _, _, prob = vib5
     tracer = tracing.Tracer()
     with tracer.patched():
-        pdal_solve(prob, pdal_config_profile("tru", max_outer=55))
+        pdal_solve(prob, pdal_config_profile("tru", r=0.01, max_outer=55))
     spans = tracer.spans
     evals = [rec for rec in spans if rec[0] == "pdal.evaluate_point"]
     assert evals

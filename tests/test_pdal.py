@@ -44,6 +44,7 @@ from lorank.pdal import (
 
 from conftest import (
     dense_pdal_hessian,
+    make_truss_problem,
     per_block_adjoint,
     per_block_forward,
     rand_spd,
@@ -589,6 +590,26 @@ class TestPdalSolve:
         _, rep = vib3_pdal
         assert rep.converged
         assert rep.dimacs.max() <= 1e-5
+
+    def test_profiles_proximal_weight(self):
+        assert pdal_config_profile("tru").r == 1e-3
+        assert pdal_config_profile("vib").r == 0.01
+
+    def test_tru_profile_ends_the_vib5_tail(self, vib5):
+        """At r = 0.01 y crept along the LMI face by ||b - A(X)|| / r per
+        outer iteration while X sat at its fixed point: 304 outers."""
+        _, _, prob = vib5
+        _, rep = pdal_solve(prob, pdal_config_profile("tru"))
+        assert rep.status == "optimal"
+        assert rep.iterations <= 60
+        assert -rep.dual_objective == pytest.approx(16.0065, abs=1e-4)
+
+    def test_tru_profile_tru7_cg_work(self):
+        """The same crawl cost 14,007 CG iterations on tru7 at r = 0.01."""
+        _, _, prob = make_truss_problem(7, "tru")
+        _, rep = pdal_solve(prob, pdal_config_profile("tru"))
+        assert rep.status == "optimal"
+        assert rep.cg_total <= 1000
 
     def test_trace_records_inner_events(self, tru3_pdal):
         _, rep = tru3_pdal
