@@ -8,7 +8,7 @@ instances in SDPA sparse format.
 
 from . import _threads  # noqa: F401  (must run before numpy loads BLAS)
 
-from .ip import IpConfig, SolverFailure, ip_solve
+from .ip import IpConfig, ip_solve
 from .linalg import NotPositiveDefinite, SparseSym, chol, min_eig_pencil, sym_eig
 from .model import (
     BlockSymMatrix,
@@ -35,7 +35,7 @@ from .precond import (
     spectral_split,
     tau_cluster_mean,
 )
-from .report import SolveReport
+from .report import SolveReport, SolverFailure
 from .truss import GroundStructure, TrussSdpSpec, assemble_sdp, gen_ground, verify_solution
 
 __version__ = "0.1.0"

@@ -18,11 +18,11 @@ from pathlib import Path
 
 from . import _threads  # noqa: F401
 
-from .ip import IP_KINDS, IpConfig, SolverFailure, ip_solve
+from .ip import IP_KINDS, IpConfig, ip_solve
 from .model import SdpaParseError, load_sdpa, write_sdpa
 from .pcg import CgTolerance
 from .pdal import PDAL_KINDS, PdalConfig, pdal_config_profile, pdal_solve
-from .report import CSV_COLUMNS, SolveReport, _json_default
+from .report import CSV_COLUMNS, SolveReport, SolverFailure, _json_default
 from .truss import (
     TrussSdpSpec,
     assemble_sdp,
@@ -106,10 +106,10 @@ def _solver_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cg-floor", type=float, default=1e-6, help="CG tolerance floor")
     p.add_argument("--maxiter", type=int, default=None,
                    help="outer iteration cap (default: 200 ip, 500 pdal)")
-    p.add_argument("--tau-rule", choices=("cluster_mean", "min"), default="cluster_mean")
     p.add_argument("--seed", type=int, default=0, help="recorded in the report; solves are deterministic")
     p.add_argument("--diag", action="store_true", help="dense diagnostics for n <= 400")
-    p.add_argument("--pdal-profile", choices=("auto", "tru", "vib"), default="auto")
+    p.add_argument("--pdal-profile", choices=("tru", "vib"), default="tru",
+                   help="PDAL parameter profile; tru also solves the vib instances")
     p.add_argument("--pdal-config", type=Path, default=None,
                    help="JSON file with pi_lin_min, pi_lmi_min, pi_lin_upd, "
                         "pi_lmi_upd, gamma_lin, gamma_lmi, r, eps overrides")
@@ -146,21 +146,7 @@ def _sidecar_path(input_path: Path) -> Path:
     return input_path.parent / f"{stem}.geom.json"
 
 
-def _detect_profile(input_path: Path) -> str:
-    side = _sidecar_path(input_path)
-    if side.exists():
-        try:
-            _, spec = load_geometry(side)
-            return "vib" if spec.vibration else "tru"
-        except (json.JSONDecodeError, KeyError, TypeError):
-            pass
-    return "tru"
-
-
-def _pdal_config(args, input_path: Path) -> PdalConfig:
-    profile = args.pdal_profile
-    if profile == "auto":
-        profile = _detect_profile(input_path)
+def _pdal_config(args) -> PdalConfig:
     overrides = {}
     if args.pdal_config is not None:
         with open(args.pdal_config) as fh:
@@ -173,12 +159,11 @@ def _pdal_config(args, input_path: Path) -> PdalConfig:
         if unknown:
             raise ValueError(f"unknown PDAL config keys: {sorted(unknown)}")
     cfg = pdal_config_profile(
-        profile,
+        args.pdal_profile,
         **{key: float(val) for key, val in overrides.items()},
         eps_dimacs=args.tol,
         rank=args.rank,
         precond=args.precond or "gamma",
-        tau_rule=args.tau_rule,
         cg_tol=CgTolerance(current=args.cg_tol0, floor=args.cg_floor),
         cg_maxiter=args.cg_maxiter,
         diag=args.diag,
@@ -188,18 +173,17 @@ def _pdal_config(args, input_path: Path) -> PdalConfig:
     return cfg
 
 
-def _config(args, input_path: Path) -> IpConfig | PdalConfig:
+def _config(args) -> IpConfig | PdalConfig:
     """The solver configuration; the config classes reject invalid values,
     such as a preconditioner kind of the other driver."""
     try:
         if args.solver == "pdal":
-            return _pdal_config(args, input_path)
+            return _pdal_config(args)
         return IpConfig(
             eps_dimacs=args.tol,
             max_iter=args.maxiter if args.maxiter is not None else 200,
             rank=args.rank,
             precond=args.precond or "hybrid",
-            tau_rule=args.tau_rule,
             cg_tol=CgTolerance(current=args.cg_tol0, floor=args.cg_floor),
             cg_maxiter=args.cg_maxiter,
             diag=args.diag,
@@ -209,7 +193,7 @@ def _config(args, input_path: Path) -> IpConfig | PdalConfig:
 
 
 def _run(args, input_path: Path) -> tuple[SolveReport, "object"]:
-    cfg = _config(args, input_path)
+    cfg = _config(args)
     prob = load_sdpa(input_path)
     if args.solver == "ip":
         pt, report = ip_solve(prob, cfg)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,7 +30,7 @@ from .model import (
     dimacs,
 )
 from .pcg import CgTolerance, next_tolerance, pcg_solve
-from .report import SolveReport, make_report
+from .report import SolveReport, SolverFailure, make_report
 
 IP_KINDS = ("alpha", "beta", "hybrid", "tilde", "none")
 
@@ -44,7 +43,6 @@ class IpConfig:
     sigma_power: int = 3
     rank: int | list[int] | str = 1  # outlier count per block, or "auto"
     precond: str = "hybrid"          # one of IP_KINDS
-    tau_rule: str = "cluster_mean"
     cg_tol: CgTolerance = field(default_factory=CgTolerance)
     cg_maxiter: int = 100000
     step_repair_limit: int = 10
@@ -59,12 +57,6 @@ class IpConfig:
         pc.check_kind("ip", self.precond, IP_KINDS)
 
 
-class SolverFailure(RuntimeError):
-    def __init__(self, message: str, report: SolveReport):
-        super().__init__(message)
-        self.report = report
-
-
 @dataclass
 class NtBlock:
     w: np.ndarray
@@ -72,12 +64,6 @@ class NtBlock:
     g_inv: np.ndarray
     d: np.ndarray        # diag(G' S G), the scaling singular values
     s_chol: np.ndarray
-
-    @cached_property
-    def s_inv(self) -> np.ndarray:
-        """S^{-1} from the S factor, formed on first read (the corrector's
-        right-hand side and its direction recovery both use it)."""
-        return chol_inv(self.s_chol)
 
 
 def nt_scaling(x: np.ndarray, s: np.ndarray) -> NtBlock:
@@ -104,6 +90,11 @@ class Scaling:
         """Diagonal of D' diag(x/s) D (exact for disjoint box rows)."""
         return prob.ops.d_sq_t @ self.lin_w2
 
+    def sandwich(self, m: BlockSymMatrix) -> BlockSymMatrix:
+        """W M W per block and (x/s) m on the linear part."""
+        blocks = [nt.w @ mat @ nt.w for nt, mat in zip(self.blocks, m.blocks)]
+        return BlockSymMatrix(blocks, self.lin_w2 * m.lin)
+
 
 def make_scaling(pt: PrimalDualPoint) -> Scaling:
     blocks = [nt_scaling(x, s) for x, s in zip(pt.X.blocks, pt.S.blocks)]
@@ -112,9 +103,7 @@ def make_scaling(pt: PrimalDualPoint) -> Scaling:
 
 def schur_matvec(prob: SdpProblem, scal: Scaling, dy: np.ndarray) -> np.ndarray:
     """H dy computed as p sandwiches W (sum dy_j A_j) W plus the linear term."""
-    ady = apply_A_adjoint(prob, dy)
-    blocks = [nt.w @ mat @ nt.w for nt, mat in zip(scal.blocks, ady.blocks)]
-    return apply_A(prob, BlockSymMatrix(blocks, scal.lin_w2 * ady.lin))
+    return apply_A(prob, scal.sandwich(apply_A_adjoint(prob, dy)))
 
 
 def second_order_correction(
@@ -128,78 +117,36 @@ def second_order_correction(
     return -(t + t.T) / denom
 
 
-def _residuals(prob: SdpProblem, pt: PrimalDualPoint):
+def _residuals(prob: SdpProblem, pt: PrimalDualPoint) -> tuple[np.ndarray, BlockSymMatrix]:
+    """Primal residual r_p = b - A(X) and dual residual R_d = C - A*(y) - S."""
     rp = prob.b - apply_A(prob, pt.X)
     ay = apply_A_adjoint(prob, pt.y)
-    rd_blocks = [
-        prob.c_dense(i) - pt.S.blocks[i] - ay.blocks[i] for i in range(prob.p)
-    ]
-    rd_lin = prob.d - ay.lin - pt.S.lin
-    return rp, rd_blocks, rd_lin
+    rd = BlockSymMatrix(
+        [prob.c_dense(i) - pt.S.blocks[i] - ay.blocks[i] for i in range(prob.p)],
+        prob.d - ay.lin - pt.S.lin,
+    )
+    return rp, rd
 
 
 def _rhs(
-    prob: SdpProblem,
-    pt: PrimalDualPoint,
-    scal: Scaling,
-    rp: np.ndarray,
-    rd_blocks: list[np.ndarray],
-    rd_lin: np.ndarray,
-    sigma_mu: float = 0.0,
-    corr_blocks: list[np.ndarray] | None = None,
-    corr_lin: np.ndarray | None = None,
+    prob: SdpProblem, scal: Scaling, rp: np.ndarray, rd: BlockSymMatrix, target: BlockSymMatrix
 ) -> np.ndarray:
-    """Right-hand side of the condensed system.
+    """Right-hand side r_p + A(W R_d W + T) of the condensed system.
 
-    Predictor: r = r_p + A'vec(W R_d W + X); the corrector subtracts the
-    centering term sigma mu S^{-1} and the second-order correction.
-    """
-    blocks = []
-    for i, nt in enumerate(scal.blocks):
-        mat = nt.w @ rd_blocks[i] @ nt.w + pt.X.blocks[i]
-        if sigma_mu:
-            mat = mat - sigma_mu * nt.s_inv
-        if corr_blocks is not None:
-            mat = mat - corr_blocks[i]
-        blocks.append(mat)
-    lin = scal.lin_w2 * rd_lin + pt.X.lin
-    if sigma_mu:
-        lin = lin - sigma_mu / pt.S.lin
-    if corr_lin is not None:
-        lin = lin - corr_lin
-    return rp + apply_A(prob, BlockSymMatrix(blocks, lin))
+    The complementarity target T is X for the predictor and
+    X - sigma mu S^{-1} - (second-order correction) for the corrector."""
+    return rp + apply_A(prob, scal.sandwich(rd) + target)
 
 
 def recover_directions(
-    prob: SdpProblem,
-    pt: PrimalDualPoint,
-    scal: Scaling,
-    dy: np.ndarray,
-    rd_blocks: list[np.ndarray],
-    rd_lin: np.ndarray,
-    sigma_mu: float = 0.0,
-    corr_blocks: list[np.ndarray] | None = None,
-    corr_lin: np.ndarray | None = None,
+    prob: SdpProblem, scal: Scaling, dy: np.ndarray, rd: BlockSymMatrix, target: BlockSymMatrix
 ) -> tuple[BlockSymMatrix, BlockSymMatrix]:
-    """(dX, dS) from dy: dS is the dual residual minus the adjoint step, dX
-    follows from the scaled complementarity linearization."""
-    ady = apply_A_adjoint(prob, dy)
-    ds_blocks = [rd_blocks[i] - ady.blocks[i] for i in range(prob.p)]
-    ds_lin = rd_lin - ady.lin
-    dx_blocks = []
-    for i, nt in enumerate(scal.blocks):
-        dx = -pt.X.blocks[i] - nt.w @ ds_blocks[i] @ nt.w
-        if sigma_mu:
-            dx = dx + sigma_mu * nt.s_inv
-        if corr_blocks is not None:
-            dx = dx + corr_blocks[i]
-        dx_blocks.append(sym(dx))
-    dx_lin = -pt.X.lin - scal.lin_w2 * ds_lin
-    if sigma_mu:
-        dx_lin = dx_lin + sigma_mu / pt.S.lin
-    if corr_lin is not None:
-        dx_lin = dx_lin + corr_lin
-    return BlockSymMatrix(dx_blocks, dx_lin), BlockSymMatrix(ds_blocks, ds_lin)
+    """(dX, dS) from dy: dS = R_d - A*(dy) and, from the scaled
+    complementarity linearization, dX = -T - W dS W."""
+    ds = rd - apply_A_adjoint(prob, dy)
+    wdsw = scal.sandwich(ds)
+    dx_blocks = [sym(-t - m) for t, m in zip(target.blocks, wdsw.blocks)]
+    return BlockSymMatrix(dx_blocks, -target.lin - wdsw.lin), ds
 
 
 def step_length(
@@ -334,10 +281,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
         mu = (pt.X.dot(pt.S)) / (prob.m_total + prob.nu)
         scal = make_scaling(pt)
         lin_diag = scal.lin_diag(prob)
-        splits = [
-            pc.spectral_split(nt.w, k, config.tau_rule)
-            for nt, k in zip(scal.blocks, ranks)
-        ]
+        splits = [pc.spectral_split(nt.w, k) for nt, k in zip(scal.blocks, ranks)]
 
         kind = config.precond
         if kind == "hybrid":
@@ -350,38 +294,42 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
             rec["iteration"] = it
             diagnostics.append(rec)
 
-        rp, rd_blocks, rd_lin = _residuals(prob, pt)
-        op = lambda v: schur_matvec(prob, scal, v)  # noqa: E731
+        rp, rd = _residuals(prob, pt)
         graceful = max(1e-5, config.eps_dimacs)
 
-        def check_cg(rep, what) -> bool:
-            """True when the direction is usable (``PcgReport.usable``);
-            anything worse ends the run, gracefully if the point already
-            meets the standard tolerance.  Such a point keeps only converged
-            directions: there a stagnated solve marks the float64 floor, and
-            its step can undo the accuracy already reached."""
-            nonlocal status
-            if rep.converged:
-                return True
-            if errs.max() <= graceful:
-                status = "numerical_limit"
-                return False
-            if rep.usable:
-                return True
-            raise SolverFailure(
-                f"{what} CG failed at iteration {it} "
-                f"(breakdown={rep.breakdown}, relres={rep.relres:.2e})",
-                finish("cg_failure"),
+        def direction(target: BlockSymMatrix, what: str):
+            """(dy, dX, dS, CG report) for the complementarity target, or
+            None when the run ends at this solve.  A direction is used when
+            ``PcgReport.usable``; anything worse ends the run, gracefully if
+            the point already meets the standard tolerance.  Such a point
+            keeps only converged directions: there a stagnated solve marks
+            the float64 floor, and its step can undo the accuracy already
+            reached."""
+            nonlocal cg_total, status
+            dy, rep = pcg_solve(
+                lambda v: schur_matvec(prob, scal, v),
+                prec_apply,
+                _rhs(prob, scal, rp, rd, target),
+                tol=cg_tol.current,
+                maxiter=config.cg_maxiter,
             )
+            cg_total += rep.iterations
+            if not rep.converged:
+                if errs.max() <= graceful:
+                    status = "numerical_limit"
+                    return None
+                if not rep.usable:
+                    raise SolverFailure(
+                        f"{what} CG failed at iteration {it} "
+                        f"(breakdown={rep.breakdown}, relres={rep.relres:.2e})",
+                        finish("cg_failure"),
+                    )
+            return (dy, *recover_directions(prob, scal, dy, rd, target), rep)
 
-        r_pred = _rhs(prob, pt, scal, rp, rd_blocks, rd_lin)
-        dy_p, rep_p = pcg_solve(
-            op, prec_apply, r_pred, tol=cg_tol.current, maxiter=config.cg_maxiter
-        )
-        cg_total += rep_p.iterations
-        if not check_cg(rep_p, "predictor"):
+        pred = direction(pt.X, "predictor")
+        if pred is None:
             break
-        dX_p, dS_p = recover_directions(prob, pt, scal, dy_p, rd_blocks, rd_lin)
+        _, dX_p, dS_p, rep_p = pred
 
         alpha_p = step_length(pt.X, dX_p, config.tau_frac)
         beta_p = step_length(pt.S, dS_p, config.tau_frac)
@@ -389,27 +337,17 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
         den = pt.X.dot(pt.S)
         sigma = min(1.0, max(0.0, num / den)) ** config.sigma_power
 
-        corr_blocks = []
-        for i, nt in enumerate(scal.blocks):
-            rnt = second_order_correction(
-                nt.g, nt.g_inv, dX_p.blocks[i], dS_p.blocks[i], nt.d
-            )
-            corr_blocks.append(nt.g @ rnt @ nt.g.T)
-        corr_lin = -dX_p.lin * dS_p.lin / pt.S.lin
+        # the corrector's target: X - sigma mu S^{-1} - (second-order correction)
         sigma_mu = sigma * mu
-
-        r_corr = _rhs(
-            prob, pt, scal, rp, rd_blocks, rd_lin, sigma_mu, corr_blocks, corr_lin
-        )
-        dy, rep_c = pcg_solve(
-            op, prec_apply, r_corr, tol=cg_tol.current, maxiter=config.cg_maxiter
-        )
-        cg_total += rep_c.iterations
-        if not check_cg(rep_c, "corrector"):
+        t_blocks = []
+        for x, nt, dx, ds in zip(pt.X.blocks, scal.blocks, dX_p.blocks, dS_p.blocks):
+            rnt = second_order_correction(nt.g, nt.g_inv, dx, ds, nt.d)
+            t_blocks.append(x - sigma_mu * chol_inv(nt.s_chol) - nt.g @ rnt @ nt.g.T)
+        t_lin = pt.X.lin - sigma_mu / pt.S.lin + dX_p.lin * dS_p.lin / pt.S.lin
+        corr = direction(BlockSymMatrix(t_blocks, t_lin), "corrector")
+        if corr is None:
             break
-        dX, dS = recover_directions(
-            prob, pt, scal, dy, rd_blocks, rd_lin, sigma_mu, corr_blocks, corr_lin
-        )
+        dy, dX, dS, rep_c = corr
 
         try:
             alpha = step_with_repair(pt.X, dX, config.tau_frac, config.step_repair_limit)

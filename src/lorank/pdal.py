@@ -33,7 +33,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import precond as pc
-from .ip import SolverFailure
 from .linalg import NotPositiveDefinite, chol, chol_inv, is_pd, sym
 from .model import (
     BlockSymMatrix,
@@ -47,7 +46,7 @@ from .model import (
     pd_errors,
 )
 from .pcg import CgTolerance, next_tolerance, pcg_solve
-from .report import SolveReport, make_report
+from .report import SolveReport, SolverFailure, make_report
 
 PDAL_KINDS = ("gamma", "delta", "beta", "none")
 
@@ -149,7 +148,6 @@ class PdalConfig:
     qlog_tau: float = 0.5          # box-penalty extrapolation point
     rank: int | list[int] | str = 1  # outlier count per block, or "auto"
     precond: str = "gamma"         # one of PDAL_KINDS
-    tau_rule: str = "cluster_mean"
     cg_tol: CgTolerance = field(default_factory=CgTolerance)
     cg_maxiter: int = 100000
     max_outer: int = 500
@@ -383,12 +381,12 @@ def _pdal_preconditioner(ctx: OuterCtx, ev: PointEval, cfg: PdalConfig, ranks: l
     h_lin_diag = ctx.r + prob.ops.d_sq_t @ ev.wbar_lin
     w_mats = [xb / ctx.pi_lmi for xb in ev.xbar_blocks]
     v_mats = [ctx.pi_lmi * z for z in ev.z_blocks]
-    w_splits = [pc.spectral_split(w, k, cfg.tau_rule) for w, k in zip(w_mats, ranks)]
+    w_splits = [pc.spectral_split(w, k) for w, k in zip(w_mats, ranks)]
     try:
         if kind == "gamma":
             return pc.build_h_gamma(prob, w_splits, v_mats, h_lin_diag)
         if kind == "delta":
-            v_splits = [pc.spectral_split(v, k, cfg.tau_rule) for v, k in zip(v_mats, ranks)]
+            v_splits = [pc.spectral_split(v, k) for v, k in zip(v_mats, ranks)]
             return pc.build_h_delta(prob, w_splits, v_splits, h_lin_diag)
     except NotPositiveDefinite:
         pass

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -84,17 +84,6 @@ def tau_cluster_mean(eigs: np.ndarray, k: int) -> float:
     return float(eigs[0] + 0.5 * np.mean(eigs[: m - k]))
 
 
-def tau_min_eig(eigs: np.ndarray, k: int) -> float:
-    """Alternative threshold: the smallest eigenvalue itself."""
-    return float(eigs[0])
-
-
-TAU_RULES: dict[str, Callable[[np.ndarray, int], float]] = {
-    "cluster_mean": tau_cluster_mean,
-    "min": tau_min_eig,
-}
-
-
 def detect_rank(eigs: np.ndarray) -> int:
     """Outlier count for auto rank detection.
 
@@ -129,12 +118,11 @@ def check_kind(solver: str, kind: str, kinds: Sequence[str]) -> None:
         raise ValueError(f"{solver} preconditioner must be one of {'|'.join(kinds)}, got {kind!r}")
 
 
-def spectral_split(
-    w: np.ndarray, k: int | str, tau_rule: str | float = "cluster_mean"
-) -> SplitBlock:
+def spectral_split(w: np.ndarray, k: int | str, tau: float | None = None) -> SplitBlock:
     """Split a positive definite scaling matrix into cluster + rank-k part.
 
-    ``k`` may be "auto" to derive the outlier count from the spectrum.  When
+    ``k`` may be "auto" to derive the outlier count from the spectrum.  The
+    cluster threshold tau is ``tau_cluster_mean`` unless given.  When
     the requested tau exceeds the largest cluster eigenvalue the split is
     degenerate; tau is pulled just below it so the decomposition identity
     still holds exactly.
@@ -145,10 +133,7 @@ def spectral_split(
         k = detect_rank(lam)
     if k >= m:
         raise ValueError(f"rank hint k={k} must be < block dim {m}")
-    if isinstance(tau_rule, str):
-        tau = TAU_RULES[tau_rule](lam, k)
-    else:
-        tau = float(tau_rule)
+    tau = tau_cluster_mean(lam, k) if tau is None else float(tau)
     lam_edge = lam[m - k - 1]  # largest eigenvalue kept in the cluster
     degenerate = tau > lam_edge
     if degenerate:

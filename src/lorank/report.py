@@ -113,6 +113,14 @@ class SolveReport:
         return [str(v) for v in vals]
 
 
+class SolverFailure(RuntimeError):
+    """A solve that ended in an exception; ``report`` is its partial report."""
+
+    def __init__(self, message: str, report: SolveReport):
+        super().__init__(message)
+        self.report = report
+
+
 def make_report(
     solver: str,
     prob: SdpProblem,

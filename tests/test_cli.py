@@ -80,6 +80,16 @@ class TestSolve:
         assert payload["solver"] == "pdal"
         assert payload["status"] == "optimal"
 
+    def test_pdal_default_profile_solves_vib5(self, tmp_path, capsys):
+        """The default ``tru`` profile solves vib5 in 46 outer iterations;
+        the ``vib`` profile ends ``max_iterations`` after 500."""
+        assert main(["gen", "vib", "5", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rc = main(["solve", str(tmp_path / "vib5.dat-s"), "--solver", "pdal", "--maxiter", "60"])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert payload["status"] == "optimal"
+
     def test_out_file_and_verify(self, gen_dir, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         rc = main(

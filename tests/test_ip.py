@@ -149,11 +149,11 @@ class TestRhsAndRecovery:
         prob2._c_dense = c_dense
         prob2.d = prob.D @ y + s.lin
         pt = PrimalDualPoint(y, x, s)
-        rp, rdb, rdl = _residuals(prob2, pt)
+        rp, rd = _residuals(prob2, pt)
         assert np.linalg.norm(rp) <= 1e-10
-        assert np.linalg.norm(rdb[0]) <= 1e-10
+        assert np.linalg.norm(rd.blocks[0]) <= 1e-10
         scal = make_scaling(pt)
-        r = _rhs(prob2, pt, scal, rp, rdb, rdl)
+        r = _rhs(prob2, scal, rp, rd, pt.X)
         assert np.allclose(r, prob2.b, rtol=1e-8, atol=1e-8 * np.linalg.norm(prob2.b))
 
     def test_centered_point_gives_zero_directions(self):
@@ -177,11 +177,12 @@ class TestRhsAndRecovery:
         prob2._c_dense = [s.blocks[0] + ay.blocks[0]]
         prob2.d = prob.D @ y + s.lin
         pt = PrimalDualPoint(y, x, s)
-        rp, rdb, rdl = _residuals(prob2, pt)
+        rp, rd = _residuals(prob2, pt)
         scal = make_scaling(pt)
-        r = _rhs(prob2, pt, scal, rp, rdb, rdl, sigma_mu=mu)
+        target = BlockSymMatrix([x_blk - mu * np.linalg.inv(s_blk)], x_lin - mu / s_lin)
+        r = _rhs(prob2, scal, rp, rd, target)
         assert np.linalg.norm(r) <= 1e-8
-        dX, dS = recover_directions(prob2, pt, scal, np.zeros(prob.n), rdb, rdl, sigma_mu=mu)
+        dX, dS = recover_directions(prob2, scal, np.zeros(prob.n), rd, target)
         assert np.linalg.norm(dS.blocks[0]) <= 1e-9
         assert np.linalg.norm(dX.blocks[0]) <= 1e-8
         assert np.linalg.norm(dX.lin) <= 1e-9
@@ -193,24 +194,27 @@ class TestRhsAndRecovery:
         s = BlockSymMatrix([np.array([[0.5]])], np.zeros(0))
         y = np.array([0.3])
         pt = PrimalDualPoint(y, x, s)
-        rp, rdb, rdl = _residuals(prob, pt)
+        rp, rd = _residuals(prob, pt)
         scal = make_scaling(pt)
         w = scal.blocks[0].w[0, 0]
         assert w == pytest.approx(2.0, rel=1e-12)  # w^2 s = x
         a = -1.0
         h = a * w * w * a
-        r = _rhs(prob, pt, scal, rp, rdb, rdl)
+        r = _rhs(prob, scal, rp, rd, pt.X)
         # by hand: r = rp + a*(w*rd*w + x)
-        rd = -1.0 - 0.5 - a * 0.3
-        assert r[0] == pytest.approx(rp[0] + a * (w * rd * w + 2.0), rel=1e-12)
+        rd0 = -1.0 - 0.5 - a * 0.3
+        assert r[0] == pytest.approx(rp[0] + a * (w * rd0 * w + 2.0), rel=1e-12)
         dy = r / h
-        dX, dS = recover_directions(prob, pt, scal, dy, rdb, rdl)
-        assert dS.blocks[0][0, 0] == pytest.approx(rd - a * dy[0], rel=1e-12)
+        dX, dS = recover_directions(prob, scal, dy, rd, pt.X)
+        assert dS.blocks[0][0, 0] == pytest.approx(rd0 - a * dy[0], rel=1e-12)
         assert dX.blocks[0][0, 0] == pytest.approx(-2.0 - w * dS.blocks[0][0, 0] * w, rel=1e-12)
 
-    def test_newton_residuals_on_truss(self, tru3):
+    @pytest.mark.parametrize("step", ["predictor", "corrector"])
+    def test_newton_residuals_on_truss(self, tru3, step):
         """Directions from an accurate condensed solve satisfy the raw
-        Newton equations."""
+        Newton equations, for the predictor's target X and for the
+        corrector's X - sigma mu S^{-1} - (second-order correction) built
+        from a real predictor step."""
         _, _, prob = tru3
         rng = np.random.default_rng(5)
         pt = initial_point(prob)
@@ -219,31 +223,54 @@ class TestRhsAndRecovery:
         pt.X.lin = rng.random(prob.nu) + 0.5
         pt.S.lin = rng.random(prob.nu) + 0.5
         scal = make_scaling(pt)
-        rp, rdb, rdl = _residuals(prob, pt)
+        rp, rd = _residuals(prob, pt)
         cg_tol = 1e-11
-        r = _rhs(prob, pt, scal, rp, rdb, rdl)
-        dy, rep = pcg_solve(lambda v: schur_matvec(prob, scal, v), None, r, tol=cg_tol)
-        assert rep.converged
-        dX, dS = recover_directions(prob, pt, scal, dy, rdb, rdl)
+
+        def solve(target):
+            r = _rhs(prob, scal, rp, rd, target)
+            dy, rep = pcg_solve(lambda v: schur_matvec(prob, scal, v), None, r, tol=cg_tol)
+            assert rep.converged
+            return r, dy, *recover_directions(prob, scal, dy, rd, target)
+
+        target = pt.X
+        r, dy, dX, dS = solve(target)
+        if step == "corrector":
+            sigma_mu = 0.3 * pt.X.dot(pt.S) / (prob.m_total + prob.nu)
+            nt = scal.blocks[0]
+            rnt = second_order_correction(nt.g, nt.g_inv, dX.blocks[0], dS.blocks[0], nt.d)
+            corr = nt.g @ rnt @ nt.g.T
+            target = BlockSymMatrix(
+                [pt.X.blocks[0] - sigma_mu * np.linalg.inv(pt.S.blocks[0]) - corr],
+                pt.X.lin - sigma_mu / pt.S.lin + dX.lin * dS.lin / pt.S.lin,
+            )
+            r, dy, dX, dS = solve(target)
         # primal equation: A(dX) = r_p, up to the condensed-system residual
         res_a = apply_A(prob, dX) - rp
         assert np.linalg.norm(res_a) <= cg_tol * 10 * max(1.0, np.linalg.norm(r))
-        # dual equation: A0(dy) + dS = R_d holds exactly
+        # dual equation: A0(dy) + dS = R_d holds up to the rounding of A0(dy)
         ady = apply_A_adjoint(prob, dy)
-        assert np.linalg.norm(ady.blocks[0] + dS.blocks[0] - rdb[0]) <= 1e-11
-        # scaled complementarity: Hp(X dS + dX S) = -Hp(X S) with P = W^{-1/2}
+        res_d = ady.blocks[0] + dS.blocks[0] - rd.blocks[0]
+        assert np.linalg.norm(res_d) <= 1e-14 * np.linalg.norm(ady.blocks[0])
+        assert np.linalg.norm(ady.lin + dS.lin - rd.lin) <= 1e-14 * np.linalg.norm(ady.lin)
+        # linearized complementarity: dX + W dS W = -T, up to rounding of the terms
         w = scal.blocks[0].w
-        lam, q = sym_eig(w)
-        wih = (q / np.sqrt(lam)) @ q.T
-        wh = (q * np.sqrt(lam)) @ q.T
+        res_c = dX.blocks[0] + w @ dS.blocks[0] @ w + target.blocks[0]
+        assert np.linalg.norm(res_c) <= 1e-13 * np.linalg.norm(dX.blocks[0])
+        res_lin = dX.lin + scal.lin_w2 * dS.lin + target.lin
+        assert np.linalg.norm(res_lin) <= 1e-14 * np.linalg.norm(dX.lin)
+        if step == "predictor":
+            # scaled complementarity: Hp(X dS + dX S) = -Hp(X S) with P = W^{-1/2}
+            lam, q = sym_eig(w)
+            wih = (q / np.sqrt(lam)) @ q.T
+            wh = (q * np.sqrt(lam)) @ q.T
 
-        def hp(mat):
-            return 0.5 * (wih @ mat @ wh + wh @ mat.T @ wih)
+            def hp(mat):
+                return 0.5 * (wih @ mat @ wh + wh @ mat.T @ wih)
 
-        x0, s0 = pt.X.blocks[0], pt.S.blocks[0]
-        lhs = hp(x0 @ dS.blocks[0] + dX.blocks[0] @ s0)
-        rhs = -hp(x0 @ s0)
-        assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
+            x0, s0 = pt.X.blocks[0], pt.S.blocks[0]
+            lhs = hp(x0 @ dS.blocks[0] + dX.blocks[0] @ s0)
+            rhs = -hp(x0 @ s0)
+            assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
 
 class TestSecondOrderCorrection:

@@ -38,7 +38,7 @@ class TestTauRule:
         # tau = 2 + 0.5*2 = 3 exceeds the cluster edge; split must fall back
         tau = tau_cluster_mean(np.array([2.0, 2.0]), 1)
         assert tau == pytest.approx(3.0)
-        s = spectral_split(np.diag([2.0, 2.0]), 1, "cluster_mean")
+        s = spectral_split(np.diag([2.0, 2.0]), 1)
         assert s.degenerate
         assert s.tau < 2.0
 
@@ -58,7 +58,7 @@ class TestSpectralSplit:
 
     def test_identity_degenerate_fallback(self):
         # the threshold rule asks for tau = 1.5 > cluster edge: fallback engages
-        s = spectral_split(np.eye(3), 1, "cluster_mean")
+        s = spectral_split(np.eye(3), 1)
         assert s.degenerate
         assert np.linalg.norm(s.u) <= 2e-4
         assert np.allclose(s.w0, np.eye(3), atol=1e-7)
@@ -74,7 +74,7 @@ class TestSpectralSplit:
         rng = np.random.default_rng(3)
         eigs = np.concatenate([np.linspace(0.9, 1.1, 8), [1e4, 1e4]])
         w = spd_with_spectrum(rng, eigs)
-        s = spectral_split(w, 2, "cluster_mean")
+        s = spectral_split(w, 2)
         recon = s.w0 + s.u @ s.u.T
         assert np.linalg.norm(recon - w) <= 1e-10 * np.linalg.norm(w)
         w0_eigs = np.linalg.eigvalsh(s.w0)
@@ -84,7 +84,7 @@ class TestSpectralSplit:
 
     def test_rank_hint_too_large(self):
         with pytest.raises(ValueError):
-            spectral_split(np.eye(3), 3, "cluster_mean")
+            spectral_split(np.eye(3), 3)
 
     def test_block_ranks(self):
         assert block_ranks(2, [13, 12]) == [2, 2]
@@ -101,7 +101,7 @@ class TestSpectralSplit:
         rng = np.random.default_rng(seed)
         w = rand_spd(rng, 7)
         for k in (0, 1, 3):
-            s = spectral_split(w, k, "cluster_mean")
+            s = spectral_split(w, k)
             assert np.allclose(s.w0 + s.u @ s.u.T, w, rtol=1e-10, atol=1e-10)
             # cluster part stays within [lambda_1, max(tau, cluster edge)]
             w0_eigs = np.linalg.eigvalsh(s.w0)
@@ -120,7 +120,7 @@ def ip_state_splits(prob, seed=0, k=1):
     pt.X.lin = rng.random(prob.nu) + 0.5
     pt.S.lin = rng.random(prob.nu) + 0.5
     scal = make_scaling(pt)
-    splits = [spectral_split(nt.w, k, "cluster_mean") for nt in scal.blocks]
+    splits = [spectral_split(nt.w, k) for nt in scal.blocks]
     lin_diag = scal.lin_diag(prob)
     return pt, scal, splits, lin_diag
 
@@ -143,7 +143,7 @@ class TestAlpha:
     def test_toy_identity_scaling(self):
         # single block, identity scaling, no linear part: H_alpha = tau^2 I
         prob = random_problem(11, dims=(3,), n=3, nu=0)
-        s = spectral_split(np.eye(3), 1, "cluster_mean")
+        s = spectral_split(np.eye(3), 1)
         pc = build_h_alpha(prob, [s], None)
         tau2 = s.tau**2
         assert np.allclose(pc.dense(), tau2 * np.eye(3), atol=1e-6)
@@ -185,7 +185,7 @@ class TestAlpha:
 class TestSmwInverse:
     def test_zero_lowrank_is_division(self):
         prob = random_problem(12, dims=(4,), n=5, nu=3)
-        splits = [spectral_split(np.eye(4), 0, "cluster_mean")]
+        splits = [spectral_split(np.eye(4), 0)]
         lin = np.arange(1.0, 6.0)
         pc = build_h_beta(alpha_base(splits, lin, 5))
         v = np.arange(5.0) + 1.0
@@ -237,7 +237,7 @@ class TestBeta:
         assert np.allclose(pc.a_diag, expected, rtol=1e-12)
 
     def test_nonpositive_entry_rejected(self):
-        s = spectral_split(np.eye(3), 0, "cluster_mean")
+        s = spectral_split(np.eye(3), 0)
         with pytest.raises(ValueError, match="nonpositive"):
             build_h_beta(alpha_base([s], np.array([-10.0, 0.0, 0.0]), 3))
 
@@ -281,7 +281,7 @@ class TestTilde:
 
     def test_size_refusal(self):
         prob = random_problem(13, dims=(3,), n=8, nu=4)
-        s = [spectral_split(np.eye(3), 1, "cluster_mean")]
+        s = [spectral_split(np.eye(3), 1)]
         with pytest.raises(ValueError, match="refused"):
             build_h_tilde(prob, s, np.ones(8), dense_limit=4)
 
@@ -313,7 +313,7 @@ class TestGamma:
         ctx, ev = pdal_state(prob)
         w_mats = [xb / ctx.pi_lmi for xb in ev.xbar_blocks]
         v_mats = [ctx.pi_lmi * z for z in ev.z_blocks]
-        splits = [spectral_split(w, 1, "cluster_mean") for w in w_mats]
+        splits = [spectral_split(w, 1) for w in w_mats]
         h_lin = 0.01 + np.zeros(prob.n)
         pc = build_h_gamma(prob, splits, v_mats, h_lin)
         lr_dense = sum(
@@ -340,7 +340,7 @@ class TestGamma:
         _, _, prob = tru3
         rng = np.random.default_rng(8)
         eigs = np.concatenate([[-1e-2], np.linspace(0.5, 6.0, 11), [2.3e12]])
-        s = spectral_split(spd_with_spectrum(rng, eigs), 1, "cluster_mean")
+        s = spectral_split(spd_with_spectrum(rng, eigs), 1)
         assert s.eigs[0] < 0 and s.min_eig_w0() < 0
         h_lin = np.full(prob.n, 1e-3)
         v = np.eye(13)
@@ -354,7 +354,7 @@ class TestGamma:
         ctx, ev = pdal_state(prob, seed=2)
         w_mats = [xb / ctx.pi_lmi for xb in ev.xbar_blocks]
         v_mats = [ctx.pi_lmi * z for z in ev.z_blocks]
-        splits = [spectral_split(w, 1, "cluster_mean") for w in w_mats]
+        splits = [spectral_split(w, 1) for w in w_mats]
         pc = build_h_gamma(prob, splits, v_mats, np.full(prob.n, 0.01))
         rng = np.random.default_rng(5)
         a, b = rng.standard_normal(prob.n), rng.standard_normal(prob.n)
@@ -372,8 +372,8 @@ class TestDelta:
         prob = random_problem(21, dims=(4,), n=6, nu=3)
         w = rand_spd(rng, 4, shift=1.0)
         v = rand_spd(rng, 4, shift=1.0)
-        sw = spectral_split(w, 1, "cluster_mean")
-        sv = spectral_split(v, 1, "cluster_mean")
+        sw = spectral_split(w, 1)
+        sv = spectral_split(v, 1)
         a = prob.A[0].toarray()
         h_full = 2.0 * a.T @ np.kron(w, v) @ a
         h_core = 2.0 * a.T @ np.kron(sw.w0, sv.w0) @ a
@@ -392,8 +392,8 @@ class TestDelta:
         ctx, ev = pdal_state(prob, seed=3)
         w_mats = [xb / ctx.pi_lmi for xb in ev.xbar_blocks]
         v_mats = [ctx.pi_lmi * z for z in ev.z_blocks]
-        w_splits = [spectral_split(w, 1, "cluster_mean") for w in w_mats]
-        v_splits = [spectral_split(v, 0, "cluster_mean") for v in v_mats]
+        w_splits = [spectral_split(w, 1) for w in w_mats]
+        v_splits = [spectral_split(v, 0) for v in v_mats]
         h_lin = np.full(prob.n, 0.01)
         pd = build_h_delta(prob, w_splits, v_splits, h_lin)
         pg = build_h_gamma(prob, w_splits, v_mats, h_lin)
@@ -406,8 +406,8 @@ class TestDelta:
         v = rand_spd(rng, 4, shift=1.0)
         pc = build_h_delta(
             prob,
-            [spectral_split(w, 1, "cluster_mean")],
-            [spectral_split(v, 1, "cluster_mean")],
+            [spectral_split(w, 1)],
+            [spectral_split(v, 1)],
             np.ones(6),
         )
         rhs = rng.standard_normal(6)
@@ -499,7 +499,7 @@ class TestPreconditionerComparisons:
         for cap in (2, 14):
             pt, _ = ip_solve(prob, IpConfig(max_iter=cap, eps_dimacs=1e-30))
             scal = make_scaling(pt)
-            splits = [spectral_split(nt.w, 1, "cluster_mean") for nt in scal.blocks]
+            splits = [spectral_split(nt.w, 1) for nt in scal.blocks]
             lin_diag = scal.lin_diag(prob)
             pc_beta = build_h_beta(alpha_base(splits, lin_diag, prob.n))
             h = dense_schur(prob, [nt.w for nt in scal.blocks], scal.lin_w2)
