@@ -22,7 +22,7 @@ from .model import (
     write_sdpa,
 )
 from .pcg import CgTolerance, PcgReport, next_tolerance, pcg_solve
-from .pdal import PdalConfig, PenaltyFn, pdal_config_profile, pdal_solve
+from .pdal import PdalConfig, pdal_config_profile, pdal_solve
 from .precond import (
     SmwPreconditioner,
     SplitBlock,
@@ -49,7 +49,6 @@ __all__ = [
     "NotPositiveDefinite",
     "PcgReport",
     "PdalConfig",
-    "PenaltyFn",
     "PrimalDualPoint",
     "SdpProblem",
     "SmwPreconditioner",

@@ -21,8 +21,8 @@ from . import _threads  # noqa: F401
 from .ip import IP_KINDS, IpConfig, ip_solve
 from .model import SdpaParseError, load_sdpa, write_sdpa
 from .pcg import CgTolerance
-from .pdal import PDAL_KINDS, PdalConfig, pdal_config_profile, pdal_solve
-from .report import CSV_COLUMNS, SolveReport, SolverFailure, _json_default
+from .pdal import PDAL_KINDS, PdalConfig, pdal_solve
+from .report import CSV_COLUMNS, DIAG_LIMIT, SolveReport, SolverFailure, _json_default
 from .truss import (
     TrussSdpSpec,
     assemble_sdp,
@@ -31,6 +31,12 @@ from .truss import (
     load_geometry,
     save_geometry,
     verify_solution,
+)
+
+
+# the PdalConfig fields a --pdal-config JSON file may set
+PDAL_CONFIG_KEYS = (
+    "pi_lin_min", "pi_lmi_min", "pi_lin_upd", "pi_lmi_upd", "gamma_lin", "gamma_lmi", "r", "eps",
 )
 
 
@@ -107,12 +113,9 @@ def _solver_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--maxiter", type=int, default=None,
                    help="outer iteration cap (default: 200 ip, 500 pdal)")
     p.add_argument("--seed", type=int, default=0, help="recorded in the report; solves are deterministic")
-    p.add_argument("--diag", action="store_true", help="dense diagnostics for n <= 400")
-    p.add_argument("--pdal-profile", choices=("tru", "vib"), default="tru",
-                   help="PDAL parameter profile; tru also solves the vib instances")
+    p.add_argument("--diag", action="store_true", help=f"dense diagnostics for n <= {DIAG_LIMIT}")
     p.add_argument("--pdal-config", type=Path, default=None,
-                   help="JSON file with pi_lin_min, pi_lmi_min, pi_lin_upd, "
-                        "pi_lmi_upd, gamma_lin, gamma_lmi, r, eps overrides")
+                   help=f"JSON file with {', '.join(PDAL_CONFIG_KEYS)} overrides")
 
 
 def cmd_gen(args) -> int:
@@ -151,15 +154,10 @@ def _pdal_config(args) -> PdalConfig:
     if args.pdal_config is not None:
         with open(args.pdal_config) as fh:
             overrides = json.load(fh)
-        allowed = {
-            "pi_lin_min", "pi_lmi_min", "pi_lin_upd", "pi_lmi_upd",
-            "gamma_lin", "gamma_lmi", "r", "eps",
-        }
-        unknown = set(overrides) - allowed
+        unknown = set(overrides) - set(PDAL_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown PDAL config keys: {sorted(unknown)}")
-    cfg = pdal_config_profile(
-        args.pdal_profile,
+    cfg = PdalConfig(
         **{key: float(val) for key, val in overrides.items()},
         eps_dimacs=args.tol,
         rank=args.rank,

@@ -30,28 +30,26 @@ from .model import (
     dimacs,
 )
 from .pcg import CgTolerance, next_tolerance, pcg_solve
-from .report import SolveReport, SolverFailure, make_report
+from .report import DIAG_LIMIT, SolveReport, SolverFailure, make_report
 
 IP_KINDS = ("alpha", "beta", "hybrid", "tilde", "none")
+
+TAU_FRAC = 0.9          # fraction-to-boundary in the step rule
+SIGMA_POWER = 3         # Mehrotra centering exponent
+STEP_REPAIR_LIMIT = 10  # step halvings on round-off before giving up
 
 
 @dataclass
 class IpConfig:
     eps_dimacs: float = 1e-5
     max_iter: int = 200
-    tau_frac: float = 0.9          # fraction-to-boundary in the step rule
-    sigma_power: int = 3
     rank: int | list[int] | str = 1  # outlier count per block, or "auto"
     precond: str = "hybrid"          # one of IP_KINDS
     cg_tol: CgTolerance = field(default_factory=CgTolerance)
     cg_maxiter: int = 100000
-    step_repair_limit: int = 10
     diag: bool = False
-    diag_limit: int = 400
 
     def __post_init__(self):
-        if not 0.0 < self.tau_frac < 1.0:
-            raise ValueError("fraction-to-boundary must lie in (0, 1)")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
         pc.check_kind("ip", self.precond, IP_KINDS)
@@ -289,7 +287,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
         prec = _build_preconditioner(kind, prob, splits, lin_diag)
         prec_apply = prec.apply_inv if prec is not None else None
 
-        if config.diag and prob.n <= config.diag_limit:
+        if config.diag and prob.n <= DIAG_LIMIT:
             rec = _dense_diagnostics(prob, scal, splits, lin_diag)
             rec["iteration"] = it
             diagnostics.append(rec)
@@ -331,11 +329,11 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
             break
         _, dX_p, dS_p, rep_p = pred
 
-        alpha_p = step_length(pt.X, dX_p, config.tau_frac)
-        beta_p = step_length(pt.S, dS_p, config.tau_frac)
+        alpha_p = step_length(pt.X, dX_p, TAU_FRAC)
+        beta_p = step_length(pt.S, dS_p, TAU_FRAC)
         num = (pt.X + alpha_p * dX_p).dot(pt.S + beta_p * dS_p)
         den = pt.X.dot(pt.S)
-        sigma = min(1.0, max(0.0, num / den)) ** config.sigma_power
+        sigma = min(1.0, max(0.0, num / den)) ** SIGMA_POWER
 
         # the corrector's target: X - sigma mu S^{-1} - (second-order correction)
         sigma_mu = sigma * mu
@@ -350,8 +348,8 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
         dy, dX, dS, rep_c = corr
 
         try:
-            alpha = step_with_repair(pt.X, dX, config.tau_frac, config.step_repair_limit)
-            beta = step_with_repair(pt.S, dS, config.tau_frac, config.step_repair_limit)
+            alpha = step_with_repair(pt.X, dX, TAU_FRAC, STEP_REPAIR_LIMIT)
+            beta = step_with_repair(pt.S, dS, TAU_FRAC, STEP_REPAIR_LIMIT)
         except NotPositiveDefinite as exc:
             if errs.max() <= graceful:
                 status = "numerical_limit"

@@ -46,9 +46,16 @@ from .model import (
     pd_errors,
 )
 from .pcg import CgTolerance, next_tolerance, pcg_solve
-from .report import SolveReport, SolverFailure, make_report
+from .report import DIAG_LIMIT, SolveReport, SolverFailure, make_report
 
 PDAL_KINDS = ("gamma", "delta", "beta", "none")
+
+QLOG_TAU = 0.5          # box-penalty extrapolation point
+INNER_EPS0 = 1e-2       # inner merit target eps_k = max(MIN, EPS0 * DECAY**k)
+INNER_EPS_DECAY = 0.3
+INNER_EPS_MIN = 1e-14
+ARMIJO = 0.05           # sufficient-decrease fraction of the line search
+LS_MAX_HALVINGS = 40
 
 
 class InnerCgFailure(RuntimeError):
@@ -56,45 +63,20 @@ class InnerCgFailure(RuntimeError):
 
 
 class DomainViolation(Exception):
-    """Penalty argument left the domain; the caller must shrink the step or
-    enlarge the penalty parameter."""
+    """The largest constraint eigenvalue of an LMI block reached its penalty
+    parameter; the caller must shrink the step or enlarge the parameter."""
 
 
-@dataclass(frozen=True)
-class PenaltyFn:
-    """Scalar penalty: increasing, convex, value 0 and slope 1 at 0.
+def penalty_eval(t, pi: float, tau: float = QLOG_TAU):
+    """(value, first, second derivative) of the scaled box penalty
+    pi*phi(t/pi), vectorized over t.
 
-    qlog is the logarithm -log(1-t) extrapolated twice-differentiably by its
-    quadratic Taylor polynomial beyond tau_q; tau_q >= 1 disables the
-    extrapolation (pure barrier with domain t < 1).  hyperbolic is
-    t / (1 - t) with domain t < 1 and is the function lifted to matrix
-    arguments for the LMI blocks.
-    """
-
-    kind: str = "qlog"
-    tau_q: float = 0.9
-
-
-def penalty_eval(fn: PenaltyFn, t, pi: float):
-    """(value, first, second derivative) of the scaled penalty pi*phi(t/pi).
-
-    Vectorized over t.  Raises DomainViolation outside the domain.
+    phi is the logarithm -log(1-s) extrapolated twice-differentiably by its
+    quadratic Taylor polynomial beyond tau (Ben-Tal & Zibulevsky 1997):
+    increasing, convex, value 0 and slope 1 at 0, and defined for every t.
     """
     t = np.asarray(t, dtype=float)
     s = t / pi
-    if fn.kind == "hyperbolic":
-        if np.any(s >= 1.0):
-            raise DomainViolation("hyperbolic penalty argument >= pi")
-        denom = 1.0 - s
-        return pi * s / denom, 1.0 / denom**2, 2.0 / (pi * denom**3)
-    if fn.kind != "qlog":
-        raise ValueError(f"unknown penalty kind {fn.kind!r}")
-    tau = fn.tau_q
-    if tau >= 1.0:
-        if np.any(s >= 1.0):
-            raise DomainViolation("log barrier argument >= pi")
-        denom = 1.0 - s
-        return -pi * np.log(denom), 1.0 / denom, 1.0 / (pi * denom**2)
     log_mask = s <= tau
     denom = np.where(log_mask, 1.0 - s, 1.0)
     l1 = 1.0 / (1.0 - tau)
@@ -125,16 +107,11 @@ def multiplier_update_lmi(z: np.ndarray, x: np.ndarray, pi: float) -> np.ndarray
     return sym(pi**2 * z @ x @ z)
 
 
-def multiplier_update_lin(t_lin: np.ndarray, x_lin: np.ndarray, pi: float, fn: PenaltyFn) -> np.ndarray:
-    """Componentwise update x_j phi'_pi((D y - d)_j)."""
-    _, d1, _ = penalty_eval(fn, t_lin, pi)
-    return x_lin * d1
-
-
 @dataclass
 class PdalConfig:
-    """Algorithmic parameters; the tru/vib columns of the parameter table
-    are available through :func:`pdal_config_profile`."""
+    """Algorithmic parameters, one set for the tru and the vib instances:
+    the ``tru`` column of the paper's parameter table with the proximal
+    weight r lowered from 0.01 to 1e-3."""
 
     pi_lin_min: float = 1e-9
     pi_lmi_min: float = 1e-5
@@ -145,20 +122,13 @@ class PdalConfig:
     r: float = 1e-3                # proximal weight; also the floor of the inner Hessian
     eps: float = 1e-6              # outer primal-dual error target
     eps_dimacs: float = 1e-5
-    qlog_tau: float = 0.5          # box-penalty extrapolation point
     rank: int | list[int] | str = 1  # outlier count per block, or "auto"
     precond: str = "gamma"         # one of PDAL_KINDS
     cg_tol: CgTolerance = field(default_factory=CgTolerance)
     cg_maxiter: int = 100000
     max_outer: int = 500
     max_inner: int = 100
-    inner_eps0: float = 1e-2
-    inner_eps_decay: float = 0.3
-    inner_eps_min: float = 1e-14
-    armijo: float = 0.05
-    ls_max_halvings: int = 40
     diag: bool = False
-    diag_limit: int = 400
 
     def __post_init__(self):
         if not (0.0 < self.pi_lin_upd < 1.0 and 0.0 < self.pi_lmi_upd < 1.0):
@@ -171,34 +141,15 @@ class PdalConfig:
             raise ValueError("max_outer must be >= 0")
         pc.check_kind("pdal", self.precond, PDAL_KINDS)
 
-    def lin_penalty(self) -> PenaltyFn:
-        return PenaltyFn("qlog", self.qlog_tau)
-
 
 def pdal_config_profile(profile: str, **overrides) -> PdalConfig:
-    """Parameter presets: 'tru' (box penalty extrapolated at 0.5) and 'vib'
-    (pure box barrier, slower penalty decay, undamped linear multipliers).
+    """``PdalConfig()`` with ``overrides``; 'tru' is the one profile name.
 
-    The vib floor pi_lin_min is kept at 1e-6 rather than the nominal 1e-11:
-    with a pure barrier the inner Newton needs the active box slacks resolved
-    to O(pi_lin), which float64 cannot deliver much below 1e-8.  The vib
-    proximal weight r stays at 0.01: with the pure barrier a smaller r lets
-    the merit diverge (vib5 at r = 1e-3 ends in a CG failure)."""
-    if profile == "tru":
-        cfg = PdalConfig()
-    elif profile == "vib":
-        cfg = PdalConfig(
-            r=0.01,
-            pi_lin_min=1e-6,
-            pi_lin_upd=0.3,
-            pi_lmi_upd=0.3,
-            gamma_lin=1.0,
-            gamma_lmi=0.8,
-            qlog_tau=1.0,
-        )
-    else:
-        raise ValueError(f"unknown profile {profile!r}")
-    return replace(cfg, **overrides)
+    PDAL has one parameter set: it solves the tru and the vib instances
+    alike.  Any other profile name raises ValueError."""
+    if profile != "tru":
+        raise ValueError(f"unknown profile {profile!r}; PDAL has only 'tru'")
+    return replace(PdalConfig(), **overrides)
 
 
 @dataclass
@@ -213,7 +164,6 @@ class OuterCtx:
     pi_lmi: float
     pi_lin: float
     r: float
-    fn_lin: PenaltyFn
 
     @property
     def b_min(self) -> np.ndarray:
@@ -234,6 +184,12 @@ class PointEval:
     wbar_lin: np.ndarray           # x phi''_pi, the linear Hessian weights
     grad: np.ndarray
 
+    def slack(self) -> BlockSymMatrix:
+        """The dual slack at y: -(A0(y) - C) and -(D y - d).  Negating a
+        rounded difference is exact, so this is dual_slack(prob, y) bit for
+        bit without its adjoint product."""
+        return BlockSymMatrix([-a for a in self.a_blocks], -self.t_lin)
+
 
 def evaluate_point(ctx: OuterCtx, y: np.ndarray) -> PointEval:
     prob = ctx.prob
@@ -245,7 +201,7 @@ def evaluate_point(ctx: OuterCtx, y: np.ndarray) -> PointEval:
         for z, x in zip(z_blocks, ctx.x_blocks)
     ]
     t_lin = ay.lin - prob.d
-    _, d1, d2 = penalty_eval(ctx.fn_lin, t_lin, ctx.pi_lin)
+    _, d1, d2 = penalty_eval(t_lin, ctx.pi_lin)
     xbar_lin = ctx.x_lin * d1
     wbar_lin = ctx.x_lin * d2
     xbar = BlockSymMatrix(xbar_blocks, xbar_lin)
@@ -263,7 +219,7 @@ def aug_lagrangian_value(ctx: OuterCtx, y: np.ndarray) -> float:
         z = z_matrix(a, ctx.pi_lmi)
         val += ctx.pi_lmi**2 * float(np.tensordot(ctx.x_blocks[i], z))
         val -= ctx.pi_lmi * float(np.trace(ctx.x_blocks[i]))
-    v, _, _ = penalty_eval(ctx.fn_lin, ay.lin - prob.d, ctx.pi_lin)
+    v, _, _ = penalty_eval(ay.lin - prob.d, ctx.pi_lin)
     val += float(ctx.x_lin @ v)
     return val
 
@@ -438,10 +394,7 @@ def inner_solve(
         if m_val <= eps_inner and _block_pd(x_hat, tol=1e-10):
             return InnerResult(ev, x_hat, ell, cg_total, m_val, False, True, ls_failures, kinds)
         if ell > 0:
-            # S(y) = -(A0(y) - C): negating a rounded difference is exact,
-            # so this is dual_slack(prob, y) bit for bit
-            s_now = BlockSymMatrix([-a for a in ev.a_blocks], -ev.t_lin)
-            e_now = pd_error(prob, y, x_hat, s_now)
+            e_now = pd_error(prob, y, x_hat, ev.slack())
             g2n = g2.dot(g2)
             g1n = float(g1 @ g1)
             if (
@@ -457,7 +410,7 @@ def inner_solve(
         kind = prec.kind if prec is not None else "none"
         if kind not in kinds:
             kinds.append(kind)
-        if diagnostics is not None and prob.n <= cfg.diag_limit:
+        if diagnostics is not None and prob.n <= DIAG_LIMIT:
             diagnostics.append(
                 _dense_hessian_record(ctx, ev, outer_index, ell)
             )
@@ -476,7 +429,7 @@ def inner_solve(
             slope = 0.0
         alpha = 1.0
         accepted = False
-        for _ in range(cfg.ls_max_halvings):
+        for _ in range(LS_MAX_HALVINGS):
             try:
                 ev_trial = evaluate_point(ctx, y + alpha * dy)
             except DomainViolation:
@@ -484,7 +437,7 @@ def inner_solve(
                 continue
             x_trial = x_hat + alpha * dx
             g1t, g2t = pd_residuals(ctx, ev_trial, x_trial)
-            if merit(g1t, g2t) <= m_val + cfg.armijo * alpha * slope:
+            if merit(g1t, g2t) <= m_val + ARMIJO * alpha * slope:
                 y = ev_trial.y
                 x_hat = x_trial
                 ev = ev_trial
@@ -526,14 +479,11 @@ def _dense_hessian_record(ctx: OuterCtx, ev: PointEval, outer: int, inner: int) 
 
 
 def penalty_update(
-    pi_lin: float, pi_lmi: float, cfg: PdalConfig, lam_max_lmi: float, t_lin_max: float
+    pi_lin: float, pi_lmi: float, cfg: PdalConfig, lam_max_lmi: float
 ) -> tuple[float, float]:
-    """Penalty decrease with the domain guards: the LMI penalty stays above
-    the largest constraint eigenvalue, and a pure box barrier additionally
-    keeps the box rows inside its domain."""
+    """Penalty decrease down to the floors; the LMI penalty also stays above
+    the largest constraint eigenvalue, where its resolvent exists."""
     new_lin = max(cfg.pi_lin_min, cfg.pi_lin_upd * pi_lin)
-    if cfg.qlog_tau >= 1.0 and t_lin_max > 0:
-        new_lin = max(new_lin, 1.01 * t_lin_max)
     new_lmi = max(cfg.pi_lmi_min, cfg.pi_lmi_upd * pi_lmi, 1.01 * lam_max_lmi)
     return new_lin, new_lmi
 
@@ -549,19 +499,13 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
     cfg = config or PdalConfig()
     t0 = time.perf_counter()
     n = prob.n
-    fn_lin = cfg.lin_penalty()
     ranks = pc.block_ranks(cfg.rank, prob.block_dims)
 
     y = np.zeros(n)
     x = BlockSymMatrix([np.eye(m) for m in prob.block_dims], np.ones(prob.nu))
-    ay = apply_A_adjoint(prob, y)
-    lam0 = lmi_lam_max([ay.blocks[i] - prob.c_dense(i) for i in range(prob.p)])
-    pi_lmi = 1.1 * max(1.0, lam0)
+    s = dual_slack(prob, y)
+    pi_lmi = 1.1 * max(1.0, lmi_lam_max([-b for b in s.blocks]))
     pi_lin = 1.0
-    if fn_lin.tau_q >= 1.0:
-        t0_lin = float((ay.lin - prob.d).max(initial=0.0))
-        if t0_lin > 0:
-            pi_lin = max(pi_lin, 1.1 * t0_lin)
 
     cg_tol = cfg.cg_tol
     cg_total = 0
@@ -577,7 +521,7 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
 
     # one pass more than max_outer: the last only measures the final iterate
     for k in range(cfg.max_outer + 1):
-        pt = PrimalDualPoint(y, x, dual_slack(prob, y))
+        pt = PrimalDualPoint(y, x, s)
         errs = dimacs(prob, pt)
         e_outer = _pd_error_of(errs)
         if e_outer < cfg.eps or errs.max() <= cfg.eps_dimacs:
@@ -594,9 +538,8 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
             pi_lmi=pi_lmi,
             pi_lin=pi_lin,
             r=cfg.r,
-            fn_lin=fn_lin,
         )
-        eps_k = max(cfg.inner_eps_min, cfg.inner_eps0 * cfg.inner_eps_decay**k)
+        eps_k = max(INNER_EPS_MIN, INNER_EPS0 * INNER_EPS_DECAY**k)
         try:
             res = inner_solve(
                 ctx, y, x, eps_k, cfg, cg_tol.current, ranks, e_outer,
@@ -608,7 +551,7 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
         cg_total += res.cg_iterations
 
         ev = res.ev
-        y = ev.y
+        y, s = ev.y, ev.slack()
         x_new_blocks = []
         for i in range(prob.p):
             cand = (1.0 - cfg.gamma_lmi) * x.blocks[i] + cfg.gamma_lmi * res.x.blocks[i]
@@ -621,8 +564,7 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
         x_lin_new[bad] = (1.0 - cfg.gamma_lin) * x.lin[bad] + cfg.gamma_lin * ev.xbar_lin[bad]
         x = BlockSymMatrix(x_new_blocks, x_lin_new)
 
-        t_lin_max = float(ev.t_lin.max(initial=0.0))
-        pi_lin, pi_lmi = penalty_update(pi_lin, pi_lmi, cfg, lmi_lam_max(ev.a_blocks), t_lin_max)
+        pi_lin, pi_lmi = penalty_update(pi_lin, pi_lmi, cfg, lmi_lam_max(ev.a_blocks))
 
         trace.append(
             {

@@ -10,6 +10,10 @@ import numpy as np
 
 from .model import DimacsErrors, PrimalDualPoint, SdpProblem, objective_values
 
+# Largest n for which a solve with ``diag`` forms the dense n x n Newton
+# matrix of each iteration for its diagnostics.
+DIAG_LIMIT = 400
+
 CSV_COLUMNS = [
     "instance",
     "solver",

@@ -203,7 +203,7 @@ def tru5_pdal(tru5):
 @pytest.fixture(scope="session")
 def vib3_pdal(vib3):
     _, _, prob = vib3
-    return pdal_solve(prob, pdal_config_profile("vib"))
+    return pdal_solve(prob, pdal_config_profile("tru"))
 
 
 @pytest.fixture(scope="session")

@@ -14,11 +14,10 @@ from lorank.ip import IpConfig, initial_point, ip_solve, make_scaling, nt_scalin
 from lorank.linalg import sym
 from lorank.pdal import (
     OuterCtx,
-    PenaltyFn,
+    PdalConfig,
     aug_lagrangian_value,
     evaluate_point,
     hessian_matvec,
-    pdal_config_profile,
     pdal_solve,
 )
 from lorank.precond import _smw_from_diag, dense_sandwich
@@ -58,8 +57,7 @@ def test_criterion_1_cross_solver_agreement():
     ]:
         _, _, prob = make_truss_problem(g, variant, t_lower=tl)
         _, rep_ip = ip_solve(prob, IpConfig(precond="hybrid", eps_dimacs=1e-5))
-        cfg = pdal_config_profile("vib" if variant == "vib" else "tru")
-        _, rep_pd = pdal_solve(prob, cfg)
+        _, rep_pd = pdal_solve(prob, PdalConfig())
         rel = abs(rep_ip.dual_objective - rep_pd.dual_objective) / max(
             1e-30, abs(rep_ip.dual_objective)
         )
@@ -181,7 +179,6 @@ def test_criterion_6_oracle_equivalence():
             pi_lmi=float(pi),
             pi_lin=1.0,
             r=0.01,
-            fn_lin=PenaltyFn("qlog", 0.5),
         )
         ev = evaluate_point(ctx, y)
         hd = dense_pdal_hessian(prob, ctx.r, ev.xbar_blocks, ev.z_blocks, ev.wbar_lin)

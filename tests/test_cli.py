@@ -81,14 +81,20 @@ class TestSolve:
         assert payload["status"] == "optimal"
 
     def test_pdal_default_profile_solves_vib5(self, tmp_path, capsys):
-        """The default ``tru`` profile solves vib5 in 46 outer iterations;
-        the ``vib`` profile ends ``max_iterations`` after 500."""
+        """PDAL's one parameter set solves vib5 in 46 outer iterations (the
+        deleted ``vib`` profile ended ``max_iterations`` after 500)."""
         assert main(["gen", "vib", "5", "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         rc = main(["solve", str(tmp_path / "vib5.dat-s"), "--solver", "pdal", "--maxiter", "60"])
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert payload["status"] == "optimal"
+
+    def test_pdal_profile_option_is_gone(self, gen_dir, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["solve", str(gen_dir / "vib3.dat-s"), "--solver", "pdal", "--pdal-profile", "vib"])
+        assert info.value.code == 2
+        assert "--pdal-profile" in capsys.readouterr().err
 
     def test_out_file_and_verify(self, gen_dir, tmp_path, capsys):
         report_path = tmp_path / "report.json"

@@ -23,14 +23,12 @@ from lorank.pdal import (
     _pdal_preconditioner,
     OuterCtx,
     PdalConfig,
-    PenaltyFn,
     aug_lagrangian_value,
     evaluate_point,
     hessian_matvec,
     inner_solve,
     merit,
     merit_dderiv,
-    multiplier_update_lin,
     multiplier_update_lmi,
     newton_direction,
     pd_error,
@@ -62,68 +60,50 @@ TOY = """\
 
 
 class TestPenaltyEval:
-    def test_hyperbolic_zero(self):
-        v, d1, d2 = penalty_eval(PenaltyFn("hyperbolic"), 0.0, 3.0)
-        assert v == 0.0
-        assert d1 == pytest.approx(1.0)
-
-    def test_hyperbolic_half_pi(self):
-        pi = 2.7
-        v, _, _ = penalty_eval(PenaltyFn("hyperbolic"), pi / 2.0, pi)
-        assert v == pytest.approx(pi)
-
-    def test_hyperbolic_domain(self):
-        with pytest.raises(DomainViolation):
-            penalty_eval(PenaltyFn("hyperbolic"), 3.0, 3.0)
-
     def test_qlog_log_branch(self):
-        fn = PenaltyFn("qlog", 0.9)
         pi = 2.0
         t = 0.5 * pi  # inside the log branch
-        v, d1, d2 = penalty_eval(fn, t, pi)
+        v, d1, d2 = penalty_eval(t, pi, 0.9)
         assert v == pytest.approx(-pi * np.log(1.0 - t / pi))
         assert d1 == pytest.approx(1.0 / (1.0 - t / pi))
 
     def test_qlog_smooth_junction(self):
         """Value, slope and curvature are continuous across the junction."""
-        fn = PenaltyFn("qlog", 0.6)
+        tau = 0.6
         pi = 1.3
-        tj = fn.tau_q * pi
+        tj = tau * pi
         h = 1e-7
-        below = penalty_eval(fn, tj - h, pi)
-        above = penalty_eval(fn, tj + h, pi)
+        below = penalty_eval(tj - h, pi, tau)
+        above = penalty_eval(tj + h, pi, tau)
         assert above[0] - below[0] == pytest.approx(2 * h * below[1], rel=1e-5)
         assert above[1] - below[1] == pytest.approx(2 * h * below[2], rel=1e-5)
         assert above[2] == pytest.approx(below[2], rel=1e-5)
 
-    def test_qlog_pure_barrier_domain(self):
-        fn = PenaltyFn("qlog", 1.0)
-        with pytest.raises(DomainViolation):
-            penalty_eval(fn, 2.0, 1.0)
-
-    @pytest.mark.parametrize("kind,tau", [("hyperbolic", 0.9), ("qlog", 0.7), ("qlog", 1.0)])
-    def test_derivatives_by_finite_differences(self, kind, tau):
-        fn = PenaltyFn(kind, tau)
+    @pytest.mark.parametrize("tau", [0.5, 0.7])
+    def test_derivatives_by_finite_differences(self, tau):
+        """Both branches, up to t far beyond pi, where a barrier would have
+        no value."""
         pi = 1.7
-        for t in (-2.0, -0.3, 0.0, 0.4, 0.9):
-            h = 1e-6
-            vm, _, _ = penalty_eval(fn, t - h, pi)
-            v0, d1, d2 = penalty_eval(fn, t, pi)
-            vp, _, _ = penalty_eval(fn, t + h, pi)
+        for t in (-2.0, -0.3, 0.0, 0.4, 0.9, 5.0, 40.0):
+            h = 1e-6 * max(1.0, abs(t))
+            vm, _, _ = penalty_eval(t - h, pi, tau)
+            v0, d1, d2 = penalty_eval(t, pi, tau)
+            vp, _, _ = penalty_eval(t + h, pi, tau)
             assert (vp - vm) / (2 * h) == pytest.approx(d1, rel=1e-5, abs=1e-8)
-            h = 1e-5  # second difference needs a larger step against roundoff
-            vm, _, _ = penalty_eval(fn, t - h, pi)
-            vp, _, _ = penalty_eval(fn, t + h, pi)
+            h = 1e-5 * max(1.0, abs(t))  # second difference needs a larger step against roundoff
+            vm, _, _ = penalty_eval(t - h, pi, tau)
+            vp, _, _ = penalty_eval(t + h, pi, tau)
             assert (vp - 2 * v0 + vm) / h**2 == pytest.approx(d2, rel=1e-3, abs=1e-6)
 
     def test_scaled_family(self):
-        """phi_pi(t) = pi phi(t/pi) with slope phi'(t/pi)."""
-        fn = PenaltyFn("hyperbolic")
+        """phi_pi(t) = pi phi(t/pi) with slope phi'(t/pi), on both branches."""
         for pi in (0.5, 1.0, 4.0):
-            v, d1, _ = penalty_eval(fn, 0.2, pi)
-            s = 0.2 / pi
-            assert v == pytest.approx(pi * s / (1 - s))
-            assert d1 == pytest.approx(1.0 / (1 - s) ** 2)
+            for t in (-0.5, 0.2, 3.0):
+                v, d1, d2 = penalty_eval(t, pi)
+                v1, d1_1, d2_1 = penalty_eval(t / pi, 1.0)
+                assert v == pytest.approx(pi * v1, rel=1e-14)
+                assert d1 == pytest.approx(d1_1, rel=1e-14)
+                assert d2 == pytest.approx(d2_1 / pi, rel=1e-14)
 
 
 class TestZMatrixAndMultipliers:
@@ -172,15 +152,30 @@ class TestZMatrixAndMultipliers:
         out = multiplier_update_lmi(z, np.eye(2), pi)
         assert np.allclose(out, pi**2 * np.diag([0.04, 0.25]))
 
+    @staticmethod
+    def box_update(t_lin, x_lin, pi_lin):
+        """evaluate_point's box multipliers x_j phi'_pi((D y - d)_j) at y = 0
+        on a problem whose box rows read D y - d = t_lin."""
+        n = len(t_lin)
+        prob = SdpProblem(
+            [1],
+            [sp.csr_matrix((1, n))],
+            [SparseSym.from_triplets(1, [], [], [])],
+            np.zeros(n),
+            sp.identity(n, format="csr"),
+            -np.asarray(t_lin, dtype=float),
+        )
+        ctx = OuterCtx(prob, np.zeros(n), [np.eye(1)], np.asarray(x_lin, dtype=float), 1.0, pi_lin, 0.01)
+        return evaluate_point(ctx, np.zeros(n)).xbar_lin
+
     def test_lin_update_at_boundary(self):
         x = np.array([2.0, 3.0])
-        out = multiplier_update_lin(np.zeros(2), x, 1.5, PenaltyFn("qlog", 0.5))
+        out = self.box_update(np.zeros(2), x, 1.5)
         assert np.allclose(out, x)  # slope 1 at zero
 
     def test_lin_update_scalar(self):
-        fn = PenaltyFn("qlog", 0.9)
         pi, t, x = 2.0, -1.0, 4.0
-        out = multiplier_update_lin(np.array([t]), np.array([x]), pi, fn)
+        out = self.box_update([t], [x], pi)
         assert out[0] == pytest.approx(x / (1.0 - t / pi))
 
     def test_damped_blend_endpoints(self):
@@ -202,7 +197,6 @@ class TestZMatrixAndMultipliers:
             pi_lmi=1e-5,
             pi_lin=1e-9,
             r=0.01,
-            fn_lin=PenaltyFn("qlog", 0.5),
         )
         ev = evaluate_point(ctx, pt.y)
         rel = np.linalg.norm(ev.xbar_blocks[0] - pt.X.blocks[0]) / np.linalg.norm(pt.X.blocks[0])
@@ -220,7 +214,6 @@ def make_ctx(prob, seed=0, pi_lmi=2.0, r=0.01, feas_shift=50.0):
         pi_lmi=pi_lmi,
         pi_lin=1.0,
         r=r,
-        fn_lin=PenaltyFn("qlog", 0.5),
     ), y
 
 
@@ -265,7 +258,6 @@ class TestGradientAndHessian:
             pi_lmi=1.0,
             pi_lin=1.0,
             r=0.01,
-            fn_lin=PenaltyFn("qlog", 0.5),
         )
         ev = evaluate_point(ctx, np.zeros(n))
         rng = np.random.default_rng(0)
@@ -300,7 +292,6 @@ class TestGradientAndHessian:
             pi_lmi=2.0 * (1.0 + abs(lam) + max(c.norm_fro() for c in prob.C)),
             pi_lin=10.0,
             r=0.01,
-            fn_lin=PenaltyFn("qlog", 0.5),
         )
         ev = evaluate_point(ctx, y)
         for _ in range(5):
@@ -361,7 +352,7 @@ class TestResidualsMeritNewton:
             bnew = bnew + a_op.T @ xb.reshape(-1)
         bnew = bnew + prob.D.T @ ev.xbar_lin
         prob2.b = bnew
-        ctx2 = OuterCtx(prob2, ctx.y_prox, ctx.x_blocks, ctx.x_lin, ctx.pi_lmi, ctx.pi_lin, ctx.r, ctx.fn_lin)
+        ctx2 = OuterCtx(prob2, ctx.y_prox, ctx.x_blocks, ctx.x_lin, ctx.pi_lmi, ctx.pi_lin, ctx.r)
         ev2 = evaluate_point(ctx2, y)
         x_hat = BlockSymMatrix([b.copy() for b in ev2.xbar_blocks], ev2.xbar_lin.copy())
         g1, g2 = pd_residuals(ctx2, ev2, x_hat)
@@ -425,7 +416,6 @@ class TestResidualsMeritNewton:
             pi_lmi=2.0,
             pi_lin=1.0,
             r=0.01,
-            fn_lin=PenaltyFn("qlog", 0.5),
         )
         y = np.array([2.0])
         ev = evaluate_point(ctx, y)
@@ -478,7 +468,7 @@ class TestInnerSolve:
             bnew = bnew + a_op.T @ xb.reshape(-1)
         bnew = bnew + prob.D.T @ ev.xbar_lin
         prob2.b = bnew
-        ctx2 = OuterCtx(prob2, ctx.y_prox, ctx.x_blocks, ctx.x_lin, ctx.pi_lmi, ctx.pi_lin, ctx.r, ctx.fn_lin)
+        ctx2 = OuterCtx(prob2, ctx.y_prox, ctx.x_blocks, ctx.x_lin, ctx.pi_lmi, ctx.pi_lin, ctx.r)
         ev2 = evaluate_point(ctx2, y)
         x0 = BlockSymMatrix([b.copy() for b in ev2.xbar_blocks], ev2.xbar_lin.copy())
         res = inner_solve(
@@ -532,18 +522,18 @@ class TestInnerSolve:
 class TestPenaltyUpdate:
     def test_floor_unchanged(self):
         cfg = PdalConfig(pi_lin_min=1e-9, pi_lmi_min=1e-5, pi_lin_upd=0.5, pi_lmi_upd=0.5)
-        lin, lmi = penalty_update(1e-9, 1e-5, cfg, lam_max_lmi=0.0, t_lin_max=0.0)
+        lin, lmi = penalty_update(1e-9, 1e-5, cfg, lam_max_lmi=0.0)
         assert lin == pytest.approx(1e-9)
         assert lmi == pytest.approx(1e-5)
 
     def test_lambda_max_floor(self):
         cfg = PdalConfig(pi_lmi_min=1e-5, pi_lmi_upd=0.5)
-        _, lmi = penalty_update(1.0, 0.2, cfg, lam_max_lmi=0.5, t_lin_max=0.0)
+        _, lmi = penalty_update(1.0, 0.2, cfg, lam_max_lmi=0.5)
         assert lmi == pytest.approx(0.505)
 
     def test_decay(self):
         cfg = PdalConfig()
-        lin, lmi = penalty_update(1.0, 1.0, cfg, lam_max_lmi=0.0, t_lin_max=0.0)
+        lin, lmi = penalty_update(1.0, 1.0, cfg, lam_max_lmi=0.0)
         assert lin == pytest.approx(0.5)
         assert lmi == pytest.approx(0.5)
 
@@ -592,8 +582,12 @@ class TestPdalSolve:
         assert rep.dimacs.max() <= 1e-5
 
     def test_profiles_proximal_weight(self):
-        assert pdal_config_profile("tru").r == 1e-3
-        assert pdal_config_profile("vib").r == 0.01
+        """One parameter set: the tru profile is the default config (r = 1e-3)
+        and no other profile exists."""
+        assert pdal_config_profile("tru") == PdalConfig()
+        assert PdalConfig().r == 1e-3
+        with pytest.raises(ValueError, match="vib"):
+            pdal_config_profile("vib")
 
     def test_tru_profile_ends_the_vib5_tail(self, vib5):
         """At r = 0.01 y crept along the LMI face by ||b - A(X)|| / r per
@@ -630,8 +624,8 @@ class TestPdalSolve:
         assert np.linalg.eigvalsh(pt.X.blocks[0])[0] > 0
         assert pt.X.lin.min() >= 0
 
-    @pytest.mark.parametrize("name, profile", [("tru3", "tru"), ("vib3", "vib")])
-    def test_pd_error_is_a_view_of_dimacs(self, name, profile, request, monkeypatch):
+    @pytest.mark.parametrize("name", ["tru3", "vib3"])
+    def test_pd_error_is_a_view_of_dimacs(self, name, request, monkeypatch):
         """pd_error equals max(err1, err4, err5) exactly at iterates of a run
         (outer points and the inner points of the early-stopping test)."""
         _, _, prob = request.getfixturevalue(name)
@@ -642,7 +636,7 @@ class TestPdalSolve:
             return dimacs(prob, pt)
 
         monkeypatch.setattr(pdal, "dimacs", recording_dimacs)
-        pdal_solve(prob, pdal_config_profile(profile))
+        pdal_solve(prob, PdalConfig())
         monkeypatch.undo()
         assert len(points) > 20
         for y, x in points[:: len(points) // 10]:

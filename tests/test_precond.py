@@ -4,7 +4,7 @@ import pytest
 from lorank.ip import initial_point, make_scaling, nt_scaling
 from lorank.linalg import sym
 from lorank.model import column_norms_sq
-from lorank.pdal import OuterCtx, PenaltyFn, evaluate_point
+from lorank.pdal import OuterCtx, evaluate_point
 from lorank.precond import (
     alpha_base,
     block_ranks,
@@ -300,7 +300,6 @@ def pdal_state(prob, seed=0):
         pi_lmi=2.0,
         pi_lin=1.0,
         r=0.01,
-        fn_lin=PenaltyFn("qlog", 0.5),
     )
     ev = evaluate_point(ctx, y)
     return ctx, ev
