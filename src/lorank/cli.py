@@ -3,8 +3,9 @@
 Exit codes for ``solve``: 0 when the DIMACS measures meet the tolerance,
 1 when the solver stopped short, 2 on input errors (including a
 configuration the solver rejects, such as a preconditioner kind of the other
-driver), 3 on solver failures.  ``bench`` records per-row failures in the CSV
-and keeps going; a rejected configuration ends it with exit code 2.
+driver), 3 on solver failures, whose partial report is still written like
+any other.  ``bench`` records per-row failures in the CSV and keeps going; a
+rejected configuration ends it with exit code 2.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        if args.command == "solve":
+            exc.report.instance, exc.report.seed = args.input.name, args.seed
+            _write_report(args, exc.report, exc.report.to_dict())
         return 3
 
 
@@ -109,7 +113,8 @@ def _solver_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-5, help="DIMACS stopping tolerance")
     p.add_argument("--cg-maxiter", type=int, default=100000)
     p.add_argument("--cg-tol0", type=float, default=0.01, help="initial CG tolerance")
-    p.add_argument("--cg-floor", type=float, default=1e-6, help="CG tolerance floor")
+    p.add_argument("--cg-floor", type=float, default=None,
+                   help="CG tolerance floor (default: the driver's, 1e-8 ip, 1e-6 pdal)")
     p.add_argument("--maxiter", type=int, default=None,
                    help="outer iteration cap (default: 200 ip, 500 pdal)")
     p.add_argument("--seed", type=int, default=0, help="recorded in the report; solves are deterministic")
@@ -149,6 +154,12 @@ def _sidecar_path(input_path: Path) -> Path:
     return input_path.parent / f"{stem}.geom.json"
 
 
+def _cg_tol(args, config_cls) -> CgTolerance:
+    """--cg-tol0, and --cg-floor when given, over the driver's own default."""
+    floor = config_cls().cg_tol.floor if args.cg_floor is None else args.cg_floor
+    return CgTolerance(current=args.cg_tol0, floor=floor)
+
+
 def _pdal_config(args) -> PdalConfig:
     overrides = {}
     if args.pdal_config is not None:
@@ -162,7 +173,7 @@ def _pdal_config(args) -> PdalConfig:
         eps_dimacs=args.tol,
         rank=args.rank,
         precond=args.precond or "gamma",
-        cg_tol=CgTolerance(current=args.cg_tol0, floor=args.cg_floor),
+        cg_tol=_cg_tol(args, PdalConfig),
         cg_maxiter=args.cg_maxiter,
         diag=args.diag,
     )
@@ -182,7 +193,7 @@ def _config(args) -> IpConfig | PdalConfig:
             max_iter=args.maxiter if args.maxiter is not None else 200,
             rank=args.rank,
             precond=args.precond or "hybrid",
-            cg_tol=CgTolerance(current=args.cg_tol0, floor=args.cg_floor),
+            cg_tol=_cg_tol(args, IpConfig),
             cg_maxiter=args.cg_maxiter,
             diag=args.diag,
         )
@@ -212,7 +223,6 @@ def cmd_solve(args) -> int:
             payload["verification"] = verify_solution(gs, spec, pt.y, pt.X.blocks[0])
         else:
             payload["verification"] = {"error": f"no geometry sidecar at {side}"}
-    text = json.dumps(payload, indent=2, default=_json_default)
     if args.csv_append is not None:
         new = not args.csv_append.exists()
         with open(args.csv_append, "a", newline="") as fh:
@@ -220,12 +230,18 @@ def cmd_solve(args) -> int:
             if new:
                 writer.writerow(CSV_COLUMNS)
             writer.writerow(report.csv_row())
+    _write_report(args, report, payload)
+    return 0 if report.converged else 1
+
+
+def _write_report(args, report: SolveReport, payload: dict) -> None:
+    """The JSON ``payload`` of ``report`` to --out, or to stdout without it."""
+    text = json.dumps(payload, indent=2, default=_json_default)
     if args.out is not None:
         args.out.write_text(text + "\n")
         print(f"report written to {args.out} (status={report.status}, dimacs={report.dimacs_max():.3g})")
     else:
         print(text)
-    return 0 if report.converged else 1
 
 
 def cmd_bench(args) -> int:

@@ -45,7 +45,9 @@ class IpConfig:
     max_iter: int = 200
     rank: int | list[int] | str = 1  # outlier count per block, or "auto"
     precond: str = "hybrid"          # one of IP_KINDS
-    cg_tol: CgTolerance = field(default_factory=CgTolerance)
+    # floor 1e-8: at 1e-6 the late, ill-conditioned Schur systems leave
+    # directions whose outcome on tru9 depends on rounding alone
+    cg_tol: CgTolerance = field(default_factory=lambda: CgTolerance(floor=1e-8))
     cg_maxiter: int = 100000
     diag: bool = False
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -119,6 +119,72 @@ def column_norms_sq(a_op: sp.csr_matrix) -> np.ndarray:
     return np.asarray(a_op.multiply(a_op).sum(axis=0)).ravel()
 
 
+class RowPairs(NamedTuple):
+    """Pairs of fold positions, one from each of two blocks, that lie in the
+    same row j of G."""
+
+    left: np.ndarray        # position index in the first block's fold
+    right: np.ndarray       # position index in the second block's fold
+    row: np.ndarray         # their common row j
+    cells: sp.csr_matrix    # (m m2, pairs): sums the pairs at columns (c, d) into cell c m2 + d
+
+
+@dataclass(frozen=True)
+class BlockFold:
+    """Index arrays that fold A_i' by an m-vector u into the sparse n x m
+    matrix G_u[j, c] = sum_r u_r (A_j)_{rc}, the per-outlier factor of the
+    preconditioner's low-rank block.
+
+    block     : the block index i
+    data      : the stored values of A_i' (CSR order)
+    r, slot   : per stored value, its row r in A_j and the index of the
+                position (j, c) of G_u it adds to
+    rows, cols: the distinct positions (j, c) of G_u, sorted by row
+    pairs     : per block i2, the :class:`RowPairs` of this fold and block
+                i2's; for a diagonal B, G'B^{-1}G sums products over exactly
+                these pairs
+    """
+
+    block: int
+    data: np.ndarray
+    r: np.ndarray
+    slot: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    pairs: tuple[RowPairs, ...]
+
+
+def block_folds(a_t: Sequence[sp.csr_matrix], dims: Sequence[int]) -> list[BlockFold]:
+    """The :class:`BlockFold` of every block, from A_i' as CSR."""
+    n = a_t[0].shape[0] if a_t else 0
+    parts = []  # per block: data, r, slot, rows, cols
+    for a, m in zip(a_t, dims):
+        j = np.repeat(np.arange(n), np.diff(a.indptr))
+        r, c = np.divmod(a.indices, m)
+        keys, slot = np.unique(j * m + c, return_inverse=True)
+        parts.append((a.data, r, slot.ravel(), *np.divmod(keys, m)))
+    # row indicator of each position: (ind_i' ind_i2)[e, f] != 0 iff e and f share a row
+    ind = [
+        sp.csr_matrix((np.ones(rows.size), (rows, np.arange(rows.size))), shape=(n, rows.size))
+        for *_, rows, _ in parts
+    ]
+
+    def row_pairs(i: int, i2: int) -> RowPairs:
+        hit = (ind[i].T @ ind[i2]).tocoo()
+        left, right = hit.row.astype(np.intp), hit.col.astype(np.intp)
+        (rows, cols), cols2 = parts[i][3:], parts[i2][4]
+        cells = sp.csr_matrix(
+            (np.ones(left.size), (cols[left] * dims[i2] + cols2[right], np.arange(left.size))),
+            shape=(dims[i] * dims[i2], left.size),
+        )
+        return RowPairs(left, right, rows[left], cells)
+
+    return [
+        BlockFold(i, *part, tuple(row_pairs(i, i2) for i2 in range(len(parts))))
+        for i, part in enumerate(parts)
+    ]
+
+
 @dataclass(frozen=True)
 class ConstraintOps:
     """Fixed operators derived from the constraint data, built once per
@@ -131,6 +197,7 @@ class ConstraintOps:
                  preconditioner columns
     a_norms_sq : per block, diag(A_i'A_i)
     d_sq_t     : (D o D)' as CSR, so d_sq_t @ w = diag(D' diag(w) D)
+    folds      : per block, the fold of A_i' into the low-rank factors
     """
 
     stacked: sp.csr_matrix
@@ -138,6 +205,7 @@ class ConstraintOps:
     a_t: list[sp.csr_matrix]
     a_norms_sq: list[np.ndarray]
     d_sq_t: sp.csr_matrix
+    folds: list[BlockFold]
 
 
 class SdpaParseError(ValueError):
@@ -196,12 +264,14 @@ class SdpProblem:
         data must not be modified afterwards."""
         if self._ops is None:
             stacked = sp.vstack(self.A + [self.D], format="csr")
+            a_t = [a.T.tocsr() for a in self.A]
             self._ops = ConstraintOps(
                 stacked,
                 stacked.T.tocsr(),
-                [a.T.tocsr() for a in self.A],
+                a_t,
                 [column_norms_sq(a) for a in self.A],
                 self.D.multiply(self.D).T.tocsr(),
+                block_folds(a_t, self.block_dims),
             )
         return self._ops
 
@@ -272,39 +342,55 @@ def objective_values(prob: SdpProblem, pt: PrimalDualPoint) -> tuple[float, floa
     return float(pobj), float(prob.b @ pt.y)
 
 
-def _min_eig(m: BlockSymMatrix) -> float:
-    """Smallest eigenvalue over the blocks and the linear part."""
-    return min(
-        [float(np.linalg.eigvalsh(sym(b))[0]) for b in m.blocks]
-        + ([float(m.lin.min())] if m.lin is not None and m.lin.size else [])
-    )
+def block_min_eigs(m: BlockSymMatrix) -> list[float]:
+    """Smallest eigenvalue of each LMI block."""
+    return [float(np.linalg.eigvalsh(sym(b))[0]) for b in m.blocks]
 
 
-def pd_errors(prob: SdpProblem, pt: PrimalDualPoint) -> tuple[float, float, float]:
+def _min_eig(m: BlockSymMatrix, block_min: list[float] | None = None) -> float:
+    """Smallest eigenvalue over the blocks and the linear part; ``block_min``
+    holds the blocks' own when they are already known."""
+    if block_min is None:
+        block_min = block_min_eigs(m)
+    return min(block_min + ([float(m.lin.min())] if m.lin is not None and m.lin.size else []))
+
+
+def pd_errors(
+    prob: SdpProblem, pt: PrimalDualPoint, s_eigs: list[float] | None = None
+) -> tuple[float, float, float]:
     """DIMACS err1, err4 and err5 of :func:`dimacs` alone: primal
-    infeasibility, dual cone violation and the normalized duality gap."""
-    return _pd_errors(prob, pt, *data_inf_norms(prob), *objective_values(prob, pt))
+    infeasibility, dual cone violation and the normalized duality gap.
+    ``s_eigs`` are the smallest eigenvalues of the LMI blocks of pt.S when
+    the caller has them."""
+    return _pd_errors(prob, pt, *data_inf_norms(prob), *objective_values(prob, pt), s_eigs)
 
 
 def _pd_errors(
-    prob: SdpProblem, pt: PrimalDualPoint, bnorm: float, cnorm: float, pobj: float, dobj: float
+    prob: SdpProblem,
+    pt: PrimalDualPoint,
+    bnorm: float,
+    cnorm: float,
+    pobj: float,
+    dobj: float,
+    s_eigs: list[float] | None,
 ) -> tuple[float, float, float]:
     err1 = float(np.linalg.norm(prob.b - apply_A(prob, pt.X))) / (1.0 + bnorm)
-    err4 = max(0.0, -_min_eig(pt.S)) / (1.0 + cnorm)
+    err4 = max(0.0, -_min_eig(pt.S, s_eigs)) / (1.0 + cnorm)
     err5 = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     return err1, err4, err5
 
 
-def dimacs(prob: SdpProblem, pt: PrimalDualPoint) -> DimacsErrors:
+def dimacs(prob: SdpProblem, pt: PrimalDualPoint, s_eigs: list[float] | None = None) -> DimacsErrors:
     """Six standard DIMACS measures for the point (X, y, S).
 
     err1/err2 are primal feasibility and cone violation, err3/err4 the dual
     counterparts, err5 the (absolute) normalized duality gap and err6 the
-    normalized complementarity X.S.
+    normalized complementarity X.S.  ``s_eigs`` are the smallest eigenvalues
+    of the LMI blocks of pt.S when the caller has them.
     """
     bnorm, cnorm = data_inf_norms(prob)
     pobj, dobj = objective_values(prob, pt)
-    err1, err4, err5 = _pd_errors(prob, pt, bnorm, cnorm, pobj, dobj)
+    err1, err4, err5 = _pd_errors(prob, pt, bnorm, cnorm, pobj, dobj, s_eigs)
 
     err2 = max(0.0, -_min_eig(pt.X)) / (1.0 + bnorm)
 

@@ -42,7 +42,8 @@ class PcgReport:
 @dataclass(frozen=True)
 class CgTolerance:
     """Adaptive CG tolerance: start at 0.01, halve after every major
-    iteration of the outer algorithm, floor at 1e-6."""
+    iteration of the outer algorithm, down to the floor (1e-6 here; the
+    interior-point driver's default is 1e-8)."""
 
     current: float = 0.01
     floor: float = 1e-6

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,6 +42,7 @@ from .model import (
     SdpProblem,
     apply_A,
     apply_A_adjoint,
+    block_min_eigs,
     dimacs,
     dual_slack,
     pd_errors,
@@ -190,6 +192,13 @@ class PointEval:
         bit without its adjoint product."""
         return BlockSymMatrix([-a for a in self.a_blocks], -self.t_lin)
 
+    @cached_property
+    def slack_min_eigs(self) -> list[float]:
+        """lambda_min of each LMI block of the slack, computed once for the
+        three tests that read it at y: the early-stopping err4, the penalty
+        update's lambda_max(A0(y) - C) and the next outer DIMACS err4."""
+        return block_min_eigs(self.slack())
+
 
 def evaluate_point(ctx: OuterCtx, y: np.ndarray) -> PointEval:
     prob = ctx.prob
@@ -290,15 +299,20 @@ def newton_direction(
 
 
 def pd_error(
-    prob: SdpProblem, y: np.ndarray, x: BlockSymMatrix, s: BlockSymMatrix | None = None
+    prob: SdpProblem,
+    y: np.ndarray,
+    x: BlockSymMatrix,
+    s: BlockSymMatrix | None = None,
+    s_eigs: list[float] | None = None,
 ) -> float:
     """Primal feasibility, dual cone violation and normalized gap: the
     DIMACS err1, err4 and err5 at (y, x) with the exact dual slack ``s``
-    (formed from y when not given), computed without the three measures it
+    (formed from y when not given) and its blocks' smallest eigenvalues
+    ``s_eigs`` (computed when not given), without the three measures it
     does not read."""
     if s is None:
         s = dual_slack(prob, y)
-    return max(pd_errors(prob, PrimalDualPoint(y, x, s)))
+    return max(pd_errors(prob, PrimalDualPoint(y, x, s), s_eigs))
 
 
 def _pd_error_of(errs: DimacsErrors) -> float:
@@ -394,7 +408,7 @@ def inner_solve(
         if m_val <= eps_inner and _block_pd(x_hat, tol=1e-10):
             return InnerResult(ev, x_hat, ell, cg_total, m_val, False, True, ls_failures, kinds)
         if ell > 0:
-            e_now = pd_error(prob, y, x_hat, ev.slack())
+            e_now = pd_error(prob, y, x_hat, ev.slack(), ev.slack_min_eigs)
             g2n = g2.dot(g2)
             g1n = float(g1 @ g1)
             if (
@@ -488,11 +502,6 @@ def penalty_update(
     return new_lin, new_lmi
 
 
-def lmi_lam_max(a_blocks: list[np.ndarray]) -> float:
-    """Largest eigenvalue over the blocks A0_i(y) - C_i."""
-    return max(float(np.linalg.eigvalsh(sym(a))[-1]) for a in a_blocks)
-
-
 def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[PrimalDualPoint, SolveReport]:
     """Outer loop: inner primal-dual solve, damped multiplier update, penalty
     decrease, until the primal-dual error or the DIMACS measures converge."""
@@ -504,7 +513,8 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
     y = np.zeros(n)
     x = BlockSymMatrix([np.eye(m) for m in prob.block_dims], np.ones(prob.nu))
     s = dual_slack(prob, y)
-    pi_lmi = 1.1 * max(1.0, lmi_lam_max([-b for b in s.blocks]))
+    s_eigs = block_min_eigs(s)  # of the slack at y, read by DIMACS and the penalties
+    pi_lmi = 1.1 * max(1.0, -min(s_eigs))
     pi_lin = 1.0
 
     cg_tol = cfg.cg_tol
@@ -522,7 +532,7 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
     # one pass more than max_outer: the last only measures the final iterate
     for k in range(cfg.max_outer + 1):
         pt = PrimalDualPoint(y, x, s)
-        errs = dimacs(prob, pt)
+        errs = dimacs(prob, pt, s_eigs)
         e_outer = _pd_error_of(errs)
         if e_outer < cfg.eps or errs.max() <= cfg.eps_dimacs:
             status = "optimal"
@@ -551,7 +561,7 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
         cg_total += res.cg_iterations
 
         ev = res.ev
-        y, s = ev.y, ev.slack()
+        y, s, s_eigs = ev.y, ev.slack(), ev.slack_min_eigs
         x_new_blocks = []
         for i in range(prob.p):
             cand = (1.0 - cfg.gamma_lmi) * x.blocks[i] + cfg.gamma_lmi * res.x.blocks[i]
@@ -564,7 +574,8 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
         x_lin_new[bad] = (1.0 - cfg.gamma_lin) * x.lin[bad] + cfg.gamma_lin * ev.xbar_lin[bad]
         x = BlockSymMatrix(x_new_blocks, x_lin_new)
 
-        pi_lin, pi_lmi = penalty_update(pi_lin, pi_lmi, cfg, lmi_lam_max(ev.a_blocks))
+        # lambda_max(A0(y) - C) = -lambda_min of the slack
+        pi_lin, pi_lmi = penalty_update(pi_lin, pi_lmi, cfg, -min(s_eigs))
 
         trace.append(
             {

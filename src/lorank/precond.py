@@ -22,13 +22,17 @@ is constructed:
 ``beta`` is the base diagonal of the driver's low-rank kind alone (alpha's
 for ip, gamma's for pdal); both drivers fall back to it when a low-rank build
 meets a matrix that is not positive definite.  Every build returns through
-one SMW assembly.
+one SMW assembly, which keeps the low-rank block V = G F factored: G is the
+sparse fold of A' (a few nonzeros per row and outlier), F block diagonal
+with the small m x m factors, so neither a build nor an apply touches a
+dense n x K matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from functools import cached_property
 from typing import Sequence
 
@@ -36,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linalg import NotPositiveDefinite, chol, chol_solve, sym, sym_eig
-from .model import SdpProblem
+from .model import BlockFold, SdpProblem
 
 
 @dataclass
@@ -142,77 +146,157 @@ def spectral_split(w: np.ndarray, k: int | str, tau: float | None = None) -> Spl
     return SplitBlock(u, tau, k, lam, q, degenerate)
 
 
-def low_rank_factor(a_t: sp.csr_matrix, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Columns A'(vec of outer(left[:,a], right[:,b])) for all (a, b).
+@dataclass
+class LowRankPiece:
+    """One piece A_i'(U x F) = [G_{u_1} ... G_{u_k}] (I_k x F) of the
+    low-rank block V, kept factored.  Row a of ``g`` holds the values of
+    G_{u_a} at the positions of ``fold``; ``f`` is the m x m factor."""
 
-    ``a_t`` is A' as CSR (``SdpProblem.ops.a_t``), ``left`` the m x k outlier
-    factor and ``right`` a full m x m factor; the result is the n x (k m)
-    low-rank block of the preconditioner.  For outlier u the m columns are
-    G_u @ right with G_u[j, c] = sum_r u_r (A_j)_{rc}, an n x m sparse matrix
-    folded from the entries of A' without forming the (m^2, m) Kronecker
-    product.
+    fold: BlockFold
+    g: np.ndarray
+    f: np.ndarray
+
+    @property
+    def cols(self) -> int:
+        return len(self.g) * len(self.f)
+
+
+def low_rank_factor(fold: BlockFold, left: np.ndarray, right: np.ndarray) -> LowRankPiece:
+    """The piece A'(left x right) of V, with columns A'(vec of
+    outer(left[:,a], right[:,b])) for all (a, b), kept factored as G F.
+
+    ``fold`` is the block's :class:`BlockFold` (``SdpProblem.ops.folds``),
+    ``left`` the m x k outlier factor and ``right`` a full m x m factor.  For
+    outlier u the m columns are G_u @ right with G_u[j, c] = sum_r u_r
+    (A_j)_{rc}, whose values are summed over the entries of A' in one
+    ``bincount``; neither the (m^2, m) Kronecker product nor the n x (k m)
+    block is formed.
     """
-    m = right.shape[0]
-    r, c = np.divmod(a_t.indices, m)
-    cols = []
-    for a in range(left.shape[1]):
-        g_u = sp.csr_matrix((a_t.data * left[r, a], c, a_t.indptr), shape=(a_t.shape[0], m))
-        cols.append(g_u @ right)
-    if not cols:
-        return np.zeros((a_t.shape[0], 0))
-    return np.hstack(cols)
+    k, size = left.shape[1], fold.rows.size
+    slots = fold.slot + size * np.arange(k)[:, None]
+    g = np.bincount(slots.ravel(), (left[fold.r].T * fold.data).ravel(), minlength=k * size)
+    return LowRankPiece(fold, g.reshape(k, size), right)
 
 
 @dataclass
 class SmwPreconditioner:
-    """base + V V' preconditioner applied through the SMW identity.
+    """base + V V' preconditioner applied through the SMW identity, with
+    V = G F kept factored.
 
-    The base is the positive diagonal ``a_diag`` or, when ``base_l`` is set,
-    the dense matrix base_l base_l'; ``theta_l`` is the Cholesky factor of
-    Theta = I + V' base^{-1} V.
+    G is the sparse n x K fold of A', held as coordinates (``g_rows``,
+    ``g_cols``, ``g_vals``); F is block diagonal: ``factors`` lists each
+    piece's columns [start, stop) of V and its m x m factor, repeated over
+    the piece's outliers.  The base is the positive diagonal ``a_diag`` or,
+    when ``base_l`` is set, the dense matrix base_l base_l'; ``theta_l`` is
+    the Cholesky factor of Theta = I + F'G' base^{-1} G F.
     """
 
     kind: str
-    v: np.ndarray
-    binv_v: np.ndarray
-    theta_l: np.ndarray
-    a_diag: np.ndarray | None = None
-    base_l: np.ndarray | None = None
+    a_diag: np.ndarray | None
+    base_l: np.ndarray | None
+    g_rows: np.ndarray
+    g_cols: np.ndarray
+    g_vals: np.ndarray
+    factors: list[tuple[int, int, np.ndarray]]
+    theta_l: np.ndarray | None = None
+
+    @property
+    def n(self) -> int:
+        return self.a_diag.size if self.base_l is None else self.base_l.shape[0]
 
     @property
     def rank(self) -> int:
-        return int(self.v.shape[1])
+        return self.factors[-1][1] if self.factors else 0
+
+    def _base_solve(self, x: np.ndarray) -> np.ndarray:
+        return x / self.a_diag if self.base_l is None else chol_solve(self.base_l, x)
 
     def apply_inv(self, x: np.ndarray) -> np.ndarray:
-        t = x / self.a_diag if self.base_l is None else chol_solve(self.base_l, x)
-        if self.rank == 0:
+        """P^{-1} x = t - base^{-1} G F Theta^{-1} F'G' t with t = base^{-1} x."""
+        t = self._base_solve(x)
+        if not self.factors:
             return t
-        s = chol_solve(self.theta_l, self.v.T @ t)
-        return t - self.binv_v @ s
+        w = np.bincount(self.g_cols, self.g_vals * t[self.g_rows], minlength=self.rank)
+        # F'w, then F s, per piece: the rows of w[a:b] are its outliers
+        z = np.concatenate([w[a:b].reshape(-1, len(f)) @ f for a, b, f in self.factors], axis=None)
+        s = chol_solve(self.theta_l, z)
+        y = np.concatenate([s[a:b].reshape(-1, len(f)) @ f.T for a, b, f in self.factors], axis=None)
+        return t - self._base_solve(np.bincount(self.g_rows, self.g_vals * y[self.g_cols], minlength=t.size))
+
+    def dense_v(self) -> np.ndarray:
+        """Dense low-rank block V = G F (diagnostic sizes and tilde's build)."""
+        n, size = self.n, self.rank
+        g = np.bincount(self.g_rows * size + self.g_cols, self.g_vals, minlength=n * size).reshape(n, size)
+        parts = [(g[:, a:b].reshape(-1, len(f)) @ f).reshape(n, b - a) for a, b, f in self.factors]
+        return np.hstack(parts + [np.zeros((n, 0))])
 
     def dense(self) -> np.ndarray:
         """Dense assembly base + V V' (diagnostic sizes only)."""
         b = np.diag(self.a_diag) if self.base_l is None else self.base_l @ self.base_l.T
-        if self.rank:
-            b = b + self.v @ self.v.T
-        return b
+        v = self.dense_v()
+        return b + v @ v.T
 
 
-def _smw_from_diag(
-    kind: str, a_diag: np.ndarray | None, v: np.ndarray, base_l: np.ndarray | None = None
+def _theta_block(q: LowRankPiece, q2: LowRankPiece, binv: np.ndarray) -> np.ndarray:
+    """The block (I x F_q)' G_q' diag(binv) G_q2 (I x F_q2) of Theta - I.
+
+    Per pair of fold positions sharing a row, the outer product of the two
+    pieces' values over their outliers is summed into the pair's cell
+    (c, d); the factors then act on the cells' m x m2 matrices."""
+    pr = q.fold.pairs[q2.fold.block]
+    x = q.g[:, pr.left].T * binv[pr.row][:, None]
+    y = q2.g[:, pr.right].T
+    k, m, k2, m2 = len(q.g), len(q.f), len(q2.g), len(q2.f)
+    sums = pr.cells @ (x[:, :, None] * y[:, None, :]).reshape(-1, k * k2)  # [(c, d), (a, b)]
+    t = (q.f.T @ sums.reshape(m, m2 * k * k2)).reshape(m, m2, k, k2)     # [c', d, a, b]
+    t = t.transpose(2, 0, 3, 1).reshape(k * m * k2, m2) @ q2.f            # [(a, c', b), d']
+    return t.reshape(k * m, k2 * m2)
+
+
+def _smw(
+    kind: str,
+    a_diag: np.ndarray | None,
+    recipe: Sequence[tuple[BlockFold, np.ndarray, np.ndarray]],
+    base_l: np.ndarray | None = None,
 ) -> SmwPreconditioner:
-    """The one SMW assembly: base^{-1} V and the Cholesky factor of
-    Theta = I + V' base^{-1} V.  The base is the diagonal ``a_diag``, which
-    must be positive, or the factored matrix base_l base_l' (tilde)."""
+    """The one SMW assembly of base + V V' with V the pieces A_i'(U x F)
+    of ``recipe``, one ``(fold, U, F)`` per piece.
+
+    The base is the diagonal ``a_diag``, which must be positive, or the
+    factored matrix base_l base_l' (tilde).  Theta = I + F'(G' base^{-1} G)F;
+    for a diagonal base it is summed over the pairs of fold positions that
+    share a row (:func:`_theta_block`), so only tilde, whose dense n x n base
+    dwarfs it, forms V densely.
+    """
+    if base_l is None and np.any(a_diag <= 0.0):
+        raise ValueError(f"{kind}: nonpositive base diagonal entry")
+    pieces = [q for q in (low_rank_factor(fold, u, f) for fold, u, f in recipe) if q.cols]
+    starts = list(accumulate((q.cols for q in pieces), initial=0))
+    size = starts[-1]
+    # column of G for outlier a of a piece at fold position (j, c): start + a m + c
+    cols = [s + len(q.f) * np.arange(len(q.g))[:, None] + q.fold.cols for q, s in zip(pieces, starts)]
+    none = [np.zeros(0, dtype=np.intp)]
+    prec = SmwPreconditioner(
+        kind,
+        a_diag,
+        base_l,
+        np.concatenate([np.tile(q.fold.rows, len(q.g)) for q in pieces] + none),
+        np.concatenate([c.ravel() for c in cols] + none),
+        np.concatenate([q.g.ravel() for q in pieces] + none),
+        [(s, s + q.cols, q.f) for q, s in zip(pieces, starts)],
+    )
+    theta = np.eye(size)
     if base_l is None:
-        if np.any(a_diag <= 0.0):
-            raise ValueError(f"{kind}: nonpositive base diagonal entry")
-        binv_v = v / a_diag[:, None] if v.size else v
+        # Theta's lower triangle, block by block: all chol reads
+        binv = 1.0 / a_diag
+        for i, (q, s) in enumerate(zip(pieces, starts)):
+            for q2, s2 in zip(pieces[i:], starts[i:]):
+                theta[s2 : s2 + q2.cols, s : s + q.cols] += _theta_block(q, q2, binv).T
     else:
-        binv_v = chol_solve(base_l, v) if v.size else v
-    theta = np.eye(v.shape[1]) + v.T @ binv_v
-    theta_l = chol(theta, f"{kind} inner Schur complement")
-    return SmwPreconditioner(kind, v, binv_v, theta_l, a_diag, base_l)
+        v = prec.dense_v()
+        theta += v.T @ chol_solve(base_l, v)
+    prec.theta_l = chol(theta, f"{kind} inner Schur complement")
+    return prec
 
 
 def alpha_base(splits: Sequence[SplitBlock], lin_diag: np.ndarray | None, n: int) -> np.ndarray:
@@ -248,13 +332,12 @@ def gamma_base(
     return _lagrangian_base(prob, w_splits, v_means, h_lin_diag)
 
 
-def _outlier_columns(prob: SdpProblem, splits: Sequence[SplitBlock], what: str) -> np.ndarray:
-    """Per block A_i'(U_i x Gamma_i) with Gamma_i Gamma_i' = 2 W_i^0 + U_i U_i'."""
-    cols = []
-    for a_t, s in zip(prob.ops.a_t, splits):
-        gamma = chol(2.0 * s.w0 + s.u @ s.u.T, f"{what} block factor")
-        cols.append(low_rank_factor(a_t, s.u, gamma))
-    return np.hstack(cols) if cols else np.zeros((prob.n, 0))
+def _outlier_recipe(prob: SdpProblem, splits: Sequence[SplitBlock], what: str) -> list:
+    """Per block (U_i, Gamma_i) with Gamma_i Gamma_i' = 2 W_i^0 + U_i U_i'."""
+    return [
+        (fold, s.u, chol(2.0 * s.w0 + s.u @ s.u.T, f"{what} block factor"))
+        for fold, s in zip(prob.ops.folds, splits)
+    ]
 
 
 def build_h_alpha(
@@ -268,13 +351,13 @@ def build_h_alpha(
     the caller can refresh the split or fall back to beta.
     """
     a_diag = alpha_base(splits, lin_diag, prob.n)
-    return _smw_from_diag("alpha", a_diag, _outlier_columns(prob, splits, "alpha"))
+    return _smw("alpha", a_diag, _outlier_recipe(prob, splits, "alpha"))
 
 
 def build_h_beta(a_diag: np.ndarray) -> SmwPreconditioner:
     """Diagonal-only preconditioner: the base diagonal of the driver's
     low-rank kind (``alpha_base`` or ``gamma_base``) without its columns."""
-    return _smw_from_diag("beta", a_diag, np.zeros((a_diag.size, 0)))
+    return _smw("beta", a_diag, [])
 
 
 def build_h_tilde(
@@ -307,7 +390,7 @@ def build_h_tilde(
     except NotPositiveDefinite as exc:
         # the defining assumption (cheaply invertible A'A base) failed
         raise ValueError(f"tilde base factorization failed: {exc}") from exc
-    return _smw_from_diag("tilde", None, _outlier_columns(prob, splits, "tilde"), base_l)
+    return _smw("tilde", None, _outlier_recipe(prob, splits, "tilde"), base_l)
 
 
 def build_h_gamma(
@@ -322,15 +405,15 @@ def build_h_gamma(
 
     Base: ``gamma_base``, h_lin_diag + sum_i tau1_i tau2_i diag(A_i'A_i) with
     tau1 = 10 * max(lambda_min(W_i^0), 0) and tau2 the mean eigenvalue of
-    V_i.  The factor 2 of the Hessian is carried in the low-rank columns.
+    V_i.  The factor 2 of the Hessian is carried in the factors sqrt(2) Delta_i.
     """
     a_diag = gamma_base(prob, w_splits, v_mats, h_lin_diag)
-    cols = []
-    for a_t, s, v_mat in zip(prob.ops.a_t, w_splits, v_mats):
-        delta = chol(sym(v_mat), "gamma companion factor")
-        cols.append(math.sqrt(2.0) * low_rank_factor(a_t, s.u, delta))
-    v = np.hstack(cols) if cols else np.zeros((prob.n, 0))
-    return _smw_from_diag("gamma", a_diag, v)
+    root2 = math.sqrt(2.0)
+    recipe = [
+        (fold, s.u, root2 * chol(sym(v_mat), "gamma companion factor"))
+        for fold, s, v_mat in zip(prob.ops.folds, w_splits, v_mats)
+    ]
+    return _smw("gamma", a_diag, recipe)
 
 
 def build_h_delta(
@@ -348,17 +431,16 @@ def build_h_delta(
     structure.
     """
     a_diag = _lagrangian_base(prob, w_splits, [sv.mean_eig_w0() for sv in v_splits], h_lin_diag)
-    cols = []
+    recipe = []
     root2 = math.sqrt(2.0)
-    for a_t, sw, sv in zip(prob.ops.a_t, w_splits, v_splits):
+    for fold, sw, sv in zip(prob.ops.folds, w_splits, v_splits):
         gamma = chol(sw.w0 + 0.5 * sw.u @ sw.u.T, "delta W factor")
         theta = chol(sv.w0 + 0.5 * sv.u @ sv.u.T, "delta V factor")
         if sw.k:
-            cols.append(root2 * low_rank_factor(a_t, sw.u, theta))
+            recipe.append((fold, sw.u, root2 * theta))
         if sv.k:
-            cols.append(root2 * low_rank_factor(a_t, sv.u, gamma))
-    v = np.hstack(cols) if cols else np.zeros((prob.n, 0))
-    return _smw_from_diag("delta", a_diag, v)
+            recipe.append((fold, sv.u, root2 * gamma))
+    return _smw("delta", a_diag, recipe)
 
 
 def hybrid_should_switch(

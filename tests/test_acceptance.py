@@ -20,10 +20,11 @@ from lorank.pdal import (
     hessian_matvec,
     pdal_solve,
 )
-from lorank.precond import _smw_from_diag, dense_sandwich
+from lorank.precond import _smw, dense_sandwich
 from lorank.truss import TrussSdpSpec, assemble_sdp, gen_ground
 
 from conftest import (
+    dense_operator,
     dense_pdal_hessian,
     dense_schur,
     make_truss_problem,
@@ -153,10 +154,18 @@ def test_criterion_6_oracle_equivalence():
             np.linalg.norm(schur_matvec(prob, scal, v) - ref) / max(1.0, np.linalg.norm(ref)),
         )
 
-        # SMW inverse against a dense inverse
+        # SMW inverse with V = [A_i'(U_i x F_i)] kept factored, against a
+        # dense inverse with V formed from Kronecker products
         a_diag = rng.random(n) + 0.3
-        vv = rng.standard_normal((n, max(1, int(rng.integers(1, 4)))))
-        pc = _smw_from_diag("alpha", a_diag, vv)
+        k = max(1, int(rng.integers(1, 4)))
+        recipe = [
+            (fold, rng.standard_normal((m, k)), np.linalg.cholesky(rand_spd(rng, m)))
+            for fold, m in zip(prob.ops.folds, dims)
+        ]
+        pc = _smw("alpha", a_diag, recipe)
+        vv = np.hstack(
+            [dense_operator(prob, i).T @ np.kron(u, f) for i, (_, u, f) in enumerate(recipe)]
+        )
         dense = np.diag(a_diag) + vv @ vv.T
         rhs = rng.standard_normal(n)
         worst_smw = max(

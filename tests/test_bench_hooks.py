@@ -107,3 +107,33 @@ def test_tracer_counts_accepted_stagnations_by_the_drivers_rule(tracing):
     assert accepted == 1
     assert tracer.counts["pcg.stagnations_accepted"] == accepted
     assert tracer.counts["pcg.iterations"] == sum(rep.iterations for rep in reports)
+
+
+def test_low_rank_factor_once_per_piece_inside_its_build(tracing, vib3):
+    """A low-rank build folds one piece per block and factor: alpha, tilde
+    and gamma one per block, delta one per block and split side with
+    outliers (both at rank 1).  Each fold is a direct child of its
+    build_h span, so the tracer charges it to that build."""
+    from collections import Counter
+
+    from lorank.ip import IpConfig, ip_solve
+    from lorank.pdal import PdalConfig, pdal_solve
+
+    _, _, prob = vib3
+    runs = [
+        (ip_solve, IpConfig(precond="alpha", max_iter=3), prob.p),
+        (ip_solve, IpConfig(precond="tilde", max_iter=3), prob.p),
+        (pdal_solve, PdalConfig(precond="gamma", max_outer=3), prob.p),
+        (pdal_solve, PdalConfig(precond="delta", max_outer=3), 2 * prob.p),
+    ]
+    for solve, cfg, per_build in runs:
+        tracer = tracing.Tracer()
+        with tracer.patched():
+            solve(prob, cfg)
+        assert tracer.counts["precond.fallbacks"] == 0
+        spans = tracer.spans
+        folds = Counter(rec[3] for rec in spans if rec[0] == "precond.low_rank_factor")
+        builds = [i for i, rec in enumerate(spans) if rec[0] == "precond.build_h"]
+        assert builds, cfg.precond
+        assert all(spans[parent][0] == "precond.build_h" for parent in folds), cfg.precond
+        assert [folds[i] for i in builds] == [per_build] * len(builds), cfg.precond

@@ -119,6 +119,29 @@ class TestSolve:
         capsys.readouterr()
         assert rc == 1
 
+    @pytest.mark.parametrize("out", [True, False])
+    def test_solver_failure_keeps_its_report(self, gen_dir, tmp_path, capsys, out):
+        """A CG failure exits 3 and still writes the partial report, to
+        --out or else to stdout."""
+        report_path = tmp_path / "r.json"
+        argv = ["solve", str(gen_dir / "tru3.dat-s"), "--cg-maxiter", "1"]
+        rc = main(argv + (["--out", str(report_path)] if out else []))
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "solver failure" in captured.err
+        payload = json.loads(report_path.read_text() if out else captured.out)
+        assert payload["status"] == "cg_failure"
+        assert payload["instance"] == "tru3.dat-s"
+
+    def test_cg_floor_defaults_to_the_drivers(self, gen_dir, tmp_path):
+        from lorank.cli import _config, build_parser
+
+        path = str(gen_dir / "tru3.dat-s")
+        parse = build_parser().parse_args
+        assert _config(parse(["solve", path])).cg_tol.floor == 1e-8
+        assert _config(parse(["solve", path, "--solver", "pdal"])).cg_tol.floor == 1e-6
+        assert _config(parse(["solve", path, "--cg-floor", "1e-7"])).cg_tol.floor == 1e-7
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.dat-s"
         bad.write_text("1\n1\n1\n1.0\n0 1 1 1 1.0\n1 1 1 1 1.0\n1 1 1 1 2.0\n")

@@ -631,9 +631,9 @@ class TestPdalSolve:
         _, _, prob = request.getfixturevalue(name)
         points = []
 
-        def recording_dimacs(prob, pt):
+        def recording_dimacs(prob, pt, s_eigs=None):
             points.append((pt.y, pt.X))
-            return dimacs(prob, pt)
+            return dimacs(prob, pt, s_eigs)
 
         monkeypatch.setattr(pdal, "dimacs", recording_dimacs)
         pdal_solve(prob, PdalConfig())

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from lorank.ip import initial_point, make_scaling, nt_scaling
+from lorank.ip import IpConfig, initial_point, ip_solve, make_scaling, nt_scaling
 from lorank.linalg import sym
 from lorank.model import column_norms_sq
-from lorank.pdal import OuterCtx, evaluate_point
+from lorank.pdal import OuterCtx, PdalConfig, _pdal_preconditioner, evaluate_point, pdal_solve
 from lorank.precond import (
+    _smw,
     alpha_base,
     block_ranks,
     build_h_alpha,
@@ -24,6 +25,7 @@ from lorank.precond import (
 
 from conftest import (
     dense_schur,
+    make_truss_problem,
     rand_spd,
     random_problem,
     spd_with_spectrum,
@@ -125,6 +127,49 @@ def ip_state_splits(prob, seed=0, k=1):
     return pt, scal, splits, lin_diag
 
 
+def piece_dense(piece, n):
+    """Dense n x (k m) columns [G_{u_1} F ... G_{u_k} F] of a factored piece."""
+    cols = []
+    for g in piece.g:
+        g_u = np.zeros((n, piece.f.shape[0]))
+        g_u[piece.fold.rows, piece.fold.cols] = g  # the fold's positions are distinct
+        cols.append(g_u @ piece.f)
+    return np.hstack(cols) if cols else np.zeros((n, 0))
+
+
+def random_recipe(seed, dims, n, k):
+    """A random problem, positive base diagonal and one (fold, U, F) piece
+    per block with k random outlier columns and a random Cholesky factor."""
+    rng = np.random.default_rng(seed)
+    prob = random_problem(seed, dims=dims, n=n, nu=2)
+    recipe = [
+        (fold, rng.standard_normal((m, k)), np.linalg.cholesky(rand_spd(rng, m)))
+        for fold, m in zip(prob.ops.folds, dims)
+    ]
+    return prob, rng.random(n) + 0.5, recipe
+
+
+def recipe_dense_v(prob, recipe):
+    """The oracle V = [A_i'(U_i x F_i)] formed densely with Kronecker products."""
+    return np.hstack([prob.A[fold.block].toarray().T @ np.kron(u, f) for fold, u, f in recipe])
+
+
+def late_state_preconditioner(prob, kind, rank):
+    """The ``kind`` preconditioner at the 12th iterate of its own driver."""
+    if kind in ("alpha", "tilde"):
+        pt, _ = ip_solve(prob, IpConfig(precond="alpha", max_iter=12, eps_dimacs=1e-30))
+        scal = make_scaling(pt)
+        splits = [spectral_split(nt.w, rank) for nt in scal.blocks]
+        build = build_h_alpha if kind == "alpha" else build_h_tilde
+        return build(prob, splits, scal.lin_diag(prob))
+    pt, _ = pdal_solve(prob, PdalConfig(max_outer=12, eps=1e-30, eps_dimacs=1e-30))
+    ctx = OuterCtx(prob, pt.y, pt.X.blocks, pt.X.lin, pi_lmi=1.0, pi_lin=1.0, r=1e-3)
+    cfg = PdalConfig(precond=kind, rank=rank)
+    pc = _pdal_preconditioner(ctx, evaluate_point(ctx, pt.y), cfg, block_ranks(rank, prob.block_dims))
+    assert pc.kind == kind
+    return pc
+
+
 class TestAlpha:
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize("block", [0, 1])
@@ -135,7 +180,7 @@ class TestAlpha:
         rng = np.random.default_rng(10 * block + k)
         u = rng.standard_normal((m, k))
         f = np.linalg.cholesky(rand_spd(rng, m))
-        got = low_rank_factor(prob.ops.a_t[block], u, f)
+        got = piece_dense(low_rank_factor(prob.ops.folds[block], u, f), prob.n)
         assert got.shape == (prob.n, k * m)
         want = prob.A[block].toarray().T @ np.kron(u, f)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -160,7 +205,8 @@ class TestAlpha:
         cluster = sum(
             dense_sandwich(a, s.w0, s.w0) for a, s in zip(prob.A, splits)
         )
-        recon = cluster + np.diag(lin_diag) + pc.v @ pc.v.T
+        v = pc.dense_v()
+        recon = cluster + np.diag(lin_diag) + v @ v.T
         assert np.linalg.norm(recon - h_dense) <= 1e-10 * np.linalg.norm(h_dense)
 
     def test_dense_assembly_matches(self, tru3):
@@ -168,7 +214,8 @@ class TestAlpha:
         _, _, splits, lin_diag = ip_state_splits(prob, seed=2)
         pc = build_h_alpha(prob, splits, lin_diag)
         dense = pc.dense()
-        expected = np.diag(pc.a_diag) + pc.v @ pc.v.T
+        v = pc.dense_v()
+        expected = np.diag(pc.a_diag) + v @ v.T
         assert np.allclose(dense, expected, rtol=1e-12)
 
     def test_conditioning_bound(self, tru3):
@@ -194,31 +241,56 @@ class TestSmwInverse:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_dense_inverse(self, seed):
         rng = np.random.default_rng(seed)
-        n = 5
-        a_diag = rng.random(n) + 0.5
-        v = rng.standard_normal((n, 1))
-        from lorank.precond import _smw_from_diag
-
-        pc = _smw_from_diag("alpha", a_diag, v)
+        prob, a_diag, recipe = random_recipe(seed, dims=(3, 4), n=5, k=1)
+        pc = _smw("alpha", a_diag, recipe)
+        v = recipe_dense_v(prob, recipe)
         dense = np.diag(a_diag) + v @ v.T
-        rhs = rng.standard_normal(n)
+        rhs = rng.standard_normal(5)
         assert np.allclose(pc.apply_inv(rhs), np.linalg.solve(dense, rhs), rtol=1e-10)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_symmetry_probe(self, seed):
         rng = np.random.default_rng(100 + seed)
         n = 8
-        a_diag = rng.random(n) + 0.2
-        v = rng.standard_normal((n, 3))
-        from lorank.precond import _smw_from_diag
-
-        pc = _smw_from_diag("alpha", a_diag, v)
+        _, _, recipe = random_recipe(100 + seed, dims=(4,), n=n, k=3)
+        pc = _smw("alpha", rng.random(n) + 0.2, recipe)
         a, b = rng.standard_normal(n), rng.standard_normal(n)
         lhs = float(pc.apply_inv(a) @ b)
         rhs = float(a @ pc.apply_inv(b))
         assert lhs == pytest.approx(rhs, rel=1e-11)
         # positive definiteness probe
         assert float(a @ pc.apply_inv(a)) > 0
+
+    @pytest.mark.parametrize("rank", [1, "auto"])
+    @pytest.mark.parametrize("instance", ["tru3", "vib3"])
+    @pytest.mark.parametrize("kind", ["alpha", "tilde", "gamma", "delta"])
+    def test_apply_matches_dense_solve(self, request, kind, instance, rank):
+        """Every kind's factored apply against a dense solve with its own
+        assembly, at late solver states; with rank "auto" the IP kinds get
+        K > n columns and an inner Schur complement Theta with condition
+        number up to ~1e9."""
+        _, _, prob = request.getfixturevalue(instance)
+        pc = late_state_preconditioner(prob, kind, rank)
+        if rank == "auto" and kind in ("alpha", "tilde"):
+            assert pc.rank > prob.n
+        rhs = np.random.default_rng(7).standard_normal(prob.n)
+        want = np.linalg.solve(pc.dense(), rhs)
+        assert np.linalg.norm(pc.apply_inv(rhs) - want) <= 1e-8 * np.linalg.norm(want)
+
+    def test_holds_no_dense_n_by_k_block(self):
+        """The built preconditioner keeps G (a few nonzeros per row and
+        outlier), the m x m factors and Theta's factor: O(nnz(A') + K^2)
+        numbers, where the dense V alone would hold n K."""
+        _, _, prob = make_truss_problem(7, "tru")
+        _, _, splits, lin_diag = ip_state_splits(prob, seed=1)
+        pc = build_h_alpha(prob, splits, lin_diag)
+        n, size = prob.n, pc.rank
+        arrays = [a for a in vars(pc).values() if isinstance(a, np.ndarray)]
+        arrays += [f for _, _, f in pc.factors]
+        held = sum(a.size for a in arrays)
+        nnz = sum(a_t.nnz for a_t in prob.ops.a_t)
+        assert held <= 3 * nnz + 2 * size**2 + n
+        assert held < n * size / 2
 
 
 class TestBeta:
@@ -266,7 +338,8 @@ class TestTilde:
         _, _, splits, lin_diag = ip_state_splits(prob, seed=5)
         pc = build_h_tilde(prob, splits, lin_diag)
         gram = (prob.A[0].T @ prob.A[0]).toarray()
-        expected = splits[0].tau**2 * gram + np.diag(lin_diag) + pc.v @ pc.v.T
+        v = pc.dense_v()
+        expected = splits[0].tau**2 * gram + np.diag(lin_diag) + v @ v.T
         assert np.linalg.norm(pc.dense() - expected) <= 1e-10 * np.linalg.norm(expected)
 
     def test_inverse_matches_dense(self, tru3):
@@ -319,7 +392,8 @@ class TestGamma:
             2.0 * dense_sandwich(a, s.u @ s.u.T, v)
             for a, s, v in zip(prob.A, splits, v_mats)
         )
-        assert np.linalg.norm(pc.v @ pc.v.T - lr_dense) <= 1e-10 * max(
+        v = pc.dense_v()
+        assert np.linalg.norm(v @ v.T - lr_dense) <= 1e-10 * max(
             1.0, np.linalg.norm(lr_dense)
         )
 
@@ -330,7 +404,7 @@ class TestGamma:
         pc = build_h_gamma(prob, [s], [np.eye(13)], np.ones(prob.n))
         expected = 1.0 + 10.0 * s.min_eig_w0() * 1.0 * column_norms_sq(prob.A[0])
         assert np.allclose(pc.a_diag, expected, rtol=1e-12)
-        assert np.linalg.norm(pc.v) <= 1e-3
+        assert np.linalg.norm(pc.dense_v()) <= 1e-3
 
     def test_round_off_negative_w_keeps_base_positive(self, tru3):
         """W = Xbar/pi is positive semidefinite; a round-off negative
@@ -384,7 +458,8 @@ class TestDelta:
         assert np.linalg.norm(h_full - (h_core + h_lr)) <= 1e-10 * np.linalg.norm(h_full)
         # the built preconditioner's low-rank part matches h_lr
         pc = build_h_delta(prob, [sw], [sv], np.ones(prob.n))
-        assert np.linalg.norm(pc.v @ pc.v.T - h_lr) <= 1e-10 * max(1.0, np.linalg.norm(h_lr))
+        v = pc.dense_v()
+        assert np.linalg.norm(v @ v.T - h_lr) <= 1e-10 * max(1.0, np.linalg.norm(h_lr))
 
     def test_no_v_outliers_degenerates_to_gamma(self, tru3):
         _, _, prob = tru3
