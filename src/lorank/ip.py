@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from scipy.linalg import solve_triangular, svd
 
 from . import precond as pc
-from .linalg import NotPositiveDefinite, chol, chol_inv, min_eig_pencil, sym
+from .linalg import NotPositiveDefinite, chol, chol_inv, min_eig, sym
 from .model import (
     BlockSymMatrix,
     PrimalDualPoint,
@@ -35,6 +35,8 @@ from .report import DIAG_LIMIT, SolveReport, SolverFailure, make_report
 IP_KINDS = ("alpha", "beta", "hybrid", "tilde", "none")
 
 TAU_FRAC = 0.9          # fraction-to-boundary in the step rule
+STALL_STEP = 1e-3       # min(alpha, beta) below this is a stalled step ...
+STALL_ITERS = 5         # ... and this many in a row end the run "stalled"
 SIGMA_POWER = 3         # Mehrotra centering exponent
 STEP_REPAIR_LIMIT = 10  # step halvings on round-off before giving up
 
@@ -65,12 +67,25 @@ class NtBlock:
     d: np.ndarray        # diag(G' S G), the scaling singular values
     s_chol: np.ndarray
 
+    def x_inv_factor(self) -> np.ndarray:
+        """F = D^{-1/2} G^{-1} with F'F = X^{-1} (X = G D G')."""
+        return self.g_inv / np.sqrt(self.d)[:, None]
+
+    def s_inv_factor(self) -> np.ndarray:
+        """F = D^{-1/2} G' with F'F = S^{-1} (S = G^{-T} D G^{-1})."""
+        return self.g.T / np.sqrt(self.d)[:, None]
+
 
 def nt_scaling(x: np.ndarray, s: np.ndarray) -> NtBlock:
     """Scaling block W with W S W = X, W = G G'.
 
-    Computed from the Cholesky factors X = L L', S = R R' through the SVD of
-    R'L; propagates NotPositiveDefinite when a block left the cone.
+    Computed from the Cholesky factors X = L L', S = R R' through the SVD
+    R'L = U D V': G = L V D^{-1/2} and G^{-1} = D^{1/2} V' L^{-1}, so that
+    X = G D G' and S = G^{-T} D G^{-1}.  G^{-1} comes from a triangular solve
+    with L, not from the equal product D^{-1/2} U' R': the product, which
+    leans on the SVD identity, cost late IP iterates more iterations on tru8
+    and tru9 across variable orders.  Propagates NotPositiveDefinite when a
+    block left the cone.
     """
     l = chol(x, "NT scaling (X block)")
     r = chol(s, "NT scaling (S block)")
@@ -150,12 +165,16 @@ def recover_directions(
 
 
 def step_length(
-    mats: BlockSymMatrix, dirs: BlockSymMatrix, tau_frac: float
+    factors: list[np.ndarray], mats: BlockSymMatrix, dirs: BlockSymMatrix, tau_frac: float
 ) -> float:
-    """min(1, -tau / lambda_min(M^{-1} dM)) over all blocks and the linear part."""
+    """min(1, -tau / lambda_min(M^{-1} dM)) over all blocks and the linear part.
+
+    ``factors`` holds one F per block with F'F = M^{-1} (``NtBlock``'s
+    ``x_inv_factor`` or ``s_inv_factor``), so lambda_min(M^{-1} dM) is that
+    of F dM F' and no block is factored again."""
     candidates = [1.0]
-    for m, dm in zip(mats.blocks, dirs.blocks):
-        lam = min_eig_pencil(m, dm)
+    for f, dm in zip(factors, dirs.blocks):
+        lam = min_eig(f @ dm @ f.T)
         if lam < 0:
             candidates.append(-tau_frac / lam)
     if mats.lin is not None and mats.lin.size:
@@ -177,11 +196,15 @@ def _is_interior(mats: BlockSymMatrix) -> bool:
 
 
 def step_with_repair(
-    mats: BlockSymMatrix, dirs: BlockSymMatrix, tau_frac: float, repair_limit: int
+    factors: list[np.ndarray],
+    mats: BlockSymMatrix,
+    dirs: BlockSymMatrix,
+    tau_frac: float,
+    repair_limit: int,
 ) -> float:
     """Step length that provably keeps the updated matrices factorizable;
     halves on round-off failures up to the repair limit."""
-    alpha = step_length(mats, dirs, tau_frac)
+    alpha = step_length(factors, mats, dirs, tau_frac)
     for _ in range(repair_limit + 1):
         if _is_interior(mats + alpha * dirs):
             return alpha
@@ -251,7 +274,9 @@ def _dense_diagnostics(
 
 def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDualPoint, SolveReport]:
     """Run the predictor-corrector loop until the DIMACS measures drop below
-    the configured tolerance or the iteration cap is hit."""
+    the configured tolerance, the steps stall (``STALL_ITERS`` iterations in
+    a row with min(alpha, beta) < ``STALL_STEP``) or the iteration cap is
+    hit."""
     config = config or IpConfig()
     t0 = time.perf_counter()
     pt = initial_point(prob)
@@ -262,6 +287,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
     diagnostics: list[dict] = []
     status = "max_iterations"
     cg_total = 0
+    short_steps = 0  # consecutive iterations with min(alpha, beta) < STALL_STEP
 
     def finish(stat: str) -> SolveReport:
         """The report at ``pt``, with the errors the loop measured there."""
@@ -274,6 +300,9 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
         errs = dimacs(prob, pt)
         if errs.max() <= config.eps_dimacs:
             status = "optimal"
+            break
+        if short_steps >= STALL_ITERS:
+            status = "stalled"
             break
         if it == config.max_iter:
             break
@@ -331,8 +360,10 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
             break
         _, dX_p, dS_p, rep_p = pred
 
-        alpha_p = step_length(pt.X, dX_p, TAU_FRAC)
-        beta_p = step_length(pt.S, dS_p, TAU_FRAC)
+        x_factors = [nt.x_inv_factor() for nt in scal.blocks]
+        s_factors = [nt.s_inv_factor() for nt in scal.blocks]
+        alpha_p = step_length(x_factors, pt.X, dX_p, TAU_FRAC)
+        beta_p = step_length(s_factors, pt.S, dS_p, TAU_FRAC)
         num = (pt.X + alpha_p * dX_p).dot(pt.S + beta_p * dS_p)
         den = pt.X.dot(pt.S)
         sigma = min(1.0, max(0.0, num / den)) ** SIGMA_POWER
@@ -350,8 +381,8 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
         dy, dX, dS, rep_c = corr
 
         try:
-            alpha = step_with_repair(pt.X, dX, TAU_FRAC, STEP_REPAIR_LIMIT)
-            beta = step_with_repair(pt.S, dS, TAU_FRAC, STEP_REPAIR_LIMIT)
+            alpha = step_with_repair(x_factors, pt.X, dX, TAU_FRAC, STEP_REPAIR_LIMIT)
+            beta = step_with_repair(s_factors, pt.S, dS, TAU_FRAC, STEP_REPAIR_LIMIT)
         except NotPositiveDefinite as exc:
             if errs.max() <= graceful:
                 status = "numerical_limit"
@@ -359,6 +390,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
             raise SolverFailure(f"step repair failed at iteration {it}", finish("factorization_failure")) from exc
 
         pt = PrimalDualPoint(pt.y + beta * dy, pt.X + alpha * dX, pt.S + beta * dS)
+        short_steps = short_steps + 1 if min(alpha, beta) < STALL_STEP else 0
 
         trace.append(
             {

@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import SparseSym, sym
+from .linalg import SparseSym, is_pd, min_eig
 
 
 @dataclass
@@ -344,15 +344,18 @@ def objective_values(prob: SdpProblem, pt: PrimalDualPoint) -> tuple[float, floa
 
 def block_min_eigs(m: BlockSymMatrix) -> list[float]:
     """Smallest eigenvalue of each LMI block."""
-    return [float(np.linalg.eigvalsh(sym(b))[0]) for b in m.blocks]
+    return [min_eig(b) for b in m.blocks]
 
 
-def _min_eig(m: BlockSymMatrix, block_min: list[float] | None = None) -> float:
-    """Smallest eigenvalue over the blocks and the linear part; ``block_min``
-    holds the blocks' own when they are already known."""
+def _cone_violation(m: BlockSymMatrix, block_min: list[float] | None = None) -> float:
+    """max(0, -lambda_min) over the blocks and the linear part.  ``block_min``
+    holds the blocks' smallest eigenvalues when they are already known;
+    without it a block that passes Cholesky counts no violation, and only
+    the blocks that fail are eigen-solved."""
     if block_min is None:
-        block_min = block_min_eigs(m)
-    return min(block_min + ([float(m.lin.min())] if m.lin is not None and m.lin.size else []))
+        block_min = [0.0 if is_pd(b) else min_eig(b) for b in m.blocks]
+    lam = min(block_min + ([float(m.lin.min())] if m.lin is not None and m.lin.size else []))
+    return max(0.0, -lam)
 
 
 def pd_errors(
@@ -375,7 +378,7 @@ def _pd_errors(
     s_eigs: list[float] | None,
 ) -> tuple[float, float, float]:
     err1 = float(np.linalg.norm(prob.b - apply_A(prob, pt.X))) / (1.0 + bnorm)
-    err4 = max(0.0, -_min_eig(pt.S, s_eigs)) / (1.0 + cnorm)
+    err4 = _cone_violation(pt.S, s_eigs) / (1.0 + cnorm)
     err5 = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     return err1, err4, err5
 
@@ -392,7 +395,7 @@ def dimacs(prob: SdpProblem, pt: PrimalDualPoint, s_eigs: list[float] | None = N
     pobj, dobj = objective_values(prob, pt)
     err1, err4, err5 = _pd_errors(prob, pt, bnorm, cnorm, pobj, dobj, s_eigs)
 
-    err2 = max(0.0, -_min_eig(pt.X)) / (1.0 + bnorm)
+    err2 = _cone_violation(pt.X) / (1.0 + bnorm)
 
     ay = apply_A_adjoint(prob, pt.y)
     rd2 = 0.0

@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import precond as pc
-from .linalg import NotPositiveDefinite, chol, chol_inv, is_pd, sym
+from .linalg import NotPositiveDefinite, chol, chol_inv, is_pd, min_eig, sym
 from .model import (
     BlockSymMatrix,
     DimacsErrors,
@@ -329,7 +329,7 @@ def _block_pd(x: BlockSymMatrix, tol: float = 0.0) -> bool:
     for b in x.blocks:
         if tol > 0.0:
             floor = -tol * max(1.0, float(np.abs(b).max()))
-            if float(np.linalg.eigvalsh(sym(b))[0]) < floor:
+            if min_eig(b) < floor:
                 return False
         elif not is_pd(b):
             return False

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from lorank import ip as ip_module
 from lorank.cli import main
 from lorank.model import load_sdpa
 
@@ -118,6 +119,16 @@ class TestSolve:
         rc = main(["solve", str(gen_dir / "tru3.dat-s"), "--maxiter", "2"])
         capsys.readouterr()
         assert rc == 1
+
+    def test_stalled_exit_code(self, gen_dir, tmp_path, capsys, monkeypatch):
+        """A stalled IP run exits 1 like a capped one and keeps its report."""
+        monkeypatch.setattr(ip_module, "step_with_repair", lambda *args: 1e-6)
+        report_path = tmp_path / "r.json"
+        rc = main(["solve", str(gen_dir / "tru3.dat-s"), "--out", str(report_path)])
+        capsys.readouterr()
+        assert rc == 1
+        payload = json.loads(report_path.read_text())
+        assert payload["status"] == "stalled" and payload["iterations"] == 5
 
     @pytest.mark.parametrize("out", [True, False])
     def test_solver_failure_keeps_its_report(self, gen_dir, tmp_path, capsys, out):

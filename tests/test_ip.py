@@ -19,8 +19,9 @@ from lorank.ip import (
     _residuals,
     _rhs,
 )
+from lorank import ip as ip_module
 from lorank import precond
-from lorank.linalg import NotPositiveDefinite, sym, sym_eig
+from lorank.linalg import NotPositiveDefinite, min_eig, min_eig_pencil, sym, sym_eig
 from lorank.model import (
     BlockSymMatrix,
     PrimalDualPoint,
@@ -38,6 +39,7 @@ from conftest import (
     rand_spd,
     rand_sym,
     random_problem,
+    spd_with_spectrum,
 )
 
 TOY = """\
@@ -307,31 +309,88 @@ class TestSecondOrderCorrection:
             second_order_correction(g, g, np.eye(2), np.eye(2), np.array([1.0, -1.0]))
 
 
+def inv_factors(mats: BlockSymMatrix) -> list[np.ndarray]:
+    """F = L^{-1} per block (X = L L'), so F'F = X^{-1}."""
+    return [np.linalg.inv(np.linalg.cholesky(b)) for b in mats.blocks]
+
+
 class TestStepLength:
     def test_zero_direction_full_step(self):
         mats = BlockSymMatrix([np.eye(3)], np.ones(2))
         dirs = BlockSymMatrix([np.zeros((3, 3))], np.zeros(2))
-        assert step_length(mats, dirs, 0.9) == 1.0
+        assert step_length(inv_factors(mats), mats, dirs, 0.9) == 1.0
 
     def test_arithmetic(self):
         mats = BlockSymMatrix([np.eye(2)], None)
         dirs = BlockSymMatrix([-2.0 * np.eye(2)], None)
-        assert step_length(mats, dirs, 0.9) == pytest.approx(0.45)
+        assert step_length(inv_factors(mats), mats, dirs, 0.9) == pytest.approx(0.45)
 
     def test_linear_part(self):
         mats = BlockSymMatrix([np.eye(1)], np.array([1.0, 2.0]))
         dirs = BlockSymMatrix([np.zeros((1, 1))], np.array([-4.0, 1.0]))
-        assert step_length(mats, dirs, 0.9) == pytest.approx(0.9 / 4.0)
+        assert step_length(inv_factors(mats), mats, dirs, 0.9) == pytest.approx(0.9 / 4.0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_result_keeps_interior(self, seed):
         rng = np.random.default_rng(seed)
         mats = BlockSymMatrix([rand_spd(rng, 5)], rng.random(4) + 0.2)
         dirs = BlockSymMatrix([5.0 * rand_sym(rng, 5)], rng.standard_normal(4))
-        alpha = step_with_repair(mats, dirs, 0.9, 10)
+        alpha = step_with_repair(inv_factors(mats), mats, dirs, 0.9, 10)
         stepped = mats + alpha * dirs
         assert np.linalg.eigvalsh(stepped.blocks[0])[0] > 0
         assert stepped.lin.min() > 0
+
+
+class TestFactoredStepLength:
+    """lambda_min(M^{-1} dM) read from the NT factors equals the pencil
+    oracle ``min_eig_pencil``, which factors M itself."""
+
+    @staticmethod
+    def pair(rng, m, cond):
+        spectrum = np.logspace(0.0, np.log10(cond), m)
+        return (
+            spd_with_spectrum(rng, rng.permutation(spectrum)),
+            spd_with_spectrum(rng, rng.permutation(spectrum)),
+        )
+
+    @pytest.mark.parametrize("cond", [10.0, 1e4, 1e8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_pencil_oracle(self, seed, cond):
+        rng = np.random.default_rng(seed)
+        m = 12
+        x, s = self.pair(rng, m, cond)
+        nt = nt_scaling(x, s)
+        for mat, f in ((x, nt.x_inv_factor()), (s, nt.s_inv_factor())):
+            dm = rand_sym(rng, m) * np.linalg.norm(mat, 2)
+            expected = min_eig_pencil(mat, dm)
+            got = min_eig(f @ dm @ f.T)
+            # the pencil's eigenvalues reach |dm| / lambda_min(mat) ~ cond
+            assert got == pytest.approx(expected, rel=1e-9, abs=1e-12 * cond)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_factors_invert_the_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        x, s = self.pair(rng, 10, 1e8)
+        nt = nt_scaling(x, s)
+        assert np.allclose(nt.g_inv @ nt.g, np.eye(10), atol=1e-11)
+        for mat, f in ((x, nt.x_inv_factor()), (s, nt.s_inv_factor())):
+            # F M F' = I up to a few eps * cond(M)
+            assert np.allclose(f @ mat @ f.T, np.eye(10), atol=1e-7)
+
+    def test_step_length_reads_the_factors(self):
+        """step_length and step_with_repair take X's and S's factors from
+        the scaling; their result is the oracle's fraction-to-boundary."""
+        rng = np.random.default_rng(7)
+        x, s = rand_spd(rng, 6), rand_spd(rng, 6)
+        nt = nt_scaling(x, s)
+        dx = -3.0 * rand_spd(rng, 6)
+        ds = rand_sym(rng, 6)
+        for mat, dm, f in ((x, dx, nt.x_inv_factor()), (s, ds, nt.s_inv_factor())):
+            mats, dirs = BlockSymMatrix([mat], None), BlockSymMatrix([dm], None)
+            lam = min_eig_pencil(mat, dm)
+            expected = min(1.0, -0.9 / lam) if lam < 0 else 1.0
+            assert step_length([f], mats, dirs, 0.9) == pytest.approx(expected, rel=1e-10)
+            assert step_with_repair([f], mats, dirs, 0.9, 10) == pytest.approx(expected, rel=1e-10)
 
 
 class TestIpSolve:
@@ -422,6 +481,33 @@ class TestIpSolve:
         failed = info.value.report
         assert failed.status == "cg_failure" and failed.iterations == 0
         assert failed.dimacs == dimacs(prob, initial_point(prob))
+
+    def test_stalled_steps_end_the_run(self, tru3, monkeypatch):
+        """Five steps in a row with min(alpha, beta) < 1e-3 end the run
+        "stalled", with its report at the last iterate."""
+        monkeypatch.setattr(ip_module, "step_with_repair", lambda *args: 1e-6)
+        _, _, prob = tru3
+        pt, rep = ip_solve(prob)
+        assert rep.status == "stalled" and not rep.converged
+        assert rep.iterations == ip_module.STALL_ITERS == 5
+        assert [t["alpha"] for t in rep.trace] == [1e-6] * 5
+        assert rep.dimacs == dimacs(prob, pt)
+
+    def test_one_long_step_resets_the_stall_count(self, tru3, monkeypatch):
+        """Iteration 4 takes its real steps (alpha and beta are the 9th and
+        10th calls); the count starts again after it."""
+        real = ip_module.step_with_repair
+        calls = []
+
+        def short_but_one(*args):
+            calls.append(None)
+            return real(*args) if len(calls) in (9, 10) else 1e-6
+
+        monkeypatch.setattr(ip_module, "step_with_repair", short_but_one)
+        _, _, prob = tru3
+        _, rep = ip_solve(prob)
+        assert min(rep.trace[4]["alpha"], rep.trace[4]["beta"]) >= ip_module.STALL_STEP
+        assert rep.status == "stalled" and rep.iterations == 10
 
     def test_vib3_converges(self, vib3_ip):
         _, rep = vib3_ip

@@ -8,7 +8,9 @@ from lorank.linalg import (
     chol,
     chol_inv,
     chol_solve,
+    min_eig,
     min_eig_pencil,
+    sym,
     sym_eig,
 )
 
@@ -88,6 +90,58 @@ class TestChol:
         assert np.allclose(chol_solve(l, b), np.linalg.solve(a, b), rtol=1e-12)
         rhs = rng.standard_normal((9, 3))
         assert np.allclose(chol_solve(l, rhs), np.linalg.solve(a, rhs), rtol=1e-12)
+
+
+class TestMinEig:
+    """The one-eigenvalue kernel against eigvalsh(sym(a))[0], to about
+    1e-12 |a|."""
+
+    @staticmethod
+    def check(a):
+        expected = np.linalg.eigvalsh(sym(a))[0]
+        assert min_eig(a) == pytest.approx(expected, rel=0.0, abs=1e-12 * np.linalg.norm(a, 2))
+
+    @pytest.mark.parametrize("m", [2, 7, 41, 85])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_symmetric(self, seed, m):
+        self.check(rand_sym(np.random.default_rng(seed), m))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_indefinite(self, seed):
+        rng = np.random.default_rng(seed)
+        a = spd_with_spectrum(rng, np.concatenate([-np.logspace(-3, 2, 5), np.logspace(-1, 3, 8)]))
+        assert min_eig(a) < 0
+        self.check(a)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reads_the_symmetric_part(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((9, 9))
+        self.check(a)
+
+    @pytest.mark.parametrize("v", [-3.5, 0.0, 2.0])
+    def test_one_by_one(self, v):
+        assert min_eig(np.array([[v]])) == v
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wide_spectrum(self, seed):
+        rng = np.random.default_rng(seed)
+        a = spd_with_spectrum(rng, rng.permutation(np.logspace(-10, 6, 30)))
+        self.check(a)
+        self.check(-a)
+
+    def test_does_not_touch_its_input(self):
+        a = rand_sym(np.random.default_rng(0), 5)
+        saved = a.copy()
+        min_eig(a)
+        assert np.array_equal(a, saved)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        a = np.eye(3)
+        a[1, 1] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            min_eig(a)
 
 
 class TestMinEigPencil:

@@ -14,6 +14,7 @@ from lorank.model import (
     apply_A_adjoint,
     build_problem,
     column_norms_sq,
+    data_inf_norms,
     dimacs,
     dual_slack,
     load_sdpa,
@@ -280,6 +281,37 @@ class TestDimacs:
             pt = PrimalDualPoint(y, x, dual_slack(prob, y))
             e = dimacs(prob, pt)
             assert pd_errors(prob, pt) == (e.err1, e.err4, e.err5)
+
+    @staticmethod
+    def cone_point(prob, x_block, s_block):
+        return PrimalDualPoint(
+            np.zeros(prob.n),
+            BlockSymMatrix([x_block], np.ones(prob.nu)),
+            BlockSymMatrix([s_block], np.ones(prob.nu)),
+        )
+
+    def test_cone_errors_on_an_indefinite_block(self, tru3):
+        """err2 and err4 equal the eigvalsh-based measures when a block
+        fails Cholesky."""
+        _, _, prob = tru3
+        bnorm, cnorm = data_inf_norms(prob)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            x = rand_spd(rng, 13) - 30.0 * np.eye(13)
+            s = rand_spd(rng, 13) - 25.0 * np.eye(13)
+            errs = dimacs(prob, self.cone_point(prob, x, s))
+            lx, ls = np.linalg.eigvalsh(x)[0], np.linalg.eigvalsh(s)[0]
+            assert lx < 0 and ls < 0
+            assert errs.err2 == pytest.approx(-lx / (1.0 + bnorm), rel=1e-12)
+            assert errs.err4 == pytest.approx(-ls / (1.0 + cnorm), rel=1e-12)
+
+    def test_cone_errors_are_zero_on_pd_blocks(self, tru3):
+        _, _, prob = tru3
+        rng = np.random.default_rng(6)
+        tiny = np.diag(np.logspace(-14, 0, 13))
+        for x, s in ((rand_spd(rng, 13), rand_spd(rng, 13)), (tiny, tiny)):
+            errs = dimacs(prob, self.cone_point(prob, x, s))
+            assert errs.err2 == 0.0 and errs.err4 == 0.0
 
     def test_all_nonnegative(self, tru3):
         _, _, prob = tru3
