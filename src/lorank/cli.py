@@ -21,9 +21,8 @@ from . import _threads  # noqa: F401
 
 from .ip import IP_KINDS, IpConfig, ip_solve
 from .model import SdpaParseError, load_sdpa, write_sdpa
-from .pcg import CgTolerance
 from .pdal import PDAL_KINDS, PdalConfig, pdal_solve
-from .report import CSV_COLUMNS, DIAG_LIMIT, SolveReport, SolverFailure, _json_default
+from .report import CSV_COLUMNS, DIAG_LIMIT, SolveReport, SolverConfig, SolverFailure, _json_default
 from .truss import (
     TrussSdpSpec,
     assemble_sdp,
@@ -34,11 +33,8 @@ from .truss import (
     verify_solution,
 )
 
-
-# the PdalConfig fields a --pdal-config JSON file may set
-PDAL_CONFIG_KEYS = (
-    "pi_lin_min", "pi_lmi_min", "pi_lin_upd", "pi_lmi_upd", "gamma_lin", "gamma_lmi", "r", "eps",
-)
+# --solver: the config class and the solve function of each driver
+DRIVERS = {"ip": (IpConfig, ip_solve), "pdal": (PdalConfig, pdal_solve)}
 
 
 class ConfigError(ValueError):
@@ -62,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         if args.command == "solve":
-            exc.report.instance, exc.report.seed = args.input.name, args.seed
+            exc.report.instance = args.input.name
             _write_report(args, exc.report, exc.report.to_dict())
         return 3
 
@@ -104,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _solver_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--solver", choices=("ip", "pdal"), default="ip")
+    p.add_argument("--solver", choices=list(DRIVERS), default="ip")
     p.add_argument("--precond", choices=list(dict.fromkeys(IP_KINDS + PDAL_KINDS)), default=None,
                    help=f"ip: {'|'.join(IP_KINDS)} (default hybrid); "
                         f"pdal: {'|'.join(PDAL_KINDS)} (default gamma)")
@@ -117,10 +113,7 @@ def _solver_arguments(p: argparse.ArgumentParser) -> None:
                    help="CG tolerance floor (default: the driver's, 1e-8 ip, 1e-6 pdal)")
     p.add_argument("--maxiter", type=int, default=None,
                    help="outer iteration cap (default: 200 ip, 500 pdal)")
-    p.add_argument("--seed", type=int, default=0, help="recorded in the report; solves are deterministic")
     p.add_argument("--diag", action="store_true", help=f"dense diagnostics for n <= {DIAG_LIMIT}")
-    p.add_argument("--pdal-config", type=Path, default=None,
-                   help=f"JSON file with {', '.join(PDAL_CONFIG_KEYS)} overrides")
 
 
 def cmd_gen(args) -> int:
@@ -154,62 +147,31 @@ def _sidecar_path(input_path: Path) -> Path:
     return input_path.parent / f"{stem}.geom.json"
 
 
-def _cg_tol(args, config_cls) -> CgTolerance:
-    """--cg-tol0, and --cg-floor when given, over the driver's own default."""
-    floor = config_cls().cg_tol.floor if args.cg_floor is None else args.cg_floor
-    return CgTolerance(current=args.cg_tol0, floor=floor)
-
-
-def _pdal_config(args) -> PdalConfig:
-    overrides = {}
-    if args.pdal_config is not None:
-        with open(args.pdal_config) as fh:
-            overrides = json.load(fh)
-        unknown = set(overrides) - set(PDAL_CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown PDAL config keys: {sorted(unknown)}")
-    cfg = PdalConfig(
-        **{key: float(val) for key, val in overrides.items()},
-        eps_dimacs=args.tol,
-        rank=args.rank,
-        precond=args.precond or "gamma",
-        cg_tol=_cg_tol(args, PdalConfig),
-        cg_maxiter=args.cg_maxiter,
-        diag=args.diag,
-    )
-    if args.maxiter is not None:
-        cfg = replace(cfg, max_outer=args.maxiter)
-    return cfg
-
-
-def _config(args) -> IpConfig | PdalConfig:
-    """The solver configuration; the config classes reject invalid values,
-    such as a preconditioner kind of the other driver."""
+def _config(args) -> SolverConfig:
+    """The solver configuration: the flags over the driver's defaults, which
+    stand for --maxiter, --precond and --cg-floor when they are not given.
+    The config classes reject invalid values, such as a preconditioner kind
+    of the other driver."""
+    config_cls = DRIVERS[args.solver][0]
+    given = {"max_iter": args.maxiter, "precond": args.precond}
+    floor = {} if args.cg_floor is None else {"floor": args.cg_floor}
     try:
-        if args.solver == "pdal":
-            return _pdal_config(args)
-        return IpConfig(
+        cfg = config_cls(
             eps_dimacs=args.tol,
-            max_iter=args.maxiter if args.maxiter is not None else 200,
             rank=args.rank,
-            precond=args.precond or "hybrid",
-            cg_tol=_cg_tol(args, IpConfig),
             cg_maxiter=args.cg_maxiter,
             diag=args.diag,
+            **{key: val for key, val in given.items() if val is not None},
         )
+        return replace(cfg, cg_tol=replace(cfg.cg_tol, current=args.cg_tol0, **floor))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _run(args, input_path: Path) -> tuple[SolveReport, "object"]:
     cfg = _config(args)
-    prob = load_sdpa(input_path)
-    if args.solver == "ip":
-        pt, report = ip_solve(prob, cfg)
-    else:
-        pt, report = pdal_solve(prob, cfg)
+    pt, report = DRIVERS[args.solver][1](load_sdpa(input_path), cfg)
     report.instance = input_path.name
-    report.seed = args.seed
     return report, pt
 
 

@@ -12,7 +12,6 @@ form from the scaling identities once dy is known.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +29,7 @@ from .model import (
     dimacs,
 )
 from .pcg import CgTolerance, next_tolerance, pcg_solve
-from .report import DIAG_LIMIT, SolveReport, SolverFailure, make_report
+from .report import DIAG_LIMIT, RunRecord, SolveReport, SolverConfig, SolverFailure
 
 IP_KINDS = ("alpha", "beta", "hybrid", "tilde", "none")
 
@@ -42,21 +41,15 @@ STEP_REPAIR_LIMIT = 10  # step halvings on round-off before giving up
 
 
 @dataclass
-class IpConfig:
-    eps_dimacs: float = 1e-5
+class IpConfig(SolverConfig):
+    SOLVER = "ip"
+    KINDS = IP_KINDS
+
     max_iter: int = 200
-    rank: int | list[int] | str = 1  # outlier count per block, or "auto"
-    precond: str = "hybrid"          # one of IP_KINDS
+    precond: str = "hybrid"
     # floor 1e-8: at 1e-6 the late, ill-conditioned Schur systems leave
     # directions whose outcome on tru9 depends on rounding alone
     cg_tol: CgTolerance = field(default_factory=lambda: CgTolerance(floor=1e-8))
-    cg_maxiter: int = 100000
-    diag: bool = False
-
-    def __post_init__(self):
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be >= 0")
-        pc.check_kind("ip", self.precond, IP_KINDS)
 
 
 @dataclass
@@ -177,7 +170,7 @@ def step_length(
         lam = min_eig(f @ dm @ f.T)
         if lam < 0:
             candidates.append(-tau_frac / lam)
-    if mats.lin is not None and mats.lin.size:
+    if mats.lin.size:
         ratio = float((dirs.lin / mats.lin).min())
         if ratio < 0:
             candidates.append(-tau_frac / ratio)
@@ -190,7 +183,7 @@ def _is_interior(mats: BlockSymMatrix) -> bool:
             chol(b)
     except NotPositiveDefinite:
         return False
-    if mats.lin is not None and mats.lin.size and mats.lin.min() <= 0:
+    if mats.lin.size and mats.lin.min() <= 0:
         return False
     return True
 
@@ -278,22 +271,13 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
     a row with min(alpha, beta) < ``STALL_STEP``) or the iteration cap is
     hit."""
     config = config or IpConfig()
-    t0 = time.perf_counter()
+    run = RunRecord(prob, config)
     pt = initial_point(prob)
     ranks = pc.block_ranks(config.rank, prob.block_dims)
     cg_tol = config.cg_tol
     hybrid_on_alpha = False
-    trace: list[dict] = []
-    diagnostics: list[dict] = []
     status = "max_iterations"
-    cg_total = 0
     short_steps = 0  # consecutive iterations with min(alpha, beta) < STALL_STEP
-
-    def finish(stat: str) -> SolveReport:
-        """The report at ``pt``, with the errors the loop measured there."""
-        return make_report(
-            "ip", prob, pt, stat, errs, trace, cg_total, t0, config.precond, diagnostics
-        )
 
     # one pass more than max_iter: the last only measures the final iterate
     for it in range(config.max_iter + 1):
@@ -321,7 +305,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
         if config.diag and prob.n <= DIAG_LIMIT:
             rec = _dense_diagnostics(prob, scal, splits, lin_diag)
             rec["iteration"] = it
-            diagnostics.append(rec)
+            run.diagnostics.append(rec)
 
         rp, rd = _residuals(prob, pt)
         graceful = max(1e-5, config.eps_dimacs)
@@ -334,7 +318,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
             keeps only converged directions: there a stagnated solve marks
             the float64 floor, and its step can undo the accuracy already
             reached."""
-            nonlocal cg_total, status
+            nonlocal status
             dy, rep = pcg_solve(
                 lambda v: schur_matvec(prob, scal, v),
                 prec_apply,
@@ -342,7 +326,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
                 tol=cg_tol.current,
                 maxiter=config.cg_maxiter,
             )
-            cg_total += rep.iterations
+            run.cg_total += rep.iterations
             if not rep.converged:
                 if errs.max() <= graceful:
                     status = "numerical_limit"
@@ -351,7 +335,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
                     raise SolverFailure(
                         f"{what} CG failed at iteration {it} "
                         f"(breakdown={rep.breakdown}, relres={rep.relres:.2e})",
-                        finish("cg_failure"),
+                        run.report("cg_failure", pt, errs),
                     )
             return (dy, *recover_directions(prob, scal, dy, rd, target), rep)
 
@@ -387,27 +371,26 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
             if errs.max() <= graceful:
                 status = "numerical_limit"
                 break
-            raise SolverFailure(f"step repair failed at iteration {it}", finish("factorization_failure")) from exc
+            raise SolverFailure(
+                f"step repair failed at iteration {it}", run.report("factorization_failure", pt, errs)
+            ) from exc
 
         pt = PrimalDualPoint(pt.y + beta * dy, pt.X + alpha * dX, pt.S + beta * dS)
         short_steps = short_steps + 1 if min(alpha, beta) < STALL_STEP else 0
 
-        trace.append(
-            {
-                "iteration": it,
-                "mu": mu,
-                "sigma": sigma,
-                "alpha": alpha,
-                "beta": beta,
-                "cg_pred": rep_p.iterations,
-                "cg_corr": rep_c.iterations,
-                "cg": rep_p.iterations + rep_c.iterations,
-                "cg_stagnated": rep_p.stagnated or rep_c.stagnated,
-                "cg_tol": cg_tol.current,
-                "precond": prec.kind if prec is not None else "none",
-                "dimacs_max": errs.max(),
-                "time": time.perf_counter() - t0,
-            }
+        run.record(
+            it,
+            cg=rep_p.iterations + rep_c.iterations,
+            precond=prec.kind if prec is not None else "none",
+            cg_tol=cg_tol.current,
+            dimacs_max=errs.max(),
+            mu=mu,
+            sigma=sigma,
+            alpha=alpha,
+            beta=beta,
+            cg_pred=rep_p.iterations,
+            cg_corr=rep_c.iterations,
+            cg_stagnated=rep_p.stagnated or rep_c.stagnated,
         )
         cg_tol = next_tolerance(cg_tol)
         if config.precond == "hybrid" and not hybrid_on_alpha:
@@ -415,4 +398,4 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
             if pc.hybrid_should_switch(prob.n, prob.p, k_hint, it + 1, rep_c.iterations):
                 hybrid_on_alpha = True
 
-    return pt, finish(status)
+    return pt, run.report(status, pt, errs)

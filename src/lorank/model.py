@@ -36,50 +36,29 @@ from .linalg import SparseSym, is_pd, min_eig
 @dataclass
 class BlockSymMatrix:
     """Block-diagonal symmetric matrix: dense LMI blocks plus a diagonal
-    linear block stored as a vector (may be None when no linear part)."""
+    linear block stored as a vector (empty when there is no linear part)."""
 
     blocks: list[np.ndarray]
-    lin: np.ndarray | None = None
+    lin: np.ndarray
 
     def copy(self) -> "BlockSymMatrix":
-        return BlockSymMatrix(
-            [b.copy() for b in self.blocks],
-            None if self.lin is None else self.lin.copy(),
-        )
-
-    def _lin_op(self, other: "BlockSymMatrix", op) -> np.ndarray | None:
-        if self.lin is None and other.lin is None:
-            return None
-        a = self.lin if self.lin is not None else 0.0
-        b = other.lin if other.lin is not None else 0.0
-        return op(a, b)
+        return BlockSymMatrix([b.copy() for b in self.blocks], self.lin.copy())
 
     def __add__(self, other: "BlockSymMatrix") -> "BlockSymMatrix":
-        return BlockSymMatrix(
-            [a + b for a, b in zip(self.blocks, other.blocks)],
-            self._lin_op(other, lambda a, b: a + b),
-        )
+        return BlockSymMatrix([a + b for a, b in zip(self.blocks, other.blocks)], self.lin + other.lin)
 
     def __sub__(self, other: "BlockSymMatrix") -> "BlockSymMatrix":
-        return BlockSymMatrix(
-            [a - b for a, b in zip(self.blocks, other.blocks)],
-            self._lin_op(other, lambda a, b: a - b),
-        )
+        return BlockSymMatrix([a - b for a, b in zip(self.blocks, other.blocks)], self.lin - other.lin)
 
     def __mul__(self, alpha: float) -> "BlockSymMatrix":
-        return BlockSymMatrix(
-            [alpha * b for b in self.blocks],
-            None if self.lin is None else alpha * self.lin,
-        )
+        return BlockSymMatrix([alpha * b for b in self.blocks], alpha * self.lin)
 
     __rmul__ = __mul__
 
     def dot(self, other: "BlockSymMatrix") -> float:
         """Frobenius inner product across all blocks including the linear one."""
         s = sum(float(np.vdot(a, b)) for a, b in zip(self.blocks, other.blocks))
-        if self.lin is not None and other.lin is not None:
-            s += float(self.lin @ other.lin)
-        return s
+        return s + float(self.lin @ other.lin)
 
     def norm(self) -> float:
         return float(np.sqrt(self.dot(self)))
@@ -313,8 +292,7 @@ def apply_A(prob: SdpProblem, m: BlockSymMatrix) -> np.ndarray:
 
     One sparse product.  Each A_j is symmetric, so a block enters through
     its symmetric part."""
-    lin = m.lin if m.lin is not None else np.zeros(prob.nu)
-    return prob.ops.stacked_t @ np.concatenate([b.ravel() for b in m.blocks] + [lin])
+    return prob.ops.stacked_t @ np.concatenate([b.ravel() for b in m.blocks] + [m.lin])
 
 
 def dual_slack(prob: SdpProblem, y: np.ndarray) -> BlockSymMatrix:
@@ -336,9 +314,7 @@ def data_inf_norms(prob: SdpProblem) -> tuple[float, float]:
 
 def objective_values(prob: SdpProblem, pt: PrimalDualPoint) -> tuple[float, float]:
     """(primal C.X + d'x_lin, dual b'y)."""
-    pobj = sum(c.dot(x) for c, x in zip(prob.C, pt.X.blocks))
-    if pt.X.lin is not None:
-        pobj += float(prob.d @ pt.X.lin)
+    pobj = sum(c.dot(x) for c, x in zip(prob.C, pt.X.blocks)) + float(prob.d @ pt.X.lin)
     return float(pobj), float(prob.b @ pt.y)
 
 
@@ -354,7 +330,7 @@ def _cone_violation(m: BlockSymMatrix, block_min: list[float] | None = None) -> 
     the blocks that fail are eigen-solved."""
     if block_min is None:
         block_min = [0.0 if is_pd(b) else min_eig(b) for b in m.blocks]
-    lam = min(block_min + ([float(m.lin.min())] if m.lin is not None and m.lin.size else []))
+    lam = min(block_min + ([float(m.lin.min())] if m.lin.size else []))
     return max(0.0, -lam)
 
 
@@ -401,8 +377,7 @@ def dimacs(prob: SdpProblem, pt: PrimalDualPoint, s_eigs: list[float] | None = N
     rd2 = 0.0
     for i in range(prob.p):
         rd2 += float(np.sum((prob.c_dense(i) - pt.S.blocks[i] - ay.blocks[i]) ** 2))
-    if pt.S.lin is not None:
-        rd2 += float(np.sum((prob.d - ay.lin - pt.S.lin) ** 2))
+    rd2 += float(np.sum((prob.d - ay.lin - pt.S.lin) ** 2))
     err3 = float(np.sqrt(rd2)) / (1.0 + cnorm)
 
     err6 = abs(pt.X.dot(pt.S)) / (1.0 + abs(pobj) + abs(dobj))

@@ -42,16 +42,15 @@ class PcgReport:
 @dataclass(frozen=True)
 class CgTolerance:
     """Adaptive CG tolerance: start at 0.01, halve after every major
-    iteration of the outer algorithm, down to the floor (1e-6 here; the
-    interior-point driver's default is 1e-8)."""
+    iteration of the outer algorithm (``next_tolerance``), down to the floor
+    (1e-6 here; the interior-point driver's default is 1e-8)."""
 
     current: float = 0.01
     floor: float = 1e-6
-    decay: float = 0.5
 
 
 def next_tolerance(state: CgTolerance) -> CgTolerance:
-    return replace(state, current=max(state.floor, state.current * state.decay))
+    return replace(state, current=max(state.floor, state.current * 0.5))
 
 
 def identity_prec(v: np.ndarray) -> np.ndarray:
@@ -62,11 +61,11 @@ def pcg_solve(
     op: LinOp,
     precond_inv: LinOp | None,
     rhs: np.ndarray,
-    x0: np.ndarray | None = None,
     tol: float = 1e-6,
     maxiter: int = 100000,
 ) -> tuple[np.ndarray, PcgReport]:
-    """Solve op(x) = rhs to relative residual ||op(x) - rhs|| / ||rhs|| <= tol.
+    """Solve op(x) = rhs from x = 0 to relative residual
+    ||op(x) - rhs|| / ||rhs|| <= tol.
 
     Returns the iterate together with a report; a nonpositive curvature
     p'Ap <= 0 sets the breakdown flag (indefinite operator: preconditioner
@@ -78,13 +77,12 @@ def pcg_solve(
     if precond_inv is None:
         precond_inv = identity_prec
     rhs = np.asarray(rhs, dtype=float)
+    x = np.zeros_like(rhs)
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
-        x = np.zeros_like(rhs)
         return x, PcgReport(0, 0.0, True)
 
-    x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=float)
-    r = rhs - op(x) if x.any() else rhs.copy()
+    r = rhs.copy()
     relres = float(np.linalg.norm(r)) / bnorm
     if relres <= tol:
         return x, PcgReport(0, relres, True)

@@ -26,7 +26,6 @@ each iterate is measured once, and the report carries that measurement.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -48,11 +47,20 @@ from .model import (
     pd_errors,
 )
 from .pcg import CgTolerance, next_tolerance, pcg_solve
-from .report import DIAG_LIMIT, SolveReport, SolverFailure, make_report
+from .report import DIAG_LIMIT, RunRecord, SolveReport, SolverConfig, SolverFailure
 
 PDAL_KINDS = ("gamma", "delta", "beta", "none")
 
+# One parameter set for the tru and the vib instances: the ``tru`` column of
+# the paper's parameter table, with the proximal weight ``PdalConfig.r``
+# lowered from 0.01 to 1e-3.
 QLOG_TAU = 0.5          # box-penalty extrapolation point
+PI_LIN_MIN = 1e-9       # penalty floors, box rows and LMI blocks
+PI_LMI_MIN = 1e-5
+PI_LIN_UPD = 0.5        # penalty decrease factors per outer iteration
+PI_LMI_UPD = 0.5
+GAMMA_LIN = 0.5         # multiplier damping: the inner solve's share
+GAMMA_LMI = 0.5
 INNER_EPS0 = 1e-2       # inner merit target eps_k = max(MIN, EPS0 * DECAY**k)
 INNER_EPS_DECAY = 0.3
 INNER_EPS_MIN = 1e-14
@@ -110,38 +118,16 @@ def multiplier_update_lmi(z: np.ndarray, x: np.ndarray, pi: float) -> np.ndarray
 
 
 @dataclass
-class PdalConfig:
-    """Algorithmic parameters, one set for the tru and the vib instances:
-    the ``tru`` column of the paper's parameter table with the proximal
-    weight r lowered from 0.01 to 1e-3."""
+class PdalConfig(SolverConfig):
+    SOLVER = "pdal"
+    KINDS = PDAL_KINDS
 
-    pi_lin_min: float = 1e-9
-    pi_lmi_min: float = 1e-5
-    pi_lin_upd: float = 0.5
-    pi_lmi_upd: float = 0.5
-    gamma_lin: float = 0.5
-    gamma_lmi: float = 0.5
+    max_iter: int = 500
+    precond: str = "gamma"
+    cg_tol: CgTolerance = field(default_factory=CgTolerance)
     r: float = 1e-3                # proximal weight; also the floor of the inner Hessian
     eps: float = 1e-6              # outer primal-dual error target
-    eps_dimacs: float = 1e-5
-    rank: int | list[int] | str = 1  # outlier count per block, or "auto"
-    precond: str = "gamma"         # one of PDAL_KINDS
-    cg_tol: CgTolerance = field(default_factory=CgTolerance)
-    cg_maxiter: int = 100000
-    max_outer: int = 500
     max_inner: int = 100
-    diag: bool = False
-
-    def __post_init__(self):
-        if not (0.0 < self.pi_lin_upd < 1.0 and 0.0 < self.pi_lmi_upd < 1.0):
-            raise ValueError("penalty decrease factors must lie in (0, 1)")
-        if not (0.0 <= self.gamma_lin <= 1.0 and 0.0 <= self.gamma_lmi <= 1.0):
-            raise ValueError("multiplier damping factors must lie in [0, 1]")
-        if self.pi_lin_min <= 0 or self.pi_lmi_min <= 0:
-            raise ValueError("penalty floors must be positive")
-        if self.max_outer < 0:
-            raise ValueError("max_outer must be >= 0")
-        pc.check_kind("pdal", self.precond, PDAL_KINDS)
 
 
 def pdal_config_profile(profile: str, **overrides) -> PdalConfig:
@@ -333,7 +319,7 @@ def _block_pd(x: BlockSymMatrix, tol: float = 0.0) -> bool:
                 return False
         elif not is_pd(b):
             return False
-    if x.lin is not None and x.lin.size:
+    if x.lin.size:
         floor = -tol * max(1.0, float(np.abs(x.lin).max())) if tol > 0.0 else 0.0
         if x.lin.min() < floor:
             return False
@@ -492,13 +478,11 @@ def _dense_hessian_record(ctx: OuterCtx, ev: PointEval, outer: int, inner: int) 
     }
 
 
-def penalty_update(
-    pi_lin: float, pi_lmi: float, cfg: PdalConfig, lam_max_lmi: float
-) -> tuple[float, float]:
+def penalty_update(pi_lin: float, pi_lmi: float, lam_max_lmi: float) -> tuple[float, float]:
     """Penalty decrease down to the floors; the LMI penalty also stays above
     the largest constraint eigenvalue, where its resolvent exists."""
-    new_lin = max(cfg.pi_lin_min, cfg.pi_lin_upd * pi_lin)
-    new_lmi = max(cfg.pi_lmi_min, cfg.pi_lmi_upd * pi_lmi, 1.01 * lam_max_lmi)
+    new_lin = max(PI_LIN_MIN, PI_LIN_UPD * pi_lin)
+    new_lmi = max(PI_LMI_MIN, PI_LMI_UPD * pi_lmi, 1.01 * lam_max_lmi)
     return new_lin, new_lmi
 
 
@@ -506,7 +490,7 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
     """Outer loop: inner primal-dual solve, damped multiplier update, penalty
     decrease, until the primal-dual error or the DIMACS measures converge."""
     cfg = config or PdalConfig()
-    t0 = time.perf_counter()
+    run = RunRecord(prob, cfg)
     n = prob.n
     ranks = pc.block_ranks(cfg.rank, prob.block_dims)
 
@@ -518,26 +502,17 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
     pi_lin = 1.0
 
     cg_tol = cfg.cg_tol
-    cg_total = 0
-    trace: list[dict] = []
-    diagnostics: list[dict] = [] if cfg.diag else None
     status = "max_iterations"
 
-    def finish(stat: str) -> SolveReport:
-        """The report at ``pt``, with the errors the loop measured there."""
-        return make_report(
-            "pdal", prob, pt, stat, errs, trace, cg_total, t0, cfg.precond, diagnostics
-        )
-
-    # one pass more than max_outer: the last only measures the final iterate
-    for k in range(cfg.max_outer + 1):
+    # one pass more than max_iter: the last only measures the final iterate
+    for k in range(cfg.max_iter + 1):
         pt = PrimalDualPoint(y, x, s)
         errs = dimacs(prob, pt, s_eigs)
         e_outer = _pd_error_of(errs)
         if e_outer < cfg.eps or errs.max() <= cfg.eps_dimacs:
             status = "optimal"
             break
-        if k == cfg.max_outer:
+        if k == cfg.max_iter:
             break
 
         ctx = OuterCtx(
@@ -553,48 +528,44 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
         try:
             res = inner_solve(
                 ctx, y, x, eps_k, cfg, cg_tol.current, ranks, e_outer,
-                diagnostics, k,
+                run.diagnostics if cfg.diag else None, k,
             )
         except InnerCgFailure as exc:
-            report = finish("cg_failure")
-            raise SolverFailure(str(exc), report) from exc
-        cg_total += res.cg_iterations
+            raise SolverFailure(str(exc), run.report("cg_failure", pt, errs)) from exc
+        run.cg_total += res.cg_iterations
 
         ev = res.ev
         y, s, s_eigs = ev.y, ev.slack(), ev.slack_min_eigs
         x_new_blocks = []
         for i in range(prob.p):
-            cand = (1.0 - cfg.gamma_lmi) * x.blocks[i] + cfg.gamma_lmi * res.x.blocks[i]
+            cand = (1.0 - GAMMA_LMI) * x.blocks[i] + GAMMA_LMI * res.x.blocks[i]
             if not is_pd(cand):
                 # blend with the always-positive closed-form update instead
-                cand = (1.0 - cfg.gamma_lmi) * x.blocks[i] + cfg.gamma_lmi * ev.xbar_blocks[i]
+                cand = (1.0 - GAMMA_LMI) * x.blocks[i] + GAMMA_LMI * ev.xbar_blocks[i]
             x_new_blocks.append(sym(cand))
-        x_lin_new = (1.0 - cfg.gamma_lin) * x.lin + cfg.gamma_lin * res.x.lin
+        x_lin_new = (1.0 - GAMMA_LIN) * x.lin + GAMMA_LIN * res.x.lin
         bad = x_lin_new <= 0
-        x_lin_new[bad] = (1.0 - cfg.gamma_lin) * x.lin[bad] + cfg.gamma_lin * ev.xbar_lin[bad]
+        x_lin_new[bad] = (1.0 - GAMMA_LIN) * x.lin[bad] + GAMMA_LIN * ev.xbar_lin[bad]
         x = BlockSymMatrix(x_new_blocks, x_lin_new)
 
         # lambda_max(A0(y) - C) = -lambda_min of the slack
-        pi_lin, pi_lmi = penalty_update(pi_lin, pi_lmi, cfg, -min(s_eigs))
+        pi_lin, pi_lmi = penalty_update(pi_lin, pi_lmi, -min(s_eigs))
 
-        trace.append(
-            {
-                "iteration": k,
-                "inner_iterations": res.iterations,
-                "cg": res.cg_iterations,
-                "merit": res.merit,
-                "early_stop": res.early_stop,
-                "inner_converged": res.converged,
-                "line_search_failures": res.line_search_failures,
-                "precond": "+".join(res.precond_kinds),
-                "pd_error": e_outer,
-                "pi_lin": pi_lin,
-                "pi_lmi": pi_lmi,
-                "cg_tol": cg_tol.current,
-                "dimacs_max": errs.max(),
-                "time": time.perf_counter() - t0,
-            }
+        run.record(
+            k,
+            cg=res.cg_iterations,
+            precond="+".join(res.precond_kinds),
+            cg_tol=cg_tol.current,
+            dimacs_max=errs.max(),
+            inner_iterations=res.iterations,
+            merit=res.merit,
+            early_stop=res.early_stop,
+            inner_converged=res.converged,
+            line_search_failures=res.line_search_failures,
+            pd_error=e_outer,
+            pi_lin=pi_lin,
+            pi_lmi=pi_lmi,
         )
         cg_tol = next_tolerance(cg_tol)
 
-    return pt, finish(status)
+    return pt, run.report(status, pt, errs)

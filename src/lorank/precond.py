@@ -116,12 +116,6 @@ def block_ranks(rank: int | Sequence[int] | str, dims: Sequence[int]) -> list[in
     return [min(max(0, k), m - 1) for k, m in zip(ranks, dims)]
 
 
-def check_kind(solver: str, kind: str, kinds: Sequence[str]) -> None:
-    """Reject a preconditioner kind that ``solver`` does not accept."""
-    if kind not in kinds:
-        raise ValueError(f"{solver} preconditioner must be one of {'|'.join(kinds)}, got {kind!r}")
-
-
 def spectral_split(w: np.ndarray, k: int | str, tau: float | None = None) -> SplitBlock:
     """Split a positive definite scaling matrix into cluster + rank-k part.
 
@@ -299,12 +293,9 @@ def _smw(
     return prec
 
 
-def alpha_base(splits: Sequence[SplitBlock], lin_diag: np.ndarray | None, n: int) -> np.ndarray:
+def alpha_base(splits: Sequence[SplitBlock], lin_diag: np.ndarray, n: int) -> np.ndarray:
     """Base diagonal of alpha (and of ip's beta): sum_i tau_i^2 + linear term."""
-    a_diag = np.full(n, sum(s.tau**2 for s in splits))
-    if lin_diag is not None:
-        a_diag = a_diag + lin_diag
-    return a_diag
+    return np.full(n, sum(s.tau**2 for s in splits)) + lin_diag
 
 
 def _lagrangian_base(
@@ -340,9 +331,7 @@ def _outlier_recipe(prob: SdpProblem, splits: Sequence[SplitBlock], what: str) -
     ]
 
 
-def build_h_alpha(
-    prob: SdpProblem, splits: Sequence[SplitBlock], lin_diag: np.ndarray | None
-) -> SmwPreconditioner:
+def build_h_alpha(prob: SdpProblem, splits: Sequence[SplitBlock], lin_diag: np.ndarray) -> SmwPreconditioner:
     """Diagonal-plus-low-rank preconditioner from the scaling splits.
 
     Base: sum_i tau_i^2 I + diag(linear term).  Low-rank part: per block
@@ -363,7 +352,7 @@ def build_h_beta(a_diag: np.ndarray) -> SmwPreconditioner:
 def build_h_tilde(
     prob: SdpProblem,
     splits: Sequence[SplitBlock],
-    lin_diag: np.ndarray | None,
+    lin_diag: np.ndarray,
     dense_limit: int = 4000,
 ) -> SmwPreconditioner:
     """Variant with base sum tau_i^2 A_i'A_i + diag(linear term).
@@ -383,8 +372,7 @@ def build_h_tilde(
     base = np.zeros((n, n))
     for a_t, a_op, s in zip(prob.ops.a_t, prob.A, splits):
         base += s.tau**2 * (a_t @ a_op).toarray()
-    if lin_diag is not None:
-        base[np.diag_indices(n)] += lin_diag
+    base[np.diag_indices(n)] += lin_diag
     try:
         base_l = chol(base, "tilde base")
     except NotPositiveDefinite as exc:

@@ -1,14 +1,17 @@
-"""Solve reports: per-iteration traces, spectra summaries, JSON/CSV output."""
+"""The scaffold both drivers share: the settings they both read, the run
+record each solve keeps, and its report (per-iteration trace, spectra
+summary, JSON/CSV output)."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .model import DimacsErrors, PrimalDualPoint, SdpProblem, objective_values
+from .pcg import CgTolerance
 
 # Largest n for which a solve with ``diag`` forms the dense n x n Newton
 # matrix of each iteration for its diagnostics.
@@ -50,6 +53,32 @@ def spectrum_summary(blocks: Sequence[np.ndarray]) -> list[dict]:
 
 
 @dataclass
+class SolverConfig:
+    """The settings both drivers read.  ``IpConfig`` and ``PdalConfig`` set
+    their solver name and preconditioner kinds, and the defaults that
+    differ: the iteration cap, the preconditioner and the CG tolerance."""
+
+    SOLVER: ClassVar[str]
+    KINDS: ClassVar[tuple[str, ...]]
+
+    max_iter: int                    # outer-iteration cap
+    precond: str                     # one of KINDS
+    cg_tol: CgTolerance
+    eps_dimacs: float = 1e-5
+    rank: int | list[int] | str = 1  # outlier count per block, or "auto"
+    cg_maxiter: int = 100000
+    diag: bool = False               # dense diagnostics for n <= DIAG_LIMIT
+
+    def __post_init__(self):
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
+        if self.precond not in self.KINDS:
+            raise ValueError(
+                f"{self.SOLVER} preconditioner must be one of {'|'.join(self.KINDS)}, got {self.precond!r}"
+            )
+
+
+@dataclass
 class SolveReport:
     solver: str
     status: str
@@ -64,7 +93,6 @@ class SolveReport:
     spectra: list[dict] = field(default_factory=list)
     diagnostics: list[dict] = field(default_factory=list)
     instance: str = ""
-    seed: int | None = None
     schema: int = 1
 
     @property
@@ -91,7 +119,6 @@ class SolveReport:
             "sdpa_objective": -self.dual_objective,
             "dimacs": self.dimacs.as_dict() if self.dimacs else None,
             "dimacs_max": self.dimacs_max() if self.dimacs else None,
-            "seed": self.seed,
             "spectra": self.spectra,
             "trace": self.trace,
             "diagnostics": self.diagnostics,
@@ -125,35 +152,44 @@ class SolverFailure(RuntimeError):
         self.report = report
 
 
-def make_report(
-    solver: str,
-    prob: SdpProblem,
-    pt: PrimalDualPoint,
-    status: str,
-    errs: DimacsErrors,
-    trace: list[dict],
-    cg_total: int,
-    t0: float,
-    precond: str,
-    diagnostics: list[dict] | None,
-) -> SolveReport:
-    """The report of a finished solve at ``pt``; ``errs`` are its final
-    DIMACS errors and ``t0`` the ``perf_counter`` value at its start."""
-    pobj, dobj = objective_values(prob, pt)
-    return SolveReport(
-        solver=solver,
-        status=status,
-        iterations=len(trace),
-        cg_total=cg_total,
-        wall_time=time.perf_counter() - t0,
-        primal_objective=pobj,
-        dual_objective=dobj,
-        dimacs=errs,
-        precond=precond,
-        trace=trace,
-        spectra=spectrum_summary(pt.X.blocks),
-        diagnostics=diagnostics or [],
-    )
+class RunRecord:
+    """The bookkeeping of one solve: its start time, its trace rows, its
+    dense diagnostics and its CG total, and from them the report of the
+    point where it ended, final or partial."""
+
+    def __init__(self, prob: SdpProblem, config: SolverConfig):
+        self.prob, self.config = prob, config
+        self.t0 = time.perf_counter()
+        self.trace: list[dict] = []
+        self.diagnostics: list[dict] = []
+        self.cg_total = 0
+
+    def record(self, iteration: int, *, cg: int, precond: str, cg_tol: float, dimacs_max: float, **fields):
+        """One trace row: the keys every driver writes, the driver's own
+        ``fields``, and ``time``, the seconds since the start."""
+        self.trace.append({
+            "iteration": iteration, "cg": cg, "precond": precond, "cg_tol": cg_tol, "dimacs_max": dimacs_max,
+            **fields, "time": time.perf_counter() - self.t0,
+        })
+
+    def report(self, status: str, pt: PrimalDualPoint, errs: DimacsErrors) -> SolveReport:
+        """The report of the solve at ``pt``; ``errs`` are the DIMACS errors
+        the driver measured there."""
+        pobj, dobj = objective_values(self.prob, pt)
+        return SolveReport(
+            solver=self.config.SOLVER,
+            status=status,
+            iterations=len(self.trace),
+            cg_total=self.cg_total,
+            wall_time=time.perf_counter() - self.t0,
+            primal_objective=pobj,
+            dual_objective=dobj,
+            dimacs=errs,
+            precond=self.config.precond,
+            trace=self.trace,
+            spectra=spectrum_summary(pt.X.blocks),
+            diagnostics=self.diagnostics,
+        )
 
 
 def _json_default(obj):

@@ -40,7 +40,7 @@ def test_builds_do_not_nest(tracing, tru3):
     tracer = tracing.Tracer()
     with tracer.patched():
         ip_solve(prob, IpConfig(precond="tilde", max_iter=3))
-        pdal_solve(prob, PdalConfig(precond="delta", max_outer=3))
+        pdal_solve(prob, PdalConfig(precond="delta", max_iter=3))
     spans = tracer.spans
     builds = [rec for rec in spans if rec[0] == "precond.build_h"]
     assert builds
@@ -65,7 +65,7 @@ def test_pdal_evaluates_points_only_in_inner_solve(tracing, vib5):
     _, _, prob = vib5
     tracer = tracing.Tracer()
     with tracer.patched():
-        pdal_solve(prob, pdal_config_profile("tru", r=0.01, max_outer=55))
+        pdal_solve(prob, pdal_config_profile("tru", r=0.01, max_iter=55))
     spans = tracer.spans
     evals = [rec for rec in spans if rec[0] == "pdal.evaluate_point"]
     assert evals
@@ -123,8 +123,8 @@ def test_low_rank_factor_once_per_piece_inside_its_build(tracing, vib3):
     runs = [
         (ip_solve, IpConfig(precond="alpha", max_iter=3), prob.p),
         (ip_solve, IpConfig(precond="tilde", max_iter=3), prob.p),
-        (pdal_solve, PdalConfig(precond="gamma", max_outer=3), prob.p),
-        (pdal_solve, PdalConfig(precond="delta", max_outer=3), 2 * prob.p),
+        (pdal_solve, PdalConfig(precond="gamma", max_iter=3), prob.p),
+        (pdal_solve, PdalConfig(precond="delta", max_iter=3), 2 * prob.p),
     ]
     for solve, cfg, per_build in runs:
         tracer = tracing.Tracer()

@@ -1,10 +1,13 @@
+import argparse
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from lorank import ip as ip_module
-from lorank.cli import main
+from lorank.cli import build_parser, main
 from lorank.model import load_sdpa
 
 TOY = """\
@@ -145,7 +148,7 @@ class TestSolve:
         assert payload["instance"] == "tru3.dat-s"
 
     def test_cg_floor_defaults_to_the_drivers(self, gen_dir, tmp_path):
-        from lorank.cli import _config, build_parser
+        from lorank.cli import _config
 
         path = str(gen_dir / "tru3.dat-s")
         parse = build_parser().parse_args
@@ -165,15 +168,6 @@ class TestSolve:
         capsys.readouterr()
         assert rc == 2
 
-    def test_pdal_config_file(self, gen_dir, tmp_path, capsys):
-        cfg = tmp_path / "pdal.json"
-        cfg.write_text(json.dumps({"r": 0.02, "eps": 1e-6, "gamma_lmi": 0.5}))
-        rc = main(
-            ["solve", str(gen_dir / "tru3.dat-s"), "--solver", "pdal", "--pdal-config", str(cfg)]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert rc == 0 and payload["status"] == "optimal"
-
     @pytest.mark.parametrize(
         "solver, kind, kinds",
         [("pdal", "alpha", "gamma|delta|beta|none"), ("ip", "gamma", "alpha|beta|hybrid|tilde|none")],
@@ -183,15 +177,6 @@ class TestSolve:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.count("\n") == 1 and kinds in err and "Traceback" not in err
-
-    def test_pdal_config_rejects_unknown_keys(self, gen_dir, tmp_path, capsys):
-        cfg = tmp_path / "pdal.json"
-        cfg.write_text(json.dumps({"bogus": 1.0}))
-        rc = main(
-            ["solve", str(gen_dir / "tru3.dat-s"), "--solver", "pdal", "--pdal-config", str(cfg)]
-        )
-        capsys.readouterr()
-        assert rc == 2
 
 
 class TestBench:
@@ -237,12 +222,12 @@ class TestBench:
         assert not out.exists()
 
     def test_determinism(self, gen_dir, tmp_path, capsys):
-        """Identical config and seed give bitwise-identical numeric fields."""
+        """Identical config and input give bitwise-identical numeric fields."""
         rows = []
         for name in ("a.csv", "b.csv"):
             out = tmp_path / name
             rc = main(
-                ["bench", str(gen_dir / "tru3.dat-s"), "--seed", "7", "--csv", str(out)]
+                ["bench", str(gen_dir / "tru3.dat-s"), "--csv", str(out)]
             )
             capsys.readouterr()
             assert rc == 0
@@ -250,3 +235,22 @@ class TestBench:
             # drop the wall-clock columns, everything else must match exactly
             rows.append([c for i, c in enumerate(table[1]) if i not in (6, 7)])
         assert rows[0] == rows[1]
+
+
+class TestDocs:
+    def test_readme_command_line_matches_the_parser(self):
+        """Every flag that gen, solve and bench accept is written in README's
+        "Command line" section, and every flag written there is accepted."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        written = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        accepted = {
+            flag
+            for command in ("gen", "solve", "bench")
+            for action in sub.choices[command]._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+        assert sorted(accepted - written) == []
+        assert sorted(written - accepted) == []

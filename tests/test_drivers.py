@@ -1,0 +1,71 @@
+"""Behaviour both drivers share through the scaffold in ``report.py``: the
+config checks, the report of the point a solve returns, and the trace rows
+of the run record."""
+
+import re
+
+import numpy as np
+import pytest
+
+from lorank.cli import DRIVERS
+from lorank.ip import initial_point
+from lorank.model import BlockSymMatrix, PrimalDualPoint, dimacs, dual_slack
+from lorank.report import SolverFailure
+
+COMMON_KEYS = {"iteration", "cg", "precond", "cg_tol", "dimacs_max", "time"}
+
+
+def start_point(driver, prob) -> PrimalDualPoint:
+    """The point a solve measures before its first iteration."""
+    if driver == "ip":
+        return initial_point(prob)
+    y0 = np.zeros(prob.n)
+    x0 = BlockSymMatrix([np.eye(m) for m in prob.block_dims], np.ones(prob.nu))
+    return PrimalDualPoint(y0, x0, dual_slack(prob, y0))
+
+
+@pytest.mark.parametrize(
+    "driver, kind",
+    [("ip", kind) for kind in ("gamma", "delta", "bogus")]
+    + [("pdal", kind) for kind in ("alpha", "hybrid", "tilde", "bogus")],
+)
+def test_config_rejects_other_kinds(driver, kind):
+    kinds = {"ip": "alpha|beta|hybrid|tilde|none", "pdal": "gamma|delta|beta|none"}[driver]
+    with pytest.raises(ValueError, match=re.escape(f"{driver} preconditioner must be one of {kinds}")):
+        DRIVERS[driver][0](precond=kind)
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_config_rejects_negative_cap(driver):
+    with pytest.raises(ValueError, match="max_iter"):
+        DRIVERS[driver][0](max_iter=-1)
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_report_dimacs_is_the_returned_point(driver, tru3, request):
+    """The report carries the DIMACS errors of the point the solve returns,
+    and a failed solve's partial report those of the point it failed at."""
+    _, _, prob = tru3
+    pt, rep = request.getfixturevalue(f"tru3_{driver}")
+    assert rep.dimacs == dimacs(prob, pt)
+    config_cls, solve = DRIVERS[driver]
+    with pytest.raises(SolverFailure) as info:
+        solve(prob, config_cls(cg_maxiter=1))
+    failed = info.value.report
+    assert failed.status == "cg_failure" and failed.iterations == 0
+    assert failed.dimacs == dimacs(prob, start_point(driver, prob))
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_trace_rows_carry_the_common_keys(driver, request):
+    """Every row has the keys the run record writes for both drivers, one
+    row per iteration in order, stamped with nondecreasing times within the
+    wall time; the CG total is the rows' sum."""
+    _, rep = request.getfixturevalue(f"tru3_{driver}")
+    assert rep.converged and rep.trace
+    for row in rep.trace:
+        assert COMMON_KEYS <= row.keys(), COMMON_KEYS - row.keys()
+    assert [row["iteration"] for row in rep.trace] == list(range(rep.iterations))
+    times = [row["time"] for row in rep.trace]
+    assert times == sorted(times) and rep.wall_time >= times[-1]
+    assert rep.cg_total == sum(row["cg"] for row in rep.trace)

@@ -1,12 +1,10 @@
 import io
-import re
 
 import numpy as np
 import pytest
 
 from lorank.ip import (
     IpConfig,
-    SolverFailure,
     initial_point,
     ip_solve,
     make_scaling,
@@ -321,8 +319,8 @@ class TestStepLength:
         assert step_length(inv_factors(mats), mats, dirs, 0.9) == 1.0
 
     def test_arithmetic(self):
-        mats = BlockSymMatrix([np.eye(2)], None)
-        dirs = BlockSymMatrix([-2.0 * np.eye(2)], None)
+        mats = BlockSymMatrix([np.eye(2)], np.zeros(0))
+        dirs = BlockSymMatrix([-2.0 * np.eye(2)], np.zeros(0))
         assert step_length(inv_factors(mats), mats, dirs, 0.9) == pytest.approx(0.45)
 
     def test_linear_part(self):
@@ -386,7 +384,7 @@ class TestFactoredStepLength:
         dx = -3.0 * rand_spd(rng, 6)
         ds = rand_sym(rng, 6)
         for mat, dm, f in ((x, dx, nt.x_inv_factor()), (s, ds, nt.s_inv_factor())):
-            mats, dirs = BlockSymMatrix([mat], None), BlockSymMatrix([dm], None)
+            mats, dirs = BlockSymMatrix([mat], np.zeros(0)), BlockSymMatrix([dm], np.zeros(0))
             lam = min_eig_pencil(mat, dm)
             expected = min(1.0, -0.9 / lam) if lam < 0 else 1.0
             assert step_length([f], mats, dirs, 0.9) == pytest.approx(expected, rel=1e-10)
@@ -438,15 +436,6 @@ class TestIpSolve:
         _, rep = ip_solve(prob, IpConfig(precond="alpha", max_iter=2))
         assert [t["precond"] for t in rep.trace] == ["beta", "beta"]
 
-    @pytest.mark.parametrize("kind", ["gamma", "delta", "bogus"])
-    def test_config_rejects_other_kinds(self, kind):
-        with pytest.raises(ValueError, match=re.escape("alpha|beta|hybrid|tilde|none")):
-            IpConfig(precond=kind)
-
-    def test_config_rejects_negative_cap(self):
-        with pytest.raises(ValueError, match="max_iter"):
-            IpConfig(max_iter=-1)
-
     def test_rank_zero_is_honoured(self, tru3, monkeypatch):
         ranks = []
         build = precond.build_h_alpha
@@ -471,16 +460,6 @@ class TestIpSolve:
         assert capped.iterations == k and capped.dimacs == rep.dimacs
         _, short = ip_solve(prob, IpConfig(max_iter=k - 1))
         assert short.status == "max_iterations" and short.iterations == k - 1
-
-    def test_report_dimacs_is_the_returned_point(self, tru3, tru3_ip):
-        _, _, prob = tru3
-        pt, rep = tru3_ip
-        assert rep.dimacs == dimacs(prob, pt)
-        with pytest.raises(SolverFailure) as info:
-            ip_solve(prob, IpConfig(cg_maxiter=1))
-        failed = info.value.report
-        assert failed.status == "cg_failure" and failed.iterations == 0
-        assert failed.dimacs == dimacs(prob, initial_point(prob))
 
     def test_stalled_steps_end_the_run(self, tru3, monkeypatch):
         """Five steps in a row with min(alpha, beta) < 1e-3 end the run

@@ -162,7 +162,7 @@ def late_state_preconditioner(prob, kind, rank):
         splits = [spectral_split(nt.w, rank) for nt in scal.blocks]
         build = build_h_alpha if kind == "alpha" else build_h_tilde
         return build(prob, splits, scal.lin_diag(prob))
-    pt, _ = pdal_solve(prob, PdalConfig(max_outer=12, eps=1e-30, eps_dimacs=1e-30))
+    pt, _ = pdal_solve(prob, PdalConfig(max_iter=12, eps=1e-30, eps_dimacs=1e-30))
     ctx = OuterCtx(prob, pt.y, pt.X.blocks, pt.X.lin, pi_lmi=1.0, pi_lin=1.0, r=1e-3)
     cfg = PdalConfig(precond=kind, rank=rank)
     pc = _pdal_preconditioner(ctx, evaluate_point(ctx, pt.y), cfg, block_ranks(rank, prob.block_dims))
@@ -189,7 +189,7 @@ class TestAlpha:
         # single block, identity scaling, no linear part: H_alpha = tau^2 I
         prob = random_problem(11, dims=(3,), n=3, nu=0)
         s = spectral_split(np.eye(3), 1)
-        pc = build_h_alpha(prob, [s], None)
+        pc = build_h_alpha(prob, [s], np.zeros(prob.n))
         tau2 = s.tau**2
         assert np.allclose(pc.dense(), tau2 * np.eye(3), atol=1e-6)
         v = np.array([1.0, -2.0, 0.5])
@@ -296,7 +296,7 @@ class TestSmwInverse:
 class TestBeta:
     def test_single_block_constant(self):
         s = spectral_split(np.diag([4.0, 4.0, 4.0, 9.0]), 1, 2.0)
-        pc = build_h_beta(alpha_base([s], None, 6))
+        pc = build_h_beta(alpha_base([s], np.zeros(6), 6))
         assert np.allclose(pc.a_diag, 4.0)
 
     def test_matches_dense_diagonal(self, tru3):
@@ -329,8 +329,8 @@ class TestTilde:
         prob = build_problem([m], [mats], c, np.ones(m), sp.csr_matrix((0, m)), np.zeros(0))
         w = np.diag([1.0, 1.0, 50.0])
         s = spectral_split(w, 1, 1.0)
-        pa = build_h_alpha(prob, [s], None)
-        pt = build_h_tilde(prob, [s], None)
+        pa = build_h_alpha(prob, [s], np.zeros(prob.n))
+        pt = build_h_tilde(prob, [s], np.zeros(prob.n))
         assert np.allclose(pa.dense(), pt.dense(), rtol=1e-10)
 
     def test_dense_formula(self, tru3):
