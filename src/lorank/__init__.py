@@ -21,7 +21,7 @@ from .model import (
     load_sdpa,
     write_sdpa,
 )
-from .pcg import CgTolerance, PcgReport, next_tolerance, pcg_solve
+from .pcg import PcgReport, cg_tolerance, pcg_solve
 from .pdal import PdalConfig, pdal_config_profile, pdal_solve
 from .precond import (
     SmwPreconditioner,
@@ -42,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockSymMatrix",
-    "CgTolerance",
     "DimacsErrors",
     "GroundStructure",
     "IpConfig",
@@ -65,6 +64,7 @@ __all__ = [
     "build_h_delta",
     "build_h_gamma",
     "build_h_tilde",
+    "cg_tolerance",
     "chol",
     "dimacs",
     "gen_ground",
@@ -72,7 +72,6 @@ __all__ = [
     "ip_solve",
     "load_sdpa",
     "min_eig_pencil",
-    "next_tolerance",
     "pcg_solve",
     "pdal_config_profile",
     "pdal_solve",

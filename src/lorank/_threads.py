@@ -2,7 +2,11 @@
 
 BLAS backends read their thread settings at load time, so this module must
 run before numpy is first imported; the package __init__ imports it first.
-Values already set explicitly by the user are left alone.
+Values already set explicitly by the user are left alone.  With neither
+LORANK_THREADS nor any BLAS variable set, BLAS runs single-threaded: the
+solvers' dense blocks are small, and on a 2-core VM OpenBLAS's default
+thread count made an interior-point solve of tru7 about 3x slower than one
+thread.
 """
 
 import os
@@ -18,7 +22,9 @@ _BLAS_VARS = (
 def apply_thread_cap() -> int | None:
     cap = os.environ.get("LORANK_THREADS")
     if not cap:
-        return None
+        if any(var in os.environ for var in _BLAS_VARS):
+            return None
+        cap = "1"
     try:
         value = str(max(1, int(cap)))
     except ValueError:

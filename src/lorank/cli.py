@@ -14,7 +14,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import _threads  # noqa: F401
@@ -86,8 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     _solver_arguments(solve)
     solve.add_argument("input", type=Path)
     solve.add_argument("--out", type=Path, default=None, help="write the JSON report here")
-    solve.add_argument("--csv-append", type=Path, default=None,
-                       help="append the report row to this CSV (header written when new)")
     solve.add_argument("--verify", action="store_true", help="run the mechanical verifier (needs the geometry sidecar)")
     solve.set_defaults(func=cmd_solve)
 
@@ -108,9 +105,9 @@ def _solver_arguments(p: argparse.ArgumentParser) -> None:
                    help="expected dual rank per block, or 'auto'")
     p.add_argument("--tol", type=float, default=1e-5, help="DIMACS stopping tolerance")
     p.add_argument("--cg-maxiter", type=int, default=100000)
-    p.add_argument("--cg-tol0", type=float, default=0.01, help="initial CG tolerance")
     p.add_argument("--cg-floor", type=float, default=None,
-                   help="CG tolerance floor (default: the driver's, 1e-8 ip, 1e-6 pdal)")
+                   help="floor of the CG tolerance, which starts at 0.01 and halves per outer "
+                        "iteration (default: 1e-8 ip, 1e-6 pdal)")
     p.add_argument("--maxiter", type=int, default=None,
                    help="outer iteration cap (default: 200 ip, 500 pdal)")
     p.add_argument("--diag", action="store_true", help=f"dense diagnostics for n <= {DIAG_LIMIT}")
@@ -151,32 +148,29 @@ def _config(args) -> SolverConfig:
     """The solver configuration: the flags over the driver's defaults, which
     stand for --maxiter, --precond and --cg-floor when they are not given.
     The config classes reject invalid values, such as a preconditioner kind
-    of the other driver."""
+    of the other driver or a nonpositive tolerance."""
     config_cls = DRIVERS[args.solver][0]
-    given = {"max_iter": args.maxiter, "precond": args.precond}
-    floor = {} if args.cg_floor is None else {"floor": args.cg_floor}
+    given = {"max_iter": args.maxiter, "precond": args.precond, "cg_floor": args.cg_floor}
     try:
-        cfg = config_cls(
+        return config_cls(
             eps_dimacs=args.tol,
             rank=args.rank,
             cg_maxiter=args.cg_maxiter,
             diag=args.diag,
             **{key: val for key, val in given.items() if val is not None},
         )
-        return replace(cfg, cg_tol=replace(cfg.cg_tol, current=args.cg_tol0, **floor))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _run(args, input_path: Path) -> tuple[SolveReport, "object"]:
-    cfg = _config(args)
+def _run(args, cfg: SolverConfig, input_path: Path) -> tuple[SolveReport, "object"]:
     pt, report = DRIVERS[args.solver][1](load_sdpa(input_path), cfg)
     report.instance = input_path.name
     return report, pt
 
 
 def cmd_solve(args) -> int:
-    report, pt = _run(args, args.input)
+    report, pt = _run(args, _config(args), args.input)
     payload = report.to_dict()
     if args.verify:
         side = _sidecar_path(args.input)
@@ -185,13 +179,6 @@ def cmd_solve(args) -> int:
             payload["verification"] = verify_solution(gs, spec, pt.y, pt.X.blocks[0])
         else:
             payload["verification"] = {"error": f"no geometry sidecar at {side}"}
-    if args.csv_append is not None:
-        new = not args.csv_append.exists()
-        with open(args.csv_append, "a", newline="") as fh:
-            writer = csv.writer(fh)
-            if new:
-                writer.writerow(CSV_COLUMNS)
-            writer.writerow(report.csv_row())
     _write_report(args, report, payload)
     return 0 if report.converged else 1
 
@@ -207,10 +194,11 @@ def _write_report(args, report: SolveReport, payload: dict) -> None:
 
 
 def cmd_bench(args) -> int:
+    cfg = _config(args)
     rows = [CSV_COLUMNS]
     for path in args.inputs:
         try:
-            report, _ = _run(args, path)
+            report, _ = _run(args, cfg, path)
             rows.append(report.csv_row())
         except (SolverFailure, SdpaParseError, FileNotFoundError) as exc:
             row = [str(path.name), args.solver, args.precond or "", f"failed: {exc}"]

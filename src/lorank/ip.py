@@ -12,7 +12,7 @@ form from the scaling identities once dy is known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +28,7 @@ from .model import (
     apply_A_adjoint,
     dimacs,
 )
-from .pcg import CgTolerance, next_tolerance, pcg_solve
+from .pcg import cg_tolerance, pcg_solve
 from .report import DIAG_LIMIT, RunRecord, SolveReport, SolverConfig, SolverFailure
 
 IP_KINDS = ("alpha", "beta", "hybrid", "tilde", "none")
@@ -49,7 +49,7 @@ class IpConfig(SolverConfig):
     precond: str = "hybrid"
     # floor 1e-8: at 1e-6 the late, ill-conditioned Schur systems leave
     # directions whose outcome on tru9 depends on rounding alone
-    cg_tol: CgTolerance = field(default_factory=lambda: CgTolerance(floor=1e-8))
+    cg_floor: float = 1e-8
 
 
 @dataclass
@@ -274,7 +274,6 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
     run = RunRecord(prob, config)
     pt = initial_point(prob)
     ranks = pc.block_ranks(config.rank, prob.block_dims)
-    cg_tol = config.cg_tol
     hybrid_on_alpha = False
     status = "max_iterations"
     short_steps = 0  # consecutive iterations with min(alpha, beta) < STALL_STEP
@@ -291,6 +290,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
         if it == config.max_iter:
             break
 
+        cg_tol = cg_tolerance(it, config.cg_floor)
         mu = (pt.X.dot(pt.S)) / (prob.m_total + prob.nu)
         scal = make_scaling(pt)
         lin_diag = scal.lin_diag(prob)
@@ -308,7 +308,6 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
             run.diagnostics.append(rec)
 
         rp, rd = _residuals(prob, pt)
-        graceful = max(1e-5, config.eps_dimacs)
 
         def direction(target: BlockSymMatrix, what: str):
             """(dy, dX, dS, CG report) for the complementarity target, or
@@ -323,12 +322,12 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
                 lambda v: schur_matvec(prob, scal, v),
                 prec_apply,
                 _rhs(prob, scal, rp, rd, target),
-                tol=cg_tol.current,
+                tol=cg_tol,
                 maxiter=config.cg_maxiter,
             )
             run.cg_total += rep.iterations
             if not rep.converged:
-                if errs.max() <= graceful:
+                if errs.max() <= config.graceful_tol:
                     status = "numerical_limit"
                     return None
                 if not rep.usable:
@@ -368,7 +367,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
             alpha = step_with_repair(x_factors, pt.X, dX, TAU_FRAC, STEP_REPAIR_LIMIT)
             beta = step_with_repair(s_factors, pt.S, dS, TAU_FRAC, STEP_REPAIR_LIMIT)
         except NotPositiveDefinite as exc:
-            if errs.max() <= graceful:
+            if errs.max() <= config.graceful_tol:
                 status = "numerical_limit"
                 break
             raise SolverFailure(
@@ -382,7 +381,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
             it,
             cg=rep_p.iterations + rep_c.iterations,
             precond=prec.kind if prec is not None else "none",
-            cg_tol=cg_tol.current,
+            cg_tol=cg_tol,
             dimacs_max=errs.max(),
             mu=mu,
             sigma=sigma,
@@ -392,7 +391,6 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
             cg_corr=rep_c.iterations,
             cg_stagnated=rep_p.stagnated or rep_c.stagnated,
         )
-        cg_tol = next_tolerance(cg_tol)
         if config.precond == "hybrid" and not hybrid_on_alpha:
             k_hint = max([s.k for s in splits] + [1])
             if pc.hybrid_should_switch(prob.n, prob.p, k_hint, it + 1, rep_c.iterations):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import lapack, solve_triangular
 
 
 class NotPositiveDefinite(Exception):
@@ -82,13 +82,6 @@ def is_pd(a: np.ndarray) -> bool:
         return False
 
 
-def solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L x = b for lower-triangular L."""
-    from scipy.linalg import solve_triangular
-
-    return solve_triangular(l, b, lower=True)
-
-
 def chol_solve(l: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve (L L^T) x = b given the lower Cholesky factor."""
     x, info = lapack.dpotrs(l, b, lower=1)
@@ -132,8 +125,8 @@ def min_eig_pencil(x: np.ndarray, dx: np.ndarray) -> float:
     from the scaling's factors; this is its reference.
     """
     l = chol(x, "min_eig_pencil")
-    t = solve_lower(l, np.asarray(dx, dtype=float))
-    return min_eig(solve_lower(l, t.T))
+    t = solve_triangular(l, np.asarray(dx, dtype=float), lower=True)
+    return min_eig(solve_triangular(l, t.T, lower=True))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ every 50 iterations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,10 +26,6 @@ class PcgReport:
     stagnated: bool = False
 
     @property
-    def failed(self) -> bool:
-        return not self.converged
-
-    @property
     def usable(self) -> bool:
         """Converged, or stagnated at the float64 residual floor with
         relres <= 0.1: the drivers take such a solve as an accurate
@@ -39,18 +35,11 @@ class PcgReport:
         return self.converged or (self.stagnated and self.relres <= 0.1)
 
 
-@dataclass(frozen=True)
-class CgTolerance:
-    """Adaptive CG tolerance: start at 0.01, halve after every major
-    iteration of the outer algorithm (``next_tolerance``), down to the floor
-    (1e-6 here; the interior-point driver's default is 1e-8)."""
-
-    current: float = 0.01
-    floor: float = 1e-6
-
-
-def next_tolerance(state: CgTolerance) -> CgTolerance:
-    return replace(state, current=max(state.floor, state.current * 0.5))
+def cg_tolerance(iteration: int, floor: float) -> float:
+    """The CG tolerance of outer iteration ``iteration`` (from 0): 0.01,
+    halved per outer iteration, down to ``floor``.  0.01 * 2**-k is exact
+    in float64, so this equals the repeated halving bit for bit."""
+    return max(floor, 0.01 * 0.5**iteration)
 
 
 def identity_prec(v: np.ndarray) -> np.ndarray:

@@ -19,9 +19,11 @@ preconditioners.  An early-stopping rule hands control back to the outer
 loop as soon as the combined primal-dual error halves, which near the
 solution reduces the inner loop to a single Newton step.
 
-The outer loop stops when the primal-dual error max(err1, err4, err5) of
-the DIMACS measures drops below eps or all six measures reach eps_dimacs;
-each iterate is measured once, and the report carries that measurement.
+The outer loop stops when all six DIMACS measures reach eps_dimacs, the
+interior-point driver's rule; each iterate is measured once, and the report
+carries that measurement.  An outer iteration that takes no Newton step and
+leaves every quantity its successor reads unchanged ends the run, with
+status ``numerical_limit`` at the standard 1e-5 level and ``stalled`` above.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .model import (
     dual_slack,
     pd_errors,
 )
-from .pcg import CgTolerance, next_tolerance, pcg_solve
+from .pcg import cg_tolerance, pcg_solve
 from .report import DIAG_LIMIT, RunRecord, SolveReport, SolverConfig, SolverFailure
 
 PDAL_KINDS = ("gamma", "delta", "beta", "none")
@@ -66,6 +68,7 @@ INNER_EPS_DECAY = 0.3
 INNER_EPS_MIN = 1e-14
 ARMIJO = 0.05           # sufficient-decrease fraction of the line search
 LS_MAX_HALVINGS = 40
+PD_TOL = 1e-10          # relative round-off the multiplier's definiteness test allows
 
 
 class InnerCgFailure(RuntimeError):
@@ -124,9 +127,8 @@ class PdalConfig(SolverConfig):
 
     max_iter: int = 500
     precond: str = "gamma"
-    cg_tol: CgTolerance = field(default_factory=CgTolerance)
+    cg_floor: float = 1e-6
     r: float = 1e-3                # proximal weight; also the floor of the inner Hessian
-    eps: float = 1e-6              # outer primal-dual error target
     max_inner: int = 100
 
 
@@ -288,16 +290,13 @@ def pd_error(
     prob: SdpProblem,
     y: np.ndarray,
     x: BlockSymMatrix,
-    s: BlockSymMatrix | None = None,
+    s: BlockSymMatrix,
     s_eigs: list[float] | None = None,
 ) -> float:
     """Primal feasibility, dual cone violation and normalized gap: the
-    DIMACS err1, err4 and err5 at (y, x) with the exact dual slack ``s``
-    (formed from y when not given) and its blocks' smallest eigenvalues
-    ``s_eigs`` (computed when not given), without the three measures it
-    does not read."""
-    if s is None:
-        s = dual_slack(prob, y)
+    DIMACS err1, err4 and err5 at (y, x) with the exact dual slack ``s`` at
+    y and its blocks' smallest eigenvalues ``s_eigs`` (computed when not
+    given), without the three measures it does not read."""
     return max(pd_errors(prob, PrimalDualPoint(y, x, s), s_eigs))
 
 
@@ -305,24 +304,17 @@ def _pd_error_of(errs: DimacsErrors) -> float:
     return max(errs.err1, errs.err4, errs.err5)
 
 
-def _block_pd(x: BlockSymMatrix, tol: float = 0.0) -> bool:
-    """Positive (semi)definiteness of the multiplier candidate.
-
-    The stopping tests pass a small relative tolerance: at the merit's
-    float64 floor the candidate carries harmless round-off negativity, and
-    inactive-bound multipliers legitimately underflow to zero.
+def _block_pd(x: BlockSymMatrix) -> bool:
+    """Positive semidefiniteness of the multiplier candidate up to the
+    relative round-off ``PD_TOL``: at the merit's float64 floor the
+    candidate carries harmless round-off negativity, and inactive-bound
+    multipliers legitimately underflow to zero.
     """
     for b in x.blocks:
-        if tol > 0.0:
-            floor = -tol * max(1.0, float(np.abs(b).max()))
-            if min_eig(b) < floor:
-                return False
-        elif not is_pd(b):
+        if min_eig(b) < -PD_TOL * max(1.0, float(np.abs(b).max())):
             return False
-    if x.lin.size:
-        floor = -tol * max(1.0, float(np.abs(x.lin).max())) if tol > 0.0 else 0.0
-        if x.lin.min() < floor:
-            return False
+    if x.lin.size and x.lin.min() < -PD_TOL * max(1.0, float(np.abs(x.lin).max())):
+        return False
     return True
 
 
@@ -391,7 +383,7 @@ def inner_solve(
     for ell in range(cfg.max_inner):
         g1, g2 = pd_residuals(ctx, ev, x_hat)
         m_val = merit(g1, g2)
-        if m_val <= eps_inner and _block_pd(x_hat, tol=1e-10):
+        if m_val <= eps_inner and _block_pd(x_hat):
             return InnerResult(ev, x_hat, ell, cg_total, m_val, False, True, ls_failures, kinds)
         if ell > 0:
             e_now = pd_error(prob, y, x_hat, ev.slack(), ev.slack_min_eigs)
@@ -401,7 +393,7 @@ def inner_solve(
                 e_now < 0.5 * e_outer
                 and g2n < 0.1
                 and g1n < 0.05 * max(1.0, float(np.linalg.norm(ev.grad)))
-                and _block_pd(x_hat, tol=1e-10)
+                and _block_pd(x_hat)
             ):
                 return InnerResult(ev, x_hat, ell, cg_total, m_val, True, True, ls_failures, kinds)
 
@@ -450,7 +442,7 @@ def inner_solve(
             ls_failures += 1
             g1, g2 = pd_residuals(ctx, ev, x_hat)
             m_best = merit(g1, g2)
-            ok = m_best <= eps_inner and _block_pd(x_hat, tol=1e-10)
+            ok = m_best <= eps_inner and _block_pd(x_hat)
             return InnerResult(
                 ev, x_hat, ell + 1, cg_total, m_best, False, ok, ls_failures, kinds
             )
@@ -488,7 +480,8 @@ def penalty_update(pi_lin: float, pi_lmi: float, lam_max_lmi: float) -> tuple[fl
 
 def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[PrimalDualPoint, SolveReport]:
     """Outer loop: inner primal-dual solve, damped multiplier update, penalty
-    decrease, until the primal-dual error or the DIMACS measures converge."""
+    decrease, until the DIMACS measures converge, an outer iteration would
+    repeat itself, or the iteration cap is hit."""
     cfg = config or PdalConfig()
     run = RunRecord(prob, cfg)
     n = prob.n
@@ -501,15 +494,13 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
     pi_lmi = 1.1 * max(1.0, -min(s_eigs))
     pi_lin = 1.0
 
-    cg_tol = cfg.cg_tol
     status = "max_iterations"
 
     # one pass more than max_iter: the last only measures the final iterate
     for k in range(cfg.max_iter + 1):
         pt = PrimalDualPoint(y, x, s)
         errs = dimacs(prob, pt, s_eigs)
-        e_outer = _pd_error_of(errs)
-        if e_outer < cfg.eps or errs.max() <= cfg.eps_dimacs:
+        if errs.max() <= cfg.eps_dimacs:
             status = "optimal"
             break
         if k == cfg.max_iter:
@@ -525,15 +516,18 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
             r=cfg.r,
         )
         eps_k = max(INNER_EPS_MIN, INNER_EPS0 * INNER_EPS_DECAY**k)
+        cg_tol = cg_tolerance(k, cfg.cg_floor)
+        e_outer = _pd_error_of(errs)
         try:
             res = inner_solve(
-                ctx, y, x, eps_k, cfg, cg_tol.current, ranks, e_outer,
+                ctx, y, x, eps_k, cfg, cg_tol, ranks, e_outer,
                 run.diagnostics if cfg.diag else None, k,
             )
         except InnerCgFailure as exc:
             raise SolverFailure(str(exc), run.report("cg_failure", pt, errs)) from exc
         run.cg_total += res.cg_iterations
 
+        y_old, x_old, pi_old = y, x, (pi_lin, pi_lmi)
         ev = res.ev
         y, s, s_eigs = ev.y, ev.slack(), ev.slack_min_eigs
         x_new_blocks = []
@@ -555,7 +549,7 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
             k,
             cg=res.cg_iterations,
             precond="+".join(res.precond_kinds),
-            cg_tol=cg_tol.current,
+            cg_tol=cg_tol,
             dimacs_max=errs.max(),
             inner_iterations=res.iterations,
             merit=res.merit,
@@ -566,6 +560,16 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
             pi_lin=pi_lin,
             pi_lmi=pi_lmi,
         )
-        cg_tol = next_tolerance(cg_tol)
+        # with no Newton step, unchanged y, X and penalties and the inner
+        # target at its floor, the next outer iteration would repeat this one
+        if (
+            res.iterations == 0
+            and eps_k == INNER_EPS_MIN
+            and (pi_lin, pi_lmi) == pi_old
+            and np.array_equal(y, y_old)
+            and all(map(np.array_equal, x.blocks + [x.lin], x_old.blocks + [x_old.lin]))
+        ):
+            status = "numerical_limit" if errs.max() <= cfg.graceful_tol else "stalled"
+            break
 
     return pt, run.report(status, pt, errs)

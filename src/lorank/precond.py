@@ -107,13 +107,12 @@ def detect_rank(eigs: np.ndarray) -> int:
     return min(k, m - 1)
 
 
-def block_ranks(rank: int | Sequence[int] | str, dims: Sequence[int]) -> list[int | str]:
+def block_ranks(rank: int | str, dims: Sequence[int]) -> list[int | str]:
     """Outlier count per block: "auto" for every block, or the given count
-    (one for all blocks or one per block) clamped to [0, m - 1]."""
+    clamped to [0, m - 1] for each block."""
     if rank == "auto":
         return ["auto"] * len(dims)
-    ranks = [rank] * len(dims) if isinstance(rank, int) else list(rank)
-    return [min(max(0, k), m - 1) for k, m in zip(ranks, dims)]
+    return [min(max(0, rank), m - 1) for m in dims]
 
 
 def spectral_split(w: np.ndarray, k: int | str, tau: float | None = None) -> SplitBlock:

@@ -4,6 +4,7 @@ summary, JSON/CSV output)."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
@@ -11,7 +12,6 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .model import DimacsErrors, PrimalDualPoint, SdpProblem, objective_values
-from .pcg import CgTolerance
 
 # Largest n for which a solve with ``diag`` forms the dense n x n Newton
 # matrix of each iteration for its diagnostics.
@@ -56,26 +56,39 @@ def spectrum_summary(blocks: Sequence[np.ndarray]) -> list[dict]:
 class SolverConfig:
     """The settings both drivers read.  ``IpConfig`` and ``PdalConfig`` set
     their solver name and preconditioner kinds, and the defaults that
-    differ: the iteration cap, the preconditioner and the CG tolerance."""
+    differ: the iteration cap, the preconditioner and the CG tolerance
+    floor."""
 
     SOLVER: ClassVar[str]
     KINDS: ClassVar[tuple[str, ...]]
 
     max_iter: int                    # outer-iteration cap
     precond: str                     # one of KINDS
-    cg_tol: CgTolerance
-    eps_dimacs: float = 1e-5
-    rank: int | list[int] | str = 1  # outlier count per block, or "auto"
+    cg_floor: float                  # floor of pcg.cg_tolerance's schedule
+    eps_dimacs: float = 1e-5         # stop when every DIMACS measure is at or below it
+    rank: int | str = 1              # outlier count of every block, or "auto"
     cg_maxiter: int = 100000
     diag: bool = False               # dense diagnostics for n <= DIAG_LIMIT
 
     def __post_init__(self):
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
+        for name in ("eps_dimacs", "cg_floor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if self.cg_maxiter < 1:
+            raise ValueError(f"cg_maxiter must be >= 1, got {self.cg_maxiter!r}")
         if self.precond not in self.KINDS:
             raise ValueError(
                 f"{self.SOLVER} preconditioner must be one of {'|'.join(self.KINDS)}, got {self.precond!r}"
             )
+
+    @property
+    def graceful_tol(self) -> float:
+        """The standard DIMACS level 1e-5, or eps_dimacs when looser: a run
+        that cannot go on ends ``numerical_limit`` at a point that meets it."""
+        return max(1e-5, self.eps_dimacs)
 
 
 @dataclass

@@ -152,9 +152,40 @@ class TestSolve:
 
         path = str(gen_dir / "tru3.dat-s")
         parse = build_parser().parse_args
-        assert _config(parse(["solve", path])).cg_tol.floor == 1e-8
-        assert _config(parse(["solve", path, "--solver", "pdal"])).cg_tol.floor == 1e-6
-        assert _config(parse(["solve", path, "--cg-floor", "1e-7"])).cg_tol.floor == 1e-7
+        assert _config(parse(["solve", path])).cg_floor == 1e-8
+        assert _config(parse(["solve", path, "--solver", "pdal"])).cg_floor == 1e-6
+        assert _config(parse(["solve", path, "--cg-floor", "1e-7"])).cg_floor == 1e-7
+
+    @pytest.mark.parametrize("flag", ["--cg-tol0", "--csv-append"])
+    def test_deleted_options_are_rejected(self, gen_dir, capsys, flag):
+        with pytest.raises(SystemExit) as info:
+            main(["solve", str(gen_dir / "tru3.dat-s"), flag, "1e-3"])
+        assert info.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, n_inputs", [("solve", 1), ("bench", 1), ("bench", 0)])
+    @pytest.mark.parametrize("option", [["--cg-floor", "-1"], ["--cg-maxiter", "0"], ["--tol", "0"]])
+    def test_out_of_range_setting_exit_code(self, gen_dir, capsys, command, n_inputs, option):
+        """A setting out of range is rejected before the solve starts, by
+        ``bench`` also when it has no instance to solve."""
+        rc = main([command, *[str(gen_dir / "tru3.dat-s")] * n_inputs, *option])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_pdal_tight_tolerance_ends_numerical_limit(self, gen_dir, tmp_path, capsys):
+        """PDAL below the standard level: DIMACS stops at 8.2e-7 on tru3, and
+        the run ends numerical_limit (exit 1) once an outer iteration would
+        repeat itself, not optimal above the tolerance or at the cap."""
+        report_path = tmp_path / "r.json"
+        rc = main(["solve", str(gen_dir / "tru3.dat-s"), "--solver", "pdal", "--tol", "1e-7",
+                   "--out", str(report_path)])
+        capsys.readouterr()
+        payload = json.loads(report_path.read_text())
+        assert rc == 1
+        assert payload["status"] == "numerical_limit"
+        assert 1e-7 < payload["dimacs_max"] <= 1e-5
+        assert payload["iterations"] < 60
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.dat-s"

@@ -42,6 +42,30 @@ def test_config_rejects_negative_cap(driver):
 
 
 @pytest.mark.parametrize("driver", DRIVERS)
+@pytest.mark.parametrize(
+    "field, value",
+    [("eps_dimacs", 0.0), ("eps_dimacs", -1e-5), ("eps_dimacs", float("nan")),
+     ("cg_floor", -1.0), ("cg_floor", 0.0), ("cg_floor", float("inf")),
+     ("cg_maxiter", 0)],
+)
+def test_config_rejects_out_of_range_settings(driver, field, value):
+    with pytest.raises(ValueError, match=field):
+        DRIVERS[driver][0](**{field: value})
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_optimal_meets_a_tight_tolerance(driver, tru3):
+    """``optimal`` means every DIMACS measure reached the requested
+    tolerance, also below the standard 1e-5 level; a run that cannot get
+    there ends with another status."""
+    _, _, prob = tru3
+    config_cls, solve = DRIVERS[driver]
+    _, rep = solve(prob, config_cls(eps_dimacs=1e-7))
+    assert rep.status != "optimal" or rep.dimacs_max() <= 1e-7
+    assert rep.status in ("optimal", "numerical_limit")
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
 def test_report_dimacs_is_the_returned_point(driver, tru3, request):
     """The report carries the DIMACS errors of the point the solve returns,
     and a failed solve's partial report those of the point it failed at."""

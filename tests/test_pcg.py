@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lorank.pcg import CgTolerance, PcgReport, next_tolerance, pcg_solve
+from lorank.pcg import PcgReport, cg_tolerance, pcg_solve
 
 from conftest import rand_spd, spd_with_spectrum
 
@@ -28,7 +28,7 @@ class TestBasics:
 
     def test_breakdown_on_indefinite(self):
         x, rep = pcg_solve(lambda v: -v, None, np.ones(3), tol=1e-10)
-        assert rep.breakdown and rep.failed
+        assert rep.breakdown and not rep.converged
 
     def test_exact_inverse_preconditioner(self):
         rng = np.random.default_rng(0)
@@ -53,7 +53,7 @@ class TestBasics:
         rng = np.random.default_rng(2)
         a = rand_spd(rng, 30)
         x, rep = pcg_solve(lambda v: a @ v, None, rng.standard_normal(30), tol=1e-14, maxiter=2)
-        assert rep.failed and rep.iterations == 2
+        assert not rep.converged and rep.iterations == 2
 
     def test_usable(self):
         """A converged solve, or a stagnation at relres <= 0.1, is usable."""
@@ -140,20 +140,25 @@ class TestOutlierBound:
 
 class TestToleranceSchedule:
     def test_halving(self):
-        state = CgTolerance()
-        assert state.current == 0.01
-        assert next_tolerance(state).current == pytest.approx(0.005)
+        assert cg_tolerance(0, 1e-6) == 0.01
+        assert cg_tolerance(1, 1e-6) == 0.005
 
     def test_clamp(self):
-        state = CgTolerance(current=1.5e-6)
-        assert next_tolerance(state).current == pytest.approx(1e-6)
+        assert cg_tolerance(13, 1e-6) == 0.01 * 0.5**13
+        assert cg_tolerance(14, 1e-6) == 1e-6
 
     def test_fixed_point(self):
-        state = CgTolerance(current=1e-6)
-        assert next_tolerance(state).current == pytest.approx(1e-6)
+        assert cg_tolerance(15, 1e-6) == cg_tolerance(14, 1e-6) == 1e-6
 
     def test_schedule_reaches_floor(self):
-        state = CgTolerance()
-        for _ in range(30):
-            state = next_tolerance(state)
-        assert state.current == pytest.approx(1e-6)
+        assert cg_tolerance(30, 1e-6) == 1e-6
+        assert cg_tolerance(30, 1e-8) == 1e-8
+
+    @pytest.mark.parametrize("floor", [1e-6, 1e-8])
+    def test_equals_repeated_halving(self, floor):
+        """The closed form is the halving schedule bit for bit: 0.01 * 2**-k
+        is exact in float64."""
+        t = 0.01
+        for k in range(60):
+            assert cg_tolerance(k, floor) == t
+            t = max(floor, t * 0.5)

@@ -626,8 +626,9 @@ class TestPdalSolve:
         monkeypatch.undo()
         assert len(points) > 20
         for y, x in points[:: len(points) // 10]:
-            e = dimacs(prob, PrimalDualPoint(y, x, dual_slack(prob, y)))
-            assert pd_error(prob, y, x) == max(e.err1, e.err4, e.err5)
+            s = dual_slack(prob, y)
+            e = dimacs(prob, PrimalDualPoint(y, x, s))
+            assert pd_error(prob, y, x, s) == max(e.err1, e.err4, e.err5)
 
     def test_iteration_cap_at_convergence(self, tru3, tru3_pdal):
         """A cap equal to the converged run's count still measures the final
