@@ -1,11 +1,13 @@
 """Command-line driver: instance generation, solving, benchmark sweeps.
 
-Exit codes for ``solve``: 0 when the DIMACS measures meet the tolerance,
-1 when the solver stopped short, 2 on input errors (including a
-configuration the solver rejects, such as a preconditioner kind of the other
-driver), 3 on solver failures, whose partial report is still written like
-any other.  ``bench`` records per-row failures in the CSV and keeps going; a
-rejected configuration ends it with exit code 2.
+Exit codes for ``gen``: 0 when the instance and its sidecar are written,
+2 on invalid instance parameters (such as a grid size below 2 or a
+nonpositive compliance bound).  For ``solve``: 0 when the DIMACS measures
+meet the tolerance, 1 when the solver stopped short, 2 on input errors
+(including a configuration the solver rejects, such as a preconditioner
+kind of the other driver), 3 on solver failures, whose partial report is
+still written like any other.  ``bench`` records per-row failures in the
+CSV and keeps going; a rejected configuration ends it with exit code 2.
 """
 
 from __future__ import annotations
@@ -114,7 +116,6 @@ def _solver_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_gen(args) -> int:
-    gs = gen_ground(args.size, args.variant)
     spec = TrussSdpSpec(
         gamma_compl=args.gamma,
         t_lower=args.eps,
@@ -124,7 +125,12 @@ def cmd_gen(args) -> int:
         rho=args.rho,
         m0=args.m0,
     )
-    prob = assemble_sdp(gs, spec)
+    try:
+        gs = gen_ground(args.size, args.variant)
+        prob = assemble_sdp(gs, spec)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     name = instance_name(args.variant, args.size, args.eps)
     args.out.mkdir(parents=True, exist_ok=True)
     dat = args.out / f"{name}.dat-s"
@@ -201,7 +207,7 @@ def cmd_bench(args) -> int:
             report, _ = _run(args, cfg, path)
             rows.append(report.csv_row())
         except (SolverFailure, SdpaParseError, FileNotFoundError) as exc:
-            row = [str(path.name), args.solver, args.precond or "", f"failed: {exc}"]
+            row = [str(path.name), args.solver, cfg.precond, f"failed: {exc}"]
             row += [""] * (len(CSV_COLUMNS) - len(row))
             rows.append(row)
     if args.csv is not None:

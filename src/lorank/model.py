@@ -399,13 +399,18 @@ def dimacs(prob: SdpProblem, pt: PrimalDualPoint, s_eigs: list[float] | None = N
 # -b'y.
 
 
+_SEPARATORS = str.maketrans(",(){}", "     ")
+
+
 def _sdpa_tokens(text: str) -> Iterable[tuple[int, list[str]]]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("*") or line.startswith('"'):
+        if not line or line[0] in '*"':
             continue
-        for ch in ",(){}":
-            line = line.replace(ch, " ")
+        # most lines have no separator, and five membership tests are faster
+        # than one translate
+        if "," in line or "(" in line or ")" in line or "{" in line or "}" in line:
+            line = line.translate(_SEPARATORS)
         yield lineno, line.split()
 
 
@@ -413,8 +418,10 @@ def load_sdpa(path_or_text) -> SdpProblem:
     """Read an SDPA sparse file into the canonical problem form.
 
     Accepts a filesystem path or a file-like object.  Raises
-    :class:`SdpaParseError` with a line number on malformed input, including
-    duplicate entries within one matrix.
+    :class:`SdpaParseError` on malformed input, with a line number where
+    one line is at fault: a bad token, a non-integer count or block size,
+    a duplicate entry within one matrix.  Data that parses but fails
+    :meth:`SdpProblem.validate` raises it without one.
     """
     if hasattr(path_or_text, "read"):
         text = path_or_text.read()
@@ -423,33 +430,34 @@ def load_sdpa(path_or_text) -> SdpProblem:
             text = fh.read()
 
     stream = _sdpa_tokens(text)
-    header: list[float] = []
-    header_lines: list[int] = []
 
-    def take(count: int, what: str) -> list[float]:
+    def take(count: int, what: str, integer: bool = False) -> list[float]:
         vals: list[float] = []
+        lineno = None
         while len(vals) < count:
             try:
                 lineno, toks = next(stream)
             except StopIteration:
                 raise SdpaParseError(f"unexpected end of file while reading {what}")
-            header_lines.append(lineno)
             for t in toks:
                 try:
-                    vals.append(float(t))
+                    v = float(t)
                 except ValueError:
                     raise SdpaParseError(f"bad token {t!r} in {what}", lineno)
+                if integer and not v.is_integer():
+                    raise SdpaParseError(f"non-integer {t!r} in {what}", lineno)
+                vals.append(v)
         if len(vals) > count:
-            raise SdpaParseError(f"too many values for {what}", header_lines[-1])
+            raise SdpaParseError(f"too many values for {what}", lineno)
         return vals
 
-    nvar = int(take(1, "variable count")[0])
+    nvar = int(take(1, "variable count", integer=True)[0])
     if nvar < 1:
         raise SdpaParseError("variable count must be >= 1")
-    nblocks = int(take(1, "block count")[0])
+    nblocks = int(take(1, "block count", integer=True)[0])
     if nblocks < 1:
         raise SdpaParseError("block count must be >= 1")
-    sizes = [int(v) for v in take(nblocks, "block structure")]
+    sizes = [int(v) for v in take(nblocks, "block structure", integer=True)]
     cvec = np.array(take(nvar, "objective vector"))
 
     mat_blocks = [(k, s) for k, s in enumerate(sizes) if s > 0]
@@ -462,11 +470,11 @@ def load_sdpa(path_or_text) -> SdpProblem:
     for k, s in diag_blocks:
         diag_offset[k] = nu
         nu += s
-    block_index = {k: i for i, (k, _) in enumerate(mat_blocks)}
     dims = [s for _, s in mat_blocks]
 
-    # per matrix block: dict (j, r, c) -> value with j = -1 for F0
-    entries: list[dict] = [dict() for _ in mat_blocks]
+    # per matrix block: its lower-triangle (j, r, c) triples laid end to end,
+    # j = -1 for F0, their values, and the set of triples seen
+    entries: dict[int, tuple[list, list, set]] = {k: ([], [], set()) for k, _ in mat_blocks}
     d_vec = np.zeros(nu)
     d_rows: list[int] = []
     d_cols: list[int] = []
@@ -507,46 +515,32 @@ def load_sdpa(path_or_text) -> SdpProblem:
                 d_cols.append(matno - 1)
                 d_vals.append(-val)
         else:
-            r, c = max(ii, jj) - 1, min(ii, jj) - 1
-            store = entries[block_index[k]]
-            key = (matno - 1, r, c)
-            if key in store:
+            triples, vals, seen = entries[k]
+            key = (matno - 1, ii - 1, jj - 1) if ii >= jj else (matno - 1, jj - 1, ii - 1)
+            if key in seen:
                 raise SdpaParseError(f"duplicate entry for block {blkno} ({ii},{jj})", lineno)
-            store[key] = -val  # A_j = -F_j, C = -F0
+            seen.add(key)
+            triples.extend(key)
+            vals.append(-val)  # A_j = -F_j, C = -F0
 
-    a_ops = []
+    a_entries = []
     c_mats = []
-    for bi, m in enumerate(dims):
-        rows, cols, vals = [], [], []
-        c_r, c_c, c_v = [], [], []
-        for (j, r, c), v in entries[bi].items():
-            if j < 0:
-                c_r.append(r)
-                c_c.append(c)
-                c_v.append(v)
-            else:
-                rows.append(r * m + c)
-                cols.append(j)
-                vals.append(v)
-                if r != c:
-                    rows.append(c * m + r)
-                    cols.append(j)
-                    vals.append(v)
-        a_ops.append(
-            sp.csr_matrix(
-                (np.array(vals), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
-                shape=(m * m, nvar),
-            )
-        )
-        c_mats.append(SparseSym.from_triplets(m, c_r, c_c, c_v))
+    for k, m in mat_blocks:
+        triples, vals, _ = entries[k]
+        j, r, c = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+        v = np.array(vals, dtype=float)
+        obj = j < 0
+        a_entries.append((j[~obj], r[~obj], c[~obj], v[~obj]))
+        c_mats.append(SparseSym.from_triplets(m, r[obj], c[obj], v[obj]))
 
     d_mat = sp.csr_matrix(
         (np.array(d_vals), (np.array(d_rows, dtype=np.int64), np.array(d_cols, dtype=np.int64))),
         shape=(nu, nvar),
     )
-    prob = SdpProblem(dims, a_ops, c_mats, -cvec, d_mat, d_vec)
-    prob.validate()
-    return prob
+    try:
+        return build_problem(dims, a_entries, c_mats, -cvec, d_mat, d_vec)
+    except ValueError as exc:
+        raise SdpaParseError(str(exc)) from exc
 
 
 def _block_triplets(a: sp.csr_matrix, m: int):
@@ -610,46 +604,33 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def stack_block_operator(n: int, m: int, mats: Sequence[tuple[int, SparseSym]]) -> sp.csr_matrix:
-    """Stack per-variable symmetric matrices into the (m^2, n) operator whose
-    column j is vec(A_j); variables without a matrix get a zero column."""
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    for j, a in mats:
-        if a.dim != m:
-            raise ValueError(f"matrix for variable {j} has dim {a.dim} != {m}")
-        off = a.row != a.col
-        rows.append(a.row * m + a.col)
-        rows.append(a.col[off] * m + a.row[off])
-        cols.append(np.full(a.nnz + int(off.sum()), j, dtype=np.int64))
-        vals.append(a.val)
-        vals.append(a.val[off])
-    if rows:
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        v = np.concatenate(vals)
-    else:
-        r = np.zeros(0, dtype=np.int64)
-        c = np.zeros(0, dtype=np.int64)
-        v = np.zeros(0)
-    return sp.csr_matrix((v, (r, c)), shape=(m * m, n))
+def block_operator(n: int, m: int, j, r, c, v) -> sp.csr_matrix:
+    """The stacked (m^2, n) operator of one block from the lower triangles of
+    its matrices: entry v of A_j at (r, c), r >= c, with no coordinate given
+    twice.  Each off-diagonal entry is mirrored to (c, r); column j is
+    vec(A_j), and a variable without entries gets a zero column."""
+    j, r, c = (np.asarray(x, dtype=np.int64) for x in (j, r, c))
+    v = np.asarray(v, dtype=float)
+    off = r != c
+    rows = np.concatenate([r * m + c, c[off] * m + r[off]])
+    return sp.csr_matrix(
+        (np.concatenate([v, v[off]]), (rows, np.concatenate([j, j[off]]))), shape=(m * m, n)
+    )
 
 
 def build_problem(
     block_dims: Sequence[int],
-    block_mats: Sequence[Sequence[tuple[int, SparseSym]]],
+    block_entries: Sequence[tuple],
     c_blocks: Sequence[SparseSym],
     b: np.ndarray,
     D: sp.spmatrix,
     d: np.ndarray,
 ) -> SdpProblem:
+    """The validated problem; ``block_entries`` holds per block the arrays
+    (j, r, c, v) of :func:`block_operator`."""
     b = np.asarray(b, dtype=float)
     d = np.asarray(d, dtype=float)
-    a_ops = [
-        stack_block_operator(b.size, m, mats)
-        for m, mats in zip(block_dims, block_mats)
-    ]
+    a_ops = [block_operator(b.size, m, *ent) for m, ent in zip(block_dims, block_entries)]
     prob = SdpProblem(list(block_dims), a_ops, list(c_blocks), b, sp.csr_matrix(D), d)
     prob.validate()
     return prob

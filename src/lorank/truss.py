@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,21 +50,17 @@ class GroundStructure:
     def n_bars(self) -> int:
         return len(self.bars)
 
-    def bar_dofs_cosines(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Free DOFs touched by bar i and the matching direction cosines."""
-        na, nb = self.bars[i]
-        delta = self.nodes[nb] - self.nodes[na]
-        full = np.array([-delta[0], -delta[1], delta[0], delta[1]]) / self.lengths[i]
-        dofs = np.array(
-            [
-                self.dof_index[na, 0],
-                self.dof_index[na, 1],
-                self.dof_index[nb, 0],
-                self.dof_index[nb, 1],
-            ]
-        )
-        keep = dofs >= 0
-        return dofs[keep], full[keep]
+    @cached_property
+    def bar_dofs(self) -> np.ndarray:
+        """(n_bars, 4) DOFs at each bar's ends, x and y of its first node
+        then of its second; -1 on fixed nodes."""
+        return self.dof_index[self.bars].reshape(-1, 4)
+
+    @cached_property
+    def bar_cosines(self) -> np.ndarray:
+        """(n_bars, 4) direction cosines gamma matching :attr:`bar_dofs`."""
+        delta = self.nodes[self.bars[:, 1]] - self.nodes[self.bars[:, 0]]
+        return np.hstack([-delta, delta]) / self.lengths[:, None]
 
 
 @dataclass
@@ -94,21 +91,17 @@ def gen_ground(g: int, variant: str = "tru") -> GroundStructure:
     if variant not in ("tru", "vib"):
         raise ValueError(f"unknown variant {variant!r}")
     nn = g * g
-    nodes = np.array([(ix, iy) for ix in range(g) for iy in range(g)], dtype=float)
-    fixed = np.array([ix == 0 for ix in range(g) for _ in range(g)])
+    ix, iy = np.divmod(np.arange(nn), g)
+    nodes = np.column_stack([ix, iy]).astype(float)
+    fixed = ix == 0
+    ndof = 2 * int(np.count_nonzero(~fixed))
     dof_index = -np.ones((nn, 2), dtype=int)
-    ndof = 0
-    for v in range(nn):
-        if not fixed[v]:
-            dof_index[v, 0] = ndof
-            dof_index[v, 1] = ndof + 1
-            ndof += 2
-    bars = np.array([(a, b) for a in range(nn) for b in range(a + 1, nn)], dtype=int)
+    dof_index[~fixed] = np.arange(ndof).reshape(-1, 2)
+    bars = np.column_stack(np.triu_indices(nn, 1))
     lengths = np.linalg.norm(nodes[bars[:, 1]] - nodes[bars[:, 0]], axis=1)
     load = np.zeros(ndof)
-    load_node = (g - 1) * g + (g - 1) // 2
     direction = np.array([0.0, -1.0]) if variant == "tru" else np.array([1.0, 0.0])
-    load[dof_index[load_node]] = direction
+    load[dof_index[(g - 1) * g + (g - 1) // 2]] = direction
     gs = GroundStructure(g, variant, nodes, fixed, dof_index, ndof, bars, lengths, load)
     k1 = assemble_stiffness(gs, np.ones(gs.n_bars))
     if np.linalg.eigvalsh(k1)[0] <= 0:
@@ -116,39 +109,30 @@ def gen_ground(g: int, variant: str = "tru") -> GroundStructure:
     return gs
 
 
-def bar_stiffness(gs: GroundStructure, i: int) -> SparseSym:
-    """Rank-one bar stiffness (E/l^2) gamma gamma' restricted to free DOFs."""
-    if gs.lengths[i] <= 0:
-        raise ValueError(f"bar {i} has zero length")
-    dofs, cos = gs.bar_dofs_cosines(i)
-    coeff = gs.young[i] / gs.lengths[i] ** 2
-    rows, cols, vals = [], [], []
-    for a in range(len(dofs)):
-        for b in range(a + 1):
-            v = coeff * cos[a] * cos[b]
-            if v != 0.0:
-                rows.append(max(dofs[a], dofs[b]))
-                cols.append(min(dofs[a], dofs[b]))
-                vals.append(v)
-    return SparseSym.from_triplets(gs.ndof, rows, cols, vals)
-
-
-def bar_mass_diag(gs: GroundStructure, i: int, rho: float) -> np.ndarray:
-    """Lumped mass per unit volume: rho l/2 on each free end DOF."""
-    out = np.zeros(gs.ndof)
-    dofs, _ = gs.bar_dofs_cosines(i)
-    out[dofs] = rho * gs.lengths[i] / 2.0
-    return out
+def _stiffness_entries(gs: GroundStructure):
+    """Lower triangles of the rank-one bar stiffnesses (E/l^2) gamma gamma'
+    on the free DOFs, as arrays (bar, row, col, value); zeros included."""
+    short = np.flatnonzero(gs.lengths <= 0)
+    if short.size:
+        raise ValueError(f"bar {short[0]} has zero length")
+    a, b = np.tril_indices(4)
+    coeff = gs.young / gs.lengths**2
+    val = coeff[:, None] * gs.bar_cosines[:, a] * gs.bar_cosines[:, b]
+    row, col = gs.bar_dofs[:, a], gs.bar_dofs[:, b]
+    free = (row >= 0) & (col >= 0)
+    bar = np.broadcast_to(np.arange(gs.n_bars)[:, None], val.shape)
+    return bar[free], row[free], col[free], val[free]
 
 
 def assemble_stiffness(gs: GroundStructure, t: np.ndarray) -> np.ndarray:
+    """K(t) = sum_i t_i (E_i/l_i^2) gamma_i gamma_i', summed in bar order."""
+    a, b = np.divmod(np.arange(16), 4)
+    coeff = t * gs.young / gs.lengths**2
+    val = coeff[:, None] * (gs.bar_cosines[:, a] * gs.bar_cosines[:, b])
+    row, col = gs.bar_dofs[:, a], gs.bar_dofs[:, b]
+    free = (row >= 0) & (col >= 0)
     k = np.zeros((gs.ndof, gs.ndof))
-    for i in range(gs.n_bars):
-        dofs, cos = gs.bar_dofs_cosines(i)
-        if dofs.size == 0:
-            continue
-        coeff = t[i] * gs.young[i] / gs.lengths[i] ** 2
-        k[np.ix_(dofs, dofs)] += coeff * np.outer(cos, cos)
+    np.add.at(k, (row[free], col[free]), val[free])
     return k
 
 
@@ -157,11 +141,13 @@ def load_node_index(gs: GroundStructure) -> int:
 
 
 def assemble_mass(gs: GroundStructure, t: np.ndarray, rho: float, m0: float) -> np.ndarray:
-    """Diagonal of M(t) + M0; the nonstructural mass m0 sits on both
-    components of the load node."""
+    """Diagonal of M(t) + M0: each bar lumps t rho l/2 on each free end DOF,
+    summed in bar order; the nonstructural mass m0 sits on both components
+    of the load node."""
+    free = gs.bar_dofs >= 0
+    per_bar = np.broadcast_to((t * (rho * gs.lengths / 2.0))[:, None], free.shape)
     diag = np.zeros(gs.ndof)
-    for i in range(gs.n_bars):
-        diag += t[i] * bar_mass_diag(gs, i, rho)
+    np.add.at(diag, gs.bar_dofs[free], per_bar[free])
     diag[gs.dof_index[load_node_index(gs)]] += m0
     return diag
 
@@ -176,83 +162,41 @@ def default_lambda_bar(gs: GroundStructure, spec: TrussSdpSpec) -> float:
     return 0.01 * float(lam[0])
 
 
-def _compliance_block(gs: GroundStructure, spec: TrussSdpSpec):
-    """Block [[gamma, -f'],[-f, K(t)]] in dual-view data: C - sum t_j A_j."""
-    m = gs.ndof + 1
-    mats = []
-    for j in range(gs.n_bars):
-        kj = bar_stiffness(gs, j)
-        if kj.nnz == 0:
-            continue
-        mats.append(
-            (j, SparseSym.from_triplets(m, kj.row + 1, kj.col + 1, -kj.val))
+def assemble_sdp(gs: GroundStructure, spec: TrussSdpSpec) -> SdpProblem:
+    """Volume minimization under the compliance bound, y = t, in dual-view
+    data C - sum t_j A_j >= 0.
+
+    Block 1 is [[gamma, -f'], [-f, K(t)]].  With ``spec.vibration`` block 2
+    is K(t) - lambda_bar (M(t) + M0), so C2 = -lambda_bar M0 (the
+    nonstructural mass on the load node)."""
+    spec.validate()
+    bar, row, col, val = _stiffness_entries(gs)
+    nz = val != 0.0
+    dims = [gs.ndof + 1]
+    entries = [(bar[nz], row[nz] + 1, col[nz] + 1, -val[nz])]
+    load = np.flatnonzero(gs.load)
+    c_blocks = [
+        SparseSym.from_triplets(
+            dims[0], np.r_[0, load + 1], np.zeros(load.size + 1, dtype=int),
+            np.r_[spec.gamma_compl, -gs.load[load]],
         )
-    c_rows = [0]
-    c_cols = [0]
-    c_vals = [spec.gamma_compl]
-    for dof in np.where(gs.load != 0.0)[0]:
-        c_rows.append(dof + 1)
-        c_cols.append(0)
-        c_vals.append(-gs.load[dof])
-    c = SparseSym.from_triplets(m, c_rows, c_cols, c_vals)
-    return m, mats, c
-
-
-def _box_constraints(gs: GroundStructure, spec: TrussSdpSpec):
+    ]
+    if spec.vibration:
+        lam_bar = spec.lambda_bar if spec.lambda_bar is not None else default_lambda_bar(gs, spec)
+        mass = spec.rho * gs.lengths[bar] / 2.0
+        diag = row == col
+        keep = nz | (diag & (mass != 0.0))
+        dims.append(gs.ndof)
+        vib = np.where(diag, lam_bar * mass, 0.0) - val
+        entries.append((bar[keep], row[keep], col[keep], vib[keep]))
+        m0diag = assemble_mass(gs, np.zeros(gs.n_bars), spec.rho, spec.m0)
+        on = np.flatnonzero(m0diag)
+        c_blocks.append(SparseSym.from_triplets(gs.ndof, on, on, -lam_bar * m0diag[on]))
     n = gs.n_bars
     eye = sp.identity(n, format="csr")
     d_mat = sp.vstack([eye, -eye], format="csr")
     d_vec = np.concatenate([np.full(n, spec.t_upper), np.full(n, -spec.t_lower)])
-    return d_mat, d_vec
-
-
-def assemble_tru_sdp(gs: GroundStructure, spec: TrussSdpSpec) -> SdpProblem:
-    """Volume minimization under the compliance bound; y = t."""
-    spec.validate()
-    m, mats, c = _compliance_block(gs, spec)
-    d_mat, d_vec = _box_constraints(gs, spec)
-    b = -np.ones(gs.n_bars)
-    return build_problem([m], [mats], [c], b, d_mat, d_vec)
-
-
-def assemble_vib_sdp(gs: GroundStructure, spec: TrussSdpSpec) -> SdpProblem:
-    """Adds the block K(t) - lambda_bar (M(t) + M0) >= 0."""
-    spec.validate()
-    if not spec.vibration:
-        raise ValueError("vibration flag not set on the instance parameters")
-    lam_bar = spec.lambda_bar if spec.lambda_bar is not None else default_lambda_bar(gs, spec)
-    m1, mats1, c1 = _compliance_block(gs, spec)
-    m2 = gs.ndof
-    mats2 = []
-    for j in range(gs.n_bars):
-        kj = bar_stiffness(gs, j)
-        mdiag = bar_mass_diag(gs, j, spec.rho)
-        entries: dict[tuple[int, int], float] = {}
-        for r, cc, v in zip(kj.row, kj.col, kj.val):
-            entries[(int(r), int(cc))] = entries.get((int(r), int(cc)), 0.0) - v
-        for dof in np.where(mdiag != 0.0)[0]:
-            key = (int(dof), int(dof))
-            entries[key] = entries.get(key, 0.0) + lam_bar * mdiag[dof]
-        if not entries:
-            continue
-        rows = [k[0] for k in entries]
-        cols = [k[1] for k in entries]
-        vals = [entries[k] for k in entries]
-        mats2.append((j, SparseSym.from_triplets(m2, rows, cols, vals)))
-    # constant part: the slack is C2 - sum t_j A_j^(2) = K - lambda_bar (M + M0),
-    # so C2 = -lambda_bar M0 (nonstructural mass on the load node)
-    m0diag = assemble_mass(gs, np.zeros(gs.n_bars), spec.rho, spec.m0)
-    nz = np.where(m0diag != 0.0)[0]
-    c2 = SparseSym.from_triplets(m2, nz, nz, -lam_bar * m0diag[nz])
-    d_mat, d_vec = _box_constraints(gs, spec)
-    b = -np.ones(gs.n_bars)
-    return build_problem([m1, m2], [mats1, mats2], [c1, c2], b, d_mat, d_vec)
-
-
-def assemble_sdp(gs: GroundStructure, spec: TrussSdpSpec) -> SdpProblem:
-    if spec.vibration:
-        return assemble_vib_sdp(gs, spec)
-    return assemble_tru_sdp(gs, spec)
+    return build_problem(dims, entries, c_blocks, -np.ones(n), d_mat, d_vec)
 
 
 def vanished_nodes(gs: GroundStructure, t: np.ndarray, rel_tol: float = 1e-4) -> list[int]:
@@ -263,11 +207,8 @@ def vanished_nodes(gs: GroundStructure, t: np.ndarray, rel_tol: float = 1e-4) ->
     tmax = float(np.max(t)) if t.size else 0.0
     thresh = rel_tol * max(tmax, 1.0)
     alive = np.zeros(len(gs.nodes), dtype=bool)
-    for i, (a, b) in enumerate(gs.bars):
-        if t[i] > thresh:
-            alive[a] = True
-            alive[b] = True
-    return [int(v) for v in range(len(gs.nodes)) if not gs.fixed[v] and not alive[v]]
+    alive[gs.bars[t > thresh]] = True
+    return np.flatnonzero(~gs.fixed & ~alive).tolist()
 
 
 def verify_solution(
@@ -305,8 +246,7 @@ def verify_solution(
         # while a principal submatrix of K - lambda_bar (M + M0) >= 0 keeps
         # the guarantee intact
         alive = np.ones(gs.ndof, dtype=bool)
-        for v in gone:
-            alive[gs.dof_index[v]] = False
+        alive[gs.dof_index[gone]] = False
         ka = k[np.ix_(alive, alive)]
         ma = mdiag[alive]
         pencil = eigh(ka, np.diag(ma), eigvals_only=True)

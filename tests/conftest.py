@@ -57,14 +57,22 @@ def rand_sparse_sym(rng: np.random.Generator, m: int, density: float = 0.4) -> S
     return SparseSym.from_triplets(m, rows, cols, vals)
 
 
+def sym_entries(mats) -> tuple:
+    """[(j, SparseSym)] as the (j, r, c, v) arrays that build_problem takes."""
+    mats = list(mats)
+    return (
+        np.array([j for j, a in mats for _ in range(a.nnz)], dtype=np.int64),
+        np.concatenate([np.zeros(0, dtype=np.int64)] + [a.row for _, a in mats]),
+        np.concatenate([np.zeros(0, dtype=np.int64)] + [a.col for _, a in mats]),
+        np.concatenate([np.zeros(0)] + [a.val for _, a in mats]),
+    )
+
+
 def random_problem(
     seed: int, dims=(5,), n: int = 12, nu: int = 6, density: float = 0.4
 ) -> SdpProblem:
     rng = np.random.default_rng(seed)
-    block_mats = []
-    for m in dims:
-        mats = [(j, rand_sparse_sym(rng, m, density)) for j in range(n)]
-        block_mats.append(mats)
+    block_entries = [sym_entries((j, rand_sparse_sym(rng, m, density)) for j in range(n)) for m in dims]
     c_blocks = [rand_sparse_sym(rng, m, 0.6) for m in dims]
     b = rng.standard_normal(n)
     d_dense = np.zeros((nu, n))
@@ -75,7 +83,7 @@ def random_problem(
             if not d_dense[:, j].any():
                 d_dense[rng.integers(nu), j] = 1.0
     d_vec = rng.standard_normal(nu) + 2.0
-    return build_problem(list(dims), block_mats, c_blocks, b, sp.csr_matrix(d_dense), d_vec)
+    return build_problem(list(dims), block_entries, c_blocks, b, sp.csr_matrix(d_dense), d_vec)
 
 
 def dense_operator(prob: SdpProblem, i: int) -> np.ndarray:

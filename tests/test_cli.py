@@ -54,6 +54,17 @@ class TestGen:
         prob = load_sdpa(gen_dir / "vib3.dat-s")
         assert prob.block_dims == [13, 12]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["tru", "1"], "grid size"), (["tru", "3", "--gamma", "-1"], "compliance bound")],
+    )
+    def test_invalid_parameters_exit_code(self, tmp_path, capsys, argv, message):
+        rc = main(["gen", *argv, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
     def test_e_variant_bounds(self, gen_dir):
         prob = load_sdpa(gen_dir / "tru3e.dat-s")
         # lower-bound rows carry -t <= -1e-4
@@ -194,6 +205,14 @@ class TestSolve:
         capsys.readouterr()
         assert rc == 2
 
+    def test_block_without_constraint_entry_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "empty-block.dat-s"
+        bad.write_text("1\n2\n1 -1\n1.0\n0 1 1 1 1.0\n1 2 1 1 1.0\n")
+        rc = main(["solve", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "no structurally nonzero" in err
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         rc = main(["solve", str(tmp_path / "nope.dat-s")])
         capsys.readouterr()
@@ -236,6 +255,17 @@ class TestBench:
         assert len(rows) == 3
         assert rows[1][0] == "tru3.dat-s"
         assert rows[2][3].startswith("failed")
+
+    @pytest.mark.parametrize("solver, args, kind", [("ip", [], "hybrid"), ("pdal", [], "gamma"),
+                                                   ("ip", ["--precond", "beta"], "beta")])
+    def test_failed_row_names_the_preconditioner(self, gen_dir, tmp_path, capsys, solver, args, kind):
+        out = tmp_path / "bench.csv"
+        rc = main(["bench", str(gen_dir / "missing.dat-s"), "--solver", solver, *args, "--csv", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        header, row = list(csv.reader(out.open()))
+        assert row[header.index("precond")] == kind
+        assert row[3].startswith("failed")
 
     @pytest.mark.parametrize(
         "solver, kind, kinds",

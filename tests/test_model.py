@@ -82,6 +82,24 @@ class TestLoadSdpa:
         with pytest.raises(SdpaParseError, match="line 7"):
             load_sdpa(io.StringIO(bad))
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("2.7\n1\n1\n1.0 1.0\n", 1),                 # variable count
+            ("1\n1.5\n1\n1.0\n", 2),                     # block count
+            ("1\n2\n{2.5, -1}\n1.0\n", 3),               # block size
+        ],
+    )
+    def test_non_integer_counts_rejected(self, text, line):
+        with pytest.raises(SdpaParseError, match=f"line {line}: non-integer") as err:
+            load_sdpa(io.StringIO(text))
+        assert err.value.lineno == line
+
+    def test_block_without_constraint_entry_is_a_parse_error(self):
+        text = "1\n2\n1 -1\n1.0\n0 1 1 1 1.0\n1 2 1 1 1.0\n"
+        with pytest.raises(SdpaParseError, match="block 0: no structurally nonzero"):
+            load_sdpa(io.StringIO(text))
+
     def test_diagonal_block(self):
         text = """\
 2
@@ -325,13 +343,13 @@ class TestDimacs:
 
 class TestValidation:
     def test_small_n_warning(self):
-        mats = [[(0, SparseSym.from_triplets(4, [0], [0], [1.0]))]]
+        entries = [([0], [0], [0], [1.0])]
         c = [SparseSym.from_triplets(4, [0], [0], [1.0])]
-        prob = build_problem([4], mats, c, np.array([1.0]), sp.csr_matrix((0, 1)), np.zeros(0))
+        prob = build_problem([4], entries, c, np.array([1.0]), sp.csr_matrix((0, 1)), np.zeros(0))
         assert any("matrix-free" in w for w in prob.validate())
 
     def test_zero_block_rejected(self):
-        mats = [[]]
+        entries = [([], [], [], [])]
         c = [SparseSym.from_triplets(3, [0], [0], [1.0])]
         with pytest.raises(ValueError, match="nonzero"):
-            build_problem([3], mats, c, np.array([1.0, 2.0]), sp.csr_matrix((0, 2)), np.zeros(0))
+            build_problem([3], entries, c, np.array([1.0, 2.0]), sp.csr_matrix((0, 2)), np.zeros(0))

@@ -323,9 +323,9 @@ class TestTilde:
 
         m = 3
         # constraint matrices with orthonormal vectorizations: E_11, E_22, E_33
-        mats = [(j, SparseSym.from_triplets(m, [j], [j], [1.0])) for j in range(m)]
+        diag = np.arange(m)
         c = [SparseSym.from_triplets(m, [0], [0], [1.0])]
-        prob = build_problem([m], [mats], c, np.ones(m), sp.csr_matrix((0, m)), np.zeros(0))
+        prob = build_problem([m], [(diag, diag, diag, np.ones(m))], c, np.ones(m), sp.csr_matrix((0, m)), np.zeros(0))
         w = np.diag([1.0, 1.0, 50.0])
         s = spectral_split(w, 1, 1.0)
         pa = build_h_alpha(prob, [s], np.zeros(prob.n))

@@ -6,10 +6,8 @@ from lorank.truss import (
     GroundStructure,
     TrussSdpSpec,
     assemble_mass,
+    assemble_sdp,
     assemble_stiffness,
-    assemble_tru_sdp,
-    assemble_vib_sdp,
-    bar_stiffness,
     default_lambda_bar,
     gen_ground,
     instance_name,
@@ -66,7 +64,120 @@ class TestGroundStructure:
             gen_ground(1, "tru")
 
 
+# ---------------------------------------------------------------------------
+# Straight-line oracles: one bar at a time, in bar order, with the generator's
+# floating-point order, so the array assembly must match them bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def oracle_ground(g):
+    """Nodes, fixed flags, free-DOF numbering and bars of the g x g grid."""
+    nodes = np.array([(ix, iy) for ix in range(g) for iy in range(g)], dtype=float)
+    fixed = np.array([ix == 0 for ix in range(g) for _ in range(g)])
+    dof_index = -np.ones((g * g, 2), dtype=int)
+    ndof = 0
+    for v in range(g * g):
+        if not fixed[v]:
+            dof_index[v] = [ndof, ndof + 1]
+            ndof += 2
+    bars = np.array([(a, b) for a in range(g * g) for b in range(a + 1, g * g)], dtype=int)
+    return nodes, fixed, dof_index, bars
+
+
+def oracle_bar(gs, i):
+    """Free DOFs touched by bar i and the matching direction cosines."""
+    na, nb = gs.bars[i]
+    delta = gs.nodes[nb] - gs.nodes[na]
+    full = np.array([-delta[0], -delta[1], delta[0], delta[1]]) / gs.lengths[i]
+    dofs = np.concatenate([gs.dof_index[na], gs.dof_index[nb]])
+    keep = dofs >= 0
+    return dofs[keep], full[keep]
+
+
+def oracle_bar_stiffness(gs, i):
+    """Dense (E/l^2) gamma gamma' of bar i, entry (a, b) as (coeff gamma_a) gamma_b."""
+    dofs, cos = oracle_bar(gs, i)
+    coeff = gs.young[i] / gs.lengths[i] ** 2
+    k = np.zeros((gs.ndof, gs.ndof))
+    for a in range(len(dofs)):
+        for b in range(a + 1):
+            k[dofs[a], dofs[b]] = k[dofs[b], dofs[a]] = coeff * cos[a] * cos[b]
+    return k
+
+
+def oracle_bar_mass(gs, i, rho):
+    out = np.zeros(gs.ndof)
+    out[oracle_bar(gs, i)[0]] = rho * gs.lengths[i] / 2.0
+    return out
+
+
+def oracle_stiffness(gs, t):
+    k = np.zeros((gs.ndof, gs.ndof))
+    for i in range(gs.n_bars):
+        dofs, cos = oracle_bar(gs, i)
+        k[np.ix_(dofs, dofs)] += t[i] * gs.young[i] / gs.lengths[i] ** 2 * np.outer(cos, cos)
+    return k
+
+
+def oracle_mass(gs, t, rho, m0):
+    diag = np.zeros(gs.ndof)
+    for i in range(gs.n_bars):
+        diag += t[i] * oracle_bar_mass(gs, i, rho)
+    diag[gs.dof_index[(gs.g - 1) * gs.g + (gs.g - 1) // 2]] += m0
+    return diag
+
+
+def operator_column(prob, block, j):
+    m = prob.block_dims[block]
+    return prob.A[block][:, j].toarray().reshape(m, m)
+
+
+@pytest.mark.parametrize("variant, g", [("tru", 3), ("tru", 4), ("vib", 3), ("vib", 4)])
+class TestArrayAssemblyMatchesOracle:
+    def test_ground_structure(self, variant, g):
+        gs = gen_ground(g, variant)
+        for got, want in zip((gs.nodes, gs.fixed, gs.dof_index, gs.bars), oracle_ground(g)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_stiffness_and_mass(self, variant, g):
+        gs = gen_ground(g, variant)
+        t = 3.0 * np.random.default_rng(g).random(gs.n_bars)
+        assert np.array_equal(assemble_stiffness(gs, t), oracle_stiffness(gs, t))
+        assert np.array_equal(assemble_mass(gs, t, 1.3, 0.7), oracle_mass(gs, t, 1.3, 0.7))
+
+    def test_operator_columns(self, variant, g):
+        gs = gen_ground(g, variant)
+        spec = TrussSdpSpec(vibration=variant == "vib")
+        prob = assemble_sdp(gs, spec)
+        ones = np.ones(gs.n_bars)
+        lam = eigh(oracle_stiffness(gs, ones), np.diag(oracle_mass(gs, ones, spec.rho, spec.m0)),
+                   eigvals_only=True)[0]
+        lam_bar = 0.01 * float(lam)
+        if spec.vibration:
+            assert default_lambda_bar(gs, spec) == lam_bar
+        for j in range(gs.n_bars):
+            kj = oracle_bar_stiffness(gs, j)
+            want = np.zeros((gs.ndof + 1, gs.ndof + 1))
+            want[1:, 1:] = -kj
+            assert np.array_equal(operator_column(prob, 0, j), want)
+            if spec.vibration:
+                want = -kj + lam_bar * np.diag(oracle_bar_mass(gs, j, spec.rho))
+                assert np.array_equal(operator_column(prob, 1, j), want)
+
+    def test_vanished_nodes(self, variant, g):
+        gs = gen_ground(g, variant)
+        t = np.where(np.random.default_rng(g).random(gs.n_bars) < 0.1, 1.0, 1e-9)
+        alive = np.zeros(len(gs.nodes), dtype=bool)
+        for i, (a, b) in enumerate(gs.bars):
+            alive[[a, b]] |= t[i] > 1e-4
+        want = [v for v in range(len(gs.nodes)) if not gs.fixed[v] and not alive[v]]
+        assert vanished_nodes(gs, t) == want
+
+
 class TestBarStiffness:
+    """Column j of the compliance operator is -K_j, the bar stiffness
+    (E/l^2) gamma gamma' on the free DOFs, behind the leading row and column."""
+
     def find_bar(self, gs, a_coord, b_coord):
         for i, (a, b) in enumerate(gs.bars):
             pa, pb = tuple(gs.nodes[a]), tuple(gs.nodes[b])
@@ -74,11 +185,15 @@ class TestBarStiffness:
                 return i
         raise AssertionError("bar not found")
 
+    def stiffness(self, gs, i):
+        a = operator_column(assemble_sdp(gs, TrussSdpSpec()), 0, i)
+        assert not a[0].any() and not a[:, 0].any()
+        return -a[1:, 1:]
+
     def test_horizontal_free_bar(self):
         gs = gen_ground(3, "tru")
         i = self.find_bar(gs, (1.0, 0.0), (2.0, 0.0))
-        k = bar_stiffness(gs, i)
-        dense = k.to_dense()
+        dense = self.stiffness(gs, i)
         # unit length, x-direction: entries +-1 on the two x components
         nz = dense[dense != 0.0]
         assert np.allclose(np.sort(np.abs(nz)), 1.0)
@@ -87,25 +202,24 @@ class TestBarStiffness:
     def test_one_fixed_end(self):
         gs = gen_ground(3, "tru")
         i = self.find_bar(gs, (0.0, 0.0), (1.0, 0.0))
-        k = bar_stiffness(gs, i)
-        dense = k.to_dense()
-        assert np.count_nonzero(dense) == 1  # only the free x component
+        assert np.count_nonzero(self.stiffness(gs, i)) == 1  # only the free x component
 
     def test_diagonal_bar_formula(self):
         gs = gen_ground(3, "tru")
         i = self.find_bar(gs, (1.0, 0.0), (2.0, 1.0))
         ell = np.sqrt(2.0)
-        dofs, cos = gs.bar_dofs_cosines(i)
+        cos = np.array([-1.0, -1.0, 1.0, 1.0]) / ell
+        dofs = np.concatenate([gs.dof_index[3], gs.dof_index[7]])  # nodes (1, 0) and (2, 1)
         expected = np.outer(cos, cos) / ell**2
-        dense = bar_stiffness(gs, i).to_dense()
-        sub = dense[np.ix_(dofs, dofs)]
-        assert np.allclose(sub, expected, rtol=1e-14)
+        dense = self.stiffness(gs, i)
+        assert np.allclose(dense[np.ix_(dofs, dofs)], expected, rtol=1e-14)
+        assert np.count_nonzero(dense) == 16
         assert np.allclose(np.abs(expected), 0.25)
 
     def test_both_ends_fixed_is_empty(self):
         gs = gen_ground(3, "tru")
         i = self.find_bar(gs, (0.0, 0.0), (0.0, 1.0))
-        assert bar_stiffness(gs, i).nnz == 0
+        assert assemble_sdp(gs, TrussSdpSpec()).A[0][:, i].nnz == 0
 
     def test_sparsity_bound(self, tru5):
         """Every constraint matrix keeps at most 16 nonzeros."""
@@ -115,16 +229,16 @@ class TestBarStiffness:
 
     def test_zero_length_rejected(self):
         gs = gen_ground(3, "tru")
-        gs.lengths[0] = 0.0
-        with pytest.raises(ValueError, match="zero length"):
-            bar_stiffness(gs, 0)
+        gs.lengths[5] = 0.0
+        with pytest.raises(ValueError, match="bar 5 has zero length"):
+            assemble_sdp(gs, TrussSdpSpec())
 
 
 class TestAssembly:
     @pytest.mark.parametrize("g", [3, 5])
     def test_tru_dimensions(self, g):
         gs = gen_ground(g, "tru")
-        prob = assemble_tru_sdp(gs, TrussSdpSpec())
+        prob = assemble_sdp(gs, TrussSdpSpec())
         n, m, lin = TABLE_DIMS[g]
         assert prob.n == n
         assert prob.block_dims == [m]
@@ -132,7 +246,7 @@ class TestAssembly:
 
     def test_vib_dimensions(self):
         gs = gen_ground(3, "vib")
-        prob = assemble_vib_sdp(gs, TrussSdpSpec(vibration=True))
+        prob = assemble_sdp(gs, TrussSdpSpec(vibration=True))
         assert prob.block_dims == [13, 12]
 
     def test_schur_complement_equivalence(self):
@@ -140,7 +254,7 @@ class TestAssembly:
         static compliance respects the bound."""
         gs = gen_ground(3, "tru")
         spec = TrussSdpSpec(gamma_compl=1.0)
-        prob = assemble_tru_sdp(gs, spec)
+        prob = assemble_sdp(gs, spec)
         rng = np.random.default_rng(2)
 
         def block_at(t):
@@ -165,17 +279,16 @@ class TestAssembly:
 
     def test_zero_volume_block_not_psd(self):
         gs = gen_ground(3, "tru")
-        prob = assemble_tru_sdp(gs, TrussSdpSpec())
+        prob = assemble_sdp(gs, TrussSdpSpec())
         block = prob.c_dense(0)  # t = 0 leaves only the constant part
         assert np.linalg.eigvalsh(block)[0] < 0
 
     def test_vib_lambda_zero_reduces_to_stiffness(self):
         gs = gen_ground(3, "vib")
         spec = TrussSdpSpec(vibration=True, lambda_bar=0.0)
-        prob = assemble_vib_sdp(gs, spec)
-        k0 = bar_stiffness(gs, 0).to_dense()
-        a0 = prob.A[1].toarray()[:, 0].reshape(12, 12)
-        assert np.allclose(a0, -k0)
+        prob = assemble_sdp(gs, spec)
+        a0 = operator_column(prob, 1, 0)
+        assert np.allclose(a0, operator_column(prob, 0, 0)[1:, 1:])
         assert prob.C[1].nnz == 0 or np.allclose(prob.C[1].val, 0.0)
 
     def test_default_lambda_bar_scale(self):
