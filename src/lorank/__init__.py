@@ -9,7 +9,7 @@ instances in SDPA sparse format.
 from . import _threads  # noqa: F401  (must run before numpy loads BLAS)
 
 from .ip import IpConfig, ip_solve
-from .linalg import NotPositiveDefinite, SparseSym, chol, min_eig_pencil, sym_eig
+from .linalg import NotPositiveDefinite, chol, min_eig_pencil, sym_eig
 from .model import (
     BlockSymMatrix,
     DimacsErrors,
@@ -53,7 +53,6 @@ __all__ = [
     "SmwPreconditioner",
     "SolveReport",
     "SolverFailure",
-    "SparseSym",
     "SplitBlock",
     "TrussSdpSpec",
     "apply_A",

@@ -1,13 +1,14 @@
 """Command-line driver: instance generation, solving, benchmark sweeps.
 
 Exit codes for ``gen``: 0 when the instance and its sidecar are written,
-2 on invalid instance parameters (such as a grid size below 2 or a
-nonpositive compliance bound).  For ``solve``: 0 when the DIMACS measures
-meet the tolerance, 1 when the solver stopped short, 2 on input errors
-(including a configuration the solver rejects, such as a preconditioner
-kind of the other driver), 3 on solver failures, whose partial report is
-still written like any other.  ``bench`` records per-row failures in the
-CSV and keeps going; a rejected configuration ends it with exit code 2.
+2 on invalid instance parameters (such as a grid size below 2, a
+non-finite number or a nonpositive compliance bound).  For ``solve``: 0
+when the DIMACS measures meet the tolerance, 1 when the solver stopped
+short, 2 on input errors (including a configuration the solver rejects,
+such as a preconditioner kind of the other driver), 3 on solver failures,
+whose partial report is still written like any other.  ``bench`` records
+per-row failures in the CSV and keeps going; a rejected configuration ends
+it with exit code 2.
 """
 
 from __future__ import annotations

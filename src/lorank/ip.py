@@ -130,7 +130,7 @@ def _residuals(prob: SdpProblem, pt: PrimalDualPoint) -> tuple[np.ndarray, Block
     rp = prob.b - apply_A(prob, pt.X)
     ay = apply_A_adjoint(prob, pt.y)
     rd = BlockSymMatrix(
-        [prob.c_dense(i) - pt.S.blocks[i] - ay.blocks[i] for i in range(prob.p)],
+        [c - s - a for c, s, a in zip(prob.C, pt.S.blocks, ay.blocks)],
         prob.d - ay.lin - pt.S.lin,
     )
     return rp, rd
@@ -216,7 +216,7 @@ def initial_point(prob: SdpProblem) -> PrimalDualPoint:
     for i, m in enumerate(prob.block_dims):
         denom = 1.0 + col_norms[i]
         xi = max(xi, np.sqrt(m), float(m * np.max((1.0 + np.abs(prob.b)) / denom)))
-        c_norm = prob.C[i].norm_fro()
+        c_norm = float(np.linalg.norm(prob.C[i]))
         eta = max(eta, np.sqrt(m), (1.0 + max(float(col_norms[i].max(initial=0.0)), c_norm)) / np.sqrt(m))
     dims = prob.block_dims
     s_lin = np.maximum(eta, 1.0 + np.abs(prob.d))

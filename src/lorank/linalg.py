@@ -1,15 +1,13 @@
-"""Dense symmetric kernels and sparse symmetric storage.
+"""Dense symmetric kernels.
 
 Everything downstream (solvers, preconditioners, the instance generator)
-works with plain float64 numpy arrays for dense symmetric matrices and with
-:class:`SparseSym` for sparse ones.  Block sizes stay in the low thousands,
-so dense LAPACK eigendecomposition and Cholesky are the right tools; no
-iterative eigensolvers are used anywhere.
+works with plain float64 numpy arrays for dense symmetric matrices.  Block
+sizes stay in the low thousands, so dense LAPACK eigendecomposition and
+Cholesky are the right tools; no iterative eigensolvers are used anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -127,63 +125,3 @@ def min_eig_pencil(x: np.ndarray, dx: np.ndarray) -> float:
     l = chol(x, "min_eig_pencil")
     t = solve_triangular(l, np.asarray(dx, dtype=float), lower=True)
     return min_eig(solve_triangular(l, t.T, lower=True))
-
-
-@dataclass(frozen=True)
-class SparseSym:
-    """Sparse symmetric matrix stored as the lower triangle (row >= col).
-
-    Invariants: no duplicate coordinates, indices < dim.  ``dot`` and
-    ``norm_fro`` count the off-diagonal stored entries twice; duplicates are
-    rejected at construction so the coordinate list stays canonical.
-    """
-
-    dim: int
-    row: np.ndarray
-    col: np.ndarray
-    val: np.ndarray
-
-    @staticmethod
-    def from_triplets(dim: int, row, col, val) -> "SparseSym":
-        row = np.asarray(row, dtype=np.int64)
-        col = np.asarray(col, dtype=np.int64)
-        val = np.asarray(val, dtype=float)
-        if row.size:
-            if row.max(initial=-1) >= dim or col.max(initial=-1) >= dim:
-                raise ValueError("SparseSym: index out of range")
-            if row.min(initial=0) < 0 or col.min(initial=0) < 0:
-                raise ValueError("SparseSym: negative index")
-        # normalize to lower triangle
-        r = np.maximum(row, col)
-        c = np.minimum(row, col)
-        order = np.lexsort((c, r))
-        r, c, val = r[order], c[order], val[order]
-        if r.size > 1:
-            dup = (r[1:] == r[:-1]) & (c[1:] == c[:-1])
-            if dup.any():
-                k = int(np.argmax(dup))
-                raise ValueError(
-                    f"SparseSym: duplicate entry at ({r[k + 1]}, {c[k + 1]})"
-                )
-        return SparseSym(dim, r, c, val)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.val.size)
-
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.dim, self.dim))
-        a[self.row, self.col] = self.val
-        a[self.col, self.row] = self.val
-        return a
-
-    def dot(self, m: np.ndarray) -> float:
-        """Frobenius inner product with a dense symmetric matrix."""
-        full = self.val * m[self.row, self.col]
-        off = self.row != self.col
-        return float(full.sum() + full[off].sum())
-
-    def norm_fro(self) -> float:
-        sq = self.val**2
-        off = self.row != self.col
-        return float(np.sqrt(sq.sum() + sq[off].sum()))

@@ -23,14 +23,14 @@ the forward map each cost one sparse product.
 
 from __future__ import annotations
 
-import io
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import SparseSym, is_pd, min_eig
+from .linalg import is_pd, min_eig
 
 
 @dataclass
@@ -202,18 +202,18 @@ class SdpProblem:
 
     block_dims : LMI block sizes m_i
     A          : per block, CSR of shape (m_i^2, n); column j is vec(A_j^(i))
-    C          : per block, SparseSym objective/offset matrix
+    C          : per block, the objective/offset matrix C_i as a dense
+                 symmetric float64 array of shape (m_i, m_i)
     b          : length-n right-hand side of the primal / dual objective
     D, d       : explicit linear constraints D y + s_lin = d, s_lin >= 0
     """
 
     block_dims: list[int]
     A: list[sp.csr_matrix]
-    C: list[SparseSym]
+    C: list[np.ndarray]
     b: np.ndarray
     D: sp.csr_matrix
     d: np.ndarray
-    _c_dense: list[np.ndarray] | None = field(default=None, repr=False)
     _ops: ConstraintOps | None = field(default=None, init=False, repr=False)
 
     @property
@@ -231,11 +231,6 @@ class SdpProblem:
     @property
     def m_total(self) -> int:
         return int(sum(self.block_dims))
-
-    def c_dense(self, i: int) -> np.ndarray:
-        if self._c_dense is None:
-            self._c_dense = [c.to_dense() for c in self.C]
-        return self._c_dense[i]
 
     @property
     def ops(self) -> ConstraintOps:
@@ -262,8 +257,13 @@ class SdpProblem:
                 raise ValueError(f"block {i}: operator shape {a.shape} != ({m * m}, {n})")
             if a.nnz == 0:
                 raise ValueError(f"block {i}: no structurally nonzero constraint matrix")
-            if self.C[i].dim != m:
-                raise ValueError(f"block {i}: objective dim {self.C[i].dim} != {m}")
+            c = self.C[i]
+            if c.shape != (m, m):
+                raise ValueError(f"block {i}: objective shape {c.shape} != ({m}, {m})")
+            if not np.isfinite(c).all():
+                raise ValueError(f"block {i}: objective has a non-finite entry")
+            if not np.array_equal(c, c.T):
+                raise ValueError(f"block {i}: objective is not symmetric")
         if self.D.shape != (self.nu, self.n):
             raise ValueError(f"linear block shape {self.D.shape} != ({self.nu}, {self.n})")
         if self.n <= max(self.block_dims):
@@ -298,7 +298,7 @@ def apply_A(prob: SdpProblem, m: BlockSymMatrix) -> np.ndarray:
 def dual_slack(prob: SdpProblem, y: np.ndarray) -> BlockSymMatrix:
     """S(y) = C - A0(y) blockwise, with linear slack d - D y."""
     ay = apply_A_adjoint(prob, y)
-    blocks = [prob.c_dense(i) - ay.blocks[i] for i in range(prob.p)]
+    blocks = [c - a for c, a in zip(prob.C, ay.blocks)]
     return BlockSymMatrix(blocks, prob.d - ay.lin)
 
 
@@ -306,7 +306,7 @@ def data_inf_norms(prob: SdpProblem) -> tuple[float, float]:
     """(max |b|, max |entry of C and d|) used in the DIMACS normalizations."""
     bnorm = float(np.abs(prob.b).max()) if prob.b.size else 0.0
     cnorm = max(
-        [float(np.abs(c.val).max()) if c.nnz else 0.0 for c in prob.C]
+        [float(np.abs(c).max()) for c in prob.C]
         + [float(np.abs(prob.d).max()) if prob.d.size else 0.0]
     )
     return bnorm, cnorm
@@ -314,7 +314,7 @@ def data_inf_norms(prob: SdpProblem) -> tuple[float, float]:
 
 def objective_values(prob: SdpProblem, pt: PrimalDualPoint) -> tuple[float, float]:
     """(primal C.X + d'x_lin, dual b'y)."""
-    pobj = sum(c.dot(x) for c, x in zip(prob.C, pt.X.blocks)) + float(prob.d @ pt.X.lin)
+    pobj = sum(float(np.vdot(c, x)) for c, x in zip(prob.C, pt.X.blocks)) + float(prob.d @ pt.X.lin)
     return float(pobj), float(prob.b @ pt.y)
 
 
@@ -375,8 +375,8 @@ def dimacs(prob: SdpProblem, pt: PrimalDualPoint, s_eigs: list[float] | None = N
 
     ay = apply_A_adjoint(prob, pt.y)
     rd2 = 0.0
-    for i in range(prob.p):
-        rd2 += float(np.sum((prob.c_dense(i) - pt.S.blocks[i] - ay.blocks[i]) ** 2))
+    for c, s, a in zip(prob.C, pt.S.blocks, ay.blocks):
+        rd2 += float(np.sum((c - s - a) ** 2))
     rd2 += float(np.sum((prob.d - ay.lin - pt.S.lin) ** 2))
     err3 = float(np.sqrt(rd2)) / (1.0 + cnorm)
 
@@ -420,8 +420,8 @@ def load_sdpa(path_or_text) -> SdpProblem:
     Accepts a filesystem path or a file-like object.  Raises
     :class:`SdpaParseError` on malformed input, with a line number where
     one line is at fault: a bad token, a non-integer count or block size,
-    a duplicate entry within one matrix.  Data that parses but fails
-    :meth:`SdpProblem.validate` raises it without one.
+    a non-finite number, a duplicate entry within one matrix.  Data that
+    parses but fails :meth:`SdpProblem.validate` raises it without one.
     """
     if hasattr(path_or_text, "read"):
         text = path_or_text.read()
@@ -446,6 +446,8 @@ def load_sdpa(path_or_text) -> SdpProblem:
                     raise SdpaParseError(f"bad token {t!r} in {what}", lineno)
                 if integer and not v.is_integer():
                     raise SdpaParseError(f"non-integer {t!r} in {what}", lineno)
+                if not math.isfinite(v):
+                    raise SdpaParseError(f"non-finite {t!r} in {what}", lineno)
                 vals.append(v)
         if len(vals) > count:
             raise SdpaParseError(f"too many values for {what}", lineno)
@@ -492,6 +494,8 @@ def load_sdpa(path_or_text) -> SdpProblem:
             val = float(toks[4])
         except ValueError:
             raise SdpaParseError("malformed entry", lineno)
+        if not math.isfinite(val):
+            raise SdpaParseError(f"non-finite value {toks[4]!r}", lineno)
         if not (0 <= matno <= nvar):
             raise SdpaParseError(f"matrix number {matno} out of range", lineno)
         if not (1 <= blkno <= nblocks):
@@ -531,7 +535,9 @@ def load_sdpa(path_or_text) -> SdpProblem:
         v = np.array(vals, dtype=float)
         obj = j < 0
         a_entries.append((j[~obj], r[~obj], c[~obj], v[~obj]))
-        c_mats.append(SparseSym.from_triplets(m, r[obj], c[obj], v[obj]))
+        cm = np.zeros((m, m))
+        cm[r[obj], c[obj]] = cm[c[obj], r[obj]] = v[obj]
+        c_mats.append(cm)
 
     d_mat = sp.csr_matrix(
         (np.array(d_vals), (np.array(d_rows, dtype=np.int64), np.array(d_cols, dtype=np.int64))),
@@ -543,56 +549,32 @@ def load_sdpa(path_or_text) -> SdpProblem:
         raise SdpaParseError(str(exc)) from exc
 
 
-def _block_triplets(a: sp.csr_matrix, m: int):
-    """Recover lower-triangle (j, r, c, v) lists for one stacked operator."""
-    coo = a.tocoo()
-    r = coo.row // m
-    c = coo.row % m
-    keep = r >= c
-    return coo.col[keep], r[keep], c[keep], coo.data[keep]
-
-
 def write_sdpa(prob: SdpProblem, path_or_buf, comment: str | None = None) -> None:
     """Write the problem in SDPA sparse format; inverse of :func:`load_sdpa`.
 
     Values are printed with 17 significant digits so a round-trip reproduces
-    the coordinate data bit-exactly.
+    the coordinate data bit-exactly.  Each block lists F0 = -C and then the
+    F_j = -A_j in the order of j, each matrix's upper triangle row by row
+    without its zeros.
     """
-    buf = io.StringIO()
-    if comment:
-        for line in comment.splitlines():
-            buf.write(f"* {line}\n")
-    nvar = prob.n
-    sizes = [int(m) for m in prob.block_dims]
+    lines = [f"* {line}" for line in comment.splitlines()] if comment else []
+    sizes = list(prob.block_dims) + ([-prob.nu] if prob.nu else [])
+    lines += [str(prob.n), str(len(sizes)), " ".join(map(str, sizes)), " ".join(_fmt(-v) for v in prob.b)]
+    for blkno, (m, cm, a) in enumerate(zip(prob.block_dims, prob.C, prob.A), start=1):
+        r, c = np.nonzero(np.tril(cm))
+        coo = a.tocoo()  # row r m + c of column j holds (A_j)_rc
+        ar, ac = np.divmod(coo.row, m)
+        low = np.flatnonzero(ar >= ac)
+        low = low[np.lexsort((ac[low], ar[low], coo.col[low]))]
+        matno = np.r_[np.zeros(r.size, dtype=np.int64), coo.col[low] + 1]
+        lines += _entry_lines(blkno, matno, np.r_[r, ar[low]], np.r_[c, ac[low]], np.r_[cm[r, c], coo.data[low]])
     if prob.nu:
-        sizes.append(-int(prob.nu))
-    buf.write(f"{nvar}\n{len(sizes)}\n")
-    buf.write(" ".join(str(s) for s in sizes) + "\n")
-    buf.write(" ".join(_fmt(-v) for v in prob.b) + "\n")
-
-    def emit(matno: int, blkno: int, r: int, c: int, v: float):
-        if v != 0.0:
-            buf.write(f"{matno} {blkno} {c + 1} {r + 1} {_fmt(v)}\n")
-
-    for bi, m in enumerate(prob.block_dims):
-        cm = prob.C[bi]
-        for r, c, v in zip(cm.row, cm.col, cm.val):
-            emit(0, bi + 1, int(r), int(c), -v)
-        js, rs, cs, vs = _block_triplets(prob.A[bi], m)
-        order = np.lexsort((cs, rs, js))
-        for j, r, c, v in zip(js[order], rs[order], cs[order], vs[order]):
-            emit(int(j) + 1, bi + 1, int(r), int(c), -v)
-
-    if prob.nu:
-        blkno = prob.p + 1
-        for k, v in enumerate(prob.d):
-            emit(0, blkno, k, k, -v)
-        dcoo = prob.D.tocoo()
-        order = np.lexsort((dcoo.row, dcoo.col))
-        for k, j, v in zip(dcoo.row[order], dcoo.col[order], dcoo.data[order]):
-            emit(int(j) + 1, blkno, int(k), int(k), -v)
-
-    text = buf.getvalue()
+        coo = prob.D.tocoo()
+        order = np.lexsort((coo.row, coo.col))
+        k = np.r_[np.arange(prob.nu), coo.row[order]]
+        matno = np.r_[np.zeros(prob.nu, dtype=np.int64), coo.col[order] + 1]
+        lines += _entry_lines(prob.p + 1, matno, k, k, np.r_[prob.d, coo.data[order]])
+    text = "\n".join(lines) + "\n"
     if hasattr(path_or_buf, "write"):
         path_or_buf.write(text)
     else:
@@ -602,6 +584,15 @@ def write_sdpa(prob: SdpProblem, path_or_buf, comment: str | None = None) -> Non
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
+
+
+def _entry_lines(blkno: int, matno, r, c, v) -> list[str]:
+    """SDPA lines of one block: the entry -v of matrix ``matno`` at the
+    lower-triangle (r, c), written as its upper-triangle mirror; zeros are
+    left out."""
+    keep = v != 0.0
+    rows = zip(matno[keep].tolist(), (c[keep] + 1).tolist(), (r[keep] + 1).tolist(), (-v[keep]).tolist())
+    return [f"{j} {blkno} {c1} {r1} {_fmt(x)}" for j, c1, r1, x in rows]
 
 
 def block_operator(n: int, m: int, j, r, c, v) -> sp.csr_matrix:
@@ -621,7 +612,7 @@ def block_operator(n: int, m: int, j, r, c, v) -> sp.csr_matrix:
 def build_problem(
     block_dims: Sequence[int],
     block_entries: Sequence[tuple],
-    c_blocks: Sequence[SparseSym],
+    c_blocks: Sequence[np.ndarray],
     b: np.ndarray,
     D: sp.spmatrix,
     d: np.ndarray,
@@ -631,6 +622,7 @@ def build_problem(
     b = np.asarray(b, dtype=float)
     d = np.asarray(d, dtype=float)
     a_ops = [block_operator(b.size, m, *ent) for m, ent in zip(block_dims, block_entries)]
-    prob = SdpProblem(list(block_dims), a_ops, list(c_blocks), b, sp.csr_matrix(D), d)
+    c_blocks = [np.asarray(c, dtype=float) for c in c_blocks]
+    prob = SdpProblem(list(block_dims), a_ops, c_blocks, b, sp.csr_matrix(D), d)
     prob.validate()
     return prob

@@ -191,7 +191,7 @@ class PointEval:
 def evaluate_point(ctx: OuterCtx, y: np.ndarray) -> PointEval:
     prob = ctx.prob
     ay = apply_A_adjoint(prob, y)
-    a_blocks = [ay.blocks[i] - prob.c_dense(i) for i in range(prob.p)]
+    a_blocks = [a - c for a, c in zip(ay.blocks, prob.C)]
     z_blocks = [z_matrix(a, ctx.pi_lmi) for a in a_blocks]
     xbar_blocks = [
         multiplier_update_lmi(z, x, ctx.pi_lmi)
@@ -212,7 +212,7 @@ def aug_lagrangian_value(ctx: OuterCtx, y: np.ndarray) -> float:
     ay = apply_A_adjoint(prob, y)
     val = float(ctx.b_min @ y) + 0.5 * ctx.r * float(np.sum((y - ctx.y_prox) ** 2))
     for i in range(prob.p):
-        a = ay.blocks[i] - prob.c_dense(i)
+        a = ay.blocks[i] - prob.C[i]
         z = z_matrix(a, ctx.pi_lmi)
         val += ctx.pi_lmi**2 * float(np.tensordot(ctx.x_blocks[i], z))
         val -= ctx.pi_lmi * float(np.trace(ctx.x_blocks[i]))

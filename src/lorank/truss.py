@@ -25,7 +25,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
 
-from .linalg import SparseSym
 from .model import SdpProblem, build_problem
 
 
@@ -74,12 +73,21 @@ class TrussSdpSpec:
     m0: float = 1.0
 
     def validate(self):
+        """Raise ValueError naming the first parameter out of its range."""
+        for name in ("gamma_compl", "t_lower", "t_upper", "lambda_bar", "rho", "m0"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.gamma_compl <= 0:
-            raise ValueError("compliance bound must be positive")
+            raise ValueError("compliance bound gamma_compl must be positive")
         if not (0 <= self.t_lower < self.t_upper):
-            raise ValueError("volume bounds must satisfy 0 <= lower < upper")
-        if self.vibration and self.lambda_bar is not None and self.lambda_bar < 0:
-            raise ValueError("vibration threshold must be nonnegative")
+            raise ValueError("volume bounds must satisfy 0 <= t_lower < t_upper")
+        if self.lambda_bar is not None and self.lambda_bar < 0:
+            raise ValueError("vibration threshold lambda_bar must be nonnegative")
+        if self.rho <= 0:
+            raise ValueError("mass density rho must be positive")
+        if self.m0 < 0:
+            raise ValueError("nonstructural mass m0 must be nonnegative")
 
 
 def gen_ground(g: int, variant: str = "tru") -> GroundStructure:
@@ -175,12 +183,10 @@ def assemble_sdp(gs: GroundStructure, spec: TrussSdpSpec) -> SdpProblem:
     dims = [gs.ndof + 1]
     entries = [(bar[nz], row[nz] + 1, col[nz] + 1, -val[nz])]
     load = np.flatnonzero(gs.load)
-    c_blocks = [
-        SparseSym.from_triplets(
-            dims[0], np.r_[0, load + 1], np.zeros(load.size + 1, dtype=int),
-            np.r_[spec.gamma_compl, -gs.load[load]],
-        )
-    ]
+    c1 = np.zeros((dims[0], dims[0]))
+    c1[0, 0] = spec.gamma_compl
+    c1[load + 1, 0] = c1[0, load + 1] = -gs.load[load]
+    c_blocks = [c1]
     if spec.vibration:
         lam_bar = spec.lambda_bar if spec.lambda_bar is not None else default_lambda_bar(gs, spec)
         mass = spec.rho * gs.lengths[bar] / 2.0
@@ -189,9 +195,10 @@ def assemble_sdp(gs: GroundStructure, spec: TrussSdpSpec) -> SdpProblem:
         dims.append(gs.ndof)
         vib = np.where(diag, lam_bar * mass, 0.0) - val
         entries.append((bar[keep], row[keep], col[keep], vib[keep]))
-        m0diag = assemble_mass(gs, np.zeros(gs.n_bars), spec.rho, spec.m0)
-        on = np.flatnonzero(m0diag)
-        c_blocks.append(SparseSym.from_triplets(gs.ndof, on, on, -lam_bar * m0diag[on]))
+        c2 = np.zeros((gs.ndof, gs.ndof))
+        load_dofs = gs.dof_index[load_node_index(gs)]
+        c2[load_dofs, load_dofs] = -lam_bar * spec.m0
+        c_blocks.append(c2)
     n = gs.n_bars
     eye = sp.identity(n, format="csr")
     d_mat = sp.vstack([eye, -eye], format="csr")

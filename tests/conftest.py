@@ -21,7 +21,6 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 from lorank.ip import IpConfig, ip_solve
-from lorank.linalg import SparseSym
 from lorank.model import SdpProblem, build_problem
 from lorank.pdal import pdal_config_profile, pdal_solve
 from lorank.truss import TrussSdpSpec, assemble_sdp, gen_ground
@@ -44,28 +43,27 @@ def spd_with_spectrum(rng: np.random.Generator, eigs: np.ndarray) -> np.ndarray:
     return (q * np.asarray(eigs, dtype=float)) @ q.T
 
 
-def rand_sparse_sym(rng: np.random.Generator, m: int, density: float = 0.4) -> SparseSym:
-    rows, cols, vals = [], [], []
+def rand_sparse_sym(rng: np.random.Generator, m: int, density: float = 0.4) -> np.ndarray:
+    """Dense symmetric matrix whose lower-triangle entries are each drawn
+    with probability ``density``, in row-major order; (0, 0) = 1 when none is."""
+    a = np.zeros((m, m))
     for r in range(m):
         for c in range(r + 1):
             if rng.random() < density:
-                rows.append(r)
-                cols.append(c)
-                vals.append(rng.standard_normal())
-    if not rows:
-        rows, cols, vals = [0], [0], [1.0]
-    return SparseSym.from_triplets(m, rows, cols, vals)
+                a[r, c] = a[c, r] = rng.standard_normal()
+    if not a.any():
+        a[0, 0] = 1.0
+    return a
 
 
 def sym_entries(mats) -> tuple:
-    """[(j, SparseSym)] as the (j, r, c, v) arrays that build_problem takes."""
-    mats = list(mats)
-    return (
-        np.array([j for j, a in mats for _ in range(a.nnz)], dtype=np.int64),
-        np.concatenate([np.zeros(0, dtype=np.int64)] + [a.row for _, a in mats]),
-        np.concatenate([np.zeros(0, dtype=np.int64)] + [a.col for _, a in mats]),
-        np.concatenate([np.zeros(0)] + [a.val for _, a in mats]),
-    )
+    """[(j, A_j)] as the (j, r, c, v) arrays that build_problem takes: the
+    nonzeros of each lower triangle in row-major order."""
+    parts = []
+    for j, a in mats:
+        r, c = np.nonzero(np.tril(a))
+        parts.append((np.full(r.size, j, dtype=np.int64), r, c, a[r, c]))
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def random_problem(

@@ -177,7 +177,7 @@ def test_criterion_6_oracle_equivalence():
         # augmented-Lagrangian state at a safely feasible point
         y = rng.standard_normal(n) * 0.01
         a_blocks = [
-            (prob.A[i] @ y).reshape(m, m) - prob.c_dense(i) for i, m in enumerate(dims)
+            (prob.A[i] @ y).reshape(m, m) - prob.C[i] for i, m in enumerate(dims)
         ]
         pi = 1.1 * max(1.0, max(np.linalg.eigvalsh(sym(a))[-1] for a in a_blocks))
         ctx = OuterCtx(

@@ -56,7 +56,17 @@ class TestGen:
 
     @pytest.mark.parametrize(
         "argv, message",
-        [(["tru", "1"], "grid size"), (["tru", "3", "--gamma", "-1"], "compliance bound")],
+        [
+            (["tru", "1"], "grid size"),
+            (["tru", "3", "--gamma", "-1"], "compliance bound"),
+            (["vib", "3", "--rho", "-1", "--lambda-bar", "0.5"], "rho must be positive"),
+            (["vib", "3", "--rho", "0"], "rho must be positive"),
+            (["vib", "3", "--m0", "-5"], "m0 must be nonnegative"),
+            (["vib", "3", "--lambda-bar", "inf"], "lambda_bar must be finite"),
+            (["tru", "3", "--gamma", "nan"], "gamma_compl must be finite"),
+            (["tru", "3", "--gamma", "inf"], "gamma_compl must be finite"),
+            (["tru", "3", "--t-upper", "inf"], "t_upper must be finite"),
+        ],
     )
     def test_invalid_parameters_exit_code(self, tmp_path, capsys, argv, message):
         rc = main(["gen", *argv, "--out", str(tmp_path)])
@@ -204,6 +214,15 @@ class TestSolve:
         rc = main(["solve", str(bad)])
         capsys.readouterr()
         assert rc == 2
+
+    @pytest.mark.parametrize("old, new", [("1.0\n0 1", "nan\n0 1"), ("1 1 1 1 1.0", "1 1 1 1 inf")])
+    def test_non_finite_number_exit_code(self, tmp_path, capsys, old, new):
+        bad = tmp_path / "non-finite.dat-s"
+        bad.write_text(TOY.replace(old, new))
+        rc = main(["solve", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: line ") and "non-finite" in err and "Traceback" not in err
 
     def test_block_without_constraint_entry_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "empty-block.dat-s"

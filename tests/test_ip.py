@@ -145,8 +145,7 @@ class TestRhsAndRecovery:
 
         prob2 = copy.copy(prob)
         prob2.b = prob2_b
-        c_dense = [s.blocks[0] + ay.blocks[0]]
-        prob2._c_dense = c_dense
+        prob2.C = [s.blocks[0] + ay.blocks[0]]
         prob2.d = prob.D @ y + s.lin
         pt = PrimalDualPoint(y, x, s)
         rp, rd = _residuals(prob2, pt)
@@ -174,7 +173,7 @@ class TestRhsAndRecovery:
         x = BlockSymMatrix([x_blk], x_lin)
         s = BlockSymMatrix([s_blk], s_lin)
         prob2.b = apply_A(prob, x)
-        prob2._c_dense = [s.blocks[0] + ay.blocks[0]]
+        prob2.C = [s.blocks[0] + ay.blocks[0]]
         prob2.d = prob.D @ y + s.lin
         pt = PrimalDualPoint(y, x, s)
         rp, rd = _residuals(prob2, pt)

@@ -4,7 +4,6 @@ from scipy.linalg import eigh
 
 from lorank.linalg import (
     NotPositiveDefinite,
-    SparseSym,
     chol,
     chol_inv,
     chol_solve,
@@ -199,33 +198,6 @@ class TestKroneckerIdentities:
         sv = np.linalg.svd(a @ y @ a.T, compute_uv=False)
         rank = int(np.sum(sv > 1e-8 * max(sv[0], 1e-300)))
         assert rank <= k
-
-
-class TestSparseSym:
-    def test_duplicate_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            SparseSym.from_triplets(3, [1, 0, 1], [0, 0, 0], [1.0, 2.0, 3.0])
-
-    def test_mirrored_duplicate_rejected(self):
-        # (0,1) and (1,0) normalize to the same coordinate
-        with pytest.raises(ValueError, match="duplicate"):
-            SparseSym.from_triplets(3, [0, 1], [1, 0], [1.0, 2.0])
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            SparseSym.from_triplets(2, [2], [0], [1.0])
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_matvec_and_dot(self, seed):
-        rng = np.random.default_rng(seed)
-        from conftest import rand_sparse_sym
-
-        a = rand_sparse_sym(rng, 6, 0.5)
-        dense = a.to_dense()
-        assert np.allclose(dense, dense.T)
-        m = rand_sym(rng, 6)
-        assert a.dot(m) == pytest.approx(float(np.tensordot(dense, m)), rel=1e-12, abs=1e-12)
-        assert a.norm_fro() == pytest.approx(np.linalg.norm(dense), rel=1e-12)
 
 
 def test_spectrum_planting_helper():

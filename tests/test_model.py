@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lorank.linalg import SparseSym
 from lorank.model import (
     BlockSymMatrix,
     PrimalDualPoint,
@@ -55,7 +54,7 @@ class TestLoadSdpa:
         # canonical mapping: A = -F, C = -F0, b = -c
         assert prob.b[0] == -1.0
         assert prob.A[0].toarray()[0, 0] == -1.0
-        assert prob.C[0].to_dense()[0, 0] == -1.0
+        assert np.array_equal(prob.C[0], [[-1.0]])
 
     def test_toy_exact_solution_errors(self):
         prob = toy_problem()
@@ -94,6 +93,35 @@ class TestLoadSdpa:
         with pytest.raises(SdpaParseError, match=f"line {line}: non-integer") as err:
             load_sdpa(io.StringIO(text))
         assert err.value.lineno == line
+
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [
+            ("1.0\n0 1", "nan\n0 1", 5),                    # objective vector
+            ("1 1 1 1 1.0", "1 1 1 1 inf", 7),              # entry value
+            ("0 1 1 1 1.0", "0 1 1 1 -inf", 6),             # entry of C
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, old, new, line):
+        assert TOY.count(old) == 1
+        with pytest.raises(SdpaParseError, match=f"line {line}: non-finite") as err:
+            load_sdpa(io.StringIO(TOY.replace(old, new)))
+        assert err.value.lineno == line
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            pytest.param("0 1 2 1 1.0\n0 1 2 1 3.0\n", "line 7: duplicate", id="duplicate"),
+            pytest.param("0 1 1 2 1.0\n0 1 2 1 2.0\n", "line 7: duplicate", id="mirrored_duplicate"),
+            pytest.param("0 1 3 1 1.0\n", r"line 6: index \(3,1\) out of range", id="out_of_range"),
+        ],
+    )
+    def test_bad_objective_entry_rejected(self, entries, message):
+        """F0 (the objective C) is symmetric by construction: each of its
+        coordinates is given once, in either triangle, and inside the block."""
+        text = "1\n1\n2\n1.0\n1 1 1 1 1.0\n" + entries
+        with pytest.raises(SdpaParseError, match=message):
+            load_sdpa(io.StringIO(text))
 
     def test_block_without_constraint_entry_is_a_parse_error(self):
         text = "1\n2\n1 -1\n1.0\n0 1 1 1 1.0\n1 2 1 1 1.0\n"
@@ -135,9 +163,7 @@ class TestRoundTrip:
         for i in range(prob.p):
             diff = again.A[i] - prob.A[i]
             assert diff.nnz == 0
-            assert np.array_equal(again.C[i].row, prob.C[i].row)
-            assert np.array_equal(again.C[i].col, prob.C[i].col)
-            assert np.array_equal(again.C[i].val, prob.C[i].val)
+            assert np.array_equal(again.C[i], prob.C[i])
 
     def test_seventeen_digit_values_survive(self):
         rng = np.random.default_rng(7)
@@ -344,12 +370,30 @@ class TestDimacs:
 class TestValidation:
     def test_small_n_warning(self):
         entries = [([0], [0], [0], [1.0])]
-        c = [SparseSym.from_triplets(4, [0], [0], [1.0])]
+        c = [np.diag([1.0, 0.0, 0.0, 0.0])]
         prob = build_problem([4], entries, c, np.array([1.0]), sp.csr_matrix((0, 1)), np.zeros(0))
         assert any("matrix-free" in w for w in prob.validate())
 
     def test_zero_block_rejected(self):
         entries = [([], [], [], [])]
-        c = [SparseSym.from_triplets(3, [0], [0], [1.0])]
+        c = [np.diag([1.0, 0.0, 0.0])]
         with pytest.raises(ValueError, match="nonzero"):
             build_problem([3], entries, c, np.array([1.0, 2.0]), sp.csr_matrix((0, 2)), np.zeros(0))
+
+    @pytest.mark.parametrize(
+        "c, message",
+        [
+            (np.array([[1.0, 2.0], [2.5, 1.0]]), "not symmetric"),
+            (np.array([[1.0, np.nan], [np.nan, 1.0]]), "non-finite"),
+            (np.array([[np.inf, 0.0], [0.0, 1.0]]), "non-finite"),
+            (np.eye(3), r"objective shape \(3, 3\) != \(2, 2\)"),
+        ],
+    )
+    def test_bad_objective_rejected(self, c, message):
+        entries = [([0], [0], [0], [1.0])]
+        with pytest.raises(ValueError, match=f"block 0: .*{message}"):
+            build_problem([2], entries, [c], np.array([1.0]), sp.csr_matrix((0, 1)), np.zeros(0))
+        prob = build_problem([2], entries, [np.eye(2)], np.array([1.0]), sp.csr_matrix((0, 1)), np.zeros(0))
+        prob.C[0] = c
+        with pytest.raises(ValueError, match=message):
+            prob.validate()

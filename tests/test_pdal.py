@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from lorank import precond
-from lorank.linalg import NotPositiveDefinite, SparseSym, sym
+from lorank.linalg import NotPositiveDefinite, sym
 from lorank import pdal
 from lorank.model import (
     BlockSymMatrix,
@@ -117,7 +117,7 @@ class TestZMatrixAndMultipliers:
         _, _, prob = tru3
         rng = np.random.default_rng(0)
         y = 50.0 + rng.random(prob.n)
-        a = apply_A_adjoint(prob, y).blocks[0] - prob.c_dense(0)
+        a = apply_A_adjoint(prob, y).blocks[0] - prob.C[0]
         pi = 2.0
         z = z_matrix(a, pi)
         assert np.linalg.norm(z @ (pi * np.eye(13) - a) - np.eye(13)) <= 1e-11
@@ -158,7 +158,7 @@ class TestZMatrixAndMultipliers:
         prob = SdpProblem(
             [1],
             [sp.csr_matrix((1, n))],
-            [SparseSym.from_triplets(1, [], [], [])],
+            [np.zeros((1, 1))],
             np.zeros(n),
             sp.identity(n, format="csr"),
             -np.asarray(t_lin, dtype=float),
@@ -243,7 +243,7 @@ class TestGradientAndHessian:
         prob = SdpProblem(
             [3],
             [sp.csr_matrix((9, n))],
-            [SparseSym.from_triplets(3, [], [], [])],
+            [np.zeros((3, 3))],
             np.zeros(n),
             sp.csr_matrix((0, n)),
             np.zeros(0),
@@ -287,7 +287,7 @@ class TestGradientAndHessian:
             y_prox=np.zeros(prob.n),
             x_blocks=[rand_spd(rng, m) for m in prob.block_dims],
             x_lin=rng.random(nu) + 0.5,
-            pi_lmi=2.0 * (1.0 + abs(lam) + max(c.norm_fro() for c in prob.C)),
+            pi_lmi=2.0 * (1.0 + abs(lam) + max(np.linalg.norm(c) for c in prob.C)),
             pi_lin=10.0,
             r=0.01,
         )

@@ -318,13 +318,12 @@ class TestTilde:
         """With A'A = I the tilde base collapses to the alpha base."""
         import scipy.sparse as sp
 
-        from lorank.linalg import SparseSym
         from lorank.model import build_problem
 
         m = 3
         # constraint matrices with orthonormal vectorizations: E_11, E_22, E_33
         diag = np.arange(m)
-        c = [SparseSym.from_triplets(m, [0], [0], [1.0])]
+        c = [np.diag([1.0, 0.0, 0.0])]
         prob = build_problem([m], [(diag, diag, diag, np.ones(m))], c, np.ones(m), sp.csr_matrix((0, m)), np.zeros(0))
         w = np.diag([1.0, 1.0, 50.0])
         s = spectral_split(w, 1, 1.0)

@@ -261,7 +261,7 @@ class TestAssembly:
             from lorank.model import apply_A_adjoint
 
             ay = apply_A_adjoint(prob, t)
-            return prob.c_dense(0) - ay.blocks[0]
+            return prob.C[0] - ay.blocks[0]
 
         # generous volumes: compliance below the bound, block PSD
         t_good = 40.0 + 10.0 * rng.random(gs.n_bars)
@@ -280,7 +280,7 @@ class TestAssembly:
     def test_zero_volume_block_not_psd(self):
         gs = gen_ground(3, "tru")
         prob = assemble_sdp(gs, TrussSdpSpec())
-        block = prob.c_dense(0)  # t = 0 leaves only the constant part
+        block = prob.C[0]  # t = 0 leaves only the constant part
         assert np.linalg.eigvalsh(block)[0] < 0
 
     def test_vib_lambda_zero_reduces_to_stiffness(self):
@@ -289,7 +289,7 @@ class TestAssembly:
         prob = assemble_sdp(gs, spec)
         a0 = operator_column(prob, 1, 0)
         assert np.allclose(a0, operator_column(prob, 0, 0)[1:, 1:])
-        assert prob.C[1].nnz == 0 or np.allclose(prob.C[1].val, 0.0)
+        assert not prob.C[1].any()
 
     def test_default_lambda_bar_scale(self):
         gs = gen_ground(3, "vib")
