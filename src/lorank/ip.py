@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from scipy.linalg import solve_triangular, svd
 
 from . import precond as pc
-from .linalg import NotPositiveDefinite, chol, chol_inv, min_eig, sym
+from .linalg import NotPositiveDefinite, chol, min_eig, sym
 from .model import (
     BlockSymMatrix,
     PrimalDualPoint,
@@ -31,7 +31,7 @@ from .model import (
 from .pcg import cg_tolerance, pcg_solve
 from .report import DIAG_LIMIT, RunRecord, SolveReport, SolverConfig, SolverFailure
 
-IP_KINDS = ("alpha", "beta", "hybrid", "tilde", "none")
+IP_KINDS = ("alpha", "beta", "cluster", "hybrid", "tilde", "none")
 
 TAU_FRAC = 0.9          # fraction-to-boundary in the step rule
 STALL_STEP = 1e-3       # min(alpha, beta) below this is a stalled step ...
@@ -58,7 +58,6 @@ class NtBlock:
     g: np.ndarray
     g_inv: np.ndarray
     d: np.ndarray        # diag(G' S G), the scaling singular values
-    s_chol: np.ndarray
 
     def x_inv_factor(self) -> np.ndarray:
         """F = D^{-1/2} G^{-1} with F'F = X^{-1} (X = G D G')."""
@@ -86,7 +85,7 @@ def nt_scaling(x: np.ndarray, s: np.ndarray) -> NtBlock:
     g = l @ vt.T / np.sqrt(sig)
     g_inv = solve_triangular(l, vt.T * np.sqrt(sig), lower=True, trans="T").T
     w = g @ g.T
-    return NtBlock(sym(w), g, g_inv, sig, r)
+    return NtBlock(sym(w), g, g_inv, sig)
 
 
 @dataclass
@@ -125,25 +124,27 @@ def second_order_correction(
     return -(t + t.T) / denom
 
 
-def _residuals(prob: SdpProblem, pt: PrimalDualPoint) -> tuple[np.ndarray, BlockSymMatrix]:
-    """Primal residual r_p = b - A(X) and dual residual R_d = C - A*(y) - S."""
-    rp = prob.b - apply_A(prob, pt.X)
-    ay = apply_A_adjoint(prob, pt.y)
-    rd = BlockSymMatrix(
-        [c - s - a for c, s, a in zip(prob.C, pt.S.blocks, ay.blocks)],
-        prob.d - ay.lin - pt.S.lin,
-    )
-    return rp, rd
-
-
-def _rhs(
-    prob: SdpProblem, scal: Scaling, rp: np.ndarray, rd: BlockSymMatrix, target: BlockSymMatrix
-) -> np.ndarray:
-    """Right-hand side r_p + A(W R_d W + T) of the condensed system.
+def _rhs(prob: SdpProblem, rp: np.ndarray, wrdw: BlockSymMatrix, target: BlockSymMatrix) -> np.ndarray:
+    """Right-hand side r_p + A(W R_d W + T) of the condensed system, with
+    ``wrdw`` = W R_d W (``Scaling.sandwich``), shared by both solves.
 
     The complementarity target T is X for the predictor and
     X - sigma mu S^{-1} - (second-order correction) for the corrector."""
-    return rp + apply_A(prob, scal.sandwich(rd) + target)
+    return rp + apply_A(prob, wrdw + target)
+
+
+def _corrector_target(
+    pt: PrimalDualPoint, scal: Scaling, dx_p: BlockSymMatrix, ds_p: BlockSymMatrix, sigma_mu: float
+) -> BlockSymMatrix:
+    """The corrector's target X - sigma mu S^{-1} - G rnt G' from the
+    predictor step (dx_p, ds_p), rnt the second-order correction.  With
+    S^{-1} = G D^{-1} G' a block is X - G (rnt + diag(sigma mu / d)) G', one
+    product and no inverse."""
+    blocks = []
+    for x, nt, dx, ds in zip(pt.X.blocks, scal.blocks, dx_p.blocks, ds_p.blocks):
+        rnt = second_order_correction(nt.g, nt.g_inv, dx, ds, nt.d) + np.diag(sigma_mu / nt.d)
+        blocks.append(x - nt.g @ rnt @ nt.g.T)
+    return BlockSymMatrix(blocks, pt.X.lin - sigma_mu / pt.S.lin + dx_p.lin * ds_p.lin / pt.S.lin)
 
 
 def recover_directions(
@@ -228,10 +229,16 @@ def initial_point(prob: SdpProblem) -> PrimalDualPoint:
 def _build_preconditioner(
     kind: str, prob: SdpProblem, splits: list[pc.SplitBlock], lin_diag: np.ndarray
 ):
-    """The ``kind`` build (alpha, beta, tilde or none), or beta from alpha's
-    base when a stale split makes a low-rank build fail."""
+    """The ``kind`` build (alpha, beta, cluster, tilde or none), or beta
+    when a stale split makes a low-rank build fail: on cluster's base for
+    cluster, on alpha's otherwise."""
     if kind == "none":
         return None
+    if kind == "cluster":
+        try:
+            return pc.build_h_alpha(prob, splits, lin_diag, base="cluster")
+        except NotPositiveDefinite:
+            return pc.build_h_beta(pc.cluster_base(prob, splits, lin_diag))
     if kind != "beta":
         build = pc.build_h_alpha if kind == "alpha" else pc.build_h_tilde
         try:
@@ -274,7 +281,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
     run = RunRecord(prob, config)
     pt = initial_point(prob)
     ranks = pc.block_ranks(config.rank, prob.block_dims)
-    hybrid_on_alpha = False
+    hybrid_switched = False  # hybrid runs beta until this, then cluster
     status = "max_iterations"
     short_steps = 0  # consecutive iterations with min(alpha, beta) < STALL_STEP
 
@@ -298,7 +305,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
 
         kind = config.precond
         if kind == "hybrid":
-            kind = "alpha" if hybrid_on_alpha else "beta"
+            kind = "cluster" if hybrid_switched else "beta"
         prec = _build_preconditioner(kind, prob, splits, lin_diag)
         prec_apply = prec.apply_inv if prec is not None else None
 
@@ -307,7 +314,8 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
             rec["iteration"] = it
             run.diagnostics.append(rec)
 
-        rp, rd = _residuals(prob, pt)
+        rp, rd = errs.rp, errs.rd
+        wrdw = scal.sandwich(rd)
 
         def direction(target: BlockSymMatrix, what: str):
             """(dy, dX, dS, CG report) for the complementarity target, or
@@ -321,7 +329,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
             dy, rep = pcg_solve(
                 lambda v: schur_matvec(prob, scal, v),
                 prec_apply,
-                _rhs(prob, scal, rp, rd, target),
+                _rhs(prob, rp, wrdw, target),
                 tol=cg_tol,
                 maxiter=config.cg_maxiter,
             )
@@ -351,14 +359,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
         den = pt.X.dot(pt.S)
         sigma = min(1.0, max(0.0, num / den)) ** SIGMA_POWER
 
-        # the corrector's target: X - sigma mu S^{-1} - (second-order correction)
-        sigma_mu = sigma * mu
-        t_blocks = []
-        for x, nt, dx, ds in zip(pt.X.blocks, scal.blocks, dX_p.blocks, dS_p.blocks):
-            rnt = second_order_correction(nt.g, nt.g_inv, dx, ds, nt.d)
-            t_blocks.append(x - sigma_mu * chol_inv(nt.s_chol) - nt.g @ rnt @ nt.g.T)
-        t_lin = pt.X.lin - sigma_mu / pt.S.lin + dX_p.lin * dS_p.lin / pt.S.lin
-        corr = direction(BlockSymMatrix(t_blocks, t_lin), "corrector")
+        corr = direction(_corrector_target(pt, scal, dX_p, dS_p, sigma * mu), "corrector")
         if corr is None:
             break
         dy, dX, dS, rep_c = corr
@@ -391,9 +392,9 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
             cg_corr=rep_c.iterations,
             cg_stagnated=rep_p.stagnated or rep_c.stagnated,
         )
-        if config.precond == "hybrid" and not hybrid_on_alpha:
+        if config.precond == "hybrid" and not hybrid_switched:
             k_hint = max([s.k for s in splits] + [1])
             if pc.hybrid_should_switch(prob.n, prob.p, k_hint, it + 1, rep_c.iterations):
-                hybrid_on_alpha = True
+                hybrid_switched = True
 
     return pt, run.report(status, pt, errs)

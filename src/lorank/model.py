@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -77,7 +78,9 @@ class PrimalDualPoint:
 @dataclass
 class DimacsErrors:
     """The six standard normalized error measures; stopping means
-    max(err1..err6) <= eps."""
+    max(err1..err6) <= eps.  ``rp`` and ``rd`` keep the residuals of
+    :func:`residuals` that err1 and err3 measure, for the IP's Newton
+    system."""
 
     err1: float
     err2: float
@@ -85,6 +88,8 @@ class DimacsErrors:
     err4: float
     err5: float
     err6: float
+    rp: np.ndarray | None = field(default=None, repr=False, compare=False)
+    rd: BlockSymMatrix | None = field(default=None, repr=False, compare=False)
 
     def max(self) -> float:
         return max(self.err1, self.err2, self.err3, self.err4, self.err5, self.err6)
@@ -133,6 +138,35 @@ class BlockFold:
     pairs: tuple[RowPairs, ...]
 
 
+class Support(NamedTuple):
+    """Each A_j of one block restricted to the rows it touches, padded to
+    the block's largest row count s (4 on truss data).
+
+    rows : (n, s) the support rows of each A_j; padding repeats row 0
+    sub  : (n, s, s) A_j on rows x rows, zero on the padding
+    """
+
+    rows: np.ndarray
+    sub: np.ndarray
+
+
+def block_support(fold: BlockFold, n: int) -> Support:
+    """The :class:`Support` of a block, from its fold: the positions (j, c)
+    of a row j are the support rows of A_j, and a stored value (A_j)_{rc}
+    lies at the local indices of the positions (j, r) and (j, c)."""
+    counts = np.bincount(fold.rows, minlength=n)
+    local = np.arange(fold.rows.size) - (np.cumsum(counts) - counts)[fold.rows]
+    rows = np.zeros((n, int(counts.max(initial=0))), dtype=np.intp)
+    rows[fold.rows, local] = fold.cols
+    # positions are sorted by (j, c), and every row r of A_j is a column too
+    width = int(fold.cols.max(initial=0)) + 1
+    j = fold.rows[fold.slot]
+    at_r = np.searchsorted(fold.rows * width + fold.cols, j * width + fold.r)
+    sub = np.zeros(rows.shape + rows.shape[1:])
+    np.add.at(sub, (j, local[at_r], local[fold.slot]), fold.data)
+    return Support(rows, sub)
+
+
 def block_folds(a_t: Sequence[sp.csr_matrix], dims: Sequence[int]) -> list[BlockFold]:
     """The :class:`BlockFold` of every block, from A_i' as CSR."""
     n = a_t[0].shape[0] if a_t else 0
@@ -177,6 +211,8 @@ class ConstraintOps:
     a_norms_sq : per block, diag(A_i'A_i)
     d_sq_t     : (D o D)' as CSR, so d_sq_t @ w = diag(D' diag(w) D)
     folds      : per block, the fold of A_i' into the low-rank factors
+    supports   : per block, the :class:`Support` of its A_j, built on first
+                 read (n s^2 floats; only the cluster preconditioner reads it)
     """
 
     stacked: sp.csr_matrix
@@ -185,6 +221,10 @@ class ConstraintOps:
     a_norms_sq: list[np.ndarray]
     d_sq_t: sp.csr_matrix
     folds: list[BlockFold]
+
+    @cached_property
+    def supports(self) -> list[Support]:
+        return [block_support(fold, self.stacked.shape[1]) for fold in self.folds]
 
 
 class SdpaParseError(ValueError):
@@ -295,6 +335,17 @@ def apply_A(prob: SdpProblem, m: BlockSymMatrix) -> np.ndarray:
     return prob.ops.stacked_t @ np.concatenate([b.ravel() for b in m.blocks] + [m.lin])
 
 
+def residuals(prob: SdpProblem, pt: PrimalDualPoint) -> tuple[np.ndarray, BlockSymMatrix]:
+    """Primal residual r_p = b - A(X) and dual residual R_d = C - A*(y) - S."""
+    rp = prob.b - apply_A(prob, pt.X)
+    ay = apply_A_adjoint(prob, pt.y)
+    rd = BlockSymMatrix(
+        [c - s - a for c, s, a in zip(prob.C, pt.S.blocks, ay.blocks)],
+        prob.d - ay.lin - pt.S.lin,
+    )
+    return rp, rd
+
+
 def dual_slack(prob: SdpProblem, y: np.ndarray) -> BlockSymMatrix:
     """S(y) = C - A0(y) blockwise, with linear slack d - D y."""
     ay = apply_A_adjoint(prob, y)
@@ -341,19 +392,20 @@ def pd_errors(
     infeasibility, dual cone violation and the normalized duality gap.
     ``s_eigs`` are the smallest eigenvalues of the LMI blocks of pt.S when
     the caller has them."""
-    return _pd_errors(prob, pt, *data_inf_norms(prob), *objective_values(prob, pt), s_eigs)
+    rp = prob.b - apply_A(prob, pt.X)
+    return _pd_errors(pt, rp, *data_inf_norms(prob), *objective_values(prob, pt), s_eigs)
 
 
 def _pd_errors(
-    prob: SdpProblem,
     pt: PrimalDualPoint,
+    rp: np.ndarray,
     bnorm: float,
     cnorm: float,
     pobj: float,
     dobj: float,
     s_eigs: list[float] | None,
 ) -> tuple[float, float, float]:
-    err1 = float(np.linalg.norm(prob.b - apply_A(prob, pt.X))) / (1.0 + bnorm)
+    err1 = float(np.linalg.norm(rp)) / (1.0 + bnorm)
     err4 = _cone_violation(pt.S, s_eigs) / (1.0 + cnorm)
     err5 = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     return err1, err4, err5
@@ -365,23 +417,21 @@ def dimacs(prob: SdpProblem, pt: PrimalDualPoint, s_eigs: list[float] | None = N
     err1/err2 are primal feasibility and cone violation, err3/err4 the dual
     counterparts, err5 the (absolute) normalized duality gap and err6 the
     normalized complementarity X.S.  ``s_eigs`` are the smallest eigenvalues
-    of the LMI blocks of pt.S when the caller has them.
+    of the LMI blocks of pt.S when the caller has them.  The result keeps
+    the point's :func:`residuals`.
     """
     bnorm, cnorm = data_inf_norms(prob)
     pobj, dobj = objective_values(prob, pt)
-    err1, err4, err5 = _pd_errors(prob, pt, bnorm, cnorm, pobj, dobj, s_eigs)
+    rp, rd = residuals(prob, pt)
+    err1, err4, err5 = _pd_errors(pt, rp, bnorm, cnorm, pobj, dobj, s_eigs)
 
     err2 = _cone_violation(pt.X) / (1.0 + bnorm)
 
-    ay = apply_A_adjoint(prob, pt.y)
-    rd2 = 0.0
-    for c, s, a in zip(prob.C, pt.S.blocks, ay.blocks):
-        rd2 += float(np.sum((c - s - a) ** 2))
-    rd2 += float(np.sum((prob.d - ay.lin - pt.S.lin) ** 2))
+    rd2 = sum(float(np.sum(r**2)) for r in rd.blocks) + float(np.sum(rd.lin**2))
     err3 = float(np.sqrt(rd2)) / (1.0 + cnorm)
 
     err6 = abs(pt.X.dot(pt.S)) / (1.0 + abs(pobj) + abs(dobj))
-    return DimacsErrors(err1, err2, err3, err4, err5, err6)
+    return DimacsErrors(err1, err2, err3, err4, err5, err6, rp, rd)
 
 
 # ---------------------------------------------------------------------------

@@ -14,18 +14,21 @@ identity with a small factored inner Schur complement.
 Each driver accepts only its own kinds and rejects any other when its config
 is constructed:
 
-- ``ip`` (Schur complement): alpha | beta | hybrid | tilde | none.  ``hybrid``
-  starts with beta and switches to alpha once the CG iteration count
-  justifies the setup cost.
+- ``ip`` (Schur complement): alpha | beta | cluster | hybrid | tilde | none.
+  ``cluster`` is alpha's low-rank part on the exact diagonal of the cluster
+  term, diag(sum_i A_i'(W0_i x W0_i)A_i), in place of sum_i tau_i^2 I; on
+  truss data that term spreads over decades late in the run, where no
+  multiple of I fits it.  ``hybrid`` starts with beta and switches to
+  cluster once the CG iteration count justifies the setup cost.
 - ``pdal`` (augmented-Lagrangian Hessian): gamma | delta | beta | none.
 
-``beta`` is the base diagonal of the driver's low-rank kind alone (alpha's
-for ip, gamma's for pdal); both drivers fall back to it when a low-rank build
-meets a matrix that is not positive definite.  Every build returns through
-one SMW assembly, which keeps the low-rank block V = G F factored: G is the
-sparse fold of A' (a few nonzeros per row and outlier), F block diagonal
-with the small m x m factors, so neither a build nor an apply touches a
-dense n x K matrix.
+``beta`` is the base diagonal of a low-rank kind alone: alpha's for ip
+(cluster's when a cluster build fails), gamma's for pdal.  Both drivers fall
+back to it when a low-rank build meets a matrix that is not positive
+definite.  Every build returns through one SMW assembly, which keeps the
+low-rank block V = G F factored: G is the sparse fold of A' (a few nonzeros
+per row and outlier), F block diagonal with the small m x m factors, so
+neither a build nor an apply touches a dense n x K matrix.
 """
 
 from __future__ import annotations
@@ -293,8 +296,23 @@ def _smw(
 
 
 def alpha_base(splits: Sequence[SplitBlock], lin_diag: np.ndarray, n: int) -> np.ndarray:
-    """Base diagonal of alpha (and of ip's beta): sum_i tau_i^2 + linear term."""
+    """Base diagonal of alpha, and of ip's beta unless it stands in for a
+    failed cluster build: sum_i tau_i^2 + linear term."""
     return np.full(n, sum(s.tau**2 for s in splits)) + lin_diag
+
+
+def cluster_base(prob: SdpProblem, splits: Sequence[SplitBlock], lin_diag: np.ndarray) -> np.ndarray:
+    """Base diagonal of cluster: lin_diag + sum_i diag(A_i'(W0_i x W0_i)A_i).
+
+    Entry j of block i's term is <A_ij, W0_i A_ij W0_i> = tr(a w a w) with a
+    the restriction of A_ij to its support rows (``SdpProblem.ops.supports``)
+    and w that of W0_i: one gather of W0_i and two batched s x s products
+    for all j together."""
+    a_diag = lin_diag.astype(float)
+    for sup, s in zip(prob.ops.supports, splits):
+        aw = sup.sub @ s.w0[sup.rows[:, :, None], sup.rows[:, None, :]]
+        a_diag += np.einsum("jkl,jlk->j", aw, aw)
+    return a_diag
 
 
 def _lagrangian_base(
@@ -330,21 +348,31 @@ def _outlier_recipe(prob: SdpProblem, splits: Sequence[SplitBlock], what: str) -
     ]
 
 
-def build_h_alpha(prob: SdpProblem, splits: Sequence[SplitBlock], lin_diag: np.ndarray) -> SmwPreconditioner:
+def build_h_alpha(
+    prob: SdpProblem, splits: Sequence[SplitBlock], lin_diag: np.ndarray, base: str = "tau"
+) -> SmwPreconditioner:
     """Diagonal-plus-low-rank preconditioner from the scaling splits.
 
-    Base: sum_i tau_i^2 I + diag(linear term).  Low-rank part: per block
+    Base: with ``base="tau"`` alpha's sum_i tau_i^2 I + diag(linear term),
+    with ``base="cluster"`` the cluster kind's ``cluster_base``; the
+    preconditioner is labelled with the kind.  Low-rank part: per block
     A_i'(U_i x Gamma_i) with Gamma_i Gamma_i' = 2 W_i^0 + U_i U_i'.
     A factorization failure (stale split) propagates NotPositiveDefinite so
     the caller can refresh the split or fall back to beta.
     """
-    a_diag = alpha_base(splits, lin_diag, prob.n)
-    return _smw("alpha", a_diag, _outlier_recipe(prob, splits, "alpha"))
+    if base == "tau":
+        kind, a_diag = "alpha", alpha_base(splits, lin_diag, prob.n)
+    elif base == "cluster":
+        kind, a_diag = "cluster", cluster_base(prob, splits, lin_diag)
+    else:
+        raise ValueError(f"alpha base must be tau or cluster, got {base!r}")
+    return _smw(kind, a_diag, _outlier_recipe(prob, splits, kind))
 
 
 def build_h_beta(a_diag: np.ndarray) -> SmwPreconditioner:
-    """Diagonal-only preconditioner: the base diagonal of the driver's
-    low-rank kind (``alpha_base`` or ``gamma_base``) without its columns."""
+    """Diagonal-only preconditioner: the base diagonal of a low-rank kind
+    (``alpha_base``, ``cluster_base`` or ``gamma_base``) without its
+    columns."""
     return _smw("beta", a_diag, [])
 
 

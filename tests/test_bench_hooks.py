@@ -47,6 +47,24 @@ def test_builds_do_not_nest(tracing, tru3):
     assert all(rec[3] < 0 or spans[rec[3]][0] != "precond.build_h" for rec in builds)
 
 
+@pytest.mark.parametrize("kind", ["cluster", "hybrid"])
+def test_one_visible_build_per_ip_iteration(tracing, vib3, kind):
+    """The cluster kind's whole build, base diagonal included, runs in one
+    top-level precond.build_h span per IP iteration (hybrid's beta phase
+    included), so the benchmark's tracer sees it."""
+    from lorank.ip import IpConfig, ip_solve
+
+    _, _, prob = vib3
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        _, rep = ip_solve(prob, IpConfig(precond=kind))
+    assert rep.converged and "cluster" in {t["precond"] for t in rep.trace}
+    assert tracer.counts["precond.fallbacks"] == 0
+    builds = [rec for rec in tracer.spans if rec[0] == "precond.build_h"]
+    assert all(rec[3] < 0 for rec in builds)
+    assert len(builds) == rep.iterations
+
+
 def _inside(spans, rec, layer):
     parent = rec[3]
     while parent >= 0:
@@ -122,6 +140,7 @@ def test_low_rank_factor_once_per_piece_inside_its_build(tracing, vib3):
     _, _, prob = vib3
     runs = [
         (ip_solve, IpConfig(precond="alpha", max_iter=3), prob.p),
+        (ip_solve, IpConfig(precond="cluster", max_iter=3), prob.p),
         (ip_solve, IpConfig(precond="tilde", max_iter=3), prob.p),
         (pdal_solve, PdalConfig(precond="gamma", max_iter=3), prob.p),
         (pdal_solve, PdalConfig(precond="delta", max_iter=3), 2 * prob.p),

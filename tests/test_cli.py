@@ -239,7 +239,7 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "solver, kind, kinds",
-        [("pdal", "alpha", "gamma|delta|beta|none"), ("ip", "gamma", "alpha|beta|hybrid|tilde|none")],
+        [("pdal", "alpha", "gamma|delta|beta|none"), ("ip", "gamma", "alpha|beta|cluster|hybrid|tilde|none")],
     )
     def test_other_driver_kind_exit_code(self, gen_dir, capsys, solver, kind, kinds):
         rc = main(["solve", str(gen_dir / "tru3.dat-s"), "--solver", solver, "--precond", kind])
@@ -288,7 +288,7 @@ class TestBench:
 
     @pytest.mark.parametrize(
         "solver, kind, kinds",
-        [("pdal", "alpha", "gamma|delta|beta|none"), ("ip", "gamma", "alpha|beta|hybrid|tilde|none")],
+        [("pdal", "alpha", "gamma|delta|beta|none"), ("ip", "gamma", "alpha|beta|cluster|hybrid|tilde|none")],
     )
     def test_other_driver_kind_exit_code(self, gen_dir, tmp_path, capsys, solver, kind, kinds):
         out = tmp_path / "bench.csv"

@@ -14,7 +14,7 @@ from lorank.ip import (
     second_order_correction,
     step_length,
     step_with_repair,
-    _residuals,
+    _corrector_target,
     _rhs,
 )
 from lorank import ip as ip_module
@@ -27,6 +27,7 @@ from lorank.model import (
     apply_A_adjoint,
     dimacs,
     load_sdpa,
+    residuals,
 )
 from lorank.pcg import pcg_solve
 
@@ -148,11 +149,11 @@ class TestRhsAndRecovery:
         prob2.C = [s.blocks[0] + ay.blocks[0]]
         prob2.d = prob.D @ y + s.lin
         pt = PrimalDualPoint(y, x, s)
-        rp, rd = _residuals(prob2, pt)
+        rp, rd = residuals(prob2, pt)
         assert np.linalg.norm(rp) <= 1e-10
         assert np.linalg.norm(rd.blocks[0]) <= 1e-10
         scal = make_scaling(pt)
-        r = _rhs(prob2, scal, rp, rd, pt.X)
+        r = _rhs(prob2, rp, scal.sandwich(rd), pt.X)
         assert np.allclose(r, prob2.b, rtol=1e-8, atol=1e-8 * np.linalg.norm(prob2.b))
 
     def test_centered_point_gives_zero_directions(self):
@@ -176,10 +177,10 @@ class TestRhsAndRecovery:
         prob2.C = [s.blocks[0] + ay.blocks[0]]
         prob2.d = prob.D @ y + s.lin
         pt = PrimalDualPoint(y, x, s)
-        rp, rd = _residuals(prob2, pt)
+        rp, rd = residuals(prob2, pt)
         scal = make_scaling(pt)
         target = BlockSymMatrix([x_blk - mu * np.linalg.inv(s_blk)], x_lin - mu / s_lin)
-        r = _rhs(prob2, scal, rp, rd, target)
+        r = _rhs(prob2, rp, scal.sandwich(rd), target)
         assert np.linalg.norm(r) <= 1e-8
         dX, dS = recover_directions(prob2, scal, np.zeros(prob.n), rd, target)
         assert np.linalg.norm(dS.blocks[0]) <= 1e-9
@@ -193,13 +194,13 @@ class TestRhsAndRecovery:
         s = BlockSymMatrix([np.array([[0.5]])], np.zeros(0))
         y = np.array([0.3])
         pt = PrimalDualPoint(y, x, s)
-        rp, rd = _residuals(prob, pt)
+        rp, rd = residuals(prob, pt)
         scal = make_scaling(pt)
         w = scal.blocks[0].w[0, 0]
         assert w == pytest.approx(2.0, rel=1e-12)  # w^2 s = x
         a = -1.0
         h = a * w * w * a
-        r = _rhs(prob, scal, rp, rd, pt.X)
+        r = _rhs(prob, rp, scal.sandwich(rd), pt.X)
         # by hand: r = rp + a*(w*rd*w + x)
         rd0 = -1.0 - 0.5 - a * 0.3
         assert r[0] == pytest.approx(rp[0] + a * (w * rd0 * w + 2.0), rel=1e-12)
@@ -222,11 +223,12 @@ class TestRhsAndRecovery:
         pt.X.lin = rng.random(prob.nu) + 0.5
         pt.S.lin = rng.random(prob.nu) + 0.5
         scal = make_scaling(pt)
-        rp, rd = _residuals(prob, pt)
+        rp, rd = residuals(prob, pt)
+        wrdw = scal.sandwich(rd)
         cg_tol = 1e-11
 
         def solve(target):
-            r = _rhs(prob, scal, rp, rd, target)
+            r = _rhs(prob, rp, wrdw, target)
             dy, rep = pcg_solve(lambda v: schur_matvec(prob, scal, v), None, r, tol=cg_tol)
             assert rep.converged
             return r, dy, *recover_directions(prob, scal, dy, rd, target)
@@ -238,10 +240,14 @@ class TestRhsAndRecovery:
             nt = scal.blocks[0]
             rnt = second_order_correction(nt.g, nt.g_inv, dX.blocks[0], dS.blocks[0], nt.d)
             corr = nt.g @ rnt @ nt.g.T
-            target = BlockSymMatrix(
+            want = BlockSymMatrix(
                 [pt.X.blocks[0] - sigma_mu * np.linalg.inv(pt.S.blocks[0]) - corr],
                 pt.X.lin - sigma_mu / pt.S.lin + dX.lin * dS.lin / pt.S.lin,
             )
+            # the driver's target folds S^{-1} = G D^{-1} G' into the correction
+            target = _corrector_target(pt, scal, dX, dS, sigma_mu)
+            assert np.linalg.norm(target.blocks[0] - want.blocks[0]) <= 1e-12 * np.linalg.norm(want.blocks[0])
+            assert np.array_equal(target.lin, want.lin)
             r, dy, dX, dS = solve(target)
         # primal equation: A(dX) = r_p, up to the condensed-system residual
         res_a = apply_A(prob, dX) - rp
@@ -434,6 +440,37 @@ class TestIpSolve:
         _, _, prob = tru3
         _, rep = ip_solve(prob, IpConfig(precond="alpha", max_iter=2))
         assert [t["precond"] for t in rep.trace] == ["beta", "beta"]
+
+    def test_cluster_falls_back_to_beta_on_its_own_base(self, tru3, monkeypatch):
+        """A failed cluster build gives beta on the cluster diagonal, not on
+        alpha's tau^2 I; the trace names beta."""
+        bases, used = [], []
+        build_beta = precond.build_h_beta
+
+        def failing_build(prob, splits, lin_diag, base="tau"):
+            assert base == "cluster"
+            bases.append(precond.cluster_base(prob, splits, lin_diag))
+            raise NotPositiveDefinite(0, "cluster block factor")
+
+        def recording_beta(a_diag):
+            used.append(a_diag)
+            return build_beta(a_diag)
+
+        monkeypatch.setattr(precond, "build_h_alpha", failing_build)
+        monkeypatch.setattr(precond, "build_h_beta", recording_beta)
+        _, _, prob = tru3
+        _, rep = ip_solve(prob, IpConfig(precond="cluster", max_iter=2))
+        assert [t["precond"] for t in rep.trace] == ["beta", "beta"]
+        assert len(used) == len(bases) == 2
+        assert all(np.array_equal(u, b) for u, b in zip(used, bases))
+
+    def test_hybrid_switches_to_cluster(self, tru3_ip):
+        """hybrid runs beta, then the cluster kind to the end."""
+        _, rep = tru3_ip
+        kinds = [t["precond"] for t in rep.trace]
+        switch = kinds.index("cluster")
+        assert switch > 0
+        assert kinds == ["beta"] * switch + ["cluster"] * (len(kinds) - switch)
 
     def test_rank_zero_is_honoured(self, tru3, monkeypatch):
         ranks = []

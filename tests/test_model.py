@@ -18,6 +18,7 @@ from lorank.model import (
     dual_slack,
     load_sdpa,
     pd_errors,
+    residuals,
     write_sdpa,
 )
 
@@ -325,6 +326,32 @@ class TestDimacs:
             pt = PrimalDualPoint(y, x, dual_slack(prob, y))
             e = dimacs(prob, pt)
             assert pd_errors(prob, pt) == (e.err1, e.err4, e.err5)
+
+    def test_residuals_are_the_measured_ones(self, vib3):
+        """dimacs keeps the residuals it measures: r_p = b - A(X) and
+        R_d = C - A*(y) - S from the per-block oracle maps, with err1 and
+        err3 their normalized norms and as_dict the six measures alone."""
+        _, _, prob = vib3
+        rng = np.random.default_rng(8)
+        y = rng.standard_normal(prob.n)
+        x = BlockSymMatrix([rand_spd(rng, m) for m in prob.block_dims], rng.random(prob.nu))
+        s = BlockSymMatrix([rand_spd(rng, m) for m in prob.block_dims], rng.random(prob.nu))
+        pt = PrimalDualPoint(y, x, s)
+        errs = dimacs(prob, pt)
+        rp, rd = residuals(prob, pt)
+        assert np.array_equal(errs.rp, rp)
+        assert all(np.array_equal(a, b) for a, b in zip(errs.rd.blocks + [errs.rd.lin], rd.blocks + [rd.lin]))
+        want_rp = prob.b - per_block_forward(prob, x.blocks, x.lin)
+        ay, ay_lin = per_block_adjoint(prob, y)
+        want_rd = [c - sb - a for c, sb, a in zip(prob.C, s.blocks, ay)] + [prob.d - ay_lin - s.lin]
+        assert np.allclose(rp, want_rp, rtol=1e-12, atol=1e-12 * np.linalg.norm(want_rp))
+        for got, want in zip(rd.blocks + [rd.lin], want_rd):
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.linalg.norm(want))
+        bnorm, cnorm = data_inf_norms(prob)
+        assert errs.err1 == pytest.approx(np.linalg.norm(want_rp) / (1.0 + bnorm), rel=1e-12)
+        rd_norm = np.sqrt(sum(np.sum(w**2) for w in want_rd))
+        assert errs.err3 == pytest.approx(rd_norm / (1.0 + cnorm), rel=1e-12)
+        assert list(errs.as_dict()) == [f"err{i}" for i in range(1, 7)]
 
     @staticmethod
     def cone_point(prob, x_block, s_block):

@@ -14,6 +14,7 @@ from lorank.precond import (
     build_h_delta,
     build_h_gamma,
     build_h_tilde,
+    cluster_base,
     conditioning_report,
     dense_sandwich,
     gamma_base,
@@ -155,10 +156,12 @@ def recipe_dense_v(prob, recipe):
 
 def late_state_preconditioner(prob, kind, rank):
     """The ``kind`` preconditioner at the 12th iterate of its own driver."""
-    if kind in ("alpha", "tilde"):
+    if kind in ("alpha", "cluster", "tilde"):
         pt, _ = ip_solve(prob, IpConfig(precond="alpha", max_iter=12, eps_dimacs=1e-30))
         scal = make_scaling(pt)
         splits = [spectral_split(nt.w, rank) for nt in scal.blocks]
+        if kind == "cluster":
+            return build_h_alpha(prob, splits, scal.lin_diag(prob), base="cluster")
         build = build_h_alpha if kind == "alpha" else build_h_tilde
         return build(prob, splits, scal.lin_diag(prob))
     pt, _ = pdal_solve(prob, PdalConfig(max_iter=12, eps_dimacs=1e-30))
@@ -262,7 +265,7 @@ class TestSmwInverse:
 
     @pytest.mark.parametrize("rank", [1, "auto"])
     @pytest.mark.parametrize("instance", ["tru3", "vib3"])
-    @pytest.mark.parametrize("kind", ["alpha", "tilde", "gamma", "delta"])
+    @pytest.mark.parametrize("kind", ["alpha", "cluster", "tilde", "gamma", "delta"])
     def test_apply_matches_dense_solve(self, request, kind, instance, rank):
         """Every kind's factored apply against a dense solve with its own
         assembly, at late solver states; with rank "auto" the IP kinds get
@@ -270,7 +273,7 @@ class TestSmwInverse:
         number up to ~1e9."""
         _, _, prob = request.getfixturevalue(instance)
         pc = late_state_preconditioner(prob, kind, rank)
-        if rank == "auto" and kind in ("alpha", "tilde"):
+        if rank == "auto" and kind in ("alpha", "cluster", "tilde"):
             assert pc.rank > prob.n
         rhs = np.random.default_rng(7).standard_normal(prob.n)
         want = np.linalg.solve(pc.dense(), rhs)
@@ -311,6 +314,76 @@ class TestBeta:
         s = spectral_split(np.eye(3), 0)
         with pytest.raises(ValueError, match="nonpositive"):
             build_h_beta(alpha_base([s], np.array([-10.0, 0.0, 0.0]), 3))
+
+
+class TestCluster:
+    @staticmethod
+    def state(seed):
+        """A random problem with box rows and two blocks whose A_j touch
+        different numbers of rows, and random splits of rank 1."""
+        rng = np.random.default_rng(seed)
+        prob = random_problem(seed, dims=(4, 6), n=9, nu=3)
+        splits = [spectral_split(rand_spd(rng, m), 1) for m in prob.block_dims]
+        return prob, splits, rng.random(prob.n)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_support_index_restricts_each_matrix(self, seed):
+        """A_j is the support restriction put back in place; the support
+        sizes differ, so some rows of the index are padded."""
+        prob, _, _ = self.state(seed)
+        padded = []
+        for a_op, m, sup in zip(prob.A, prob.block_dims, prob.ops.supports):
+            sizes = []
+            for j in range(prob.n):
+                a = a_op[:, j].toarray().reshape(m, m)
+                touched = np.flatnonzero(np.any(a != 0.0, axis=1))
+                sizes.append(touched.size)
+                assert np.array_equal(sup.rows[j, : touched.size], touched)
+                back = np.zeros((m, m))
+                np.add.at(back, np.ix_(sup.rows[j], sup.rows[j]), sup.sub[j])  # padding repeats row 0
+                assert np.array_equal(back, a)
+            assert sup.rows.shape[1] == max(sizes)
+            padded.append(max(sizes) > min(sizes))
+        assert any(padded)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_base_matches_kron_oracle(self, seed):
+        """The base is lin_diag + diag(sum_i A_i'(W0_i x W0_i)A_i)."""
+        prob, splits, lin_diag = self.state(seed)
+        terms = sum(dense_sandwich(a, s.w0, s.w0) for a, s in zip(prob.A, splits))
+        want = lin_diag + np.diag(terms)
+        got = cluster_base(prob, splits, lin_diag)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+    def test_low_rank_part_is_alphas(self, vib3):
+        """Only the base differs from alpha: same columns, cluster's label."""
+        _, _, prob = vib3
+        _, _, splits, lin_diag = ip_state_splits(prob, seed=6)
+        pa = build_h_alpha(prob, splits, lin_diag)
+        pc = build_h_alpha(prob, splits, lin_diag, base="cluster")
+        assert (pa.kind, pc.kind) == ("alpha", "cluster")
+        assert np.array_equal(pc.a_diag, cluster_base(prob, splits, lin_diag))
+        assert np.array_equal(pa.dense_v(), pc.dense_v())
+        with pytest.raises(ValueError, match="tau or cluster"):
+            build_h_alpha(prob, splits, lin_diag, base="tilde")
+
+    def test_fits_the_late_cluster_term_better_than_alpha(self, tru3):
+        """At a late iterate the cluster term spreads over decades: with the
+        cluster base the preconditioned Schur complement is better
+        conditioned than with alpha's tau^2 I."""
+        from lorank.precond import inv_sqrt
+
+        _, _, prob = tru3
+        pt, _ = ip_solve(prob, IpConfig(precond="cluster", max_iter=12, eps_dimacs=1e-30))
+        scal = make_scaling(pt)
+        splits = [spectral_split(nt.w, 1) for nt in scal.blocks]
+        h = dense_schur(prob, [nt.w for nt in scal.blocks], scal.lin_w2)
+        kappa = {}
+        for base in ("tau", "cluster"):
+            pih = inv_sqrt(build_h_alpha(prob, splits, scal.lin_diag(prob), base=base).dense())
+            lam = np.linalg.eigvalsh(sym(pih @ h @ pih))
+            kappa[base] = lam[-1] / lam[0]
+        assert kappa["cluster"] < kappa["tau"]
 
 
 class TestTilde:
