@@ -33,7 +33,8 @@ from .report import DIAG_LIMIT, RunRecord, SolveReport, SolverConfig, SolverFail
 
 IP_KINDS = ("alpha", "beta", "cluster", "hybrid", "tilde", "none")
 
-TAU_FRAC = 0.9          # fraction-to-boundary in the step rule
+TAU_FRAC = 0.9          # least fraction-to-boundary of the corrector step ...
+TAU_GAIN = 0.09         # ... raised by this times min(alpha_p, beta_p)
 STALL_STEP = 1e-3       # min(alpha, beta) below this is a stalled step ...
 STALL_ITERS = 5         # ... and this many in a row end the run "stalled"
 SIGMA_POWER = 3         # Mehrotra centering exponent
@@ -195,13 +196,14 @@ def step_with_repair(
     dirs: BlockSymMatrix,
     tau_frac: float,
     repair_limit: int,
-) -> float:
-    """Step length that provably keeps the updated matrices factorizable;
-    halves on round-off failures up to the repair limit."""
+) -> tuple[float, int]:
+    """Step length that provably keeps the updated matrices factorizable,
+    and the number of halvings it took on round-off failures (at most the
+    repair limit)."""
     alpha = step_length(factors, mats, dirs, tau_frac)
-    for _ in range(repair_limit + 1):
+    for halvings in range(repair_limit + 1):
         if _is_interior(mats + alpha * dirs):
-            return alpha
+            return alpha, halvings
         alpha *= 0.5
     raise NotPositiveDefinite(0, "step repair exhausted")
 
@@ -353,11 +355,14 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
 
         x_factors = [nt.x_inv_factor() for nt in scal.blocks]
         s_factors = [nt.s_inv_factor() for nt in scal.blocks]
-        alpha_p = step_length(x_factors, pt.X, dX_p, TAU_FRAC)
-        beta_p = step_length(s_factors, pt.S, dS_p, TAU_FRAC)
+        # Mehrotra's sigma from the full predictor step to the boundary
+        alpha_p = step_length(x_factors, pt.X, dX_p, 1.0)
+        beta_p = step_length(s_factors, pt.S, dS_p, 1.0)
         num = (pt.X + alpha_p * dX_p).dot(pt.S + beta_p * dS_p)
         den = pt.X.dot(pt.S)
         sigma = min(1.0, max(0.0, num / den)) ** SIGMA_POWER
+        # SDPT3's corrector fraction: closer to the boundary after a long predictor
+        step_frac = TAU_FRAC + TAU_GAIN * min(alpha_p, beta_p)
 
         corr = direction(_corrector_target(pt, scal, dX_p, dS_p, sigma * mu), "corrector")
         if corr is None:
@@ -365,8 +370,8 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
         dy, dX, dS, rep_c = corr
 
         try:
-            alpha = step_with_repair(x_factors, pt.X, dX, TAU_FRAC, STEP_REPAIR_LIMIT)
-            beta = step_with_repair(s_factors, pt.S, dS, TAU_FRAC, STEP_REPAIR_LIMIT)
+            alpha, alpha_repairs = step_with_repair(x_factors, pt.X, dX, step_frac, STEP_REPAIR_LIMIT)
+            beta, beta_repairs = step_with_repair(s_factors, pt.S, dS, step_frac, STEP_REPAIR_LIMIT)
         except NotPositiveDefinite as exc:
             if errs.max() <= config.graceful_tol:
                 status = "numerical_limit"
@@ -388,6 +393,10 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
             sigma=sigma,
             alpha=alpha,
             beta=beta,
+            alpha_p=alpha_p,
+            beta_p=beta_p,
+            step_frac=step_frac,
+            step_repairs=alpha_repairs + beta_repairs,
             cg_pred=rep_p.iterations,
             cg_corr=rep_c.iterations,
             cg_stagnated=rep_p.stagnated or rep_c.stagnated,

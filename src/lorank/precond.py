@@ -184,7 +184,9 @@ class SmwPreconditioner:
     piece's columns [start, stop) of V and its m x m factor, repeated over
     the piece's outliers.  The base is the positive diagonal ``a_diag`` or,
     when ``base_l`` is set, the dense matrix base_l base_l'; ``theta_l`` is
-    the Cholesky factor of Theta = I + F'G' base^{-1} G F.
+    the Cholesky factor of Theta = I + F'G' base^{-1} G F.  With K >= n
+    columns Theta is no smaller than P, so ``p_l``, the Cholesky factor of
+    P itself, is set in its place and the apply is one solve with it.
     """
 
     kind: str
@@ -195,6 +197,7 @@ class SmwPreconditioner:
     g_vals: np.ndarray
     factors: list[tuple[int, int, np.ndarray]]
     theta_l: np.ndarray | None = None
+    p_l: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -209,6 +212,8 @@ class SmwPreconditioner:
 
     def apply_inv(self, x: np.ndarray) -> np.ndarray:
         """P^{-1} x = t - base^{-1} G F Theta^{-1} F'G' t with t = base^{-1} x."""
+        if self.p_l is not None:
+            return chol_solve(self.p_l, x)
         t = self._base_solve(x)
         if not self.factors:
             return t
@@ -262,7 +267,10 @@ def _smw(
     factored matrix base_l base_l' (tilde).  Theta = I + F'(G' base^{-1} G)F;
     for a diagonal base it is summed over the pairs of fold positions that
     share a row (:func:`_theta_block`), so only tilde, whose dense n x n base
-    dwarfs it, forms V densely.
+    dwarfs it, forms V densely.  With K >= n columns P = base + V V' is
+    assembled and factored instead: its n x n Cholesky costs no more than
+    Theta's, and the SMW apply, which passes through Theta's larger
+    condition number, loses accuracy that a direct solve keeps.
     """
     if base_l is None and np.any(a_diag <= 0.0):
         raise ValueError(f"{kind}: nonpositive base diagonal entry")
@@ -281,6 +289,9 @@ def _smw(
         np.concatenate([q.g.ravel() for q in pieces] + none),
         [(s, s + q.cols, q.f) for q, s in zip(pieces, starts)],
     )
+    if size >= prec.n:
+        prec.p_l = chol(prec.dense(), f"{kind} preconditioner")
+        return prec
     theta = np.eye(size)
     if base_l is None:
         # Theta's lower triangle, block by block: all chol reads

@@ -146,7 +146,7 @@ class TestSolve:
 
     def test_stalled_exit_code(self, gen_dir, tmp_path, capsys, monkeypatch):
         """A stalled IP run exits 1 like a capped one and keeps its report."""
-        monkeypatch.setattr(ip_module, "step_with_repair", lambda *args: 1e-6)
+        monkeypatch.setattr(ip_module, "step_with_repair", lambda *args: (1e-6, 0))
         report_path = tmp_path / "r.json"
         rc = main(["solve", str(gen_dir / "tru3.dat-s"), "--out", str(report_path)])
         capsys.readouterr()

@@ -338,7 +338,8 @@ class TestStepLength:
         rng = np.random.default_rng(seed)
         mats = BlockSymMatrix([rand_spd(rng, 5)], rng.random(4) + 0.2)
         dirs = BlockSymMatrix([5.0 * rand_sym(rng, 5)], rng.standard_normal(4))
-        alpha = step_with_repair(inv_factors(mats), mats, dirs, 0.9, 10)
+        alpha, halvings = step_with_repair(inv_factors(mats), mats, dirs, 0.9, 10)
+        assert 0 <= halvings <= 10
         stepped = mats + alpha * dirs
         assert np.linalg.eigvalsh(stepped.blocks[0])[0] > 0
         assert stepped.lin.min() > 0
@@ -393,7 +394,8 @@ class TestFactoredStepLength:
             lam = min_eig_pencil(mat, dm)
             expected = min(1.0, -0.9 / lam) if lam < 0 else 1.0
             assert step_length([f], mats, dirs, 0.9) == pytest.approx(expected, rel=1e-10)
-            assert step_with_repair([f], mats, dirs, 0.9, 10) == pytest.approx(expected, rel=1e-10)
+            alpha, halvings = step_with_repair([f], mats, dirs, 0.9, 10)
+            assert alpha == pytest.approx(expected, rel=1e-10) and halvings == 0
 
 
 class TestIpSolve:
@@ -500,7 +502,7 @@ class TestIpSolve:
     def test_stalled_steps_end_the_run(self, tru3, monkeypatch):
         """Five steps in a row with min(alpha, beta) < 1e-3 end the run
         "stalled", with its report at the last iterate."""
-        monkeypatch.setattr(ip_module, "step_with_repair", lambda *args: 1e-6)
+        monkeypatch.setattr(ip_module, "step_with_repair", lambda *args: (1e-6, 0))
         _, _, prob = tru3
         pt, rep = ip_solve(prob)
         assert rep.status == "stalled" and not rep.converged
@@ -516,13 +518,60 @@ class TestIpSolve:
 
         def short_but_one(*args):
             calls.append(None)
-            return real(*args) if len(calls) in (9, 10) else 1e-6
+            return real(*args) if len(calls) in (9, 10) else (1e-6, 0)
 
         monkeypatch.setattr(ip_module, "step_with_repair", short_but_one)
         _, _, prob = tru3
         _, rep = ip_solve(prob)
         assert min(rep.trace[4]["alpha"], rep.trace[4]["beta"]) >= ip_module.STALL_STEP
         assert rep.status == "stalled" and rep.iterations == 10
+
+    def test_trace_rows_carry_the_step_rule(self, tru3_ip):
+        """Each row records the predictor's steps to the boundary, the
+        corrector's fraction, in [0.9, 0.99], and the repair halvings."""
+        _, rep = tru3_ip
+        for row in rep.trace:
+            assert 0.0 < row["alpha_p"] <= 1.0 and 0.0 < row["beta_p"] <= 1.0
+            assert 0.9 <= row["step_frac"] <= 0.99
+            assert row["step_frac"] == 0.9 + 0.09 * min(row["alpha_p"], row["beta_p"])
+            assert row["step_repairs"] >= 0
+
+    def test_step_rule(self, tru3, monkeypatch):
+        """Per iteration the predictor's two steps take fraction 1 (the
+        full step that gives Mehrotra's sigma), and both corrector steps
+        take SDPT3's 0.9 + 0.09 min(alpha_p, beta_p), also where they
+        reach ``step_length`` through ``step_with_repair``."""
+        real_length, real_repair = ip_module.step_length, ip_module.step_with_repair
+        lengths, repairs = [], []
+
+        def length(factors, mats, dirs, tau_frac):
+            lengths.append((tau_frac, real_length(factors, mats, dirs, tau_frac)))
+            return lengths[-1][1]
+
+        def repair(factors, mats, dirs, tau_frac, repair_limit):
+            repairs.append(tau_frac)
+            return real_repair(factors, mats, dirs, tau_frac, repair_limit)
+
+        monkeypatch.setattr(ip_module, "step_length", length)
+        monkeypatch.setattr(ip_module, "step_with_repair", repair)
+        _, _, prob = tru3
+        _, rep = ip_solve(prob)
+        assert rep.converged
+        assert len(lengths) == 4 * rep.iterations and len(repairs) == 2 * rep.iterations
+        for it, row in enumerate(rep.trace):
+            (f_x, alpha_p), (f_s, beta_p), (f_cx, _), (f_cs, _) = lengths[4 * it : 4 * it + 4]
+            assert f_x == f_s == 1.0
+            frac = 0.9 + 0.09 * min(alpha_p, beta_p)
+            assert repairs[2 * it : 2 * it + 2] == [frac, frac] and f_cx == f_cs == frac
+            assert (row["alpha_p"], row["beta_p"], row["step_frac"]) == (alpha_p, beta_p, frac)
+
+    @pytest.mark.parametrize("solve, cap", [("tru3_ip", 13), ("tru5_ip", 16), ("vib3_ip", 14)])
+    def test_iteration_guard(self, request, solve, cap):
+        """The step rule's gain on the fast rows: each takes fewer
+        iterations than the 14, 17 and 15 of a fixed 0.9 fraction with
+        sigma from the shortened predictor steps."""
+        _, rep = request.getfixturevalue(solve)
+        assert rep.status == "optimal" and rep.iterations <= cap
 
     def test_vib3_converges(self, vib3_ip):
         _, rep = vib3_ip
