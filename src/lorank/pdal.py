@@ -55,7 +55,7 @@ PDAL_KINDS = ("gamma", "delta", "beta", "none")
 
 # One parameter set for the tru and the vib instances: the ``tru`` column of
 # the paper's parameter table, with the proximal weight ``PdalConfig.r``
-# lowered from 0.01 to 1e-3.
+# lowered from 0.01 to 1e-4.
 QLOG_TAU = 0.5          # box-penalty extrapolation point
 PI_LIN_MIN = 1e-9       # penalty floors, box rows and LMI blocks
 PI_LMI_MIN = 1e-5
@@ -128,7 +128,7 @@ class PdalConfig(SolverConfig):
     max_iter: int = 500
     precond: str = "gamma"
     cg_floor: float = 1e-6
-    r: float = 1e-3                # proximal weight; also the floor of the inner Hessian
+    r: float = 1e-4                # proximal weight; also the floor of the inner Hessian
     max_inner: int = 100
 
 
@@ -352,6 +352,7 @@ class InnerResult:
     converged: bool
     line_search_failures: int = 0
     precond_kinds: list[str] = field(default_factory=list)  # applied, in order of first use
+    cap_hit: bool = False          # ended at max_inner Newton steps
 
 
 def inner_solve(
@@ -449,7 +450,8 @@ def inner_solve(
 
     g1, g2 = pd_residuals(ctx, ev, x_hat)
     return InnerResult(
-        ev, x_hat, cfg.max_inner, cg_total, merit(g1, g2), False, False, ls_failures, kinds
+        ev, x_hat, cfg.max_inner, cg_total, merit(g1, g2), False, False, ls_failures, kinds,
+        cap_hit=True,
     )
 
 
@@ -555,6 +557,7 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
             merit=res.merit,
             early_stop=res.early_stop,
             inner_converged=res.converged,
+            inner_cap_hit=res.cap_hit,
             line_search_failures=res.line_search_failures,
             pd_error=e_outer,
             pi_lin=pi_lin,

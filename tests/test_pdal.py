@@ -568,20 +568,21 @@ class TestPdalSolve:
         assert rep.dimacs.max() <= 1e-5
 
     def test_profiles_proximal_weight(self):
-        """One parameter set: the tru profile is the default config (r = 1e-3)
+        """One parameter set: the tru profile is the default config (r = 1e-4)
         and no other profile exists."""
         assert pdal_config_profile("tru") == PdalConfig()
-        assert PdalConfig().r == 1e-3
+        assert PdalConfig().r == 1e-4
         with pytest.raises(ValueError, match="vib"):
             pdal_config_profile("vib")
 
     def test_tru_profile_ends_the_vib5_tail(self, vib5):
-        """At r = 0.01 y crept along the LMI face by ||b - A(X)|| / r per
-        outer iteration while X sat at its fixed point: 304 outers."""
+        """While X sits at its fixed point, y creeps along the LMI face by
+        ||b - A(X)|| / r per outer iteration: 304 outers at r = 0.01, 46 at
+        r = 1e-3 and 34 at r = 1e-4."""
         _, _, prob = vib5
         _, rep = pdal_solve(prob, pdal_config_profile("tru"))
         assert rep.status == "optimal"
-        assert rep.iterations <= 60
+        assert rep.iterations <= 40
         assert -rep.dual_objective == pytest.approx(16.0065, abs=1e-4)
 
     def test_tru_profile_tru7_cg_work(self):
@@ -596,6 +597,23 @@ class TestPdalSolve:
         for row in rep.trace:
             assert row["line_search_failures"] >= 0
             assert row["precond"] == ("gamma" if row["inner_iterations"] else "")
+            assert row["inner_cap_hit"] is False
+
+    def test_trace_records_inner_cap_hits(self, tru3):
+        """An inner solve that ends at max_inner Newton steps, neither
+        converged, stopped early nor ended by a line-search failure, is
+        flagged in its trace row."""
+        _, _, prob = tru3
+        _, rep = pdal_solve(prob, PdalConfig(max_inner=1, max_iter=3))
+        hits = [row["inner_cap_hit"] for row in rep.trace]
+        assert len(hits) == 3 and any(hits)
+        for row in rep.trace:
+            ended_otherwise = (
+                row["inner_converged"] or row["early_stop"] or row["line_search_failures"]
+            )
+            assert row["inner_cap_hit"] == (not ended_otherwise)
+            if row["inner_cap_hit"]:
+                assert row["inner_iterations"] == 1
 
     def test_late_inner_counts_small(self, tru3_pdal):
         """Near the solution a couple of Newton steps per outer iteration
