@@ -31,7 +31,6 @@ from .precond import (
     build_h_delta,
     build_h_gamma,
     build_h_tilde,
-    hybrid_should_switch,
     spectral_split,
     tau_cluster_mean,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "chol",
     "dimacs",
     "gen_ground",
-    "hybrid_should_switch",
     "ip_solve",
     "load_sdpa",
     "min_eig_pencil",

@@ -102,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _solver_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--solver", choices=list(DRIVERS), default="ip")
     p.add_argument("--precond", choices=list(dict.fromkeys(IP_KINDS + PDAL_KINDS)), default=None,
-                   help=f"ip: {'|'.join(IP_KINDS)} (default hybrid); "
-                        f"pdal: {'|'.join(PDAL_KINDS)} (default gamma)")
+                   help=f"ip: {'|'.join(IP_KINDS)} (default {IpConfig.precond}); "
+                        f"pdal: {'|'.join(PDAL_KINDS)} (default {PdalConfig.precond})")
     p.add_argument("--rank", type=_rank_arg, default=1,
                    help="expected dual rank per block, or 'auto'")
     p.add_argument("--tol", type=float, default=1e-5, help="DIMACS stopping tolerance")

@@ -31,7 +31,7 @@ from .model import (
 from .pcg import cg_tolerance, pcg_solve
 from .report import DIAG_LIMIT, RunRecord, SolveReport, SolverConfig, SolverFailure
 
-IP_KINDS = ("alpha", "beta", "cluster", "hybrid", "tilde", "none")
+IP_KINDS = ("alpha", "beta", "cluster", "tilde", "none")
 
 TAU_FRAC = 0.9          # least fraction-to-boundary of the corrector step ...
 TAU_GAIN = 0.09         # ... raised by this times min(alpha_p, beta_p)
@@ -47,7 +47,7 @@ class IpConfig(SolverConfig):
     KINDS = IP_KINDS
 
     max_iter: int = 200
-    precond: str = "hybrid"
+    precond: str = "cluster"
     # floor 1e-8: at 1e-6 the late, ill-conditioned Schur systems leave
     # directions whose outcome on tru9 depends on rounding alone
     cg_floor: float = 1e-8
@@ -231,9 +231,10 @@ def initial_point(prob: SdpProblem) -> PrimalDualPoint:
 def _build_preconditioner(
     kind: str, prob: SdpProblem, splits: list[pc.SplitBlock], lin_diag: np.ndarray
 ):
-    """The ``kind`` build (alpha, beta, cluster, tilde or none), or beta
-    when a stale split makes a low-rank build fail: on cluster's base for
-    cluster, on alpha's otherwise."""
+    """The ``kind`` build of one iteration (alpha, beta, cluster, tilde or
+    none; the same kind on every iteration), or beta when a stale split
+    makes a low-rank build fail: on cluster's base for cluster, on alpha's
+    otherwise."""
     if kind == "none":
         return None
     if kind == "cluster":
@@ -283,7 +284,6 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
     run = RunRecord(prob, config)
     pt = initial_point(prob)
     ranks = pc.block_ranks(config.rank, prob.block_dims)
-    hybrid_switched = False  # hybrid runs beta until this, then cluster
     status = "max_iterations"
     short_steps = 0  # consecutive iterations with min(alpha, beta) < STALL_STEP
 
@@ -305,10 +305,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
         lin_diag = scal.lin_diag(prob)
         splits = [pc.spectral_split(nt.w, k) for nt, k in zip(scal.blocks, ranks)]
 
-        kind = config.precond
-        if kind == "hybrid":
-            kind = "cluster" if hybrid_switched else "beta"
-        prec = _build_preconditioner(kind, prob, splits, lin_diag)
+        prec = _build_preconditioner(config.precond, prob, splits, lin_diag)
         prec_apply = prec.apply_inv if prec is not None else None
 
         if config.diag and prob.n <= DIAG_LIMIT:
@@ -401,9 +398,5 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
             cg_corr=rep_c.iterations,
             cg_stagnated=rep_p.stagnated or rep_c.stagnated,
         )
-        if config.precond == "hybrid" and not hybrid_switched:
-            k_hint = max([s.k for s in splits] + [1])
-            if pc.hybrid_should_switch(prob.n, prob.p, k_hint, it + 1, rep_c.iterations):
-                hybrid_switched = True
 
     return pt, run.report(status, pt, errs)

@@ -14,12 +14,12 @@ identity with a small factored inner Schur complement.
 Each driver accepts only its own kinds and rejects any other when its config
 is constructed:
 
-- ``ip`` (Schur complement): alpha | beta | cluster | hybrid | tilde | none.
-  ``cluster`` is alpha's low-rank part on the exact diagonal of the cluster
-  term, diag(sum_i A_i'(W0_i x W0_i)A_i), in place of sum_i tau_i^2 I; on
-  truss data that term spreads over decades late in the run, where no
-  multiple of I fits it.  ``hybrid`` starts with beta and switches to
-  cluster once the CG iteration count justifies the setup cost.
+- ``ip`` (Schur complement): alpha | beta | cluster | tilde | none.
+  ``cluster``, the default from the first iteration on, is alpha's
+  low-rank part on the exact diagonal of the cluster term,
+  diag(sum_i A_i'(W0_i x W0_i)A_i), in place of sum_i tau_i^2 I; on truss
+  data that term spreads over decades late in the run, where no multiple
+  of I fits it.
 - ``pdal`` (augmented-Lagrangian Hessian): gamma | delta | beta | none.
 
 ``beta`` is the base diagonal of a low-rank kind alone: alpha's for ip
@@ -467,15 +467,6 @@ def build_h_delta(
         if sv.k:
             recipe.append((fold, sv.u, root2 * gamma))
     return _smw("delta", a_diag, recipe)
-
-
-def hybrid_should_switch(
-    n: int, p: int, k: int, iter_index: int, last_cg_count: int
-) -> bool:
-    """Heuristic for trading the cheap diagonal preconditioner for the
-    low-rank one: CG count grew past k p sqrt(n)/10 and the outer iteration
-    index past sqrt(n)/60."""
-    return last_cg_count > k * p * math.sqrt(n) / 10.0 and iter_index > math.sqrt(n) / 60.0
 
 
 # ---------------------------------------------------------------------------

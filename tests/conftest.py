@@ -161,19 +161,19 @@ def vib5():
 @pytest.fixture(scope="session")
 def tru3_ip(tru3):
     _, _, prob = tru3
-    return ip_solve(prob, IpConfig(precond="hybrid"))
+    return ip_solve(prob, IpConfig())
 
 
 @pytest.fixture(scope="session")
 def tru3e_ip(tru3e):
     _, _, prob = tru3e
-    return ip_solve(prob, IpConfig(precond="hybrid"))
+    return ip_solve(prob, IpConfig())
 
 
 @pytest.fixture(scope="session")
 def tru5_ip(tru5):
     _, _, prob = tru5
-    return ip_solve(prob, IpConfig(precond="hybrid"))
+    return ip_solve(prob, IpConfig())
 
 
 @pytest.fixture(scope="session")
@@ -185,7 +185,7 @@ def tru5_ip_none(tru5):
 @pytest.fixture(scope="session")
 def vib3_ip(vib3):
     _, _, prob = vib3
-    return ip_solve(prob, IpConfig(precond="hybrid"))
+    return ip_solve(prob, IpConfig())
 
 
 @pytest.fixture(scope="session")
@@ -217,7 +217,7 @@ def tru3e_ip_tight(tru3e):
     """High-accuracy run for the rank-structure checks; ends either optimal
     or at the numerical limit of float64."""
     _, _, prob = tru3e
-    return ip_solve(prob, IpConfig(precond="hybrid", eps_dimacs=1e-12, max_iter=60))
+    return ip_solve(prob, IpConfig(eps_dimacs=1e-12, max_iter=60))
 
 
 @pytest.fixture(scope="session")

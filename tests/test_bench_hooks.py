@@ -47,18 +47,20 @@ def test_builds_do_not_nest(tracing, tru3):
     assert all(rec[3] < 0 or spans[rec[3]][0] != "precond.build_h" for rec in builds)
 
 
-@pytest.mark.parametrize("kind", ["cluster", "hybrid"])
+@pytest.mark.parametrize("kind", ["cluster"])
 def test_one_visible_build_per_ip_iteration(tracing, vib3, kind):
-    """The cluster kind's whole build, base diagonal included, runs in one
-    top-level precond.build_h span per IP iteration (hybrid's beta phase
-    included), so the benchmark's tracer sees it."""
+    """The default kind is cluster and builds it on every IP iteration, the
+    first included, and its whole build, base diagonal included, runs in one
+    top-level precond.build_h span per iteration, so the benchmark's tracer
+    sees it."""
     from lorank.ip import IpConfig, ip_solve
 
+    assert IpConfig().precond == kind
     _, _, prob = vib3
     tracer = tracing.Tracer()
     with tracer.patched():
-        _, rep = ip_solve(prob, IpConfig(precond=kind))
-    assert rep.converged and "cluster" in {t["precond"] for t in rep.trace}
+        _, rep = ip_solve(prob, IpConfig())
+    assert rep.converged and all(t["precond"] == kind for t in rep.trace)
     assert tracer.counts["precond.fallbacks"] == 0
     builds = [rec for rec in tracer.spans if rec[0] == "precond.build_h"]
     assert all(rec[3] < 0 for rec in builds)

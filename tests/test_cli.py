@@ -93,10 +93,11 @@ class TestSolve:
         assert payload["dimacs_max"] <= 1e-7
 
     def test_tru3_hybrid(self, gen_dir, capsys):
-        rc = main(["solve", str(gen_dir / "tru3.dat-s"), "--solver", "ip", "--precond", "hybrid"])
-        payload = json.loads(capsys.readouterr().out)
-        assert rc == 0
-        assert 8 <= payload["iterations"] <= 32
+        """The deleted hybrid kind is no longer a --precond choice."""
+        with pytest.raises(SystemExit) as info:
+            main(["solve", str(gen_dir / "tru3.dat-s"), "--solver", "ip", "--precond", "hybrid"])
+        assert info.value.code == 2
+        assert "hybrid" in capsys.readouterr().err
 
     def test_pdal_profile_autodetect(self, gen_dir, capsys):
         rc = main(["solve", str(gen_dir / "vib3.dat-s"), "--solver", "pdal"])
@@ -239,7 +240,7 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "solver, kind, kinds",
-        [("pdal", "alpha", "gamma|delta|beta|none"), ("ip", "gamma", "alpha|beta|cluster|hybrid|tilde|none")],
+        [("pdal", "alpha", "gamma|delta|beta|none"), ("ip", "gamma", "alpha|beta|cluster|tilde|none")],
     )
     def test_other_driver_kind_exit_code(self, gen_dir, capsys, solver, kind, kinds):
         rc = main(["solve", str(gen_dir / "tru3.dat-s"), "--solver", solver, "--precond", kind])
@@ -275,7 +276,7 @@ class TestBench:
         assert rows[1][0] == "tru3.dat-s"
         assert rows[2][3].startswith("failed")
 
-    @pytest.mark.parametrize("solver, args, kind", [("ip", [], "hybrid"), ("pdal", [], "gamma"),
+    @pytest.mark.parametrize("solver, args, kind", [("ip", [], "cluster"), ("pdal", [], "gamma"),
                                                    ("ip", ["--precond", "beta"], "beta")])
     def test_failed_row_names_the_preconditioner(self, gen_dir, tmp_path, capsys, solver, args, kind):
         out = tmp_path / "bench.csv"
@@ -288,7 +289,7 @@ class TestBench:
 
     @pytest.mark.parametrize(
         "solver, kind, kinds",
-        [("pdal", "alpha", "gamma|delta|beta|none"), ("ip", "gamma", "alpha|beta|cluster|hybrid|tilde|none")],
+        [("pdal", "alpha", "gamma|delta|beta|none"), ("ip", "gamma", "alpha|beta|cluster|tilde|none")],
     )
     def test_other_driver_kind_exit_code(self, gen_dir, tmp_path, capsys, solver, kind, kinds):
         out = tmp_path / "bench.csv"

@@ -26,11 +26,11 @@ def start_point(driver, prob) -> PrimalDualPoint:
 
 @pytest.mark.parametrize(
     "driver, kind",
-    [("ip", kind) for kind in ("gamma", "delta", "bogus")]
+    [("ip", kind) for kind in ("gamma", "delta", "hybrid", "bogus")]
     + [("pdal", kind) for kind in ("alpha", "cluster", "hybrid", "tilde", "bogus")],
 )
 def test_config_rejects_other_kinds(driver, kind):
-    kinds = {"ip": "alpha|beta|cluster|hybrid|tilde|none", "pdal": "gamma|delta|beta|none"}[driver]
+    kinds = {"ip": "alpha|beta|cluster|tilde|none", "pdal": "gamma|delta|beta|none"}[driver]
     with pytest.raises(ValueError, match=re.escape(f"{driver} preconditioner must be one of {kinds}")):
         DRIVERS[driver][0](precond=kind)
 

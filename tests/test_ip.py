@@ -466,14 +466,6 @@ class TestIpSolve:
         assert len(used) == len(bases) == 2
         assert all(np.array_equal(u, b) for u, b in zip(used, bases))
 
-    def test_hybrid_switches_to_cluster(self, tru3_ip):
-        """hybrid runs beta, then the cluster kind to the end."""
-        _, rep = tru3_ip
-        kinds = [t["precond"] for t in rep.trace]
-        switch = kinds.index("cluster")
-        assert switch > 0
-        assert kinds == ["beta"] * switch + ["cluster"] * (len(kinds) - switch)
-
     def test_rank_zero_is_honoured(self, tru3, monkeypatch):
         ranks = []
         build = precond.build_h_alpha

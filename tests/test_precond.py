@@ -18,7 +18,6 @@ from lorank.precond import (
     conditioning_report,
     dense_sandwich,
     gamma_base,
-    hybrid_should_switch,
     low_rank_factor,
     spectral_split,
     tau_cluster_mean,
@@ -581,18 +580,6 @@ class TestDelta:
         )
         rhs = rng.standard_normal(6)
         assert np.allclose(pc.apply_inv(rhs), np.linalg.solve(pc.dense(), rhs), rtol=1e-8)
-
-
-class TestHybridRule:
-    def test_low_cg_no_switch(self):
-        assert not hybrid_should_switch(3240, 1, 1, 2, 5)
-
-    def test_published_formula_arithmetic(self):
-        # sqrt(3240) ~ 56.9: cg threshold 5.69, iteration threshold 0.95
-        assert hybrid_should_switch(3240, 1, 1, 1, 10**6)
-
-    def test_iteration_zero_no_switch(self):
-        assert not hybrid_should_switch(36, 1, 1, 0, 0)
 
 
 class TestSpectralStructure:
