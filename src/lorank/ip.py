@@ -252,27 +252,25 @@ def _build_preconditioner(
 
 
 def _dense_diagnostics(
-    prob: SdpProblem,
-    scal: Scaling,
-    splits: list[pc.SplitBlock],
-    lin_diag: np.ndarray,
+    prob: SdpProblem, scal: Scaling, splits: list[pc.SplitBlock], prec: pc.SmwPreconditioner | None
 ) -> dict:
-    """Dense conditioning record for one iteration (n <= diag limit)."""
+    """Dense conditioning record for one iteration (n <= diag limit) of the
+    preconditioner the iteration applied, P = I for none.  For alpha and
+    cluster it adds the split bound: their bases stand in for each
+    B_i = A_i'(W0_i x W0_i)A_i by tau_i^2 I and by diag(B_i)."""
     n = prob.n
     h_dense = (prob.D.T @ sp.diags(scal.lin_w2) @ prob.D).toarray()
     for a_op, nt in zip(prob.A, scal.blocks):
         h_dense += pc.dense_sandwich(a_op, nt.w, nt.w)
-    halpha = pc.build_h_alpha(prob, splits, lin_diag)
-    terms = [pc.dense_sandwich(a, s.w0, s.w0) for a, s in zip(prob.A, splits)]
-    approx = [s.tau**2 * np.eye(n) for s in splits]
-    rep = pc.conditioning_report(h_dense, halpha, terms, approx)
-    return {
-        "kappa_h": rep.kappa_raw,
-        "kappa_alpha_preconditioned": rep.kappa_preconditioned,
-        "bound": rep.bound,
-        "eps_hi": rep.eps_hi,
-        "eps_lo": rep.eps_lo,
-    }
+    kind = prec.kind if prec is not None else "none"
+    bounded = kind in ("alpha", "cluster")
+    terms = [pc.dense_sandwich(a, s.w0, s.w0) for a, s in zip(prob.A, splits)] if bounded else []
+    approx = [s.tau**2 * np.eye(n) if kind == "alpha" else np.diag(np.diag(t)) for s, t in zip(splits, terms)]
+    rep = pc.conditioning_report(h_dense, np.eye(n) if prec is None else prec.dense(), terms, approx)
+    rec = {"precond": kind, "kappa_h": rep.kappa_raw, "kappa_preconditioned": rep.kappa_preconditioned}
+    if bounded:
+        rec.update(bound=rep.bound, eps_hi=rep.eps_hi, eps_lo=rep.eps_lo)
+    return rec
 
 
 def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDualPoint, SolveReport]:
@@ -309,7 +307,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
         prec_apply = prec.apply_inv if prec is not None else None
 
         if config.diag and prob.n <= DIAG_LIMIT:
-            rec = _dense_diagnostics(prob, scal, splits, lin_diag)
+            rec = _dense_diagnostics(prob, scal, splits, prec)
             rec["iteration"] = it
             run.diagnostics.append(rec)
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -104,88 +103,64 @@ def column_norms_sq(a_op: sp.csr_matrix) -> np.ndarray:
 
 
 class RowPairs(NamedTuple):
-    """Pairs of fold positions, one from each of two blocks, that lie in the
-    same row j of G."""
+    """Pairs of support positions, one from each of two blocks, that lie in
+    the same row j of G."""
 
-    left: np.ndarray        # position index in the first block's fold
-    right: np.ndarray       # position index in the second block's fold
+    left: np.ndarray        # index among the first block's real positions
+    right: np.ndarray       # index among the second block's real positions
     row: np.ndarray         # their common row j
     cells: sp.csr_matrix    # (m m2, pairs): sums the pairs at columns (c, d) into cell c m2 + d
 
 
-@dataclass(frozen=True)
-class BlockFold:
-    """Index arrays that fold A_i' by an m-vector u into the sparse n x m
-    matrix G_u[j, c] = sum_r u_r (A_j)_{rc}, the per-outlier factor of the
-    preconditioner's low-rank block.
+class Support(NamedTuple):
+    """The one index of a block's sparsity: each A_j restricted to the rows
+    it touches, padded to the block's largest row count s (4 on truss data).
+    The position (j, rows[j, l]) of a real entry l is where the low-rank
+    factor G_u[j, c] = (A_j u)_c can be nonzero.
 
-    block     : the block index i
-    data      : the stored values of A_i' (CSR order)
-    r, slot   : per stored value, its row r in A_j and the index of the
-                position (j, c) of G_u it adds to
-    rows, cols: the distinct positions (j, c) of G_u, sorted by row
-    pairs     : per block i2, the :class:`RowPairs` of this fold and block
-                i2's; for a diagonal B, G'B^{-1}G sums products over exactly
-                these pairs
+    block : the block index i
+    rows  : (n, s) the support rows of each A_j, ascending; padding repeats row 0
+    sub   : (n, s, s) A_j on rows x rows, zero on the padding
+    real  : (n, s) true at the real, unpadded positions; their row-major
+            order numbers them
+    pairs : per block i2, the :class:`RowPairs` of this block's positions
+            and block i2's; for a diagonal B, G'B^{-1}G sums products over
+            exactly these pairs
     """
 
     block: int
-    data: np.ndarray
-    r: np.ndarray
-    slot: np.ndarray
     rows: np.ndarray
-    cols: np.ndarray
+    sub: np.ndarray
+    real: np.ndarray
     pairs: tuple[RowPairs, ...]
 
 
-class Support(NamedTuple):
-    """Each A_j of one block restricted to the rows it touches, padded to
-    the block's largest row count s (4 on truss data).
-
-    rows : (n, s) the support rows of each A_j; padding repeats row 0
-    sub  : (n, s, s) A_j on rows x rows, zero on the padding
-    """
-
-    rows: np.ndarray
-    sub: np.ndarray
-
-
-def block_support(fold: BlockFold, n: int) -> Support:
-    """The :class:`Support` of a block, from its fold: the positions (j, c)
-    of a row j are the support rows of A_j, and a stored value (A_j)_{rc}
-    lies at the local indices of the positions (j, r) and (j, c)."""
-    counts = np.bincount(fold.rows, minlength=n)
-    local = np.arange(fold.rows.size) - (np.cumsum(counts) - counts)[fold.rows]
-    rows = np.zeros((n, int(counts.max(initial=0))), dtype=np.intp)
-    rows[fold.rows, local] = fold.cols
-    # positions are sorted by (j, c), and every row r of A_j is a column too
-    width = int(fold.cols.max(initial=0)) + 1
-    j = fold.rows[fold.slot]
-    at_r = np.searchsorted(fold.rows * width + fold.cols, j * width + fold.r)
-    sub = np.zeros(rows.shape + rows.shape[1:])
-    np.add.at(sub, (j, local[at_r], local[fold.slot]), fold.data)
-    return Support(rows, sub)
-
-
-def block_folds(a_t: Sequence[sp.csr_matrix], dims: Sequence[int]) -> list[BlockFold]:
-    """The :class:`BlockFold` of every block, from A_i' as CSR."""
+def block_supports(a_t: Sequence[sp.csr_matrix], dims: Sequence[int]) -> list[Support]:
+    """The :class:`Support` of every block, from A_i' as CSR: the support
+    rows of A_j are the columns c of its stored values (A_j)_{rc}, and every
+    row r is such a column too, since A_j is symmetric."""
     n = a_t[0].shape[0] if a_t else 0
-    parts = []  # per block: data, r, slot, rows, cols
+    parts = []  # per block: rows, sub, real
     for a, m in zip(a_t, dims):
         j = np.repeat(np.arange(n), np.diff(a.indptr))
         r, c = np.divmod(a.indices, m)
-        keys, slot = np.unique(j * m + c, return_inverse=True)
-        parts.append((a.data, r, slot.ravel(), *np.divmod(keys, m)))
-    # row indicator of each position: (ind_i' ind_i2)[e, f] != 0 iff e and f share a row
-    ind = [
-        sp.csr_matrix((np.ones(rows.size), (rows, np.arange(rows.size))), shape=(n, rows.size))
-        for *_, rows, _ in parts
-    ]
+        keys, slot = np.unique(j * m + c, return_inverse=True)  # the positions (j, c), sorted
+        pos_j = keys // m
+        counts = np.bincount(pos_j, minlength=n)
+        local = np.arange(keys.size) - (np.cumsum(counts) - counts)[pos_j]
+        rows = np.zeros((n, int(counts.max(initial=0))), dtype=np.intp)
+        rows[pos_j, local] = keys % m
+        sub = np.zeros(rows.shape + rows.shape[1:])
+        np.add.at(sub, (j, local[np.searchsorted(keys, j * m + r)], local[slot.ravel()]), a.data)
+        parts.append((rows, sub, np.arange(rows.shape[1]) < counts[:, None]))
+    # row and support row of each position; (ind_i' ind_i2)[e, f] != 0 iff e and f share a row
+    pos = [(np.nonzero(real)[0], rows[real]) for rows, _, real in parts]
+    ind = [sp.csr_matrix((np.ones(j.size), (j, np.arange(j.size))), shape=(n, j.size)) for j, _ in pos]
 
     def row_pairs(i: int, i2: int) -> RowPairs:
         hit = (ind[i].T @ ind[i2]).tocoo()
         left, right = hit.row.astype(np.intp), hit.col.astype(np.intp)
-        (rows, cols), cols2 = parts[i][3:], parts[i2][4]
+        (rows, cols), cols2 = pos[i], pos[i2][1]
         cells = sp.csr_matrix(
             (np.ones(left.size), (cols[left] * dims[i2] + cols2[right], np.arange(left.size))),
             shape=(dims[i] * dims[i2], left.size),
@@ -193,7 +168,7 @@ def block_folds(a_t: Sequence[sp.csr_matrix], dims: Sequence[int]) -> list[Block
         return RowPairs(left, right, rows[left], cells)
 
     return [
-        BlockFold(i, *part, tuple(row_pairs(i, i2) for i2 in range(len(parts))))
+        Support(i, *part, tuple(row_pairs(i, i2) for i2 in range(len(parts))))
         for i, part in enumerate(parts)
     ]
 
@@ -210,9 +185,8 @@ class ConstraintOps:
                  preconditioner columns
     a_norms_sq : per block, diag(A_i'A_i)
     d_sq_t     : (D o D)' as CSR, so d_sq_t @ w = diag(D' diag(w) D)
-    folds      : per block, the fold of A_i' into the low-rank factors
-    supports   : per block, the :class:`Support` of its A_j, built on first
-                 read (n s^2 floats; only the cluster preconditioner reads it)
+    supports   : per block, the :class:`Support` of its A_j (n s^2 floats),
+                 which indexes the preconditioners' bases and factors
     """
 
     stacked: sp.csr_matrix
@@ -220,11 +194,7 @@ class ConstraintOps:
     a_t: list[sp.csr_matrix]
     a_norms_sq: list[np.ndarray]
     d_sq_t: sp.csr_matrix
-    folds: list[BlockFold]
-
-    @cached_property
-    def supports(self) -> list[Support]:
-        return [block_support(fold, self.stacked.shape[1]) for fold in self.folds]
+    supports: list[Support]
 
 
 class SdpaParseError(ValueError):
@@ -285,7 +255,7 @@ class SdpProblem:
                 a_t,
                 [column_norms_sq(a) for a in self.A],
                 self.D.multiply(self.D).T.tocsr(),
-                block_folds(a_t, self.block_dims),
+                block_supports(a_t, self.block_dims),
             )
         return self._ops
 

@@ -26,9 +26,9 @@ is constructed:
 (cluster's when a cluster build fails), gamma's for pdal.  Both drivers fall
 back to it when a low-rank build meets a matrix that is not positive
 definite.  Every build returns through one SMW assembly, which keeps the
-low-rank block V = G F factored: G is the sparse fold of A' (a few nonzeros
-per row and outlier), F block diagonal with the small m x m factors, so
-neither a build nor an apply touches a dense n x K matrix.
+low-rank block V = G F factored (G sparse, F block diagonal) and applies P
+through SMW on a diagonal base, or by a Cholesky factor of P itself for
+tilde's dense base or K >= n columns.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linalg import NotPositiveDefinite, chol, chol_solve, sym, sym_eig
-from .model import BlockFold, SdpProblem
+from .model import SdpProblem, Support
 
 
 @dataclass
@@ -118,14 +118,13 @@ def block_ranks(rank: int | str, dims: Sequence[int]) -> list[int | str]:
     return [min(max(0, rank), m - 1) for m in dims]
 
 
-def spectral_split(w: np.ndarray, k: int | str, tau: float | None = None) -> SplitBlock:
+def spectral_split(w: np.ndarray, k: int | str) -> SplitBlock:
     """Split a positive definite scaling matrix into cluster + rank-k part.
 
     ``k`` may be "auto" to derive the outlier count from the spectrum.  The
-    cluster threshold tau is ``tau_cluster_mean`` unless given.  When
-    the requested tau exceeds the largest cluster eigenvalue the split is
-    degenerate; tau is pulled just below it so the decomposition identity
-    still holds exactly.
+    cluster threshold tau is ``tau_cluster_mean``.  When it exceeds the
+    largest cluster eigenvalue the split is degenerate; tau is pulled just
+    below it so the decomposition identity still holds exactly.
     """
     m = w.shape[0]
     lam, q = sym_eig(w)
@@ -133,7 +132,7 @@ def spectral_split(w: np.ndarray, k: int | str, tau: float | None = None) -> Spl
         k = detect_rank(lam)
     if k >= m:
         raise ValueError(f"rank hint k={k} must be < block dim {m}")
-    tau = tau_cluster_mean(lam, k) if tau is None else float(tau)
+    tau = tau_cluster_mean(lam, k)
     lam_edge = lam[m - k - 1]  # largest eigenvalue kept in the cluster
     degenerate = tau > lam_edge
     if degenerate:
@@ -146,9 +145,9 @@ def spectral_split(w: np.ndarray, k: int | str, tau: float | None = None) -> Spl
 class LowRankPiece:
     """One piece A_i'(U x F) = [G_{u_1} ... G_{u_k}] (I_k x F) of the
     low-rank block V, kept factored.  Row a of ``g`` holds the values of
-    G_{u_a} at the positions of ``fold``; ``f`` is the m x m factor."""
+    G_{u_a} at the real positions of ``support``; ``f`` is the m x m factor."""
 
-    fold: BlockFold
+    support: Support
     g: np.ndarray
     f: np.ndarray
 
@@ -157,41 +156,38 @@ class LowRankPiece:
         return len(self.g) * len(self.f)
 
 
-def low_rank_factor(fold: BlockFold, left: np.ndarray, right: np.ndarray) -> LowRankPiece:
+def low_rank_factor(support: Support, left: np.ndarray, right: np.ndarray) -> LowRankPiece:
     """The piece A'(left x right) of V, with columns A'(vec of
     outer(left[:,a], right[:,b])) for all (a, b), kept factored as G F.
 
-    ``fold`` is the block's :class:`BlockFold` (``SdpProblem.ops.folds``),
+    ``support`` is the block's :class:`Support` (``SdpProblem.ops.supports``),
     ``left`` the m x k outlier factor and ``right`` a full m x m factor.  For
-    outlier u the m columns are G_u @ right with G_u[j, c] = sum_r u_r
-    (A_j)_{rc}, whose values are summed over the entries of A' in one
-    ``bincount``; neither the (m^2, m) Kronecker product nor the n x (k m)
-    block is formed.
+    outlier u the m columns are G_u @ right with G_u[j, c] = (A_j u)_c,
+    nonzero only on the support rows c of A_j: one batched s x s product
+    for all j and outliers; neither the (m^2, m) Kronecker product nor the
+    n x (k m) block is formed.  The product sums in ascending row order, as
+    a sum over the entries of A' would (``matmul`` rounds differently).
     """
-    k, size = left.shape[1], fold.rows.size
-    slots = fold.slot + size * np.arange(k)[:, None]
-    g = np.bincount(slots.ravel(), (left[fold.r].T * fold.data).ravel(), minlength=k * size)
-    return LowRankPiece(fold, g.reshape(k, size), right)
+    ut = left.T[:, support.rows]  # (k, n, s)
+    g = sum(support.sub[:, :, l] * ut[:, :, l, None] for l in range(ut.shape[2]))  # (k, n, s)
+    return LowRankPiece(support, g[:, support.real], right)
 
 
 @dataclass
 class SmwPreconditioner:
-    """base + V V' preconditioner applied through the SMW identity, with
-    V = G F kept factored.
+    """base + V V' preconditioner with V = G F kept factored.
 
-    G is the sparse n x K fold of A', held as coordinates (``g_rows``,
-    ``g_cols``, ``g_vals``); F is block diagonal: ``factors`` lists each
-    piece's columns [start, stop) of V and its m x m factor, repeated over
-    the piece's outliers.  The base is the positive diagonal ``a_diag`` or,
-    when ``base_l`` is set, the dense matrix base_l base_l'; ``theta_l`` is
-    the Cholesky factor of Theta = I + F'G' base^{-1} G F.  With K >= n
-    columns Theta is no smaller than P, so ``p_l``, the Cholesky factor of
-    P itself, is set in its place and the apply is one solve with it.
+    G is the sparse n x K matrix of the pieces' G_u, held as coordinates
+    (``g_rows``, ``g_cols``, ``g_vals``); F is block diagonal: ``factors``
+    lists each piece's columns [start, stop) of V and its m x m factor,
+    repeated over the piece's outliers.  ``base`` is a positive diagonal or
+    tilde's dense n x n matrix.  The apply has two modes: through SMW with
+    ``theta_l``, the Cholesky factor of Theta = I + F'G' base^{-1} G F, or,
+    when ``p_l`` is set, one solve with the Cholesky factor of P itself.
     """
 
     kind: str
-    a_diag: np.ndarray | None
-    base_l: np.ndarray | None
+    base: np.ndarray
     g_rows: np.ndarray
     g_cols: np.ndarray
     g_vals: np.ndarray
@@ -201,20 +197,17 @@ class SmwPreconditioner:
 
     @property
     def n(self) -> int:
-        return self.a_diag.size if self.base_l is None else self.base_l.shape[0]
+        return self.base.shape[0]
 
     @property
     def rank(self) -> int:
         return self.factors[-1][1] if self.factors else 0
 
-    def _base_solve(self, x: np.ndarray) -> np.ndarray:
-        return x / self.a_diag if self.base_l is None else chol_solve(self.base_l, x)
-
     def apply_inv(self, x: np.ndarray) -> np.ndarray:
         """P^{-1} x = t - base^{-1} G F Theta^{-1} F'G' t with t = base^{-1} x."""
         if self.p_l is not None:
             return chol_solve(self.p_l, x)
-        t = self._base_solve(x)
+        t = x / self.base
         if not self.factors:
             return t
         w = np.bincount(self.g_cols, self.g_vals * t[self.g_rows], minlength=self.rank)
@@ -222,29 +215,28 @@ class SmwPreconditioner:
         z = np.concatenate([w[a:b].reshape(-1, len(f)) @ f for a, b, f in self.factors], axis=None)
         s = chol_solve(self.theta_l, z)
         y = np.concatenate([s[a:b].reshape(-1, len(f)) @ f.T for a, b, f in self.factors], axis=None)
-        return t - self._base_solve(np.bincount(self.g_rows, self.g_vals * y[self.g_cols], minlength=t.size))
+        return t - np.bincount(self.g_rows, self.g_vals * y[self.g_cols], minlength=t.size) / self.base
 
     def dense_v(self) -> np.ndarray:
-        """Dense low-rank block V = G F (diagnostic sizes and tilde's build)."""
+        """Dense low-rank block V = G F (diagnostic sizes and the direct mode)."""
         n, size = self.n, self.rank
         g = np.bincount(self.g_rows * size + self.g_cols, self.g_vals, minlength=n * size).reshape(n, size)
         parts = [(g[:, a:b].reshape(-1, len(f)) @ f).reshape(n, b - a) for a, b, f in self.factors]
         return np.hstack(parts + [np.zeros((n, 0))])
 
     def dense(self) -> np.ndarray:
-        """Dense assembly base + V V' (diagnostic sizes only)."""
-        b = np.diag(self.a_diag) if self.base_l is None else self.base_l @ self.base_l.T
+        """Dense assembly base + V V' (diagnostic sizes and the direct mode)."""
         v = self.dense_v()
-        return b + v @ v.T
+        return (np.diag(self.base) if self.base.ndim == 1 else self.base) + v @ v.T
 
 
 def _theta_block(q: LowRankPiece, q2: LowRankPiece, binv: np.ndarray) -> np.ndarray:
     """The block (I x F_q)' G_q' diag(binv) G_q2 (I x F_q2) of Theta - I.
 
-    Per pair of fold positions sharing a row, the outer product of the two
-    pieces' values over their outliers is summed into the pair's cell
+    Per pair of support positions sharing a row, the outer product of the
+    two pieces' values over their outliers is summed into the pair's cell
     (c, d); the factors then act on the cells' m x m2 matrices."""
-    pr = q.fold.pairs[q2.fold.block]
+    pr = q.support.pairs[q2.support.block]
     x = q.g[:, pr.left].T * binv[pr.row][:, None]
     y = q2.g[:, pr.right].T
     k, m, k2, m2 = len(q.g), len(q.f), len(q2.g), len(q2.f)
@@ -255,53 +247,47 @@ def _theta_block(q: LowRankPiece, q2: LowRankPiece, binv: np.ndarray) -> np.ndar
 
 
 def _smw(
-    kind: str,
-    a_diag: np.ndarray | None,
-    recipe: Sequence[tuple[BlockFold, np.ndarray, np.ndarray]],
-    base_l: np.ndarray | None = None,
+    kind: str, base: np.ndarray, recipe: Sequence[tuple[Support, np.ndarray, np.ndarray]]
 ) -> SmwPreconditioner:
     """The one SMW assembly of base + V V' with V the pieces A_i'(U x F)
-    of ``recipe``, one ``(fold, U, F)`` per piece.
+    of ``recipe``, one ``(support, U, F)`` per piece.
 
-    The base is the diagonal ``a_diag``, which must be positive, or the
-    factored matrix base_l base_l' (tilde).  Theta = I + F'(G' base^{-1} G)F;
-    for a diagonal base it is summed over the pairs of fold positions that
-    share a row (:func:`_theta_block`), so only tilde, whose dense n x n base
-    dwarfs it, forms V densely.  With K >= n columns P = base + V V' is
-    assembled and factored instead: its n x n Cholesky costs no more than
-    Theta's, and the SMW apply, which passes through Theta's larger
-    condition number, loses accuracy that a direct solve keeps.
+    ``base`` is a diagonal, which must be positive, or tilde's dense n x n
+    matrix.  On a diagonal base Theta = I + F'(G' base^{-1} G)F is summed
+    over the pairs of support positions that share a row
+    (:func:`_theta_block`).  A dense base, or K >= n columns, has P = base
+    + V V' assembled and factored instead: its n x n Cholesky then costs no
+    more than Theta's, and the SMW apply, which passes through Theta's
+    larger condition number, loses accuracy that a direct solve keeps.
     """
-    if base_l is None and np.any(a_diag <= 0.0):
+    if base.ndim == 1 and np.any(base <= 0.0):
         raise ValueError(f"{kind}: nonpositive base diagonal entry")
-    pieces = [q for q in (low_rank_factor(fold, u, f) for fold, u, f in recipe) if q.cols]
+    pieces = [q for q in (low_rank_factor(sup, u, f) for sup, u, f in recipe) if q.cols]
     starts = list(accumulate((q.cols for q in pieces), initial=0))
     size = starts[-1]
-    # column of G for outlier a of a piece at fold position (j, c): start + a m + c
-    cols = [s + len(q.f) * np.arange(len(q.g))[:, None] + q.fold.cols for q, s in zip(pieces, starts)]
+    # column of G for outlier a of a piece at position (j, c): start + a m + c
+    cols = [
+        s + len(q.f) * np.arange(len(q.g))[:, None] + q.support.rows[q.support.real]
+        for q, s in zip(pieces, starts)
+    ]
     none = [np.zeros(0, dtype=np.intp)]
     prec = SmwPreconditioner(
         kind,
-        a_diag,
-        base_l,
-        np.concatenate([np.tile(q.fold.rows, len(q.g)) for q in pieces] + none),
+        base,
+        np.concatenate([np.tile(np.nonzero(q.support.real)[0], len(q.g)) for q in pieces] + none),
         np.concatenate([c.ravel() for c in cols] + none),
         np.concatenate([q.g.ravel() for q in pieces] + none),
         [(s, s + q.cols, q.f) for q, s in zip(pieces, starts)],
     )
-    if size >= prec.n:
+    if base.ndim == 2 or size >= prec.n:
         prec.p_l = chol(prec.dense(), f"{kind} preconditioner")
         return prec
+    # Theta's lower triangle, block by block: all chol reads
     theta = np.eye(size)
-    if base_l is None:
-        # Theta's lower triangle, block by block: all chol reads
-        binv = 1.0 / a_diag
-        for i, (q, s) in enumerate(zip(pieces, starts)):
-            for q2, s2 in zip(pieces[i:], starts[i:]):
-                theta[s2 : s2 + q2.cols, s : s + q.cols] += _theta_block(q, q2, binv).T
-    else:
-        v = prec.dense_v()
-        theta += v.T @ chol_solve(base_l, v)
+    binv = 1.0 / base
+    for i, (q, s) in enumerate(zip(pieces, starts)):
+        for q2, s2 in zip(pieces[i:], starts[i:]):
+            theta[s2 : s2 + q2.cols, s : s + q.cols] += _theta_block(q, q2, binv).T
     prec.theta_l = chol(theta, f"{kind} inner Schur complement")
     return prec
 
@@ -354,8 +340,8 @@ def gamma_base(
 def _outlier_recipe(prob: SdpProblem, splits: Sequence[SplitBlock], what: str) -> list:
     """Per block (U_i, Gamma_i) with Gamma_i Gamma_i' = 2 W_i^0 + U_i U_i'."""
     return [
-        (fold, s.u, chol(2.0 * s.w0 + s.u @ s.u.T, f"{what} block factor"))
-        for fold, s in zip(prob.ops.folds, splits)
+        (sup, s.u, chol(2.0 * s.w0 + s.u @ s.u.T, f"{what} block factor"))
+        for sup, s in zip(prob.ops.supports, splits)
     ]
 
 
@@ -395,11 +381,11 @@ def build_h_tilde(
 ) -> SmwPreconditioner:
     """Variant with base sum tau_i^2 A_i'A_i + diag(linear term).
 
-    The base is no longer diagonal and must be factored once per build; on
+    The base is dense, so the build assembles and factors P itself; on
     problems where A'A has no convenient structure this is exactly the cost
-    the alpha variant avoids.  Refuses n beyond ``dense_limit``; a base that
-    does not factor raises ValueError, not NotPositiveDefinite, so the
-    drivers do not fall back to beta for it.
+    the alpha variant avoids.  Refuses n beyond ``dense_limit`` with
+    ValueError.  A P that does not factor raises NotPositiveDefinite, and
+    the IP falls back to beta as for the other kinds.
     """
     n = prob.n
     if n > dense_limit:
@@ -411,12 +397,7 @@ def build_h_tilde(
     for a_t, a_op, s in zip(prob.ops.a_t, prob.A, splits):
         base += s.tau**2 * (a_t @ a_op).toarray()
     base[np.diag_indices(n)] += lin_diag
-    try:
-        base_l = chol(base, "tilde base")
-    except NotPositiveDefinite as exc:
-        # the defining assumption (cheaply invertible A'A base) failed
-        raise ValueError(f"tilde base factorization failed: {exc}") from exc
-    return _smw("tilde", None, _outlier_recipe(prob, splits, "tilde"), base_l)
+    return _smw("tilde", base, _outlier_recipe(prob, splits, "tilde"))
 
 
 def build_h_gamma(
@@ -436,8 +417,8 @@ def build_h_gamma(
     a_diag = gamma_base(prob, w_splits, v_mats, h_lin_diag)
     root2 = math.sqrt(2.0)
     recipe = [
-        (fold, s.u, root2 * chol(sym(v_mat), "gamma companion factor"))
-        for fold, s, v_mat in zip(prob.ops.folds, w_splits, v_mats)
+        (sup, s.u, root2 * chol(sym(v_mat), "gamma companion factor"))
+        for sup, s, v_mat in zip(prob.ops.supports, w_splits, v_mats)
     ]
     return _smw("gamma", a_diag, recipe)
 
@@ -459,13 +440,13 @@ def build_h_delta(
     a_diag = _lagrangian_base(prob, w_splits, [sv.mean_eig_w0() for sv in v_splits], h_lin_diag)
     recipe = []
     root2 = math.sqrt(2.0)
-    for fold, sw, sv in zip(prob.ops.folds, w_splits, v_splits):
+    for sup, sw, sv in zip(prob.ops.supports, w_splits, v_splits):
         gamma = chol(sw.w0 + 0.5 * sw.u @ sw.u.T, "delta W factor")
         theta = chol(sv.w0 + 0.5 * sv.u @ sv.u.T, "delta V factor")
         if sw.k:
-            recipe.append((fold, sw.u, root2 * theta))
+            recipe.append((sup, sw.u, root2 * theta))
         if sv.k:
-            recipe.append((fold, sv.u, root2 * gamma))
+            recipe.append((sup, sv.u, root2 * gamma))
     return _smw("delta", a_diag, recipe)
 
 
@@ -500,19 +481,19 @@ class ConditioningReport:
 
 def conditioning_report(
     h_dense: np.ndarray,
-    precond: SmwPreconditioner,
+    p_dense: np.ndarray,
     block_terms: Sequence[np.ndarray],
     block_approx: Sequence[np.ndarray],
 ) -> ConditioningReport:
-    """Measured condition numbers against the split-approximation bound.
+    """Measured condition numbers of H and of P^{-1/2} H P^{-1/2} against
+    the split-approximation bound.
 
     ``block_terms`` are the exact per-block contributions B_i that the
-    preconditioner approximates by ``block_approx`` (for alpha: the clustered
-    sandwich A'(W0 x W0)A versus tau^2 I).  The bound is
+    preconditioner P approximates by ``block_approx`` (for alpha: the
+    clustered sandwich A'(W0 x W0)A versus tau^2 I).  The bound is
     (1 + sum eps_hi) / (1 + sum eps_lo) with eps the extreme eigenvalues of
     P^{-1/2}(B_i - Btilde_i)P^{-1/2}.
     """
-    p_dense = precond.dense()
     pih = inv_sqrt(p_dense)
     m_pre = sym(pih @ h_dense @ pih)
     lam_pre = np.linalg.eigvalsh(m_pre)

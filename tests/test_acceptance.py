@@ -115,8 +115,8 @@ def test_criterion_5_conditioning_bound(tru3_ip_diag):
     recs = rep.diagnostics
     ok = len(recs) >= 10
     for d in recs:
-        ok = ok and d["kappa_alpha_preconditioned"] <= d["bound"] * (1 + 1e-8)
-    final = [d["kappa_alpha_preconditioned"] for d in recs[-5:]]
+        ok = ok and d["kappa_preconditioned"] <= d["bound"] * (1 + 1e-8)
+    final = [d["kappa_preconditioned"] for d in recs[-5:]]
     ok = ok and all(k <= 1e3 for k in final)
     verdict(5, "split-approximation bound holds; final conditioning <= 1e3", ok,
             f"{len(recs)} states, final kappas={['%.2f' % k for k in final]}")
@@ -159,8 +159,8 @@ def test_criterion_6_oracle_equivalence():
         a_diag = rng.random(n) + 0.3
         k = max(1, int(rng.integers(1, 4)))
         recipe = [
-            (fold, rng.standard_normal((m, k)), np.linalg.cholesky(rand_spd(rng, m)))
-            for fold, m in zip(prob.ops.folds, dims)
+            (sup, rng.standard_normal((m, k)), np.linalg.cholesky(rand_spd(rng, m)))
+            for sup, m in zip(prob.ops.supports, dims)
         ]
         pc = _smw("alpha", a_diag, recipe)
         vv = np.hstack(

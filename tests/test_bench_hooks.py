@@ -130,9 +130,9 @@ def test_tracer_counts_accepted_stagnations_by_the_drivers_rule(tracing):
 
 
 def test_low_rank_factor_once_per_piece_inside_its_build(tracing, vib3):
-    """A low-rank build folds one piece per block and factor: alpha, tilde
+    """A low-rank build factors one piece per block and factor: alpha, tilde
     and gamma one per block, delta one per block and split side with
-    outliers (both at rank 1).  Each fold is a direct child of its
+    outliers (both at rank 1).  Each piece is a direct child of its
     build_h span, so the tracer charges it to that build."""
     from collections import Counter
 
@@ -153,8 +153,8 @@ def test_low_rank_factor_once_per_piece_inside_its_build(tracing, vib3):
             solve(prob, cfg)
         assert tracer.counts["precond.fallbacks"] == 0
         spans = tracer.spans
-        folds = Counter(rec[3] for rec in spans if rec[0] == "precond.low_rank_factor")
+        pieces = Counter(rec[3] for rec in spans if rec[0] == "precond.low_rank_factor")
         builds = [i for i, rec in enumerate(spans) if rec[0] == "precond.build_h"]
         assert builds, cfg.precond
-        assert all(spans[parent][0] == "precond.build_h" for parent in folds), cfg.precond
-        assert [folds[i] for i in builds] == [per_build] * len(builds), cfg.precond
+        assert all(spans[parent][0] == "precond.build_h" for parent in pieces), cfg.precond
+        assert [pieces[i] for i in builds] == [per_build] * len(builds), cfg.precond

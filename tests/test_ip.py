@@ -466,6 +466,45 @@ class TestIpSolve:
         assert len(used) == len(bases) == 2
         assert all(np.array_equal(u, b) for u, b in zip(used, bases))
 
+    def test_tilde_falls_back_to_beta_when_p_does_not_factor(self, tru3, monkeypatch):
+        """tilde factors its n x n P directly; when that factorization fails
+        the iteration runs beta on alpha's base, as for the other kinds."""
+        _, _, prob = tru3
+        chol = precond.chol
+
+        def failing_chol(a, context=""):
+            if a.shape == (prob.n, prob.n):
+                raise NotPositiveDefinite(0, context)
+            return chol(a, context)
+
+        monkeypatch.setattr(precond, "chol", failing_chol)
+        _, rep = ip_solve(prob, IpConfig(precond="tilde", max_iter=2))
+        assert [t["precond"] for t in rep.trace] == ["beta", "beta"]
+
+    def test_diagnostics_measure_the_applied_preconditioner(self, tru3, monkeypatch):
+        """--diag measures the build each iteration applied, without building
+        it again: cluster by default, with its split bound; none has P = I
+        and no bound."""
+        kinds = []
+        build = precond.build_h_alpha
+
+        def recording_build(*args, **kwargs):
+            kinds.append(kwargs.get("base", "tau"))
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(precond, "build_h_alpha", recording_build)
+        _, _, prob = tru3
+        _, rep = ip_solve(prob, IpConfig(diag=True))
+        assert rep.converged and kinds == ["cluster"] * rep.iterations
+        assert [d["precond"] for d in rep.diagnostics] == ["cluster"] * rep.iterations
+        assert all(d["kappa_preconditioned"] <= d["bound"] * (1 + 1e-8) for d in rep.diagnostics)
+        assert rep.diagnostics[-1]["kappa_preconditioned"] < rep.diagnostics[-1]["kappa_h"]
+
+        _, rep = ip_solve(prob, IpConfig(precond="none", diag=True, max_iter=2))
+        for d in rep.diagnostics:
+            assert d["precond"] == "none" and "bound" not in d
+            assert d["kappa_preconditioned"] == pytest.approx(d["kappa_h"], rel=1e-8)
+
     def test_rank_zero_is_honoured(self, tru3, monkeypatch):
         ranks = []
         build = precond.build_h_alpha

@@ -514,7 +514,7 @@ class TestInnerSolve:
         assert gamma.kind == "gamma" and gamma.rank > 0
         for pc in (beta, fallback):
             assert pc.kind == "beta" and pc.rank == 0
-            assert np.array_equal(pc.a_diag, gamma.a_diag)
+            assert np.array_equal(pc.base, gamma.base)
 
 
 class TestPenaltyUpdate:

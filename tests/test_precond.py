@@ -52,11 +52,14 @@ class TestTauRule:
 
 
 class TestSpectralSplit:
-    def test_identity_flat_spectrum(self):
-        # tau equal to the (flat) cluster edge: clean split with a zero column
-        s = spectral_split(np.eye(3), 1, 1.0)
+    def test_threshold_at_cluster_edge(self):
+        # tau = 3 + 0.5 * mean(3, 5) = 5 is the cluster edge and the outlier:
+        # a clean split with a zero column
+        w = np.diag([3.0, 5.0, 5.0])
+        s = spectral_split(w, 1)
+        assert s.tau == 5.0 and not s.degenerate
         assert np.linalg.norm(s.u) == 0.0
-        assert np.allclose(s.w0, np.eye(3), atol=1e-12)
+        assert np.allclose(s.w0, w, atol=1e-12)
 
     def test_identity_degenerate_fallback(self):
         # the threshold rule asks for tau = 1.5 > cluster edge: fallback engages
@@ -67,10 +70,10 @@ class TestSpectralSplit:
         assert np.allclose(s.w0 + s.u @ s.u.T, np.eye(3), atol=1e-12)
 
     def test_clean_outlier(self):
-        s = spectral_split(np.diag([1.0, 1.0, 100.0]), 1, 1.0)
+        s = spectral_split(np.diag([3.0, 5.0, 100.0]), 1)
         assert not s.degenerate
-        assert np.allclose(s.w0, np.eye(3), atol=1e-12)
-        assert np.allclose(s.u @ s.u.T, np.diag([0.0, 0.0, 99.0]), atol=1e-10)
+        assert np.allclose(s.w0, np.diag([3.0, 5.0, 5.0]), atol=1e-12)
+        assert np.allclose(s.u @ s.u.T, np.diag([0.0, 0.0, 95.0]), atol=1e-10)
 
     def test_planted_spectrum(self):
         rng = np.random.default_rng(3)
@@ -129,28 +132,30 @@ def ip_state_splits(prob, seed=0, k=1):
 def piece_dense(piece, n):
     """Dense n x (k m) columns [G_{u_1} F ... G_{u_k} F] of a factored piece."""
     cols = []
+    sup = piece.support
     for g in piece.g:
         g_u = np.zeros((n, piece.f.shape[0]))
-        g_u[piece.fold.rows, piece.fold.cols] = g  # the fold's positions are distinct
+        g_u[np.nonzero(sup.real)[0], sup.rows[sup.real]] = g  # the real positions are distinct
         cols.append(g_u @ piece.f)
     return np.hstack(cols) if cols else np.zeros((n, 0))
 
 
 def random_recipe(seed, dims, n, k):
-    """A random problem, positive base diagonal and one (fold, U, F) piece
-    per block with k random outlier columns and a random Cholesky factor."""
+    """A random problem, positive base diagonal and one (support, U, F)
+    piece per block with k random outlier columns and a random Cholesky
+    factor."""
     rng = np.random.default_rng(seed)
     prob = random_problem(seed, dims=dims, n=n, nu=2)
     recipe = [
-        (fold, rng.standard_normal((m, k)), np.linalg.cholesky(rand_spd(rng, m)))
-        for fold, m in zip(prob.ops.folds, dims)
+        (sup, rng.standard_normal((m, k)), np.linalg.cholesky(rand_spd(rng, m)))
+        for sup, m in zip(prob.ops.supports, dims)
     ]
     return prob, rng.random(n) + 0.5, recipe
 
 
 def recipe_dense_v(prob, recipe):
     """The oracle V = [A_i'(U_i x F_i)] formed densely with Kronecker products."""
-    return np.hstack([prob.A[fold.block].toarray().T @ np.kron(u, f) for fold, u, f in recipe])
+    return np.hstack([prob.A[sup.block].toarray().T @ np.kron(u, f) for sup, u, f in recipe])
 
 
 # The IP iterate sampled per instance: the latest whose P a float64 solve
@@ -184,13 +189,13 @@ class TestAlpha:
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize("block", [0, 1])
     def test_low_rank_factor_matches_kron_oracle(self, vib5, block, k):
-        """Columns folded from the cached A' equal the dense A'(u x F)."""
+        """Columns from the support index equal the dense A'(u x F)."""
         _, _, prob = vib5
         m = prob.block_dims[block]
         rng = np.random.default_rng(10 * block + k)
         u = rng.standard_normal((m, k))
         f = np.linalg.cholesky(rand_spd(rng, m))
-        got = piece_dense(low_rank_factor(prob.ops.folds[block], u, f), prob.n)
+        got = piece_dense(low_rank_factor(prob.ops.supports[block], u, f), prob.n)
         assert got.shape == (prob.n, k * m)
         want = prob.A[block].toarray().T @ np.kron(u, f)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -225,7 +230,7 @@ class TestAlpha:
         pc = build_h_alpha(prob, splits, lin_diag)
         dense = pc.dense()
         v = pc.dense_v()
-        expected = np.diag(pc.a_diag) + v @ v.T
+        expected = np.diag(pc.base) + v @ v.T
         assert np.allclose(dense, expected, rtol=1e-12)
 
     def test_conditioning_bound(self, tru3):
@@ -235,7 +240,7 @@ class TestAlpha:
         h_dense = dense_schur(prob, [nt.w for nt in scal.blocks], scal.lin_w2)
         terms = [dense_sandwich(a, s.w0, s.w0) for a, s in zip(prob.A, splits)]
         approx = [s.tau**2 * np.eye(prob.n) for s in splits]
-        rep = conditioning_report(h_dense, pc, terms, approx)
+        rep = conditioning_report(h_dense, pc.dense(), terms, approx)
         assert rep.kappa_preconditioned <= rep.bound * (1 + 1e-8)
 
 
@@ -246,7 +251,7 @@ class TestSmwInverse:
         lin = np.arange(1.0, 6.0)
         pc = build_h_beta(alpha_base(splits, lin, 5))
         v = np.arange(5.0) + 1.0
-        assert np.allclose(pc.apply_inv(v), v / pc.a_diag)
+        assert np.allclose(pc.apply_inv(v), v / pc.base)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_dense_inverse(self, seed):
@@ -320,9 +325,9 @@ class TestSmwInverse:
 
 class TestBeta:
     def test_single_block_constant(self):
-        s = spectral_split(np.diag([4.0, 4.0, 4.0, 9.0]), 1, 2.0)
+        s = spectral_split(np.diag([3.0, 5.0, 100.0]), 1)  # tau = 5
         pc = build_h_beta(alpha_base([s], np.zeros(6), 6))
-        assert np.allclose(pc.a_diag, 4.0)
+        assert np.allclose(pc.base, 25.0)
 
     def test_matches_dense_diagonal(self, tru3):
         _, _, prob = tru3
@@ -331,7 +336,7 @@ class TestBeta:
         expected = sum(s.tau**2 for s in splits) + np.diag(
             prob.D.toarray().T @ np.diag(scal.lin_w2) @ prob.D.toarray()
         )
-        assert np.allclose(pc.a_diag, expected, rtol=1e-12)
+        assert np.allclose(pc.base, expected, rtol=1e-12)
 
     def test_nonpositive_entry_rejected(self):
         s = spectral_split(np.eye(3), 0)
@@ -352,16 +357,19 @@ class TestCluster:
     @pytest.mark.parametrize("seed", range(4))
     def test_support_index_restricts_each_matrix(self, seed):
         """A_j is the support restriction put back in place; the support
-        sizes differ, so some rows of the index are padded."""
+        sizes differ, so some rows of the index are padded, and the mask
+        marks the real positions."""
         prob, _, _ = self.state(seed)
         padded = []
-        for a_op, m, sup in zip(prob.A, prob.block_dims, prob.ops.supports):
+        for i, (a_op, m, sup) in enumerate(zip(prob.A, prob.block_dims, prob.ops.supports)):
+            assert sup.block == i
             sizes = []
             for j in range(prob.n):
                 a = a_op[:, j].toarray().reshape(m, m)
                 touched = np.flatnonzero(np.any(a != 0.0, axis=1))
                 sizes.append(touched.size)
                 assert np.array_equal(sup.rows[j, : touched.size], touched)
+                assert np.array_equal(sup.rows[j][sup.real[j]], touched)
                 back = np.zeros((m, m))
                 np.add.at(back, np.ix_(sup.rows[j], sup.rows[j]), sup.sub[j])  # padding repeats row 0
                 assert np.array_equal(back, a)
@@ -385,7 +393,7 @@ class TestCluster:
         pa = build_h_alpha(prob, splits, lin_diag)
         pc = build_h_alpha(prob, splits, lin_diag, base="cluster")
         assert (pa.kind, pc.kind) == ("alpha", "cluster")
-        assert np.array_equal(pc.a_diag, cluster_base(prob, splits, lin_diag))
+        assert np.array_equal(pc.base, cluster_base(prob, splits, lin_diag))
         assert np.array_equal(pa.dense_v(), pc.dense_v())
         with pytest.raises(ValueError, match="tau or cluster"):
             build_h_alpha(prob, splits, lin_diag, base="tilde")
@@ -421,8 +429,8 @@ class TestTilde:
         diag = np.arange(m)
         c = [np.diag([1.0, 0.0, 0.0])]
         prob = build_problem([m], [(diag, diag, diag, np.ones(m))], c, np.ones(m), sp.csr_matrix((0, m)), np.zeros(0))
-        w = np.diag([1.0, 1.0, 50.0])
-        s = spectral_split(w, 1, 1.0)
+        w = np.diag([3.0, 5.0, 100.0])
+        s = spectral_split(w, 1)
         pa = build_h_alpha(prob, [s], np.zeros(prob.n))
         pt = build_h_tilde(prob, [s], np.zeros(prob.n))
         assert np.allclose(pa.dense(), pt.dense(), rtol=1e-10)
@@ -494,10 +502,10 @@ class TestGamma:
     def test_identity_companion_reduces_to_diagonal(self, tru3):
         _, _, prob = tru3
         w = np.eye(13)
-        s = spectral_split(w, 1, 1.0)  # degenerate: u ~ 0
+        s = spectral_split(w, 1)  # degenerate: u ~ 0
         pc = build_h_gamma(prob, [s], [np.eye(13)], np.ones(prob.n))
         expected = 1.0 + 10.0 * s.min_eig_w0() * 1.0 * column_norms_sq(prob.A[0])
-        assert np.allclose(pc.a_diag, expected, rtol=1e-12)
+        assert np.allclose(pc.base, expected, rtol=1e-12)
         assert np.linalg.norm(pc.dense_v()) <= 1e-3
 
     def test_round_off_negative_w_keeps_base_positive(self, tru3):
@@ -514,7 +522,7 @@ class TestGamma:
         base = gamma_base(prob, [s], [v], h_lin)
         assert np.all(base > 0)
         assert np.array_equal(base, h_lin)
-        assert np.all(build_h_gamma(prob, [s], [v], h_lin).a_diag > 0)
+        assert np.all(build_h_gamma(prob, [s], [v], h_lin).base > 0)
 
     def test_inverse_probes(self, tru3):
         _, _, prob = tru3
