@@ -232,23 +232,20 @@ def _build_preconditioner(
     kind: str, prob: SdpProblem, splits: list[pc.SplitBlock], lin_diag: np.ndarray
 ):
     """The ``kind`` build of one iteration (alpha, beta, cluster, tilde or
-    none; the same kind on every iteration), or beta when a stale split
-    makes a low-rank build fail: on cluster's base for cluster, on alpha's
-    otherwise."""
+    none; the same kind on every iteration), or beta, cluster's base without
+    its columns, when a stale split makes a low-rank build fail."""
     if kind == "none":
         return None
-    if kind == "cluster":
-        try:
+    try:
+        if kind == "cluster":
             return pc.build_h_alpha(prob, splits, lin_diag, base="cluster")
-        except NotPositiveDefinite:
-            return pc.build_h_beta(pc.cluster_base(prob, splits, lin_diag))
-    if kind != "beta":
-        build = pc.build_h_alpha if kind == "alpha" else pc.build_h_tilde
-        try:
-            return build(prob, splits, lin_diag)
-        except NotPositiveDefinite:
-            pass
-    return pc.build_h_beta(pc.alpha_base(splits, lin_diag, prob.n))
+        if kind == "alpha":
+            return pc.build_h_alpha(prob, splits, lin_diag)
+        if kind == "tilde":
+            return pc.build_h_tilde(prob, splits, lin_diag)
+    except NotPositiveDefinite:
+        pass
+    return pc.build_h_beta(pc.cluster_base(prob, splits, lin_diag))
 
 
 def _dense_diagnostics(

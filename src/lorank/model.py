@@ -123,6 +123,8 @@ class Support(NamedTuple):
     sub   : (n, s, s) A_j on rows x rows, zero on the padding
     real  : (n, s) true at the real, unpadded positions; their row-major
             order numbers them
+    pos   : (j, c) of the real positions in that order, the coordinates
+            of G_u's nonzeros
     pairs : per block i2, the :class:`RowPairs` of this block's positions
             and block i2's; for a diagonal B, G'B^{-1}G sums products over
             exactly these pairs
@@ -132,6 +134,7 @@ class Support(NamedTuple):
     rows: np.ndarray
     sub: np.ndarray
     real: np.ndarray
+    pos: tuple[np.ndarray, np.ndarray]
     pairs: tuple[RowPairs, ...]
 
 
@@ -140,21 +143,21 @@ def block_supports(a_t: Sequence[sp.csr_matrix], dims: Sequence[int]) -> list[Su
     rows of A_j are the columns c of its stored values (A_j)_{rc}, and every
     row r is such a column too, since A_j is symmetric."""
     n = a_t[0].shape[0] if a_t else 0
-    parts = []  # per block: rows, sub, real
+    parts, pos = [], []  # per block: (rows, sub, real), and (j, c) of each position
     for a, m in zip(a_t, dims):
         j = np.repeat(np.arange(n), np.diff(a.indptr))
         r, c = np.divmod(a.indices, m)
         keys, slot = np.unique(j * m + c, return_inverse=True)  # the positions (j, c), sorted
-        pos_j = keys // m
+        pos_j, pos_c = np.divmod(keys, m)
         counts = np.bincount(pos_j, minlength=n)
         local = np.arange(keys.size) - (np.cumsum(counts) - counts)[pos_j]
         rows = np.zeros((n, int(counts.max(initial=0))), dtype=np.intp)
-        rows[pos_j, local] = keys % m
+        rows[pos_j, local] = pos_c
         sub = np.zeros(rows.shape + rows.shape[1:])
         np.add.at(sub, (j, local[np.searchsorted(keys, j * m + r)], local[slot.ravel()]), a.data)
         parts.append((rows, sub, np.arange(rows.shape[1]) < counts[:, None]))
-    # row and support row of each position; (ind_i' ind_i2)[e, f] != 0 iff e and f share a row
-    pos = [(np.nonzero(real)[0], rows[real]) for rows, _, real in parts]
+        pos.append((pos_j, pos_c))
+    # (ind_i' ind_i2)[e, f] != 0 iff positions e and f share a row
     ind = [sp.csr_matrix((np.ones(j.size), (j, np.arange(j.size))), shape=(n, j.size)) for j, _ in pos]
 
     def row_pairs(i: int, i2: int) -> RowPairs:
@@ -168,7 +171,7 @@ def block_supports(a_t: Sequence[sp.csr_matrix], dims: Sequence[int]) -> list[Su
         return RowPairs(left, right, rows[left], cells)
 
     return [
-        Support(i, *part, tuple(row_pairs(i, i2) for i2 in range(len(parts))))
+        Support(i, *part, pos[i], tuple(row_pairs(i, i2) for i2 in range(len(parts))))
         for i, part in enumerate(parts)
     ]
 

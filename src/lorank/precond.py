@@ -22,13 +22,14 @@ is constructed:
   of I fits it.
 - ``pdal`` (augmented-Lagrangian Hessian): gamma | delta | beta | none.
 
-``beta`` is the base diagonal of a low-rank kind alone: alpha's for ip
-(cluster's when a cluster build fails), gamma's for pdal.  Both drivers fall
-back to it when a low-rank build meets a matrix that is not positive
-definite.  Every build returns through one SMW assembly, which keeps the
-low-rank block V = G F factored (G sparse, F block diagonal) and applies P
-through SMW on a diagonal base, or by a Cholesky factor of P itself for
-tilde's dense base or K >= n columns.
+``beta`` is the driver's default kind without its columns: cluster's base
+for ip, gamma's for pdal.  Both drivers fall back to it when a low-rank
+build meets a matrix that is not positive definite.
+
+Every build returns through one SMW assembly, which keeps the low-rank
+block V = G F factored (G sparse, F block diagonal) and applies P through
+SMW on a diagonal base, or by a Cholesky factor of P itself for tilde's
+dense base or K >= n columns.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class SplitBlock:
     by sqrt(lambda - tau).  ``eigs`` keeps the full ascending spectrum of W
     for the cheap scalar summaries the gamma/delta bases need, ``q`` its
     eigenvectors.  The m x m cluster part ``w0`` is formed on first read:
-    the gamma and beta bases never read it.
+    pdal's gamma and beta bases never read it.
     """
 
     u: np.ndarray
@@ -267,14 +268,14 @@ def _smw(
     size = starts[-1]
     # column of G for outlier a of a piece at position (j, c): start + a m + c
     cols = [
-        s + len(q.f) * np.arange(len(q.g))[:, None] + q.support.rows[q.support.real]
+        s + len(q.f) * np.arange(len(q.g))[:, None] + q.support.pos[1]
         for q, s in zip(pieces, starts)
     ]
     none = [np.zeros(0, dtype=np.intp)]
     prec = SmwPreconditioner(
         kind,
         base,
-        np.concatenate([np.tile(np.nonzero(q.support.real)[0], len(q.g)) for q in pieces] + none),
+        np.concatenate([np.tile(q.support.pos[0], len(q.g)) for q in pieces] + none),
         np.concatenate([c.ravel() for c in cols] + none),
         np.concatenate([q.g.ravel() for q in pieces] + none),
         [(s, s + q.cols, q.f) for q, s in zip(pieces, starts)],
@@ -293,13 +294,13 @@ def _smw(
 
 
 def alpha_base(splits: Sequence[SplitBlock], lin_diag: np.ndarray, n: int) -> np.ndarray:
-    """Base diagonal of alpha, and of ip's beta unless it stands in for a
-    failed cluster build: sum_i tau_i^2 + linear term."""
+    """Base diagonal of alpha: sum_i tau_i^2 + linear term."""
     return np.full(n, sum(s.tau**2 for s in splits)) + lin_diag
 
 
 def cluster_base(prob: SdpProblem, splits: Sequence[SplitBlock], lin_diag: np.ndarray) -> np.ndarray:
-    """Base diagonal of cluster: lin_diag + sum_i diag(A_i'(W0_i x W0_i)A_i).
+    """Base diagonal of cluster, and of ip's beta: lin_diag + sum_i
+    diag(A_i'(W0_i x W0_i)A_i).
 
     Entry j of block i's term is <A_ij, W0_i A_ij W0_i> = tr(a w a w) with a
     the restriction of A_ij to its support rows (``SdpProblem.ops.supports``)
@@ -367,9 +368,9 @@ def build_h_alpha(
 
 
 def build_h_beta(a_diag: np.ndarray) -> SmwPreconditioner:
-    """Diagonal-only preconditioner: the base diagonal of a low-rank kind
-    (``alpha_base``, ``cluster_base`` or ``gamma_base``) without its
-    columns."""
+    """Diagonal-only preconditioner: the base diagonal of the driver's
+    default kind (``cluster_base`` for ip, ``gamma_base`` for pdal) without
+    its columns."""
     return _smw("beta", a_diag, [])
 
 

@@ -18,7 +18,7 @@ the reported dual objective b'y equals minus the truss volume.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -280,46 +280,17 @@ def verify_solution(
 
 
 def save_geometry(gs: GroundStructure, spec: TrussSdpSpec, path) -> None:
-    payload = {
-        "g": gs.g,
-        "variant": gs.variant,
-        "nodes": gs.nodes.tolist(),
-        "fixed": gs.fixed.tolist(),
-        "dof_index": gs.dof_index.tolist(),
-        "ndof": gs.ndof,
-        "bars": gs.bars.tolist(),
-        "lengths": gs.lengths.tolist(),
-        "load": gs.load.tolist(),
-        "spec": {
-            "gamma_compl": spec.gamma_compl,
-            "t_lower": spec.t_lower,
-            "t_upper": spec.t_upper,
-            "vibration": spec.vibration,
-            "lambda_bar": spec.lambda_bar,
-            "rho": spec.rho,
-            "m0": spec.m0,
-        },
-    }
+    """Write the generator's inputs: ``g``, ``variant`` and the spec."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
+        json.dump({"g": gs.g, "variant": gs.variant, "spec": asdict(spec)}, fh, indent=1)
 
 
 def load_geometry(path) -> tuple[GroundStructure, TrussSdpSpec]:
+    """Rebuild the ground structure with ``gen_ground``.  Older sidecars
+    also hold its arrays, which are ignored: they came from ``gen_ground``."""
     with open(path) as fh:
         payload = json.load(fh)
-    gs = GroundStructure(
-        g=payload["g"],
-        variant=payload["variant"],
-        nodes=np.array(payload["nodes"], dtype=float),
-        fixed=np.array(payload["fixed"], dtype=bool),
-        dof_index=np.array(payload["dof_index"], dtype=int),
-        ndof=payload["ndof"],
-        bars=np.array(payload["bars"], dtype=int),
-        lengths=np.array(payload["lengths"], dtype=float),
-        load=np.array(payload["load"], dtype=float),
-    )
-    spec = TrussSdpSpec(**payload["spec"])
-    return gs, spec
+    return gen_ground(payload["g"], payload["variant"]), TrussSdpSpec(**payload["spec"])
 
 
 def instance_name(variant: str, g: int, t_lower: float) -> str:

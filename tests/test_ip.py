@@ -443,32 +443,31 @@ class TestIpSolve:
         _, rep = ip_solve(prob, IpConfig(precond="alpha", max_iter=2))
         assert [t["precond"] for t in rep.trace] == ["beta", "beta"]
 
-    def test_cluster_falls_back_to_beta_on_its_own_base(self, tru3, monkeypatch):
-        """A failed cluster build gives beta on the cluster diagonal, not on
-        alpha's tau^2 I; the trace names beta."""
-        bases, used = [], []
-        build_beta = precond.build_h_beta
+    @pytest.mark.parametrize("kind", ["alpha", "cluster", "tilde", "beta"])
+    def test_beta_is_the_cluster_base(self, tru3, monkeypatch, kind):
+        """The user's beta, and the beta that stands in for any failed
+        low-rank build, is cluster's diagonal without its columns, not
+        alpha's tau^2 I."""
 
         def failing_build(prob, splits, lin_diag, base="tau"):
-            assert base == "cluster"
-            bases.append(precond.cluster_base(prob, splits, lin_diag))
-            raise NotPositiveDefinite(0, "cluster block factor")
+            raise NotPositiveDefinite(0, f"{kind} block factor")
 
-        def recording_beta(a_diag):
-            used.append(a_diag)
-            return build_beta(a_diag)
-
-        monkeypatch.setattr(precond, "build_h_alpha", failing_build)
-        monkeypatch.setattr(precond, "build_h_beta", recording_beta)
         _, _, prob = tru3
-        _, rep = ip_solve(prob, IpConfig(precond="cluster", max_iter=2))
-        assert [t["precond"] for t in rep.trace] == ["beta", "beta"]
-        assert len(used) == len(bases) == 2
-        assert all(np.array_equal(u, b) for u, b in zip(used, bases))
+        pt, _ = ip_solve(prob, IpConfig(max_iter=4))
+        scal = make_scaling(pt)
+        splits = [precond.spectral_split(nt.w, 1) for nt in scal.blocks]
+        lin_diag = scal.lin_diag(prob)
+        monkeypatch.setattr(precond, "build_h_alpha", failing_build)
+        monkeypatch.setattr(precond, "build_h_tilde", failing_build)
+        prec = ip_module._build_preconditioner(kind, prob, splits, lin_diag)
+        base = precond.cluster_base(prob, splits, lin_diag)
+        assert prec.kind == "beta" and prec.rank == 0
+        assert np.array_equal(prec.base, base)
+        assert not np.allclose(base, precond.alpha_base(splits, lin_diag, prob.n))
 
     def test_tilde_falls_back_to_beta_when_p_does_not_factor(self, tru3, monkeypatch):
         """tilde factors its n x n P directly; when that factorization fails
-        the iteration runs beta on alpha's base, as for the other kinds."""
+        the iteration runs beta, as for the other kinds."""
         _, _, prob = tru3
         chol = precond.chol
 

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -372,6 +375,25 @@ class TestGeometrySidecar:
         assert np.array_equal(gs2.bars, gs.bars)
         assert np.allclose(gs2.load, gs.load)
         assert spec2 == spec
+
+    def test_stores_only_the_generator_inputs(self, tmp_path):
+        path = tmp_path / "tru3.geom.json"
+        save_geometry(gen_ground(3, "tru"), TrussSdpSpec(), path)
+        assert set(json.loads(path.read_text())) == {"g", "variant", "spec"}
+
+    def test_older_sidecar_with_arrays_loads(self, tmp_path):
+        """Sidecars once also held the arrays gen_ground rebuilds."""
+        gs = gen_ground(3, "tru")
+        spec = TrussSdpSpec(t_lower=1e-4)
+        arrays = ("nodes", "fixed", "dof_index", "bars", "lengths", "load")
+        payload = {"g": gs.g, "variant": gs.variant, "ndof": gs.ndof, "spec": asdict(spec)}
+        payload.update({name: getattr(gs, name).tolist() for name in arrays})
+        path = tmp_path / "tru3e.geom.json"
+        path.write_text(json.dumps(payload, indent=1))
+        gs2, spec2 = load_geometry(path)
+        assert spec2 == spec and gs2.ndof == gs.ndof
+        for name in arrays:
+            assert np.array_equal(getattr(gs2, name), getattr(gs, name))
 
     def test_instance_names(self):
         assert instance_name("tru", 3, 0.0) == "tru3"
