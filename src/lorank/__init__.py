@@ -9,7 +9,7 @@ instances in SDPA sparse format.
 from . import _threads  # noqa: F401  (must run before numpy loads BLAS)
 
 from .ip import IpConfig, ip_solve
-from .linalg import NotPositiveDefinite, chol, min_eig_pencil, sym_eig
+from .linalg import NotPositiveDefinite, chol, sym_eig
 from .model import (
     BlockSymMatrix,
     DimacsErrors,
@@ -68,7 +68,6 @@ __all__ = [
     "gen_ground",
     "ip_solve",
     "load_sdpa",
-    "min_eig_pencil",
     "pcg_solve",
     "pdal_config_profile",
     "pdal_solve",

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import solve_triangular, svd
 
 from . import precond as pc
@@ -256,18 +255,12 @@ def _dense_diagnostics(
     cluster it adds the split bound: their bases stand in for each
     B_i = A_i'(W0_i x W0_i)A_i by tau_i^2 I and by diag(B_i)."""
     n = prob.n
-    h_dense = (prob.D.T @ sp.diags(scal.lin_w2) @ prob.D).toarray()
-    for a_op, nt in zip(prob.A, scal.blocks):
-        h_dense += pc.dense_sandwich(a_op, nt.w, nt.w)
+    h = pc.dense_of(lambda v: schur_matvec(prob, scal, v), n)
     kind = prec.kind if prec is not None else "none"
     bounded = kind in ("alpha", "cluster")
     terms = [pc.dense_sandwich(a, s.w0, s.w0) for a, s in zip(prob.A, splits)] if bounded else []
     approx = [s.tau**2 * np.eye(n) if kind == "alpha" else np.diag(np.diag(t)) for s, t in zip(splits, terms)]
-    rep = pc.conditioning_report(h_dense, np.eye(n) if prec is None else prec.dense(), terms, approx)
-    rec = {"precond": kind, "kappa_h": rep.kappa_raw, "kappa_preconditioned": rep.kappa_preconditioned}
-    if bounded:
-        rec.update(bound=rep.bound, eps_hi=rep.eps_hi, eps_lo=rep.eps_lo)
-    return rec
+    return {"precond": kind, **pc.conditioning(h, None if prec is None else prec.dense(), terms, approx)}
 
 
 def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDualPoint, SolveReport]:

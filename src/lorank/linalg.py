@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import lapack
 
 
 class NotPositiveDefinite(Exception):
@@ -113,15 +113,3 @@ def min_eig(a: np.ndarray) -> float:
         raise np.linalg.LinAlgError(f"min_eig: dsyevr failed (info={info})")
     return 0.5 * float(w[0])
 
-
-def min_eig_pencil(x: np.ndarray, dx: np.ndarray) -> float:
-    """Smallest eigenvalue of x^{-1} dx for positive definite x.
-
-    Computed as lambda_min(L^{-1} dx L^{-T}) with x = L L^T, which keeps the
-    problem symmetric.  Propagates :class:`NotPositiveDefinite` from the
-    factorization of x.  The interior-point step length reads the same value
-    from the scaling's factors; this is its reference.
-    """
-    l = chol(x, "min_eig_pencil")
-    t = solve_triangular(l, np.asarray(dx, dtype=float), lower=True)
-    return min_eig(solve_triangular(l, t.T, lower=True))

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import precond as pc
 from .linalg import NotPositiveDefinite, chol, chol_inv, is_pd, min_eig, sym
@@ -204,21 +203,6 @@ def evaluate_point(ctx: OuterCtx, y: np.ndarray) -> PointEval:
     xbar = BlockSymMatrix(xbar_blocks, xbar_lin)
     grad = ctx.b_min + ctx.r * (y - ctx.y_prox) + apply_A(prob, xbar)
     return PointEval(y, a_blocks, z_blocks, xbar_blocks, t_lin, xbar_lin, wbar_lin, grad)
-
-
-def aug_lagrangian_value(ctx: OuterCtx, y: np.ndarray) -> float:
-    """F(y); only needed by derivative checks, the solver works with grad."""
-    prob = ctx.prob
-    ay = apply_A_adjoint(prob, y)
-    val = float(ctx.b_min @ y) + 0.5 * ctx.r * float(np.sum((y - ctx.y_prox) ** 2))
-    for i in range(prob.p):
-        a = ay.blocks[i] - prob.C[i]
-        z = z_matrix(a, ctx.pi_lmi)
-        val += ctx.pi_lmi**2 * float(np.tensordot(ctx.x_blocks[i], z))
-        val -= ctx.pi_lmi * float(np.trace(ctx.x_blocks[i]))
-    v, _, _ = penalty_eval(ay.lin - prob.d, ctx.pi_lin)
-    val += float(ctx.x_lin @ v)
-    return val
 
 
 def hessian_matvec(ctx: OuterCtx, ev: PointEval, dy: np.ndarray) -> np.ndarray:
@@ -404,9 +388,7 @@ def inner_solve(
         if kind not in kinds:
             kinds.append(kind)
         if diagnostics is not None and prob.n <= DIAG_LIMIT:
-            diagnostics.append(
-                _dense_hessian_record(ctx, ev, outer_index, ell)
-            )
+            diagnostics.append(_dense_hessian_record(ctx, ev, prec, outer_index, ell))
         op = lambda v: hessian_matvec(ctx, ev, v)  # noqa: E731
         dy, rep = pcg_solve(op, prec_apply, -ev.grad, tol=cg_tol, maxiter=cfg.cg_maxiter)
         cg_total += rep.iterations
@@ -455,20 +437,19 @@ def inner_solve(
     )
 
 
-def _dense_hessian_record(ctx: OuterCtx, ev: PointEval, outer: int, inner: int) -> dict:
-    prob = ctx.prob
-    h = ctx.r * np.eye(prob.n) + (
-        prob.D.T @ sp.diags(ev.wbar_lin) @ prob.D
-    ).toarray()
-    for a_op, xbar, z in zip(prob.A, ev.xbar_blocks, ev.z_blocks):
-        h += 2.0 * pc.dense_sandwich(a_op, xbar, z)
-    lam = np.linalg.eigvalsh(sym(h))
+def _dense_hessian_record(
+    ctx: OuterCtx, ev: PointEval, prec: pc.SmwPreconditioner | None, outer: int, inner: int
+) -> dict:
+    """Dense record of one Newton step (n <= diag limit): the extreme
+    eigenvalues of the Hessian, against the floor r, and its conditioning
+    under the preconditioner the step applied, P = I for none."""
+    h = pc.dense_of(lambda v: hessian_matvec(ctx, ev, v), ctx.prob.n)
     return {
         "outer": outer,
         "inner": inner,
-        "hessian_min_eig": float(lam[0]),
-        "hessian_max_eig": float(lam[-1]),
+        "precond": prec.kind if prec is not None else "none",
         "r": ctx.r,
+        **pc.conditioning(h, None if prec is None else prec.dense()),
     }
 
 

@@ -38,12 +38,13 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh
 
-from .linalg import NotPositiveDefinite, chol, chol_solve, sym, sym_eig
+from .linalg import chol, chol_solve, sym, sym_eig
 from .model import SdpProblem, Support
 
 
@@ -457,59 +458,48 @@ def build_h_delta(
 # ---------------------------------------------------------------------------
 
 
+def dense_of(op: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
+    """The n x n matrix of a symmetric linear map, from its columns op(e_j)."""
+    return sym(np.column_stack([op(e) for e in np.eye(n)]))
+
+
 def dense_sandwich(a_op: sp.csr_matrix, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Dense A'(left x right)A; small problems only."""
-    kron = np.kron(left, right)
-    a_dense = a_op.toarray()
-    return a_dense.T @ kron @ a_dense
+    """Dense A'(left x right)A; small problems only.  Column j is
+    A' vec(left A_j right'), so n m x m products stand in for the m^2 x m^2
+    Kronecker product."""
+    a = a_op.toarray()
+    m = left.shape[0]
+    mats = left @ a.T.reshape(-1, m, m) @ right.T
+    return a.T @ mats.reshape(len(mats), -1).T
 
 
-def inv_sqrt(mat: np.ndarray) -> np.ndarray:
-    lam, q = sym_eig(mat)
-    if lam[0] <= 0:
-        raise NotPositiveDefinite(0, "inverse square root")
-    return (q / np.sqrt(lam)) @ q.T
+def conditioning(
+    h: np.ndarray,
+    p: np.ndarray | None,
+    terms: Sequence[np.ndarray] = (),
+    approx: Sequence[np.ndarray] = (),
+) -> dict:
+    """Extreme eigenvalues and condition number of H, and the condition
+    number of P^{-1}H read from the pencil (H, P); P = None is P = I.
 
-
-@dataclass
-class ConditioningReport:
-    kappa_raw: float
-    kappa_preconditioned: float
-    bound: float
-    eps_hi: list[float]
-    eps_lo: list[float]
-
-
-def conditioning_report(
-    h_dense: np.ndarray,
-    p_dense: np.ndarray,
-    block_terms: Sequence[np.ndarray],
-    block_approx: Sequence[np.ndarray],
-) -> ConditioningReport:
-    """Measured condition numbers of H and of P^{-1/2} H P^{-1/2} against
-    the split-approximation bound.
-
-    ``block_terms`` are the exact per-block contributions B_i that the
-    preconditioner P approximates by ``block_approx`` (for alpha: the
-    clustered sandwich A'(W0 x W0)A versus tau^2 I).  The bound is
-    (1 + sum eps_hi) / (1 + sum eps_lo) with eps the extreme eigenvalues of
-    P^{-1/2}(B_i - Btilde_i)P^{-1/2}.
+    ``terms`` are the exact per-block contributions B_i that P approximates
+    by ``approx`` (for alpha: the clustered sandwich A'(W0 x W0)A versus
+    tau^2 I).  With them the record adds the split-approximation bound
+    (1 + sum eps_hi) / (1 + sum eps_lo), eps the extreme eigenvalues of the
+    pencils (B_i - Btilde_i, P).
     """
-    pih = inv_sqrt(p_dense)
-    m_pre = sym(pih @ h_dense @ pih)
-    lam_pre = np.linalg.eigvalsh(m_pre)
-    lam_h = np.linalg.eigvalsh(sym(h_dense))
-    eps_hi, eps_lo = [], []
-    for b, bt in zip(block_terms, block_approx):
-        e = np.linalg.eigvalsh(sym(pih @ (b - bt) @ pih))
-        eps_hi.append(float(e[-1]))
-        eps_lo.append(float(e[0]))
-    denom = 1.0 + sum(eps_lo)
-    bound = math.inf if denom <= 0 else (1.0 + sum(eps_hi)) / denom
-    return ConditioningReport(
-        kappa_raw=float(lam_h[-1] / lam_h[0]),
-        kappa_preconditioned=float(lam_pre[-1] / lam_pre[0]),
-        bound=bound,
-        eps_hi=eps_hi,
-        eps_lo=eps_lo,
-    )
+    lam_h = np.linalg.eigvalsh(h)
+    lam_pre = eigh(h, p, eigvals_only=True)
+    rec = {
+        "hessian_min_eig": float(lam_h[0]),
+        "hessian_max_eig": float(lam_h[-1]),
+        "kappa_h": float(lam_h[-1] / lam_h[0]),
+        "kappa_preconditioned": float(lam_pre[-1] / lam_pre[0]),
+    }
+    if terms:
+        eps = np.array([eigh(b - bt, p, eigvals_only=True)[[0, -1]] for b, bt in zip(terms, approx)])
+        eps_lo, eps_hi = eps.T.tolist()
+        denom = 1.0 + sum(eps_lo)
+        bound = math.inf if denom <= 0 else (1.0 + sum(eps_hi)) / denom
+        rec.update(bound=bound, eps_hi=eps_hi, eps_lo=eps_lo)
+    return rec

@@ -21,8 +21,8 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 from lorank.ip import IpConfig, ip_solve
-from lorank.model import SdpProblem, build_problem
-from lorank.pdal import pdal_config_profile, pdal_solve
+from lorank.model import SdpProblem, apply_A_adjoint, build_problem
+from lorank.pdal import OuterCtx, pdal_config_profile, pdal_solve, penalty_eval, z_matrix
 from lorank.truss import TrussSdpSpec, assemble_sdp, gen_ground
 
 
@@ -120,6 +120,21 @@ def dense_pdal_hessian(prob: SdpProblem, r, xbars, zs, wbar_lin) -> np.ndarray:
         a = dense_operator(prob, i)
         h = h + 2.0 * a.T @ np.kron(xb, z) @ a
     return h
+
+
+def aug_lagrangian_value(ctx: OuterCtx, y: np.ndarray) -> float:
+    """F(y); only needed by derivative checks, the solver works with grad."""
+    prob = ctx.prob
+    ay = apply_A_adjoint(prob, y)
+    val = float(ctx.b_min @ y) + 0.5 * ctx.r * float(np.sum((y - ctx.y_prox) ** 2))
+    for i in range(prob.p):
+        a = ay.blocks[i] - prob.C[i]
+        z = z_matrix(a, ctx.pi_lmi)
+        val += ctx.pi_lmi**2 * float(np.tensordot(ctx.x_blocks[i], z))
+        val -= ctx.pi_lmi * float(np.trace(ctx.x_blocks[i]))
+    v, _, _ = penalty_eval(ay.lin - prob.d, ctx.pi_lin)
+    val += float(ctx.x_lin @ v)
+    return val
 
 
 def make_truss_problem(g: int, variant: str = "tru", t_lower: float = 0.0):

@@ -15,7 +15,6 @@ from lorank.linalg import sym
 from lorank.pdal import (
     OuterCtx,
     PdalConfig,
-    aug_lagrangian_value,
     evaluate_point,
     hessian_matvec,
     pdal_solve,
@@ -24,6 +23,7 @@ from lorank.precond import _smw, dense_sandwich
 from lorank.truss import TrussSdpSpec, assemble_sdp, gen_ground
 
 from conftest import (
+    aug_lagrangian_value,
     dense_operator,
     dense_pdal_hessian,
     dense_schur,

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.linalg import eigh
 
 from lorank.linalg import (
     NotPositiveDefinite,
@@ -8,7 +7,6 @@ from lorank.linalg import (
     chol_inv,
     chol_solve,
     min_eig,
-    min_eig_pencil,
     sym,
     sym_eig,
 )
@@ -141,27 +139,6 @@ class TestMinEig:
         a[1, 1] = bad
         with pytest.raises(np.linalg.LinAlgError):
             min_eig(a)
-
-
-class TestMinEigPencil:
-    def test_identity_base(self):
-        assert min_eig_pencil(np.eye(2), np.diag([-2.0, 5.0])) == pytest.approx(-2.0)
-
-    def test_diagonal_algebra(self):
-        # x^{-1} dx = diag(-1, 3)
-        assert min_eig_pencil(np.diag([4.0, 1.0]), np.diag([-4.0, 3.0])) == pytest.approx(-1.0)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_against_generalized_eigensolve(self, seed):
-        rng = np.random.default_rng(seed)
-        x = rand_spd(rng, 6)
-        dx = rand_sym(rng, 6)
-        expected = eigh(dx, x, eigvals_only=True)[0]
-        assert min_eig_pencil(x, dx) == pytest.approx(expected, rel=1e-10, abs=1e-10)
-
-    def test_propagates_not_pd(self):
-        with pytest.raises(NotPositiveDefinite):
-            min_eig_pencil(-np.eye(2), np.eye(2))
 
 
 class TestKroneckerIdentities:

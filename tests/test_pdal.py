@@ -21,7 +21,6 @@ from lorank.pdal import (
     _pdal_preconditioner,
     OuterCtx,
     PdalConfig,
-    aug_lagrangian_value,
     evaluate_point,
     hessian_matvec,
     inner_solve,
@@ -39,6 +38,7 @@ from lorank.pdal import (
 )
 
 from conftest import (
+    aug_lagrangian_value,
     dense_pdal_hessian,
     make_truss_problem,
     per_block_adjoint,
@@ -665,3 +665,29 @@ class TestPdalSolve:
         assert rep.diagnostics
         for d in rep.diagnostics:
             assert d["hessian_min_eig"] >= d["r"] * (1 - 1e-8)
+
+    def test_diagnostics_measure_the_applied_preconditioner(self, tru3, monkeypatch):
+        """--diag records each Newton step under the build the step applied,
+        without building it again: gamma by default; none has P = I."""
+        builds = 0
+        build = precond.build_h_gamma
+
+        def recording_build(*args, **kwargs):
+            nonlocal builds
+            builds += 1
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(precond, "build_h_gamma", recording_build)
+        _, _, prob = tru3
+        _, rep = pdal_solve(prob, PdalConfig(diag=True))
+        steps = sum(t["inner_iterations"] for t in rep.trace)
+        assert rep.converged and builds == steps == len(rep.diagnostics)
+        assert [d["precond"] for d in rep.diagnostics] == ["gamma"] * steps
+        assert min(d["hessian_min_eig"] / d["r"] for d in rep.diagnostics) >= 1 - 1e-8
+        assert rep.diagnostics[-1]["kappa_preconditioned"] < rep.diagnostics[-1]["kappa_h"]
+
+        _, rep = pdal_solve(prob, PdalConfig(precond="none", diag=True, max_iter=2))
+        assert rep.diagnostics
+        for d in rep.diagnostics:
+            assert d["precond"] == "none"
+            assert d["kappa_preconditioned"] == pytest.approx(d["kappa_h"], rel=1e-8)

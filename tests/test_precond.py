@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lorank.ip import IpConfig, initial_point, ip_solve, make_scaling, nt_scaling
+from lorank.ip import IpConfig, initial_point, ip_solve, make_scaling, nt_scaling, schur_matvec
 from lorank.linalg import sym
 from lorank.model import column_norms_sq
 from lorank.pdal import OuterCtx, PdalConfig, _pdal_preconditioner, evaluate_point, pdal_solve
@@ -15,7 +15,8 @@ from lorank.precond import (
     build_h_gamma,
     build_h_tilde,
     cluster_base,
-    conditioning_report,
+    conditioning,
+    dense_of,
     dense_sandwich,
     gamma_base,
     low_rank_factor,
@@ -24,6 +25,7 @@ from lorank.precond import (
 )
 
 from conftest import (
+    dense_pdal_hessian,
     dense_schur,
     make_truss_problem,
     rand_spd,
@@ -238,10 +240,30 @@ class TestAlpha:
         pt, scal, splits, lin_diag = ip_state_splits(prob, seed=3)
         pc = build_h_alpha(prob, splits, lin_diag)
         h_dense = dense_schur(prob, [nt.w for nt in scal.blocks], scal.lin_w2)
+        h = dense_of(lambda v: schur_matvec(prob, scal, v), prob.n)
+        assert np.linalg.norm(h - h_dense) <= 1e-12 * np.linalg.norm(h_dense)
         terms = [dense_sandwich(a, s.w0, s.w0) for a, s in zip(prob.A, splits)]
         approx = [s.tau**2 * np.eye(prob.n) for s in splits]
-        rep = conditioning_report(h_dense, pc.dense(), terms, approx)
-        assert rep.kappa_preconditioned <= rep.bound * (1 + 1e-8)
+        rep = conditioning(h, pc.dense(), terms, approx)
+        assert rep["kappa_preconditioned"] <= rep["bound"] * (1 + 1e-8)
+
+
+class TestDenseSandwich:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_kron_oracle(self, seed):
+        """Per block, 2 A_i'(L x R)A_i with non-symmetric L, R equals the
+        conftest Hessian oracle's explicit Kronecker product with the other
+        block, r and the linear weights zeroed."""
+        rng = np.random.default_rng(seed)
+        prob = random_problem(40 + seed, dims=(4, 5), n=9, nu=2)
+        dims = prob.block_dims
+        for i, m in enumerate(dims):
+            left, right = rng.standard_normal((m, m)), rng.standard_normal((m, m))
+            lefts = [left if j == i else np.zeros((mj, mj)) for j, mj in enumerate(dims)]
+            rights = [right if j == i else np.zeros((mj, mj)) for j, mj in enumerate(dims)]
+            want = dense_pdal_hessian(prob, 0.0, lefts, rights, np.zeros(prob.nu))
+            got = 2.0 * dense_sandwich(prob.A[i], left, right)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestSmwInverse:
@@ -402,8 +424,6 @@ class TestCluster:
         """At a late iterate the cluster term spreads over decades: with the
         cluster base the preconditioned Schur complement is better
         conditioned than with alpha's tau^2 I."""
-        from lorank.precond import inv_sqrt
-
         _, _, prob = tru3
         pt, _ = ip_solve(prob, IpConfig(precond="cluster", max_iter=12, eps_dimacs=1e-30))
         scal = make_scaling(pt)
@@ -411,9 +431,8 @@ class TestCluster:
         h = dense_schur(prob, [nt.w for nt in scal.blocks], scal.lin_w2)
         kappa = {}
         for base in ("tau", "cluster"):
-            pih = inv_sqrt(build_h_alpha(prob, splits, scal.lin_diag(prob), base=base).dense())
-            lam = np.linalg.eigvalsh(sym(pih @ h @ pih))
-            kappa[base] = lam[-1] / lam[0]
+            p = build_h_alpha(prob, splits, scal.lin_diag(prob), base=base).dense()
+            kappa[base] = conditioning(h, p)["kappa_preconditioned"]
         assert kappa["cluster"] < kappa["tau"]
 
 
@@ -667,10 +686,6 @@ class TestPreconditionerComparisons:
             lin_diag = scal.lin_diag(prob)
             pc_beta = build_h_beta(alpha_base(splits, lin_diag, prob.n))
             h = dense_schur(prob, [nt.w for nt in scal.blocks], scal.lin_w2)
-            from lorank.precond import inv_sqrt
-
-            pih = inv_sqrt(pc_beta.dense())
-            lam = np.linalg.eigvalsh(pih @ h @ pih)
-            records[cap] = float(lam[-1] / lam[0])
+            records[cap] = conditioning(h, pc_beta.dense())["kappa_preconditioned"]
         print(f"beta-preconditioned conditioning: early={records[2]:.2e} late={records[14]:.2e}")
         assert records[2] <= 1e2
