@@ -27,7 +27,7 @@ from .model import (
     apply_A_adjoint,
     dimacs,
 )
-from .pcg import cg_tolerance, pcg_solve
+from .pcg import Deflation, cg_tolerance, pcg_solve
 from .report import DIAG_LIMIT, RunRecord, SolveReport, SolverConfig, SolverFailure
 
 IP_KINDS = ("alpha", "beta", "cluster", "tilde", "none")
@@ -304,7 +304,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
         rp, rd = errs.rp, errs.rd
         wrdw = scal.sandwich(rd)
 
-        def direction(target: BlockSymMatrix, what: str):
+        def direction(target: BlockSymMatrix, what: str, record: bool = False, deflate: Deflation | None = None):
             """(dy, dX, dS, CG report) for the complementarity target, or
             None when the run ends at this solve.  A direction is used when
             ``PcgReport.usable``; anything worse ends the run, gracefully if
@@ -319,6 +319,8 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
                 _rhs(prob, rp, wrdw, target),
                 tol=cg_tol,
                 maxiter=config.cg_maxiter,
+                record=record,
+                deflate=deflate,
             )
             run.cg_total += rep.iterations
             if not rep.converged:
@@ -333,10 +335,14 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
                     )
             return (dy, *recover_directions(prob, scal, dy, rd, target), rep)
 
-        pred = direction(pt.X, "predictor")
+        # the corrector solves with the same H and P: deflate it with the
+        # predictor's smallest Ritz pairs, when P has low-rank columns (on a
+        # diagonal P, deflation cost vib5 none CG and stalled tru9 beta)
+        pred = direction(pt.X, "predictor", record=prec is not None and prec.rank > 0)
         if pred is None:
             break
         _, dX_p, dS_p, rep_p = pred
+        space = rep_p.deflation
 
         x_factors = [nt.x_inv_factor() for nt in scal.blocks]
         s_factors = [nt.s_inv_factor() for nt in scal.blocks]
@@ -349,7 +355,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
         # SDPT3's corrector fraction: closer to the boundary after a long predictor
         step_frac = TAU_FRAC + TAU_GAIN * min(alpha_p, beta_p)
 
-        corr = direction(_corrector_target(pt, scal, dX_p, dS_p, sigma * mu), "corrector")
+        corr = direction(_corrector_target(pt, scal, dX_p, dS_p, sigma * mu), "corrector", deflate=space)
         if corr is None:
             break
         dy, dX, dS, rep_c = corr
@@ -384,6 +390,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
             step_repairs=alpha_repairs + beta_repairs,
             cg_pred=rep_p.iterations,
             cg_corr=rep_c.iterations,
+            defl_rank=space.rank if space is not None else 0,
             cg_stagnated=rep_p.stagnated or rep_c.stagnated,
         )
 

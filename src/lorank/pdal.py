@@ -370,17 +370,16 @@ def inner_solve(
         m_val = merit(g1, g2)
         if m_val <= eps_inner and _block_pd(x_hat):
             return InnerResult(ev, x_hat, ell, cg_total, m_val, False, True, ls_failures, kinds)
-        if ell > 0:
-            e_now = pd_error(prob, y, x_hat, ev.slack(), ev.slack_min_eigs)
-            g2n = g2.dot(g2)
-            g1n = float(g1 @ g1)
-            if (
-                e_now < 0.5 * e_outer
-                and g2n < 0.1
-                and g1n < 0.05 * max(1.0, float(np.linalg.norm(ev.grad)))
-                and _block_pd(x_hat)
-            ):
-                return InnerResult(ev, x_hat, ell, cg_total, m_val, True, True, ls_failures, kinds)
+        # the residual clauses first: they are cheap, and most points that
+        # fail the conjunction fail one of them before pd_error is measured
+        if (
+            ell > 0
+            and g2.dot(g2) < 0.1
+            and float(g1 @ g1) < 0.05 * max(1.0, float(np.linalg.norm(ev.grad)))
+            and pd_error(prob, y, x_hat, ev.slack(), ev.slack_min_eigs) < 0.5 * e_outer
+            and _block_pd(x_hat)
+        ):
+            return InnerResult(ev, x_hat, ell, cg_total, m_val, True, True, ls_failures, kinds)
 
         prec = _pdal_preconditioner(ctx, ev, cfg, ranks)
         prec_apply = prec.apply_inv if prec is not None else None

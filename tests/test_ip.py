@@ -30,7 +30,7 @@ from lorank.model import (
     load_sdpa,
     residuals,
 )
-from lorank.pcg import pcg_solve
+from lorank.pcg import DEFLATE_RANK, pcg_solve
 
 from conftest import (
     dense_schur,
@@ -434,6 +434,35 @@ class TestIpSolve:
         _, rep = tru3_ip
         assert rep.cg_total == sum(t["cg"] for t in rep.trace)
         assert all(t["cg_pred"] >= 0 and t["cg_corr"] >= 0 for t in rep.trace)
+
+    def test_corrector_is_deflated_with_the_predictors_space(self, tru5_ip):
+        """The default cluster build has low-rank columns, so each corrector
+        runs deflated with at most min(cg_pred, 16) vectors of its
+        predictor's solve, and the run takes no more IP iterations than the
+        15 and fewer CG iterations than the 167 of tru5 with undeflated
+        correctors."""
+        _, rep = tru5_ip
+        assert rep.status == "optimal" and rep.iterations <= 15
+        assert all(0 < t["defl_rank"] <= min(t["cg_pred"], DEFLATE_RANK) for t in rep.trace[-5:])
+        assert rep.cg_total < 167
+
+    @pytest.mark.parametrize("kind", ["beta", "none"])
+    def test_diagonal_preconditioners_are_not_deflated(self, tru3, monkeypatch, kind):
+        """With a diagonal P no solve records or deflates: every
+        ``pcg_solve`` call is the plain one, so these runs are those of
+        PCG without the options, and every row has ``defl_rank`` 0."""
+        real, calls = ip_module.pcg_solve, []
+
+        def spy(*args, **kwargs):
+            calls.append((kwargs["record"], kwargs["deflate"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ip_module, "pcg_solve", spy)
+        _, _, prob = tru3
+        _, rep = ip_solve(prob, IpConfig(precond=kind))
+        assert rep.converged
+        assert calls == [(False, None)] * (2 * rep.iterations)
+        assert [t["defl_rank"] for t in rep.trace] == [0] * rep.iterations
 
     def test_trace_records_beta_fallback(self, tru3, monkeypatch):
         def failing_build(*args):

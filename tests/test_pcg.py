@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
-from lorank.pcg import PcgReport, cg_tolerance, pcg_solve
+from lorank.pcg import DEFLATE_RANK, RECORD_DIRS, Deflation, PcgReport, _LanczosRecord, cg_tolerance, pcg_solve
 
 from conftest import rand_spd, spd_with_spectrum
 
@@ -162,3 +165,170 @@ class TestToleranceSchedule:
         for k in range(60):
             assert cg_tolerance(k, floor) == t
             t = max(floor, t * 0.5)
+
+
+def _pcg_reference(op, precond_inv, rhs, tol, maxiter):
+    """Test oracle: the PCG loop as it was before the recording and
+    deflation options, kept to show that a solve without ``deflate``
+    still runs the same floating-point operations."""
+    x = np.zeros_like(rhs)
+    bnorm = float(np.linalg.norm(rhs))
+    r = rhs.copy()
+    relres = float(np.linalg.norm(r)) / bnorm
+    z = precond_inv(r)
+    p = z.copy()
+    rz = float(r @ z)
+    it, refresh_relres, stall_count = 0, relres, 0
+    while it < maxiter:
+        it += 1
+        q = op(p)
+        alpha = rz / float(p @ q)
+        x += alpha * p
+        r = rhs - op(x) if it % 50 == 0 else r - alpha * q
+        relres = float(np.linalg.norm(r)) / bnorm
+        if relres <= tol:
+            return x, it
+        if it % 50 == 0:
+            stall_count = stall_count + 1 if relres > 0.99 * refresh_relres else 0
+            if stall_count >= 3:
+                return x, it
+            refresh_relres = relres
+        z = precond_inv(r)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x, it
+
+
+def _outlier_system(seed: int, n: int = 80, outliers=(1e-3, 3e-3, 1e-2, 3e-2)):
+    """H = D^{1/2} A D^{1/2} with A's spectrum a cluster in [0.9, 1.1] plus
+    a few small outliers, and P^{-1} the inverse of P = D, so that P^{-1}H
+    has A's spectrum: the setting the IP's corrector is deflated in."""
+    rng = np.random.default_rng(seed)
+    eigs = np.concatenate([np.linspace(0.9, 1.1, n - len(outliers)), outliers])
+    a = spd_with_spectrum(rng, eigs)
+    d = np.exp(rng.uniform(-2.0, 2.0, n))
+    h = np.sqrt(d)[:, None] * a * np.sqrt(d)[None, :]
+    return rng, h, d
+
+
+def _dense(fn, n: int) -> np.ndarray:
+    return np.column_stack([fn(e) for e in np.eye(n)])
+
+
+class TestDeflation:
+    def test_dense_m_is_spd(self):
+        """M = (I - Z(HZ)')P^{-1}(I - HZ Z') + ZZ' is symmetric positive
+        definite, with Z'HZ = I after the H-orthonormalization, and stays
+        so when the stored HZ is inexact."""
+        rng, h, d = _outlier_system(0)
+        n = len(d)
+        y = rng.standard_normal((5, n))
+        space = Deflation.of(y, y @ h)
+        assert space.rank == 5
+        assert np.allclose(space.z @ h @ space.z.T, np.eye(5), atol=1e-10)
+        for hz in (space.hz, space.hz + 1e-3 * rng.standard_normal(space.hz.shape)):
+            m = _dense(Deflation(space.z, hz).balance(lambda v: v / d), n)
+            assert np.allclose(m, m.T, rtol=0, atol=1e-12 * np.abs(m).max())
+            assert np.linalg.eigvalsh(0.5 * (m + m.T))[0] > 0
+
+    def test_repeated_directions_are_dropped(self):
+        """A row repeated up to round-off (Lanczos' copy of a converged
+        Ritz vector) leaves E nearly singular; the space keeps one copy."""
+        rng, h, d = _outlier_system(1)
+        y = rng.standard_normal((3, len(d)))
+        y = np.vstack([y, y[1] * (1 + 1e-13)])
+        space = Deflation.of(y, y @ h)
+        assert space.rank == 3
+        assert np.allclose(space.z @ h @ space.z.T, np.eye(3), atol=1e-8)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    def test_corrector_meets_tolerance_and_matches_plain(self, tol):
+        """The second solve with the first one's space meets the tolerance
+        on the true residual and agrees with the plain solve to within it,
+        both when the predictor's directions are the space (few
+        iterations) and when its Ritz vectors are (many iterations)."""
+        rng, h, d = _outlier_system(2)
+        op, pinv = (lambda v: h @ v), (lambda v: v / d)
+        b1, b2 = rng.standard_normal((2, len(d)))
+        for pred_tol in (1e-1, tol):
+            _, pred = pcg_solve(op, pinv, b1, tol=pred_tol, record=True)
+            space = pred.deflation
+            assert space.rank == min(pred.iterations, DEFLATE_RANK)
+            assert space.exact_hz == (pred.iterations <= DEFLATE_RANK)
+            assert np.allclose(space.z @ h @ space.z.T, np.eye(space.rank), atol=1e-6)
+            x_d, rep_d = pcg_solve(op, pinv, b2, tol=tol, deflate=space)
+            x_p, rep_p = pcg_solve(op, pinv, b2, tol=tol)
+            assert rep_d.converged and rep_p.converged
+            bn = np.linalg.norm(b2)
+            assert np.linalg.norm(b2 - h @ x_d) <= 1.01 * tol * bn
+            assert np.linalg.norm(h @ (x_d - x_p)) <= 2.02 * tol * bn
+
+    def test_ritz_space_holds_the_outliers(self):
+        """From a long predictor (more than ``DEFLATE_RANK`` directions) the
+        Ritz space of the Lanczos tridiagonal captures the small outlying
+        eigenvectors of P^{-1}H: their H-projection onto the space leaves
+        a small remainder."""
+        rng, h, d = _outlier_system(3)
+        _, pred = pcg_solve(lambda v: h @ v, lambda v: v / d, rng.standard_normal(len(d)), tol=1e-10, record=True)
+        assert pred.iterations > DEFLATE_RANK
+        space = pred.deflation
+        # generalized eigenvectors H v = lam D v of the four smallest lam
+        lam, v = eigh(h, np.diag(d))
+        for j in range(4):
+            u = v[:, j] / np.sqrt(v[:, j] @ h @ v[:, j])
+            rest = u - space.z.T @ (space.hz @ u)
+            assert rest @ h @ rest < 1e-6, (j, lam[j])
+
+    @pytest.mark.parametrize("exact_hz", [True, False])
+    def test_exact_eigenvectors_take_fewer_iterations(self, exact_hz):
+        """Deflating the outlying eigenvectors of P^{-1}H leaves CG the
+        cluster alone, so it converges in fewer iterations than plain PCG,
+        from x0 = ZZ'b and from x0 = 0."""
+        rng, h, d = _outlier_system(4)
+        op, pinv = (lambda v: h @ v), (lambda v: v / d)
+        _, v = eigh(h, np.diag(d))
+        y = v[:, :4].T
+        space = replace(Deflation.of(y, y @ h), exact_hz=exact_hz)
+        b = rng.standard_normal(len(d))
+        _, plain = pcg_solve(op, pinv, b, tol=1e-10)
+        x, defl = pcg_solve(op, pinv, b, tol=1e-10, deflate=space)
+        assert defl.converged and defl.iterations < plain.iterations
+        assert np.linalg.norm(b - h @ x) <= 1.01e-10 * np.linalg.norm(b)
+
+    def test_record_stops_at_its_cap(self, monkeypatch):
+        """A solve that runs past ``RECORD_DIRS`` iterations keeps only the
+        first ``RECORD_DIRS`` directions."""
+        kept = []
+        real = _LanczosRecord.ritz_space
+
+        def spy(self):
+            kept.append(len(self.ps))
+            return real(self)
+
+        monkeypatch.setattr(_LanczosRecord, "ritz_space", spy)
+        rng = np.random.default_rng(5)
+        a = spd_with_spectrum(rng, np.geomspace(1e-4, 1.0, 200))
+        _, rep = pcg_solve(lambda v: a @ v, None, rng.standard_normal(200), tol=1e-14, maxiter=120, record=True)
+        assert rep.iterations == 120 and kept == [RECORD_DIRS]
+        assert rep.deflation.rank <= DEFLATE_RANK
+
+    def test_nonpositive_rz_voids_the_record(self):
+        rec = _LanczosRecord()
+        for rz in (1.0, -1e-18, 0.5):
+            rec.step(np.ones(3), np.ones(3), 1.0, rz)
+        assert rec.ritz_space() is None
+
+    @pytest.mark.parametrize("maxiter, tol", [(500, 1e-10), (130, 1e-15)])
+    def test_without_deflation_iterates_are_unchanged(self, maxiter, tol):
+        """Recording or not, a solve without ``deflate`` returns the same
+        bits as the loop before the options, refresh windows included."""
+        rng = np.random.default_rng(6)
+        a = spd_with_spectrum(rng, np.geomspace(1e-5, 1.0, 120))
+        dinv = 1.0 / rng.uniform(0.5, 2.0, 120)
+        op, pinv = (lambda v: a @ v), (lambda v: dinv * v)
+        b = rng.standard_normal(120)
+        x_ref, it_ref = _pcg_reference(op, pinv, b, tol, maxiter)
+        for record in (False, True):
+            x, rep = pcg_solve(op, pinv, b, tol=tol, maxiter=maxiter, record=record)
+            assert rep.iterations == it_ref and x.tobytes() == x_ref.tobytes()
