@@ -102,40 +102,24 @@ def column_norms_sq(a_op: sp.csr_matrix) -> np.ndarray:
     return np.asarray(a_op.multiply(a_op).sum(axis=0)).ravel()
 
 
-class RowPairs(NamedTuple):
-    """Pairs of support positions, one from each of two blocks, that lie in
-    the same row j of G."""
-
-    left: np.ndarray        # index among the first block's real positions
-    right: np.ndarray       # index among the second block's real positions
-    row: np.ndarray         # their common row j
-    cells: sp.csr_matrix    # (m m2, pairs): sums the pairs at columns (c, d) into cell c m2 + d
-
-
 class Support(NamedTuple):
     """The one index of a block's sparsity: each A_j restricted to the rows
     it touches, padded to the block's largest row count s (4 on truss data).
     The position (j, rows[j, l]) of a real entry l is where the low-rank
     factor G_u[j, c] = (A_j u)_c can be nonzero.
 
-    block : the block index i
-    rows  : (n, s) the support rows of each A_j, ascending; padding repeats row 0
-    sub   : (n, s, s) A_j on rows x rows, zero on the padding
-    real  : (n, s) true at the real, unpadded positions; their row-major
-            order numbers them
-    pos   : (j, c) of the real positions in that order, the coordinates
-            of G_u's nonzeros
-    pairs : per block i2, the :class:`RowPairs` of this block's positions
-            and block i2's; for a diagonal B, G'B^{-1}G sums products over
-            exactly these pairs
+    rows : (n, s) the support rows of each A_j, ascending; padding repeats row 0
+    sub  : (n, s, s) A_j on rows x rows, zero on the padding
+    real : (n, s) true at the real, unpadded positions; their row-major
+           order numbers them
+    pos  : (j, c) of the real positions in that order, the coordinates
+           of G_u's nonzeros
     """
 
-    block: int
     rows: np.ndarray
     sub: np.ndarray
     real: np.ndarray
     pos: tuple[np.ndarray, np.ndarray]
-    pairs: tuple[RowPairs, ...]
 
 
 def block_supports(a_t: Sequence[sp.csr_matrix], dims: Sequence[int]) -> list[Support]:
@@ -143,7 +127,7 @@ def block_supports(a_t: Sequence[sp.csr_matrix], dims: Sequence[int]) -> list[Su
     rows of A_j are the columns c of its stored values (A_j)_{rc}, and every
     row r is such a column too, since A_j is symmetric."""
     n = a_t[0].shape[0] if a_t else 0
-    parts, pos = [], []  # per block: (rows, sub, real), and (j, c) of each position
+    supports = []
     for a, m in zip(a_t, dims):
         j = np.repeat(np.arange(n), np.diff(a.indptr))
         r, c = np.divmod(a.indices, m)
@@ -155,25 +139,8 @@ def block_supports(a_t: Sequence[sp.csr_matrix], dims: Sequence[int]) -> list[Su
         rows[pos_j, local] = pos_c
         sub = np.zeros(rows.shape + rows.shape[1:])
         np.add.at(sub, (j, local[np.searchsorted(keys, j * m + r)], local[slot.ravel()]), a.data)
-        parts.append((rows, sub, np.arange(rows.shape[1]) < counts[:, None]))
-        pos.append((pos_j, pos_c))
-    # (ind_i' ind_i2)[e, f] != 0 iff positions e and f share a row
-    ind = [sp.csr_matrix((np.ones(j.size), (j, np.arange(j.size))), shape=(n, j.size)) for j, _ in pos]
-
-    def row_pairs(i: int, i2: int) -> RowPairs:
-        hit = (ind[i].T @ ind[i2]).tocoo()
-        left, right = hit.row.astype(np.intp), hit.col.astype(np.intp)
-        (rows, cols), cols2 = pos[i], pos[i2][1]
-        cells = sp.csr_matrix(
-            (np.ones(left.size), (cols[left] * dims[i2] + cols2[right], np.arange(left.size))),
-            shape=(dims[i] * dims[i2], left.size),
-        )
-        return RowPairs(left, right, rows[left], cells)
-
-    return [
-        Support(i, *part, pos[i], tuple(row_pairs(i, i2) for i2 in range(len(parts))))
-        for i, part in enumerate(parts)
-    ]
+        supports.append(Support(rows, sub, np.arange(rows.shape[1]) < counts[:, None], (pos_j, pos_c)))
+    return supports
 
 
 @dataclass(frozen=True)
@@ -189,7 +156,8 @@ class ConstraintOps:
     a_norms_sq : per block, diag(A_i'A_i)
     d_sq_t     : (D o D)' as CSR, so d_sq_t @ w = diag(D' diag(w) D)
     supports   : per block, the :class:`Support` of its A_j (n s^2 floats),
-                 which indexes the preconditioners' bases and factors
+                 the one sparsity index of the preconditioners' bases,
+                 factors and inner Schur complements
     """
 
     stacked: sp.csr_matrix

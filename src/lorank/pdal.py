@@ -130,6 +130,13 @@ class PdalConfig(SolverConfig):
     r: float = 1e-4                # proximal weight; also the floor of the inner Hessian
     max_inner: int = 100
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not (np.isfinite(self.r) and self.r > 0):
+            raise ValueError(f"r must be finite and positive, got {self.r!r}")
+        if self.max_inner < 1:
+            raise ValueError(f"max_inner must be >= 1, got {self.max_inner!r}")
+
 
 def pdal_config_profile(profile: str, **overrides) -> PdalConfig:
     """``PdalConfig()`` with ``overrides``; 'tru' is the one profile name.
@@ -420,14 +427,10 @@ def inner_solve(
             alpha *= 0.5
         if not accepted:
             # step collapsed below ~1e-12 (merit at its float64 floor): hand
-            # the best point back so the outer loop can refresh multipliers
+            # the unchanged point back so the outer loop can refresh
+            # multipliers; it failed the convergence test at the top
             ls_failures += 1
-            g1, g2 = pd_residuals(ctx, ev, x_hat)
-            m_best = merit(g1, g2)
-            ok = m_best <= eps_inner and _block_pd(x_hat)
-            return InnerResult(
-                ev, x_hat, ell + 1, cg_total, m_best, False, ok, ls_failures, kinds
-            )
+            return InnerResult(ev, x_hat, ell + 1, cg_total, m_val, False, False, ls_failures, kinds)
 
     g1, g2 = pd_residuals(ctx, ev, x_hat)
     return InnerResult(

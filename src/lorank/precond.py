@@ -146,8 +146,9 @@ def spectral_split(w: np.ndarray, k: int | str) -> SplitBlock:
 @dataclass
 class LowRankPiece:
     """One piece A_i'(U x F) = [G_{u_1} ... G_{u_k}] (I_k x F) of the
-    low-rank block V, kept factored.  Row a of ``g`` holds the values of
-    G_{u_a} at the real positions of ``support``; ``f`` is the m x m factor."""
+    low-rank block V, kept factored.  ``g[a]`` holds the values of G_{u_a}
+    on the padded (n, s) grid of ``support``, exact zeros on the padding;
+    ``f`` is the m x m factor."""
 
     support: Support
     g: np.ndarray
@@ -172,7 +173,7 @@ def low_rank_factor(support: Support, left: np.ndarray, right: np.ndarray) -> Lo
     """
     ut = left.T[:, support.rows]  # (k, n, s)
     g = sum(support.sub[:, :, l] * ut[:, :, l, None] for l in range(ut.shape[2]))  # (k, n, s)
-    return LowRankPiece(support, g[:, support.real], right)
+    return LowRankPiece(support, g, right)
 
 
 @dataclass
@@ -235,14 +236,15 @@ class SmwPreconditioner:
 def _theta_block(q: LowRankPiece, q2: LowRankPiece, binv: np.ndarray) -> np.ndarray:
     """The block (I x F_q)' G_q' diag(binv) G_q2 (I x F_q2) of Theta - I.
 
-    Per pair of support positions sharing a row, the outer product of the
-    two pieces' values over their outliers is summed into the pair's cell
-    (c, d); the factors then act on the cells' m x m2 matrices."""
-    pr = q.support.pairs[q2.support.block]
-    x = q.g[:, pr.left].T * binv[pr.row][:, None]
-    y = q2.g[:, pr.right].T
+    One bincount per pair of outliers (a, b) sums binv_j g[a, j, l] g2[b, j, l2]
+    into the cell (rows[j, l], rows2[j, l2]), each cell over ascending j; the
+    padding adds exact zeros.  The factors then act on the m x m2 cells."""
     k, m, k2, m2 = len(q.g), len(q.f), len(q2.g), len(q2.f)
-    sums = pr.cells @ (x[:, :, None] * y[:, None, :]).reshape(-1, k * k2)  # [(c, d), (a, b)]
+    cells = (q.support.rows[:, :, None] * m2 + q2.support.rows[:, None, :]).ravel()
+    sums = np.column_stack([
+        np.bincount(cells, (x[:, :, None] * y[:, None, :]).ravel(), minlength=m * m2)
+        for x in q.g * binv[:, None] for y in q2.g
+    ])  # [(c, d), (a, b)]
     t = (q.f.T @ sums.reshape(m, m2 * k * k2)).reshape(m, m2, k, k2)     # [c', d, a, b]
     t = t.transpose(2, 0, 3, 1).reshape(k * m * k2, m2) @ q2.f            # [(a, c', b), d']
     return t.reshape(k * m, k2 * m2)
@@ -256,8 +258,8 @@ def _smw(
 
     ``base`` is a diagonal, which must be positive, or tilde's dense n x n
     matrix.  On a diagonal base Theta = I + F'(G' base^{-1} G)F is summed
-    over the pairs of support positions that share a row
-    (:func:`_theta_block`).  A dense base, or K >= n columns, has P = base
+    over the padded support grids (:func:`_theta_block`); G's apply keeps
+    the real positions.  A dense base, or K >= n columns, has P = base
     + V V' assembled and factored instead: its n x n Cholesky then costs no
     more than Theta's, and the SMW apply, which passes through Theta's
     larger condition number, loses accuracy that a direct solve keeps.
@@ -278,7 +280,7 @@ def _smw(
         base,
         np.concatenate([np.tile(q.support.pos[0], len(q.g)) for q in pieces] + none),
         np.concatenate([c.ravel() for c in cols] + none),
-        np.concatenate([q.g.ravel() for q in pieces] + none),
+        np.concatenate([q.g[:, q.support.real].ravel() for q in pieces] + none),
         [(s, s + q.cols, q.f) for q, s in zip(pieces, starts)],
     )
     if base.ndim == 2 or size >= prec.n:

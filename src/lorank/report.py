@@ -79,6 +79,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.cg_maxiter < 1:
             raise ValueError(f"cg_maxiter must be >= 1, got {self.cg_maxiter!r}")
+        if self.rank != "auto" and type(self.rank) is not int:
+            raise ValueError(f"rank must be an int or 'auto', got {self.rank!r}")
         if self.precond not in self.KINDS:
             raise ValueError(
                 f"{self.SOLVER} preconditioner must be one of {'|'.join(self.KINDS)}, got {self.precond!r}"

@@ -46,11 +46,27 @@ def test_config_rejects_negative_cap(driver):
     "field, value",
     [("eps_dimacs", 0.0), ("eps_dimacs", -1e-5), ("eps_dimacs", float("nan")),
      ("cg_floor", -1.0), ("cg_floor", 0.0), ("cg_floor", float("inf")),
-     ("cg_maxiter", 0)],
+     ("cg_maxiter", 0), ("rank", "two"), ("rank", 1.5), ("rank", 2.0), ("rank", None), ("rank", True)],
 )
 def test_config_rejects_out_of_range_settings(driver, field, value):
     with pytest.raises(ValueError, match=field):
         DRIVERS[driver][0](**{field: value})
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+@pytest.mark.parametrize("rank", [-1, 0, 3, "auto"])
+def test_config_keeps_int_and_auto_ranks(driver, rank):
+    """A negative rank is kept too: ``block_ranks`` clamps it to 0."""
+    assert DRIVERS[driver][0](rank=rank).rank == rank
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("r", 0.0), ("r", -1e-4), ("r", float("nan")), ("r", float("inf")), ("max_inner", 0), ("max_inner", -1)],
+)
+def test_pdal_config_rejects_out_of_range_settings(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        DRIVERS["pdal"][0](**{field: value})
 
 
 @pytest.mark.parametrize("driver", DRIVERS)

@@ -485,6 +485,21 @@ class TestInnerSolve:
         assert res.converged
         assert res.precond_kinds == ["gamma"]
 
+    def test_line_search_failure_returns_the_start_point(self, tru3, monkeypatch):
+        """With no trial step allowed the line search fails on the first
+        Newton step: the point and its merit are those of the start, and the
+        inner solve ends unconverged."""
+        monkeypatch.setattr(pdal, "LS_MAX_HALVINGS", 0)
+        _, _, prob = tru3
+        ctx, y = make_ctx(prob, seed=14)
+        x0 = BlockSymMatrix([np.eye(m) for m in prob.block_dims], np.ones(prob.nu))
+        start = merit(*pd_residuals(ctx, evaluate_point(ctx, y), x0))
+        res = inner_solve(ctx, y, x0, 1e-10, PdalConfig(max_inner=30), 1e-8, [1], e_outer=0.0)
+        assert res.iterations == 1 and res.line_search_failures == 1
+        assert res.converged is False and not res.early_stop and not res.cap_hit
+        assert res.merit == start
+        assert np.array_equal(res.ev.y, y)
+
     def test_beta_fallback_is_recorded(self, tru3, monkeypatch):
         def failing_build(*args):
             raise NotPositiveDefinite(0, "gamma companion factor")

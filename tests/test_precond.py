@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from lorank.ip import IpConfig, initial_point, ip_solve, make_scaling, nt_scaling, schur_matvec
 from lorank.linalg import sym
@@ -137,7 +138,7 @@ def piece_dense(piece, n):
     sup = piece.support
     for g in piece.g:
         g_u = np.zeros((n, piece.f.shape[0]))
-        g_u[np.nonzero(sup.real)[0], sup.rows[sup.real]] = g  # the real positions are distinct
+        g_u[np.nonzero(sup.real)[0], sup.rows[sup.real]] = g[sup.real]  # the real positions are distinct
         cols.append(g_u @ piece.f)
     return np.hstack(cols) if cols else np.zeros((n, 0))
 
@@ -156,8 +157,9 @@ def random_recipe(seed, dims, n, k):
 
 
 def recipe_dense_v(prob, recipe):
-    """The oracle V = [A_i'(U_i x F_i)] formed densely with Kronecker products."""
-    return np.hstack([prob.A[sup.block].toarray().T @ np.kron(u, f) for sup, u, f in recipe])
+    """The oracle V = [A_i'(U_i x F_i)] formed densely with Kronecker
+    products, from a recipe of one piece per block in block order."""
+    return np.hstack([prob.A[i].toarray().T @ np.kron(u, f) for i, (_, u, f) in enumerate(recipe)])
 
 
 # The IP iterate sampled per instance: the latest whose P a float64 solve
@@ -197,7 +199,9 @@ class TestAlpha:
         rng = np.random.default_rng(10 * block + k)
         u = rng.standard_normal((m, k))
         f = np.linalg.cholesky(rand_spd(rng, m))
-        got = piece_dense(low_rank_factor(prob.ops.supports[block], u, f), prob.n)
+        piece = low_rank_factor(prob.ops.supports[block], u, f)
+        assert not piece.g[:, ~piece.support.real].any()  # Theta sums the padding too
+        got = piece_dense(piece, prob.n)
         assert got.shape == (prob.n, k * m)
         want = prob.A[block].toarray().T @ np.kron(u, f)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -299,6 +303,34 @@ class TestSmwInverse:
         assert np.allclose(pc.apply_inv(rhs), want, rtol=1e-10)
 
     @pytest.mark.parametrize("seed", range(3))
+    def test_theta_matches_dense_oracle(self, seed):
+        """Theta = I + V' base^{-1} V, summed over the padded support grids,
+        on two blocks whose A_j touch different numbers of rows; A_0 is zero
+        on the first block, so its row of that grid is all padding."""
+        rng = np.random.default_rng(200 + seed)
+        dims, n, k = (4, 6), 26, 2
+        prob = random_problem(200 + seed, dims=dims, n=n, nu=2)
+        keep = np.ones(n)
+        keep[0] = 0.0
+        prob.A[0] = (prob.A[0] @ sp.diags(keep)).tocsr()
+        prob.A[0].eliminate_zeros()
+        sups = prob.ops.supports
+        assert not sups[0].real[0].any() and sups[1].real[0].any()
+        assert all(not sup.real.all() for sup in sups)  # padded slots on both blocks
+        recipe = [
+            (sup, rng.standard_normal((m, k)), np.linalg.cholesky(rand_spd(rng, m)))
+            for sup, m in zip(sups, dims)
+        ]
+        base = rng.random(n) + 0.5
+        pc = _smw("alpha", base, recipe)
+        assert pc.rank == k * sum(dims) < n and pc.theta_l is not None
+        v = pc.dense_v()
+        assert np.linalg.norm(v - recipe_dense_v(prob, recipe)) <= 1e-13 * np.linalg.norm(v)
+        want = np.eye(pc.rank) + v.T @ (v / base[:, None])
+        got = pc.theta_l @ pc.theta_l.T
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("seed", range(3))
     def test_symmetry_probe(self, seed):
         rng = np.random.default_rng(100 + seed)
         n = 8
@@ -383,8 +415,7 @@ class TestCluster:
         marks the real positions."""
         prob, _, _ = self.state(seed)
         padded = []
-        for i, (a_op, m, sup) in enumerate(zip(prob.A, prob.block_dims, prob.ops.supports)):
-            assert sup.block == i
+        for a_op, m, sup in zip(prob.A, prob.block_dims, prob.ops.supports):
             sizes = []
             for j in range(prob.n):
                 a = a_op[:, j].toarray().reshape(m, m)
@@ -439,8 +470,6 @@ class TestCluster:
 class TestTilde:
     def test_orthonormal_columns_agree_with_alpha(self):
         """With A'A = I the tilde base collapses to the alpha base."""
-        import scipy.sparse as sp
-
         from lorank.model import build_problem
 
         m = 3
