@@ -229,12 +229,12 @@ def initial_point(prob: SdpProblem) -> PrimalDualPoint:
 
 def _build_preconditioner(
     kind: str, prob: SdpProblem, splits: list[pc.SplitBlock], lin_diag: np.ndarray
-):
+) -> pc.SmwPreconditioner:
     """The ``kind`` build of one iteration (alpha, beta, cluster, tilde or
     none; the same kind on every iteration), or beta, cluster's base without
     its columns, when a stale split makes a low-rank build fail."""
     if kind == "none":
-        return None
+        return pc.identity(prob.n)
     try:
         if kind == "cluster":
             return pc.build_h_alpha(prob, splits, lin_diag, base="cluster")
@@ -248,19 +248,19 @@ def _build_preconditioner(
 
 
 def _dense_diagnostics(
-    prob: SdpProblem, scal: Scaling, splits: list[pc.SplitBlock], prec: pc.SmwPreconditioner | None
+    prob: SdpProblem, scal: Scaling, splits: list[pc.SplitBlock], prec: pc.SmwPreconditioner
 ) -> dict:
     """Dense conditioning record for one iteration (n <= diag limit) of the
-    preconditioner the iteration applied, P = I for none.  For alpha and
-    cluster it adds the split bound: their bases stand in for each
+    preconditioner the iteration applied.  For alpha and cluster it adds
+    the split bound: their bases stand in for each
     B_i = A_i'(W0_i x W0_i)A_i by tau_i^2 I and by diag(B_i)."""
     n = prob.n
     h = pc.dense_of(lambda v: schur_matvec(prob, scal, v), n)
-    kind = prec.kind if prec is not None else "none"
+    kind = prec.kind
     bounded = kind in ("alpha", "cluster")
     terms = [pc.dense_sandwich(a, s.w0, s.w0) for a, s in zip(prob.A, splits)] if bounded else []
     approx = [s.tau**2 * np.eye(n) if kind == "alpha" else np.diag(np.diag(t)) for s, t in zip(splits, terms)]
-    return {"precond": kind, **pc.conditioning(h, None if prec is None else prec.dense(), terms, approx)}
+    return {"precond": kind, **pc.conditioning(h, prec.dense(), terms, approx)}
 
 
 def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDualPoint, SolveReport]:
@@ -271,7 +271,6 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
     config = config or IpConfig()
     run = RunRecord(prob, config)
     pt = initial_point(prob)
-    ranks = pc.block_ranks(config.rank, prob.block_dims)
     status = "max_iterations"
     short_steps = 0  # consecutive iterations with min(alpha, beta) < STALL_STEP
 
@@ -291,10 +290,9 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
         mu = (pt.X.dot(pt.S)) / (prob.m_total + prob.nu)
         scal = make_scaling(pt)
         lin_diag = scal.lin_diag(prob)
-        splits = [pc.spectral_split(nt.w, k) for nt, k in zip(scal.blocks, ranks)]
+        splits = [pc.spectral_split(nt.w, config.rank) for nt in scal.blocks]
 
         prec = _build_preconditioner(config.precond, prob, splits, lin_diag)
-        prec_apply = prec.apply_inv if prec is not None else None
 
         if config.diag and prob.n <= DIAG_LIMIT:
             rec = _dense_diagnostics(prob, scal, splits, prec)
@@ -315,7 +313,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
             nonlocal status
             dy, rep = pcg_solve(
                 lambda v: schur_matvec(prob, scal, v),
-                prec_apply,
+                prec.apply_inv,
                 _rhs(prob, rp, wrdw, target),
                 tol=cg_tol,
                 maxiter=config.cg_maxiter,
@@ -338,7 +336,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
         # the corrector solves with the same H and P: deflate it with the
         # predictor's smallest Ritz pairs, when P has low-rank columns (on a
         # diagonal P, deflation cost vib5 none CG and stalled tru9 beta)
-        pred = direction(pt.X, "predictor", record=prec is not None and prec.rank > 0)
+        pred = direction(pt.X, "predictor", record=prec.rank > 0)
         if pred is None:
             break
         _, dX_p, dS_p, rep_p = pred
@@ -377,7 +375,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
         run.record(
             it,
             cg=rep_p.iterations + rep_c.iterations,
-            precond=prec.kind if prec is not None else "none",
+            precond=prec.kind,
             cg_tol=cg_tol,
             dimacs_max=errs.max(),
             mu=mu,

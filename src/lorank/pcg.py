@@ -2,9 +2,10 @@
 
 Operators are plain callables vector -> vector; both the system operator and
 the preconditioner inverse must act as symmetric positive definite maps.
-Long runs (the no-preconditioner baseline reaches 1e5 iterations in one
-system) drift in the recursive residual, so the true residual is recomputed
-every 50 iterations.
+The preconditioner is always given: the drivers' ``none`` kind applies
+P = I (``precond.identity``).  Long runs (the no-preconditioner baseline
+reaches 1e5 iterations in one system) drift in the recursive residual, so
+the true residual is recomputed every 50 iterations.
 
 Two options of ``pcg_solve`` let a second solve with the same H and P reuse
 the first (the IP's predictor and corrector).  ``record=True`` keeps the
@@ -121,13 +122,9 @@ def cg_tolerance(iteration: int, floor: float) -> float:
     return max(floor, 0.01 * 0.5**iteration)
 
 
-def identity_prec(v: np.ndarray) -> np.ndarray:
-    return v
-
-
 def pcg_solve(
     op: LinOp,
-    precond_inv: LinOp | None,
+    precond_inv: LinOp,
     rhs: np.ndarray,
     tol: float = 1e-6,
     maxiter: int = 100000,
@@ -148,8 +145,6 @@ def pcg_solve(
     (``_LanczosRecord.ritz_space``; None after a breakdown); recording does
     not change the iterates.
     """
-    if precond_inv is None:
-        precond_inv = identity_prec
     rhs = np.asarray(rhs, dtype=float)
     x = np.zeros_like(rhs)
     bnorm = float(np.linalg.norm(rhs))

@@ -309,23 +309,23 @@ def _block_pd(x: BlockSymMatrix) -> bool:
     return True
 
 
-def _pdal_preconditioner(ctx: OuterCtx, ev: PointEval, cfg: PdalConfig, ranks: list[int | str]):
+def _pdal_preconditioner(ctx: OuterCtx, ev: PointEval, cfg: PdalConfig) -> pc.SmwPreconditioner:
     """The ``cfg.precond`` build (gamma, delta, beta or none), or beta from
     gamma's base when a low-rank build meets a matrix that is not positive
     definite."""
     kind = cfg.precond
-    if kind == "none":
-        return None
     prob = ctx.prob
+    if kind == "none":
+        return pc.identity(prob.n)
     h_lin_diag = ctx.r + prob.ops.d_sq_t @ ev.wbar_lin
     w_mats = [xb / ctx.pi_lmi for xb in ev.xbar_blocks]
     v_mats = [ctx.pi_lmi * z for z in ev.z_blocks]
-    w_splits = [pc.spectral_split(w, k) for w, k in zip(w_mats, ranks)]
+    w_splits = [pc.spectral_split(w, cfg.rank) for w in w_mats]
     try:
         if kind == "gamma":
             return pc.build_h_gamma(prob, w_splits, v_mats, h_lin_diag)
         if kind == "delta":
-            v_splits = [pc.spectral_split(v, k) for v, k in zip(v_mats, ranks)]
+            v_splits = [pc.spectral_split(v, cfg.rank) for v in v_mats]
             return pc.build_h_delta(prob, w_splits, v_splits, h_lin_diag)
     except NotPositiveDefinite:
         pass
@@ -353,7 +353,6 @@ def inner_solve(
     eps_inner: float,
     cfg: PdalConfig,
     cg_tol: float,
-    ranks: list[int],
     e_outer: float,
     diagnostics: list[dict] | None = None,
     outer_index: int = 0,
@@ -369,14 +368,13 @@ def inner_solve(
     x_hat = x0.copy()
     ev = evaluate_point(ctx, y)
     cg_total = 0
-    ls_failures = 0
     kinds: list[str] = []
 
     for ell in range(cfg.max_inner):
         g1, g2 = pd_residuals(ctx, ev, x_hat)
         m_val = merit(g1, g2)
         if m_val <= eps_inner and _block_pd(x_hat):
-            return InnerResult(ev, x_hat, ell, cg_total, m_val, False, True, ls_failures, kinds)
+            return InnerResult(ev, x_hat, ell, cg_total, m_val, False, True, precond_kinds=kinds)
         # the residual clauses first: they are cheap, and most points that
         # fail the conjunction fail one of them before pd_error is measured
         if (
@@ -386,17 +384,15 @@ def inner_solve(
             and pd_error(prob, y, x_hat, ev.slack(), ev.slack_min_eigs) < 0.5 * e_outer
             and _block_pd(x_hat)
         ):
-            return InnerResult(ev, x_hat, ell, cg_total, m_val, True, True, ls_failures, kinds)
+            return InnerResult(ev, x_hat, ell, cg_total, m_val, True, True, precond_kinds=kinds)
 
-        prec = _pdal_preconditioner(ctx, ev, cfg, ranks)
-        prec_apply = prec.apply_inv if prec is not None else None
-        kind = prec.kind if prec is not None else "none"
-        if kind not in kinds:
-            kinds.append(kind)
+        prec = _pdal_preconditioner(ctx, ev, cfg)
+        if prec.kind not in kinds:
+            kinds.append(prec.kind)
         if diagnostics is not None and prob.n <= DIAG_LIMIT:
             diagnostics.append(_dense_hessian_record(ctx, ev, prec, outer_index, ell))
         op = lambda v: hessian_matvec(ctx, ev, v)  # noqa: E731
-        dy, rep = pcg_solve(op, prec_apply, -ev.grad, tol=cg_tol, maxiter=cfg.cg_maxiter)
+        dy, rep = pcg_solve(op, prec.apply_inv, -ev.grad, tol=cg_tol, maxiter=cfg.cg_maxiter)
         cg_total += rep.iterations
         if not rep.usable:
             raise InnerCgFailure(
@@ -429,29 +425,29 @@ def inner_solve(
             # step collapsed below ~1e-12 (merit at its float64 floor): hand
             # the unchanged point back so the outer loop can refresh
             # multipliers; it failed the convergence test at the top
-            ls_failures += 1
-            return InnerResult(ev, x_hat, ell + 1, cg_total, m_val, False, False, ls_failures, kinds)
+            return InnerResult(
+                ev, x_hat, ell + 1, cg_total, m_val, False, False, line_search_failures=1, precond_kinds=kinds
+            )
 
     g1, g2 = pd_residuals(ctx, ev, x_hat)
     return InnerResult(
-        ev, x_hat, cfg.max_inner, cg_total, merit(g1, g2), False, False, ls_failures, kinds,
-        cap_hit=True,
+        ev, x_hat, cfg.max_inner, cg_total, merit(g1, g2), False, False, precond_kinds=kinds, cap_hit=True
     )
 
 
 def _dense_hessian_record(
-    ctx: OuterCtx, ev: PointEval, prec: pc.SmwPreconditioner | None, outer: int, inner: int
+    ctx: OuterCtx, ev: PointEval, prec: pc.SmwPreconditioner, outer: int, inner: int
 ) -> dict:
     """Dense record of one Newton step (n <= diag limit): the extreme
     eigenvalues of the Hessian, against the floor r, and its conditioning
-    under the preconditioner the step applied, P = I for none."""
+    under the preconditioner the step applied."""
     h = pc.dense_of(lambda v: hessian_matvec(ctx, ev, v), ctx.prob.n)
     return {
         "outer": outer,
         "inner": inner,
-        "precond": prec.kind if prec is not None else "none",
+        "precond": prec.kind,
         "r": ctx.r,
-        **pc.conditioning(h, None if prec is None else prec.dense()),
+        **pc.conditioning(h, prec.dense()),
     }
 
 
@@ -470,7 +466,6 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
     cfg = config or PdalConfig()
     run = RunRecord(prob, cfg)
     n = prob.n
-    ranks = pc.block_ranks(cfg.rank, prob.block_dims)
 
     y = np.zeros(n)
     x = BlockSymMatrix([np.eye(m) for m in prob.block_dims], np.ones(prob.nu))
@@ -505,7 +500,7 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
         e_outer = _pd_error_of(errs)
         try:
             res = inner_solve(
-                ctx, y, x, eps_k, cfg, cg_tol, ranks, e_outer,
+                ctx, y, x, eps_k, cfg, cg_tol, e_outer,
                 run.diagnostics if cfg.diag else None, k,
             )
         except InnerCgFailure as exc:

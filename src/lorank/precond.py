@@ -24,7 +24,10 @@ is constructed:
 
 ``beta`` is the driver's default kind without its columns: cluster's base
 for ip, gamma's for pdal.  Both drivers fall back to it when a low-rank
-build meets a matrix that is not positive definite.
+build meets a matrix that is not positive definite.  ``none`` is P = I
+(``identity``), so each driver applies an ``SmwPreconditioner`` on every
+solve.  Each block's outlier count comes from the config's ``rank``,
+clamped to the block by ``spectral_split``.
 
 Every build returns through one SMW assembly, which keeps the low-rank
 block V = G F factored (G sparse, F block diagonal) and applies P through
@@ -112,28 +115,18 @@ def detect_rank(eigs: np.ndarray) -> int:
     return min(k, m - 1)
 
 
-def block_ranks(rank: int | str, dims: Sequence[int]) -> list[int | str]:
-    """Outlier count per block: "auto" for every block, or the given count
-    clamped to [0, m - 1] for each block."""
-    if rank == "auto":
-        return ["auto"] * len(dims)
-    return [min(max(0, rank), m - 1) for m in dims]
-
-
-def spectral_split(w: np.ndarray, k: int | str) -> SplitBlock:
+def spectral_split(w: np.ndarray, rank: int | str) -> SplitBlock:
     """Split a positive definite scaling matrix into cluster + rank-k part.
 
-    ``k`` may be "auto" to derive the outlier count from the spectrum.  The
-    cluster threshold tau is ``tau_cluster_mean``.  When it exceeds the
-    largest cluster eigenvalue the split is degenerate; tau is pulled just
-    below it so the decomposition identity still holds exactly.
+    ``rank`` is the config's: an int is clamped to [0, m - 1] for the block,
+    "auto" derives k from the spectrum (``detect_rank``).  The cluster
+    threshold tau is ``tau_cluster_mean``.  When it exceeds the largest
+    cluster eigenvalue the split is degenerate; tau is pulled just below it
+    so the decomposition identity still holds exactly.
     """
     m = w.shape[0]
     lam, q = sym_eig(w)
-    if k == "auto":
-        k = detect_rank(lam)
-    if k >= m:
-        raise ValueError(f"rank hint k={k} must be < block dim {m}")
+    k = detect_rank(lam) if rank == "auto" else min(max(0, rank), m - 1)
     tau = tau_cluster_mean(lam, k)
     lam_edge = lam[m - k - 1]  # largest eigenvalue kept in the cluster
     degenerate = tau > lam_edge
@@ -377,6 +370,11 @@ def build_h_beta(a_diag: np.ndarray) -> SmwPreconditioner:
     return _smw("beta", a_diag, [])
 
 
+def identity(n: int) -> SmwPreconditioner:
+    """The ``none`` kind: P = I, rank 0; its apply x / 1.0 is exact."""
+    return _smw("none", np.ones(n), [])
+
+
 def build_h_tilde(
     prob: SdpProblem,
     splits: Sequence[SplitBlock],
@@ -477,12 +475,12 @@ def dense_sandwich(a_op: sp.csr_matrix, left: np.ndarray, right: np.ndarray) -> 
 
 def conditioning(
     h: np.ndarray,
-    p: np.ndarray | None,
+    p: np.ndarray,
     terms: Sequence[np.ndarray] = (),
     approx: Sequence[np.ndarray] = (),
 ) -> dict:
     """Extreme eigenvalues and condition number of H, and the condition
-    number of P^{-1}H read from the pencil (H, P); P = None is P = I.
+    number of P^{-1}H read from the pencil (H, P).
 
     ``terms`` are the exact per-block contributions B_i that P approximates
     by ``approx`` (for alpha: the clustered sandwich A'(W0 x W0)A versus

@@ -1,8 +1,9 @@
 """Ground-structure truss topology SDP generator and solution verifier.
 
 A g x g grid of nodes with unit spacing, the left column fixed, and every
-node pair connected by a candidate bar.  Bar volumes t minimize total volume
-subject to a compliance bound, expressed through the Schur-complement block
+node pair connected by a candidate bar of unit Young's modulus.  Bar volumes
+t minimize total volume subject to a compliance bound, expressed through the
+Schur-complement block
 
     [[gamma, -f'], [-f, K(t)]] >= 0,
 
@@ -18,7 +19,7 @@ the reported dual objective b'y equals minus the truss volume.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -39,11 +40,6 @@ class GroundStructure:
     bars: np.ndarray         # (n_bars, 2) node pairs, first < second
     lengths: np.ndarray
     load: np.ndarray         # (ndof,)
-    young: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.young is None:
-            self.young = np.ones(len(self.bars))
 
     @property
     def n_bars(self) -> int:
@@ -118,13 +114,13 @@ def gen_ground(g: int, variant: str = "tru") -> GroundStructure:
 
 
 def _stiffness_entries(gs: GroundStructure):
-    """Lower triangles of the rank-one bar stiffnesses (E/l^2) gamma gamma'
+    """Lower triangles of the rank-one bar stiffnesses (1/l^2) gamma gamma'
     on the free DOFs, as arrays (bar, row, col, value); zeros included."""
     short = np.flatnonzero(gs.lengths <= 0)
     if short.size:
         raise ValueError(f"bar {short[0]} has zero length")
     a, b = np.tril_indices(4)
-    coeff = gs.young / gs.lengths**2
+    coeff = 1.0 / gs.lengths**2
     val = coeff[:, None] * gs.bar_cosines[:, a] * gs.bar_cosines[:, b]
     row, col = gs.bar_dofs[:, a], gs.bar_dofs[:, b]
     free = (row >= 0) & (col >= 0)
@@ -133,9 +129,9 @@ def _stiffness_entries(gs: GroundStructure):
 
 
 def assemble_stiffness(gs: GroundStructure, t: np.ndarray) -> np.ndarray:
-    """K(t) = sum_i t_i (E_i/l_i^2) gamma_i gamma_i', summed in bar order."""
+    """K(t) = sum_i (t_i/l_i^2) gamma_i gamma_i', summed in bar order."""
     a, b = np.divmod(np.arange(16), 4)
-    coeff = t * gs.young / gs.lengths**2
+    coeff = t / gs.lengths**2
     val = coeff[:, None] * (gs.bar_cosines[:, a] * gs.bar_cosines[:, b])
     row, col = gs.bar_dofs[:, a], gs.bar_dofs[:, b]
     free = (row >= 0) & (col >= 0)

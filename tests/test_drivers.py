@@ -56,8 +56,21 @@ def test_config_rejects_out_of_range_settings(driver, field, value):
 @pytest.mark.parametrize("driver", DRIVERS)
 @pytest.mark.parametrize("rank", [-1, 0, 3, "auto"])
 def test_config_keeps_int_and_auto_ranks(driver, rank):
-    """A negative rank is kept too: ``block_ranks`` clamps it to 0."""
+    """A negative rank is kept too: ``spectral_split`` clamps it to 0."""
     assert DRIVERS[driver][0](rank=rank).rank == rank
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_none_applies_the_identity_on_every_row(driver, tru3):
+    """``none`` is P = I through the same apply as every kind: each trace
+    row names it, and the IP never deflates its corrector with it."""
+    _, _, prob = tru3
+    config_cls, solve = DRIVERS[driver]
+    _, rep = solve(prob, config_cls(precond="none"))
+    assert rep.converged and rep.trace
+    assert all(row["precond"] == "none" for row in rep.trace)
+    if driver == "ip":
+        assert all(row["defl_rank"] == 0 for row in rep.trace)
 
 
 @pytest.mark.parametrize(

@@ -230,7 +230,7 @@ class TestRhsAndRecovery:
 
         def solve(target):
             r = _rhs(prob, rp, wrdw, target)
-            dy, rep = pcg_solve(lambda v: schur_matvec(prob, scal, v), None, r, tol=cg_tol)
+            dy, rep = pcg_solve(lambda v: schur_matvec(prob, scal, v), lambda v: v, r, tol=cg_tol)
             assert rep.converged
             return r, dy, *recover_directions(prob, scal, dy, rd, target)
 

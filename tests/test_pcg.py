@@ -12,25 +12,25 @@ from conftest import rand_spd, spd_with_spectrum
 class TestBasics:
     def test_identity_single_iteration(self):
         rhs = np.array([1.0, -2.0, 3.0])
-        x, rep = pcg_solve(lambda v: v, None, rhs, tol=1e-12)
+        x, rep = pcg_solve(lambda v: v, lambda v: v, rhs, tol=1e-12)
         assert rep.converged
         assert rep.iterations <= 1
         assert np.allclose(x, rhs)
 
     def test_distinct_eigenvalues_finite_termination(self):
         d = np.arange(1.0, 11.0)
-        x, rep = pcg_solve(lambda v: d * v, None, np.ones(10), tol=1e-10)
+        x, rep = pcg_solve(lambda v: d * v, lambda v: v, np.ones(10), tol=1e-10)
         assert rep.converged
         assert rep.iterations <= 10
         assert np.allclose(x, 1.0 / d, rtol=1e-8)
 
     def test_zero_rhs(self):
-        x, rep = pcg_solve(lambda v: 2 * v, None, np.zeros(4))
+        x, rep = pcg_solve(lambda v: 2 * v, lambda v: v, np.zeros(4))
         assert rep.converged and rep.iterations == 0
         assert np.all(x == 0.0)
 
     def test_breakdown_on_indefinite(self):
-        x, rep = pcg_solve(lambda v: -v, None, np.ones(3), tol=1e-10)
+        x, rep = pcg_solve(lambda v: -v, lambda v: v, np.ones(3), tol=1e-10)
         assert rep.breakdown and not rep.converged
 
     def test_exact_inverse_preconditioner(self):
@@ -47,7 +47,7 @@ class TestBasics:
         a = rand_spd(rng, 20)
         rhs = rng.standard_normal(20)
         tol = 1e-10
-        x, rep = pcg_solve(lambda v: a @ v, None, rhs, tol=tol, maxiter=500)
+        x, rep = pcg_solve(lambda v: a @ v, lambda v: v, rhs, tol=tol, maxiter=500)
         assert rep.converged
         expected = np.linalg.solve(a, rhs)
         assert np.linalg.norm(x - expected) <= tol * 10 * np.linalg.norm(expected)
@@ -55,7 +55,7 @@ class TestBasics:
     def test_maxiter_flag(self):
         rng = np.random.default_rng(2)
         a = rand_spd(rng, 30)
-        x, rep = pcg_solve(lambda v: a @ v, None, rng.standard_normal(30), tol=1e-14, maxiter=2)
+        x, rep = pcg_solve(lambda v: a @ v, lambda v: v, rng.standard_normal(30), tol=1e-14, maxiter=2)
         assert not rep.converged and rep.iterations == 2
 
     def test_usable(self):
@@ -136,7 +136,7 @@ class TestOutlierBound:
             np.concatenate([np.linspace(1.0, 2.0, n - k), 1e3 * (1.0 + np.arange(k))]),
         )
         rhs = rng.standard_normal(n)
-        x, rep = pcg_solve(lambda v: a @ v, None, rhs, tol=1e-10, maxiter=60)
+        x, rep = pcg_solve(lambda v: a @ v, lambda v: v, rhs, tol=1e-10, maxiter=60)
         assert rep.converged
         assert rep.iterations <= k + 30
 
@@ -309,7 +309,7 @@ class TestDeflation:
         monkeypatch.setattr(_LanczosRecord, "ritz_space", spy)
         rng = np.random.default_rng(5)
         a = spd_with_spectrum(rng, np.geomspace(1e-4, 1.0, 200))
-        _, rep = pcg_solve(lambda v: a @ v, None, rng.standard_normal(200), tol=1e-14, maxiter=120, record=True)
+        _, rep = pcg_solve(lambda v: a @ v, lambda v: v, rng.standard_normal(200), tol=1e-14, maxiter=120, record=True)
         assert rep.iterations == 120 and kept == [RECORD_DIRS]
         assert rep.deflation.rank <= DEFLATE_RANK
 

@@ -442,7 +442,7 @@ class TestResidualsMeritNewton:
         )
         g1, g2 = pd_residuals(ctx, ev, x_hat)
         tol = 1e-12
-        dy, rep = pcg_solve(lambda v: hessian_matvec(ctx, ev, v), None, -ev.grad, tol=tol)
+        dy, rep = pcg_solve(lambda v: hessian_matvec(ctx, ev, v), lambda v: v, -ev.grad, tol=tol)
         assert rep.converged
         dx = newton_direction(ctx, ev, x_hat, g2, dy)
         # first block equation: r dy + A*(dx) = -G1
@@ -470,7 +470,7 @@ class TestInnerSolve:
         ev2 = evaluate_point(ctx2, y)
         x0 = BlockSymMatrix([b.copy() for b in ev2.xbar_blocks], ev2.xbar_lin.copy())
         res = inner_solve(
-            ctx2, y, x0, 1e-12, PdalConfig(), 1e-8, [1], e_outer=1.0
+            ctx2, y, x0, 1e-12, PdalConfig(), 1e-8, e_outer=1.0
         )
         assert res.iterations == 0
         assert res.converged
@@ -480,7 +480,7 @@ class TestInnerSolve:
         ctx, y = make_ctx(prob, seed=14)
         x0 = BlockSymMatrix([np.eye(m) for m in prob.block_dims], np.ones(prob.nu))
         # e_outer = 0 disables early stopping, forcing merit convergence
-        res = inner_solve(ctx, y, x0, 1e-10, PdalConfig(max_inner=30), 1e-8, [1], e_outer=0.0)
+        res = inner_solve(ctx, y, x0, 1e-10, PdalConfig(max_inner=30), 1e-8, e_outer=0.0)
         assert res.merit <= 1e-10
         assert res.converged
         assert res.precond_kinds == ["gamma"]
@@ -494,7 +494,7 @@ class TestInnerSolve:
         ctx, y = make_ctx(prob, seed=14)
         x0 = BlockSymMatrix([np.eye(m) for m in prob.block_dims], np.ones(prob.nu))
         start = merit(*pd_residuals(ctx, evaluate_point(ctx, y), x0))
-        res = inner_solve(ctx, y, x0, 1e-10, PdalConfig(max_inner=30), 1e-8, [1], e_outer=0.0)
+        res = inner_solve(ctx, y, x0, 1e-10, PdalConfig(max_inner=30), 1e-8, e_outer=0.0)
         assert res.iterations == 1 and res.line_search_failures == 1
         assert res.converged is False and not res.early_stop and not res.cap_hit
         assert res.merit == start
@@ -508,7 +508,7 @@ class TestInnerSolve:
         _, _, prob = tru3
         ctx, y = make_ctx(prob, seed=14)
         x0 = BlockSymMatrix([np.eye(m) for m in prob.block_dims], np.ones(prob.nu))
-        res = inner_solve(ctx, y, x0, 1e-10, PdalConfig(max_inner=30), 1e-8, [1], e_outer=0.0)
+        res = inner_solve(ctx, y, x0, 1e-10, PdalConfig(max_inner=30), 1e-8, e_outer=0.0)
         assert res.converged
         assert res.precond_kinds == ["beta"]
 
@@ -518,14 +518,14 @@ class TestInnerSolve:
         _, _, prob = tru3
         ctx, y = make_ctx(prob, seed=14)
         ev = evaluate_point(ctx, y)
-        gamma = _pdal_preconditioner(ctx, ev, PdalConfig(), [1])
-        beta = _pdal_preconditioner(ctx, ev, PdalConfig(precond="beta"), [1])
+        gamma = _pdal_preconditioner(ctx, ev, PdalConfig())
+        beta = _pdal_preconditioner(ctx, ev, PdalConfig(precond="beta"))
 
         def failing_build(*args):
             raise NotPositiveDefinite(0, "gamma companion factor")
 
         monkeypatch.setattr(precond, "build_h_gamma", failing_build)
-        fallback = _pdal_preconditioner(ctx, ev, PdalConfig(), [1])
+        fallback = _pdal_preconditioner(ctx, ev, PdalConfig())
         assert gamma.kind == "gamma" and gamma.rank > 0
         for pc in (beta, fallback):
             assert pc.kind == "beta" and pc.rank == 0

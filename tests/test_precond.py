@@ -9,7 +9,6 @@ from lorank.pdal import OuterCtx, PdalConfig, _pdal_preconditioner, evaluate_poi
 from lorank.precond import (
     _smw,
     alpha_base,
-    block_ranks,
     build_h_alpha,
     build_h_beta,
     build_h_delta,
@@ -19,7 +18,9 @@ from lorank.precond import (
     conditioning,
     dense_of,
     dense_sandwich,
+    detect_rank,
     gamma_base,
+    identity,
     low_rank_factor,
     spectral_split,
     tau_cluster_mean,
@@ -90,18 +91,21 @@ class TestSpectralSplit:
         assert s.u.shape == (10, 2)
         assert np.linalg.matrix_rank(s.u) == 2
 
-    def test_rank_hint_too_large(self):
-        with pytest.raises(ValueError):
-            spectral_split(np.eye(3), 3)
-
-    def test_block_ranks(self):
-        assert block_ranks(2, [13, 12]) == [2, 2]
-        assert block_ranks("auto", [13, 12]) == ["auto", "auto"]
-        # clamped to m - 1, negative counts to 0, a 1 x 1 block has no outliers
-        assert block_ranks(20, [13, 5]) == [12, 4]
-        assert block_ranks(-1, [13, 1]) == [0, 0]
-        # rank 0 is honoured: both drivers take their ranks from here
-        assert block_ranks(0, [13, 12]) == [0, 0]
+    def test_rank_is_clamped_to_the_block(self):
+        """The config's rank goes to the split as it is: an int is clamped
+        to [0, m - 1], "auto" reads the spectrum."""
+        w = np.diag([1.0, 1.1, 1.2, 1e4, 1e5])
+        assert spectral_split(w, -1).k == 0
+        assert spectral_split(w, 0).k == 0
+        assert spectral_split(w, 2).k == 2
+        for rank in (4, 5, 20):
+            s = spectral_split(w, rank)
+            assert s.k == 4 and s.u.shape == (5, 4)
+            assert np.allclose(s.w0 + s.u @ s.u.T, w, rtol=1e-12, atol=1e-9)
+        assert spectral_split(np.array([[2.0]]), 3).k == 0
+        assert spectral_split(np.array([[2.0]]), "auto").k == 0
+        # the largest relative gap, 1.2 -> 1e4, leaves two outliers
+        assert spectral_split(w, "auto").k == detect_rank(np.diag(w)) == 2
 
     @pytest.mark.parametrize("seed", range(3))
     def test_reconstruction_property(self, seed):
@@ -184,7 +188,7 @@ def late_state_preconditioner(prob, kind, rank, ip_iterate=12):
     pt, _ = pdal_solve(prob, PdalConfig(max_iter=12, eps_dimacs=1e-30))
     ctx = OuterCtx(prob, pt.y, pt.X.blocks, pt.X.lin, pi_lmi=1.0, pi_lin=1.0, r=1e-3)
     cfg = PdalConfig(precond=kind, rank=rank)
-    pc = _pdal_preconditioner(ctx, evaluate_point(ctx, pt.y), cfg, block_ranks(rank, prob.block_dims))
+    pc = _pdal_preconditioner(ctx, evaluate_point(ctx, pt.y), cfg)
     assert pc.kind == kind
     return pc
 
@@ -396,6 +400,16 @@ class TestBeta:
         s = spectral_split(np.eye(3), 0)
         with pytest.raises(ValueError, match="nonpositive"):
             build_h_beta(alpha_base([s], np.array([-10.0, 0.0, 0.0]), 3))
+
+
+def test_identity_is_exact():
+    """The ``none`` kind: P = I with no columns, and x / 1.0 gives x bit
+    for bit."""
+    pc = identity(7)
+    x = np.random.default_rng(5).standard_normal(7) * np.geomspace(1e-300, 1e300, 7)
+    assert pc.kind == "none" and pc.rank == 0 and pc.n == 7
+    assert pc.apply_inv(x).tobytes() == x.tobytes()
+    assert np.array_equal(pc.dense(), np.eye(7))
 
 
 class TestCluster:
