@@ -91,19 +91,28 @@ class TestSpectralSplit:
         assert s.u.shape == (10, 2)
         assert np.linalg.matrix_rank(s.u) == 2
 
-    def test_rank_is_clamped_to_the_block(self):
-        """The config's rank goes to the split as it is: an int is clamped
-        to [0, m - 1], "auto" reads the spectrum."""
+    def test_rank_hint_too_large(self):
+        """A rank of m or more is clamped to m - 1, not refused."""
         w = np.diag([1.0, 1.1, 1.2, 1e4, 1e5])
-        assert spectral_split(w, -1).k == 0
-        assert spectral_split(w, 0).k == 0
-        assert spectral_split(w, 2).k == 2
         for rank in (4, 5, 20):
             s = spectral_split(w, rank)
             assert s.k == 4 and s.u.shape == (5, 4)
             assert np.allclose(s.w0 + s.u @ s.u.T, w, rtol=1e-12, atol=1e-9)
+        s = spectral_split(np.eye(3), 3)
+        assert s.k == 2 and s.u.shape == (3, 2)
+        assert np.allclose(s.w0 + s.u @ s.u.T, np.eye(3), atol=1e-12)
+        # a 1 x 1 block has no outliers
         assert spectral_split(np.array([[2.0]]), 3).k == 0
         assert spectral_split(np.array([[2.0]]), "auto").k == 0
+
+    def test_block_ranks(self):
+        """The config's rank goes to each block's split as it is: an int is
+        kept within [0, m - 1], "auto" reads the block's spectrum."""
+        w = np.diag([1.0, 1.1, 1.2, 1e4, 1e5])
+        assert spectral_split(w, -1).k == 0
+        # rank 0 is honoured: both drivers pass the config's rank through
+        assert spectral_split(w, 0).k == 0
+        assert spectral_split(w, 2).k == 2
         # the largest relative gap, 1.2 -> 1e4, leaves two outliers
         assert spectral_split(w, "auto").k == detect_rank(np.diag(w)) == 2
 
