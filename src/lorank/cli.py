@@ -43,12 +43,6 @@ class ConfigError(ValueError):
     """A solver configuration built from the command line was rejected."""
 
 
-def _rank_arg(value: str):
-    if value == "auto":
-        return "auto"
-    return int(value)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -104,8 +98,7 @@ def _solver_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precond", choices=list(dict.fromkeys(IP_KINDS + PDAL_KINDS)), default=None,
                    help=f"ip: {'|'.join(IP_KINDS)} (default {IpConfig.precond}); "
                         f"pdal: {'|'.join(PDAL_KINDS)} (default {PdalConfig.precond})")
-    p.add_argument("--rank", type=_rank_arg, default=1,
-                   help="expected dual rank per block, or 'auto'")
+    p.add_argument("--rank", type=int, default=1, help="expected dual rank per block")
     p.add_argument("--tol", type=float, default=1e-5, help="DIMACS stopping tolerance")
     p.add_argument("--cg-maxiter", type=int, default=100000)
     p.add_argument("--cg-floor", type=float, default=None,

@@ -96,37 +96,19 @@ def tau_cluster_mean(eigs: np.ndarray, k: int) -> float:
     return float(eigs[0] + 0.5 * np.mean(eigs[: m - k]))
 
 
-def detect_rank(eigs: np.ndarray) -> int:
-    """Outlier count for auto rank detection.
-
-    The cluster boundary is the largest relative gap in the sorted spectrum
-    when that gap exceeds 100x (a median-based count fails when fewer than
-    half the eigenvalues belong to the cluster); without such a gap, fall
-    back to counting eigenvalues above 100x the median.
-    """
-    m = eigs.size
-    if m < 2:
-        return 0
-    ratios = eigs[1:] / np.maximum(eigs[:-1], 1e-300)
-    i = int(np.argmax(ratios))
-    if ratios[i] >= 100.0:
-        return min(m - 1 - i, m - 1)
-    k = int(np.sum(eigs > 100.0 * np.median(eigs)))
-    return min(k, m - 1)
-
-
-def spectral_split(w: np.ndarray, rank: int | str) -> SplitBlock:
+def spectral_split(w: np.ndarray, rank: int) -> SplitBlock:
     """Split a positive definite scaling matrix into cluster + rank-k part.
 
-    ``rank`` is the config's: an int is clamped to [0, m - 1] for the block,
-    "auto" derives k from the spectrum (``detect_rank``).  The cluster
-    threshold tau is ``tau_cluster_mean``.  When it exceeds the largest
-    cluster eigenvalue the split is degenerate; tau is pulled just below it
-    so the decomposition identity still holds exactly.
+    ``rank`` is the config's outlier count k, clamped to [0, m - 1] for the
+    block: the rank the solution is known to have per block, one on the
+    single-load truss instances.  The cluster threshold tau is
+    ``tau_cluster_mean``.  When it exceeds the largest cluster eigenvalue
+    the split is degenerate; tau is pulled just below it so the
+    decomposition identity still holds exactly.
     """
     m = w.shape[0]
     lam, q = sym_eig(w)
-    k = detect_rank(lam) if rank == "auto" else min(max(0, rank), m - 1)
+    k = min(max(0, rank), m - 1)
     tau = tau_cluster_mean(lam, k)
     lam_edge = lam[m - k - 1]  # largest eigenvalue kept in the cluster
     degenerate = tau > lam_edge

@@ -66,7 +66,7 @@ class SolverConfig:
     precond: str                     # one of KINDS
     cg_floor: float                  # floor of pcg.cg_tolerance's schedule
     eps_dimacs: float = 1e-5         # stop when every DIMACS measure is at or below it
-    rank: int | str = 1              # outlier count of every block, or "auto"
+    rank: int = 1                    # outlier count of every block
     cg_maxiter: int = 100000
     diag: bool = False               # dense diagnostics for n <= DIAG_LIMIT
 
@@ -79,8 +79,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.cg_maxiter < 1:
             raise ValueError(f"cg_maxiter must be >= 1, got {self.cg_maxiter!r}")
-        if self.rank != "auto" and type(self.rank) is not int:
-            raise ValueError(f"rank must be an int or 'auto', got {self.rank!r}")
+        if type(self.rank) is not int:
+            raise ValueError(f"rank must be an int, got {self.rank!r}")
         if self.precond not in self.KINDS:
             raise ValueError(
                 f"{self.SOLVER} preconditioner must be one of {'|'.join(self.KINDS)}, got {self.precond!r}"

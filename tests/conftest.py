@@ -22,7 +22,7 @@ def pytest_terminal_summary(terminalreporter):
 
 from lorank.ip import IpConfig, ip_solve
 from lorank.model import SdpProblem, apply_A_adjoint, build_problem
-from lorank.pdal import OuterCtx, pdal_config_profile, pdal_solve, penalty_eval, z_matrix
+from lorank.pdal import OuterCtx, PdalConfig, pdal_solve, penalty_eval, z_matrix
 from lorank.truss import TrussSdpSpec, assemble_sdp, gen_ground
 
 
@@ -206,25 +206,25 @@ def vib3_ip(vib3):
 @pytest.fixture(scope="session")
 def tru3_pdal(tru3):
     _, _, prob = tru3
-    return pdal_solve(prob, pdal_config_profile("tru"))
+    return pdal_solve(prob, PdalConfig())
 
 
 @pytest.fixture(scope="session")
 def tru3e_pdal(tru3e):
     _, _, prob = tru3e
-    return pdal_solve(prob, pdal_config_profile("tru"))
+    return pdal_solve(prob, PdalConfig())
 
 
 @pytest.fixture(scope="session")
 def tru5_pdal(tru5):
     _, _, prob = tru5
-    return pdal_solve(prob, pdal_config_profile("tru"))
+    return pdal_solve(prob, PdalConfig())
 
 
 @pytest.fixture(scope="session")
 def vib3_pdal(vib3):
     _, _, prob = vib3
-    return pdal_solve(prob, pdal_config_profile("tru"))
+    return pdal_solve(prob, PdalConfig())
 
 
 @pytest.fixture(scope="session")
@@ -237,13 +237,13 @@ def tru3e_ip_tight(tru3e):
 
 @pytest.fixture(scope="session")
 def tru3_ip_diag(tru3):
-    """Dense-diagnostic run used by the conditioning-bound criteria; auto
-    rank detection lets the split follow the true outlier count."""
+    """Dense-diagnostic run of the default kind (``cluster``, rank 1) for
+    the conditioning-bound criterion."""
     _, _, prob = tru3
-    return ip_solve(prob, IpConfig(precond="alpha", rank="auto", diag=True))
+    return ip_solve(prob, IpConfig(diag=True))
 
 
 @pytest.fixture(scope="session")
 def tru3_pdal_diag(tru3):
     _, _, prob = tru3
-    return pdal_solve(prob, pdal_config_profile("tru", diag=True))
+    return pdal_solve(prob, PdalConfig(diag=True))

@@ -80,12 +80,12 @@ def test_pdal_evaluates_points_only_in_inner_solve(tracing, vib5):
     """The multiplier repair reads the inner solve's last evaluation; on
     vib5 with r = 0.01 it repairs from outer 49 on (the default r solves
     vib5 without a repair)."""
-    from lorank.pdal import pdal_config_profile, pdal_solve
+    from lorank.pdal import PdalConfig, pdal_solve
 
     _, _, prob = vib5
     tracer = tracing.Tracer()
     with tracer.patched():
-        pdal_solve(prob, pdal_config_profile("tru", r=0.01, max_iter=55))
+        pdal_solve(prob, PdalConfig(r=0.01, max_iter=55))
     spans = tracer.spans
     evals = [rec for rec in spans if rec[0] == "pdal.evaluate_point"]
     assert evals
@@ -158,3 +158,44 @@ def test_low_rank_factor_once_per_piece_inside_its_build(tracing, vib3):
         assert builds, cfg.precond
         assert all(spans[parent][0] == "precond.build_h" for parent in pieces), cfg.precond
         assert [pieces[i] for i in builds] == [per_build] * len(builds), cfg.precond
+
+
+@pytest.mark.parametrize("solver, instance", [("ip", "tru5"), ("ip", "vib3"), ("pdal", "vib3"), ("pdal", "tru5")])
+def test_traced_run_counts_what_the_report_counts(tracing, request, solver, instance):
+    """The benchmark's traced checks at the defaults, on small inputs: the
+    tracer sees every linear solve (two per IP iteration, one per PDAL
+    Newton step) and every CG iteration, and tracing leaves the counts of
+    the untraced run alone.  Each layer the tracer patches for the driver
+    records at least one call per outer iteration (the PDAL early-stopping
+    test's ``pd_error`` at least one call), so a layer reached
+    through a binding the tracer does not patch (``from .precond import
+    spectral_split`` in a driver, or a shared helper calling
+    ``pcg.pcg_solve`` from its own module) fails here."""
+    from lorank.cli import DRIVERS
+
+    _, untraced = request.getfixturevalue(f"{instance}_{solver}")
+    _, _, prob = request.getfixturevalue(instance)
+    config_cls, solve = DRIVERS[solver]
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        _, rep = solve(prob, config_cls())
+    assert rep.status == "optimal"
+    assert (rep.iterations, rep.cg_total) == (untraced.iterations, untraced.cg_total)
+    assert _untimed(rep.trace) == _untimed(untraced.trace)
+
+    other = {"ip": "lorank.pdal", "pdal": "lorank.ip"}[solver]
+    layers = sorted({entry[-1] for entry in tracing.MODULE_FUNCTIONS + tracing.METHODS if entry[0] != other})
+    totals = tracer.layer_totals()
+    calls = {layer: totals.get(layer, {"calls": 0})["calls"] for layer in layers}
+    # harness.linear_solves: two per IP iteration, one per PDAL Newton step
+    solves = 2 * rep.iterations if solver == "ip" else sum(row["inner_iterations"] for row in rep.trace)
+    assert calls["pcg.pcg_solve"] == solves
+    assert tracer.counts["pcg.iterations"] == rep.cg_total
+    # pd_error is the early-stopping test's, measured only when its cheap
+    # clauses pass: 27 of 32 outers on vib3, 17 of 31 on tru5
+    assert calls.pop("pdal.pd_error", 1) >= 1
+    assert all(n >= rep.iterations for n in calls.values()), calls
+
+
+def _untimed(trace):
+    return [{key: value for key, value in row.items() if key != "time"} for row in trace]

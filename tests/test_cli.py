@@ -185,6 +185,13 @@ class TestSolve:
         assert info.value.code == 2
         assert flag in capsys.readouterr().err
 
+    def test_rank_auto_exit_code(self, gen_dir, capsys):
+        """``--rank`` takes an int only."""
+        with pytest.raises(SystemExit) as info:
+            main(["solve", str(gen_dir / "tru3.dat-s"), "--rank", "auto"])
+        assert info.value.code == 2
+        assert "--rank" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, n_inputs", [("solve", 1), ("bench", 1), ("bench", 0)])
     @pytest.mark.parametrize("option", [["--cg-floor", "-1"], ["--cg-maxiter", "0"], ["--tol", "0"]])
     def test_out_of_range_setting_exit_code(self, gen_dir, capsys, command, n_inputs, option):

@@ -46,7 +46,8 @@ def test_config_rejects_negative_cap(driver):
     "field, value",
     [("eps_dimacs", 0.0), ("eps_dimacs", -1e-5), ("eps_dimacs", float("nan")),
      ("cg_floor", -1.0), ("cg_floor", 0.0), ("cg_floor", float("inf")),
-     ("cg_maxiter", 0), ("rank", "two"), ("rank", 1.5), ("rank", 2.0), ("rank", None), ("rank", True)],
+     ("cg_maxiter", 0), ("rank", "two"), ("rank", 1.5), ("rank", 2.0), ("rank", None), ("rank", True),
+     ("rank", "auto")],
 )
 def test_config_rejects_out_of_range_settings(driver, field, value):
     with pytest.raises(ValueError, match=field):
@@ -54,9 +55,10 @@ def test_config_rejects_out_of_range_settings(driver, field, value):
 
 
 @pytest.mark.parametrize("driver", DRIVERS)
-@pytest.mark.parametrize("rank", [-1, 0, 3, "auto"])
+@pytest.mark.parametrize("rank", [-1, 0, 3])
 def test_config_keeps_int_and_auto_ranks(driver, rank):
-    """A negative rank is kept too: ``spectral_split`` clamps it to 0."""
+    """Every int rank is kept, a negative one too: ``spectral_split`` clamps
+    it to 0.  ``"auto"`` is rejected with the other non-int ranks."""
     assert DRIVERS[driver][0](rank=rank).rank == rank
 
 

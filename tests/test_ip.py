@@ -534,6 +534,16 @@ class TestIpSolve:
             assert d["precond"] == "none" and "bound" not in d
             assert d["kappa_preconditioned"] == pytest.approx(d["kappa_h"], rel=1e-8)
 
+    def test_alpha_keeps_its_split_bound(self, tru3):
+        """Criterion 5's bound for alpha's tau^2 I base on every state of a
+        tru3 run; alpha's late kappa (7,759 at the last state) is what
+        cluster's diagonal base brings below 1e3."""
+        _, _, prob = tru3
+        _, rep = ip_solve(prob, IpConfig(precond="alpha", diag=True))
+        assert rep.converged and len(rep.diagnostics) >= 10
+        assert all(d["precond"] == "alpha" for d in rep.diagnostics)
+        assert all(d["kappa_preconditioned"] <= d["bound"] * (1 + 1e-8) for d in rep.diagnostics)
+
     def test_rank_zero_is_honoured(self, tru3, monkeypatch):
         ranks = []
         build = precond.build_h_alpha

@@ -595,7 +595,7 @@ class TestPdalSolve:
         ||b - A(X)|| / r per outer iteration: 304 outers at r = 0.01, 46 at
         r = 1e-3 and 34 at r = 1e-4."""
         _, _, prob = vib5
-        _, rep = pdal_solve(prob, pdal_config_profile("tru"))
+        _, rep = pdal_solve(prob, PdalConfig())
         assert rep.status == "optimal"
         assert rep.iterations <= 40
         assert -rep.dual_objective == pytest.approx(16.0065, abs=1e-4)
@@ -603,7 +603,7 @@ class TestPdalSolve:
     def test_tru_profile_tru7_cg_work(self):
         """The same crawl cost 14,007 CG iterations on tru7 at r = 0.01."""
         _, _, prob = make_truss_problem(7, "tru")
-        _, rep = pdal_solve(prob, pdal_config_profile("tru"))
+        _, rep = pdal_solve(prob, PdalConfig())
         assert rep.status == "optimal"
         assert rep.cg_total <= 1000
 
@@ -669,10 +669,10 @@ class TestPdalSolve:
         _, _, prob = tru3
         _, rep = tru3_pdal
         k = rep.iterations
-        _, capped = pdal_solve(prob, pdal_config_profile("tru", max_iter=k))
+        _, capped = pdal_solve(prob, PdalConfig(max_iter=k))
         assert capped.status == "optimal"
         assert capped.iterations == k and capped.dimacs == rep.dimacs
-        _, short = pdal_solve(prob, pdal_config_profile("tru", max_iter=k - 1))
+        _, short = pdal_solve(prob, PdalConfig(max_iter=k - 1))
         assert short.status == "max_iterations" and short.iterations == k - 1
 
     def test_hessian_floor_diagnostics(self, tru3_pdal_diag):
