@@ -6,9 +6,9 @@ non-finite number or a nonpositive compliance bound).  For ``solve``: 0
 when the DIMACS measures meet the tolerance, 1 when the solver stopped
 short, 2 on input errors (including a configuration the solver rejects,
 such as a preconditioner kind of the other driver), 3 on solver failures,
-whose partial report is still written like any other.  ``bench`` records
-per-row failures in the CSV and keeps going; a rejected configuration ends
-it with exit code 2.
+whose partial report is still written like any other, with the failure's
+message under ``failure``.  ``bench`` records per-row failures in the CSV
+and keeps going; a rejected configuration ends it with exit code 2.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         if args.command == "solve":
             exc.report.instance = args.input.name
-            _write_report(args, exc.report, exc.report.to_dict())
+            _write_report(args, exc.report, exc.report.to_dict() | {"failure": str(exc)})
         return 3
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -391,10 +392,12 @@ def dimacs(prob: SdpProblem, pt: PrimalDualPoint, s_eigs: list[float] | None = N
 
 
 _SEPARATORS = str.maketrans(",(){}", "     ")
+# entry lines split at once: a bound on the tokens alive, the reader's largest allocation
+_ENTRY_CHUNK = 1024
 
 
-def _sdpa_tokens(text: str) -> Iterable[tuple[int, list[str]]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _sdpa_tokens(lines: list[str]) -> Iterable[tuple[int, list[str]]]:
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line[0] in '*"':
             continue
@@ -405,6 +408,14 @@ def _sdpa_tokens(text: str) -> Iterable[tuple[int, list[str]]]:
         yield lineno, line.split()
 
 
+def _column(tokens: list[str], kind, dtype) -> np.ndarray:
+    """``kind`` (int or float) of every token, converting each distinct token
+    once: an SDPA file repeats its block numbers and indices, and the truss
+    instances a few hundred values over thousands of entries."""
+    table = {t: kind(t) for t in set(tokens)}
+    return np.fromiter(map(table.__getitem__, tokens), dtype, len(tokens))
+
+
 def load_sdpa(path_or_text) -> SdpProblem:
     """Read an SDPA sparse file into the canonical problem form.
 
@@ -413,6 +424,13 @@ def load_sdpa(path_or_text) -> SdpProblem:
     one line is at fault: a bad token, a non-integer count or block size,
     a non-finite number, a duplicate entry within one matrix.  Data that
     parses but fails :meth:`SdpProblem.validate` raises it without one.
+
+    The entry lines are read a column at a time: one split, one ``int`` or
+    ``float`` pass per field, and every check as a mask over the lines; only
+    a section that does not convert so is read again a line at a time.  The
+    error names the earliest bad line, and of its faults the first in the
+    order field count, token, finiteness, matrix, block and index ranges,
+    diagonal-block shape, duplicate (the second occurrence is the bad line).
     """
     if hasattr(path_or_text, "read"):
         text = path_or_text.read()
@@ -420,28 +438,30 @@ def load_sdpa(path_or_text) -> SdpProblem:
         with open(path_or_text, "r") as fh:
             text = fh.read()
 
-    stream = _sdpa_tokens(text)
+    lines = text.splitlines()
+    stream = _sdpa_tokens(lines)
+    end = 0  # the number of the last line read
 
     def take(count: int, what: str, integer: bool = False) -> list[float]:
+        nonlocal end
         vals: list[float] = []
-        lineno = None
         while len(vals) < count:
             try:
-                lineno, toks = next(stream)
+                end, toks = next(stream)
             except StopIteration:
                 raise SdpaParseError(f"unexpected end of file while reading {what}")
             for t in toks:
                 try:
                     v = float(t)
                 except ValueError:
-                    raise SdpaParseError(f"bad token {t!r} in {what}", lineno)
+                    raise SdpaParseError(f"bad token {t!r} in {what}", end)
                 if integer and not v.is_integer():
-                    raise SdpaParseError(f"non-integer {t!r} in {what}", lineno)
+                    raise SdpaParseError(f"non-integer {t!r} in {what}", end)
                 if not math.isfinite(v):
-                    raise SdpaParseError(f"non-finite {t!r} in {what}", lineno)
+                    raise SdpaParseError(f"non-finite {t!r} in {what}", end)
                 vals.append(v)
         if len(vals) > count:
-            raise SdpaParseError(f"too many values for {what}", lineno)
+            raise SdpaParseError(f"too many values for {what}", end)
         return vals
 
     nvar = int(take(1, "variable count", integer=True)[0])
@@ -454,86 +474,85 @@ def load_sdpa(path_or_text) -> SdpProblem:
     cvec = np.array(take(nvar, "objective vector"))
 
     mat_blocks = [(k, s) for k, s in enumerate(sizes) if s > 0]
-    diag_blocks = [(k, -s) for k, s in enumerate(sizes) if s < 0]
     if any(s == 0 for s in sizes):
         raise SdpaParseError("zero block size in block structure")
-
-    diag_offset = {}
-    nu = 0
-    for k, s in diag_blocks:
-        diag_offset[k] = nu
-        nu += s
     dims = [s for _, s in mat_blocks]
 
-    # per matrix block: its lower-triangle (j, r, c) triples laid end to end,
-    # j = -1 for F0, their values, and the set of triples seen
-    entries: dict[int, tuple[list, list, set]] = {k: ([], [], set()) for k, _ in mat_blocks}
-    d_vec = np.zeros(nu)
-    d_rows: list[int] = []
-    d_cols: list[int] = []
-    d_vals: list[float] = []
-    seen_diag: set = set()
-
-    for lineno, toks in stream:
-        if len(toks) != 5:
-            raise SdpaParseError(f"expected 5 fields, got {len(toks)}", lineno)
-        try:
-            matno = int(toks[0])
-            blkno = int(toks[1])
-            ii = int(toks[2])
-            jj = int(toks[3])
-            val = float(toks[4])
-        except ValueError:
-            raise SdpaParseError("malformed entry", lineno)
-        if not math.isfinite(val):
-            raise SdpaParseError(f"non-finite value {toks[4]!r}", lineno)
-        if not (0 <= matno <= nvar):
-            raise SdpaParseError(f"matrix number {matno} out of range", lineno)
-        if not (1 <= blkno <= nblocks):
-            raise SdpaParseError(f"block number {blkno} out of range", lineno)
-        k = blkno - 1
-        size = abs(sizes[k])
-        if not (1 <= ii <= size and 1 <= jj <= size):
-            raise SdpaParseError(f"index ({ii},{jj}) out of range for block {blkno}", lineno)
-        if sizes[k] < 0:
-            if ii != jj:
-                raise SdpaParseError("off-diagonal entry in diagonal block", lineno)
-            key = (matno, k, ii)
-            if key in seen_diag:
-                raise SdpaParseError(f"duplicate entry for block {blkno} ({ii},{jj})", lineno)
-            seen_diag.add(key)
-            pos = diag_offset[k] + ii - 1
-            if matno == 0:
-                d_vec[pos] = -val
-            else:
-                d_rows.append(pos)
-                d_cols.append(matno - 1)
-                d_vals.append(-val)
+    # the entry lines after the header, without blank and comment lines
+    rows = list(map(str.strip, lines[end:]))
+    body = " ".join(rows)
+    kept = range(len(rows))  # entry line i is file line end + 1 + kept[i]
+    if not all(rows) or "*" in body or '"' in body:
+        kept = [i for i, s in enumerate(rows) if s[:1] not in '*"']
+        rows = [rows[i] for i in kept]
+    if any(sep in body for sep in ",(){}"):
+        rows = [s.translate(_SEPARATORS) for s in rows]
+    del body
+    # _ENTRY_CHUNK lines at a time, each chunk split once with a ";" between
+    # lines: every sixth token is one exactly when each line has five fields
+    # (a ";" inside a line fails to convert)
+    n = len(rows)
+    idx, val = np.zeros((4, n), dtype=np.int64), np.zeros(n)
+    fields, malformed = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    try:
+        for a in range(0, n, _ENTRY_CHUNK):
+            toks, k = " ; ".join(rows[a : a + _ENTRY_CHUNK]).split(), min(_ENTRY_CHUNK, n - a)
+            if len(toks) != 6 * k - 1 or toks[5::6].count(";") != k - 1:
+                raise ValueError("a line without five fields")
+            idx[:, a : a + k] = [_column(toks[f::6], int, np.int64) for f in range(4)]
+            val[a : a + k] = _column(toks[4::6], float, float)
+    except (ValueError, OverflowError):
+        # read the lines one at a time; a bad one keeps zeros, an index
+        # beyond int64 is clamped
+        for i, t in enumerate(map(str.split, rows)):
+            fields[i] = len(t) != 5
+            try:
+                idx[:, i], val[i] = [min(max(int(x), -(2**62)), 2**62) for x in t[:4]], float(t[4])
+            except (ValueError, IndexError):
+                malformed[i] = True
+    matno, blkno, ii, jj = idx
+    size = np.array(sizes)[np.clip(blkno - 1, 0, nblocks - 1)]
+    hi, lo = np.maximum(ii, jj), np.minimum(ii, jj)
+    order = np.lexsort((lo, hi, blkno, matno))  # stable: a key's first line comes first
+    duplicate = np.zeros(n, dtype=bool)
+    duplicate[order[1:]] = np.logical_and.reduce([np.diff(key[order]) == 0 for key in (matno, blkno, hi, lo)])
+    # the checks in the order of their messages below
+    checks = np.array([fields, malformed, ~np.isfinite(val), (matno < 0) | (matno > nvar),
+                       (blkno < 1) | (blkno > nblocks), (lo < 1) | (hi > np.abs(size)),
+                       (size < 0) & (ii != jj), duplicate]).reshape(8, n)
+    bad = checks.any(axis=0)
+    if bad.any():
+        first = int(bad.argmax())
+        check = int(checks[:, first].argmax())
+        t = rows[first].split()
+        if check < 2:
+            message = "malformed entry" if check else f"expected 5 fields, got {len(t)}"
         else:
-            triples, vals, seen = entries[k]
-            key = (matno - 1, ii - 1, jj - 1) if ii >= jj else (matno - 1, jj - 1, ii - 1)
-            if key in seen:
-                raise SdpaParseError(f"duplicate entry for block {blkno} ({ii},{jj})", lineno)
-            seen.add(key)
-            triples.extend(key)
-            vals.append(-val)  # A_j = -F_j, C = -F0
+            m, b, i, j = map(int, t[:4])
+            message = (f"non-finite value {t[4]!r}", f"matrix number {m} out of range",
+                       f"block number {b} out of range", f"index ({i},{j}) out of range for block {b}",
+                       "off-diagonal entry in diagonal block", f"duplicate entry for block {b} ({i},{j})")[check - 2]
+        raise SdpaParseError(message, end + 1 + kept[first])
 
-    a_entries = []
-    c_mats = []
-    for k, m in mat_blocks:
-        triples, vals, _ = entries[k]
-        j, r, c = np.array(triples, dtype=np.int64).reshape(-1, 3).T
-        v = np.array(vals, dtype=float)
+    # entries in file order, each at its lower-triangle (hi, lo); A_j = -F_j, C = -F0
+    k, hi, lo, v = blkno - 1, hi - 1, lo - 1, -val
+    a_entries, c_mats = [], []
+    for kb, m in mat_blocks:
+        sel = k == kb
+        j, r, c, vb = matno[sel] - 1, hi[sel], lo[sel], v[sel]
         obj = j < 0
-        a_entries.append((j[~obj], r[~obj], c[~obj], v[~obj]))
+        a_entries.append((j[~obj], r[~obj], c[~obj], vb[~obj]))
         cm = np.zeros((m, m))
-        cm[r[obj], c[obj]] = cm[c[obj], r[obj]] = v[obj]
+        cm[r[obj], c[obj]] = cm[c[obj], r[obj]] = vb[obj]
         c_mats.append(cm)
 
-    d_mat = sp.csr_matrix(
-        (np.array(d_vals), (np.array(d_rows, dtype=np.int64), np.array(d_cols, dtype=np.int64))),
-        shape=(nu, nvar),
-    )
+    # diagonal blocks: row offset[k] + i - 1 of the linear part
+    offset = np.cumsum([0] + [max(-s, 0) for s in sizes])
+    pos = offset[k] + hi
+    obj, lin = (size < 0) & (matno == 0), (size < 0) & (matno > 0)
+    d_vec = np.zeros(offset[-1])
+    d_vec[pos[obj]] = v[obj]
+    d_mat = sp.csr_matrix((v[lin], (pos[lin], matno[lin] - 1)), shape=(offset[-1], nvar))
     try:
         return build_problem(dims, a_entries, c_mats, -cvec, d_mat, d_vec)
     except ValueError as exc:
@@ -546,11 +565,12 @@ def write_sdpa(prob: SdpProblem, path_or_buf, comment: str | None = None) -> Non
     Values are printed with 17 significant digits so a round-trip reproduces
     the coordinate data bit-exactly.  Each block lists F0 = -C and then the
     F_j = -A_j in the order of j, each matrix's upper triangle row by row
-    without its zeros.
+    without its zeros.  A block's lines are joined from its columns of
+    strings, each distinct number formatted once.
     """
     lines = [f"* {line}" for line in comment.splitlines()] if comment else []
     sizes = list(prob.block_dims) + ([-prob.nu] if prob.nu else [])
-    lines += [str(prob.n), str(len(sizes)), " ".join(map(str, sizes)), " ".join(_fmt(-v) for v in prob.b)]
+    lines += [str(prob.n), str(len(sizes)), " ".join(map(str, sizes)), " ".join(_fmt(-prob.b, "%.17g"))]
     for blkno, (m, cm, a) in enumerate(zip(prob.block_dims, prob.C, prob.A), start=1):
         r, c = np.nonzero(np.tril(cm))
         coo = a.tocoo()  # row r m + c of column j holds (A_j)_rc
@@ -573,8 +593,11 @@ def write_sdpa(prob: SdpProblem, path_or_buf, comment: str | None = None) -> Non
             fh.write(text)
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+def _fmt(v: np.ndarray, spec: str) -> np.ndarray:
+    """``spec % x`` of every entry of ``v``, formatting each distinct bit
+    pattern once (so 0.0 and -0.0 stay apart)."""
+    u, inv = np.unique(v.view(f"i{v.itemsize}"), return_inverse=True)
+    return np.array(list(map(spec.__mod__, u.view(v.dtype).tolist())), dtype=object)[inv.ravel()]
 
 
 def _entry_lines(blkno: int, matno, r, c, v) -> list[str]:
@@ -582,8 +605,8 @@ def _entry_lines(blkno: int, matno, r, c, v) -> list[str]:
     lower-triangle (r, c), written as its upper-triangle mirror; zeros are
     left out."""
     keep = v != 0.0
-    rows = zip(matno[keep].tolist(), (c[keep] + 1).tolist(), (r[keep] + 1).tolist(), (-v[keep]).tolist())
-    return [f"{j} {blkno} {c1} {r1} {_fmt(x)}" for j, c1, r1, x in rows]
+    cols = _fmt(matno[keep], "%d"), _fmt(c[keep] + 1, "%d"), _fmt(r[keep] + 1, "%d"), _fmt(-v[keep], "%.17g")
+    return list(map(" ".join, zip(cols[0], repeat(str(blkno)), *cols[1:])))
 
 
 def block_operator(n: int, m: int, j, r, c, v) -> sp.csr_matrix:

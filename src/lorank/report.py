@@ -5,12 +5,15 @@ summary, JSON/CSV output)."""
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
 import numpy as np
+import scipy
 
+from . import _threads
 from .model import DimacsErrors, PrimalDualPoint, SdpProblem, objective_values
 
 # Largest n for which a solve with ``diag`` forms the dense n x n Newton
@@ -137,6 +140,9 @@ class SolveReport:
             "spectra": self.spectra,
             "trace": self.trace,
             "diagnostics": self.diagnostics,
+            # the thread settings the run read, and the library versions
+            "env": {var: os.environ.get(var) for var in ("LORANK_THREADS",) + _threads._BLAS_VARS}
+            | {"numpy": np.__version__, "scipy": scipy.__version__},
         }
 
     def csv_row(self) -> list[str]:

@@ -4,10 +4,13 @@ import json
 import re
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 from lorank import ip as ip_module
 from lorank.cli import build_parser, main
+from lorank.linalg import NotPositiveDefinite
 from lorank.model import load_sdpa
 
 TOY = """\
@@ -154,6 +157,38 @@ class TestSolve:
         assert rc == 1
         payload = json.loads(report_path.read_text())
         assert payload["status"] == "stalled" and payload["iterations"] == 5
+
+    def test_failure_message_in_the_report(self, gen_dir, tmp_path, capsys, monkeypatch):
+        """A failed solve writes the failure's message, which names the layer
+        and the iteration, into its report under ``failure``."""
+
+        def exhausted(*args):
+            raise NotPositiveDefinite(0, "step repair exhausted")
+
+        monkeypatch.setattr(ip_module, "step_with_repair", exhausted)
+        report_path = tmp_path / "r.json"
+        rc = main(["solve", str(gen_dir / "tru3.dat-s"), "--out", str(report_path)])
+        assert rc == 3
+        assert "solver failure: step repair failed at iteration 0" in capsys.readouterr().err
+        payload = json.loads(report_path.read_text())
+        assert payload["status"] == "factorization_failure"
+        assert payload["failure"] == "step repair failed at iteration 0"
+
+    def test_report_records_the_thread_environment(self, gen_dir, tmp_path, capsys, monkeypatch):
+        """The report's ``env`` block holds the thread variables as the run
+        saw them (None when unset) and the numpy and scipy versions."""
+        monkeypatch.setenv("LORANK_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        report_path = tmp_path / "r.json"
+        assert main(["solve", str(gen_dir / "tru3.dat-s"), "--out", str(report_path)]) == 0
+        capsys.readouterr()
+        payload = json.loads(report_path.read_text())
+        env = payload["env"]
+        assert env["LORANK_THREADS"] == "1" and env["OMP_NUM_THREADS"] == "1"
+        assert env["MKL_NUM_THREADS"] is None and "OPENBLAS_NUM_THREADS" in env
+        assert env["numpy"] == numpy.__version__ and env["scipy"] == scipy.__version__
+        assert payload["schema"] == 1 and "failure" not in payload
 
     @pytest.mark.parametrize("out", [True, False])
     def test_solver_failure_keeps_its_report(self, gen_dir, tmp_path, capsys, out):

@@ -124,6 +124,60 @@ class TestLoadSdpa:
         with pytest.raises(SdpaParseError, match=message):
             load_sdpa(io.StringIO(text))
 
+    @pytest.mark.parametrize(
+        "extra, line, message",
+        [
+            pytest.param("1 1 1 1\n", 11, "expected 5 fields, got 4", id="four_fields"),
+            pytest.param("1 1 1 1 1.0 2.0\n", 11, "expected 5 fields, got 6", id="six_fields"),
+            pytest.param("x 1 1 1 1.0\n", 11, "malformed entry", id="bad_token"),
+            pytest.param("1.0 1 1 1 1.0\n", 11, "malformed entry", id="float_matrix_number"),
+            pytest.param("1 1 1 1 abc\n", 11, "malformed entry", id="bad_value"),
+            pytest.param("1 1 1 1 nan\n", 11, "non-finite value 'nan'", id="nan"),
+            pytest.param("1 1 1 1 1e400\n", 11, "non-finite value '1e400'", id="overflowing_value"),
+            pytest.param("3 1 1 1 1.0\n", 11, "matrix number 3 out of range", id="matrix_number"),
+            pytest.param("-1 1 1 1 1.0\n", 11, "matrix number -1 out of range", id="negative_matrix_number"),
+            pytest.param("99999999999999999999 1 1 1 1.0\n", 11,
+                         "matrix number 99999999999999999999 out of range", id="huge_matrix_number"),
+            pytest.param("1 3 1 1 1.0\n", 11, "block number 3 out of range", id="block_number"),
+            pytest.param("1 0 1 1 1.0\n", 11, "block number 0 out of range", id="block_zero"),
+            pytest.param("1 1 3 1 1.0\n", 11, "index (3,1) out of range for block 1", id="index"),
+            pytest.param("1 2 0 0 1.0\n", 11, "index (0,0) out of range for block 2", id="diagonal_index"),
+            pytest.param("1 2 1 2 1.0\n", 11, "off-diagonal entry in diagonal block", id="off_diagonal"),
+            pytest.param("1 2 1 1 2.0\n", 11, "duplicate entry for block 2 (1,1)", id="diagonal_duplicate"),
+            pytest.param("1 1 2 1 2.0\n", 11, "duplicate entry for block 1 (2,1)", id="mirrored_duplicate"),
+            # two bad lines of different kinds: the earlier one is reported
+            pytest.param("1 1 1 1 nan\nx 1 1 1 1.0\n", 11, "non-finite value 'nan'", id="nan_then_malformed"),
+            pytest.param("x 1 1 1 1.0\n1 1 1 1 nan\n", 11, "malformed entry", id="malformed_then_nan"),
+            pytest.param("1 1 3 1 1.0\nx 1 1 1 1.0\n", 11, "index (3,1) out of range for block 1",
+                         id="index_then_malformed"),
+            pytest.param("1 2 1 1 2.0\n1 1 1\n", 11, "duplicate entry for block 2 (1,1)",
+                         id="duplicate_then_fields"),
+            pytest.param("1 1 1\n1 2 1 2 1.0\n", 11, "expected 5 fields, got 3", id="fields_then_off_diagonal"),
+            pytest.param("1 2 1 2 1.0\n1 3 1 1 1.0\n", 11, "off-diagonal entry in diagonal block",
+                         id="off_diagonal_then_block"),
+            # one line that breaks several checks: the first check in order wins
+            pytest.param("3 3 9 9 inf\n", 11, "non-finite value 'inf'", id="non_finite_first"),
+            pytest.param("3 3 9 9 1.0\n", 11, "matrix number 3 out of range", id="matrix_before_block"),
+            pytest.param("1 3 9 9 1.0\n", 11, "block number 3 out of range", id="block_before_index"),
+            pytest.param("1 1 2 1 inf\n", 11, "non-finite value 'inf'", id="non_finite_before_duplicate"),
+            # comment, blank and separator lines still count in the line numbers
+            pytest.param("* comment\n\n   \n\"quoted\n1 1 1 1 inf\n", 15, "non-finite value 'inf'",
+                         id="after_comments"),
+            pytest.param("(1, 1, 2, 2, 3.0)\n{2, 1, 1, 1, 1.0}\n1 1 1 2 9\n", 13,
+                         "duplicate entry for block 1 (1,2)", id="separators"),
+            pytest.param("* x\n{ }\n", 12, "expected 5 fields, got 0", id="separators_only"),
+            pytest.param("\n1,1,1,1,1.0,x\n", 12, "expected 5 fields, got 6", id="comma_fields"),
+        ],
+    )
+    def test_entry_errors(self, extra, line, message):
+        """Every check of the entry section reports the earliest bad line,
+        with the first check it breaks, in the order of the cases above."""
+        text = "2\n2\n2 -2\n1.0 -1.0\n0 1 1 1 1.0\n1 1 1 2 0.5\n2 1 2 2 -0.25\n0 2 1 1 -3.0\n1 2 1 1 1.0\n2 2 2 2 -1.0\n"
+        with pytest.raises(SdpaParseError) as err:
+            load_sdpa(io.StringIO(text + extra))
+        assert str(err.value) == f"line {line}: {message}"
+        assert err.value.lineno == line
+
     def test_block_without_constraint_entry_is_a_parse_error(self):
         text = "1\n2\n1 -1\n1.0\n0 1 1 1 1.0\n1 2 1 1 1.0\n"
         with pytest.raises(SdpaParseError, match="block 0: no structurally nonzero"):
@@ -165,6 +219,30 @@ class TestRoundTrip:
             diff = again.A[i] - prob.A[i]
             assert diff.nnz == 0
             assert np.array_equal(again.C[i], prob.C[i])
+
+    @pytest.mark.parametrize("name", ["tru5", "vib5", "two_blocks_and_diagonal"])
+    def test_ladder_round_trip_is_exact(self, name):
+        """Write, load and write again: the text repeats byte for byte, and
+        the loaded CSR arrays, C, b and d are those of the written problem,
+        b to the sign of its zeros (C and d leave their zeros out)."""
+        if name == "two_blocks_and_diagonal":
+            prob = random_problem(5, dims=(4, 3), n=7, nu=5)
+            prob.b[:2] = [0.0, -0.0]
+        else:
+            prob = make_truss_problem(int(name[3:]), name[:3])[2]
+        first = io.StringIO()
+        write_sdpa(prob, first, comment=name)
+        again = load_sdpa(io.StringIO(first.getvalue()))
+        second = io.StringIO()
+        write_sdpa(again, second, comment=name)
+        assert second.getvalue() == first.getvalue()
+        assert again.block_dims == prob.block_dims
+        for got, want in [*zip(again.A, prob.A), (again.D, prob.D)]:
+            for key in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, key), getattr(want, key))
+        for got, want in [*zip(again.C, prob.C), (again.d, prob.d)]:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert again.b.tobytes() == prob.b.tobytes()
 
     def test_seventeen_digit_values_survive(self):
         rng = np.random.default_rng(7)
