@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -392,8 +391,8 @@ def dimacs(prob: SdpProblem, pt: PrimalDualPoint, s_eigs: list[float] | None = N
 
 
 _SEPARATORS = str.maketrans(",(){}", "     ")
-# entry lines split at once: a bound on the tokens alive, the reader's largest allocation
-_ENTRY_CHUNK = 1024
+# entry lines split at once: longer chunks save little time and grow the resident memory
+_ENTRY_CHUNK = 256
 
 
 def _sdpa_tokens(lines: list[str]) -> Iterable[tuple[int, list[str]]]:
@@ -408,14 +407,6 @@ def _sdpa_tokens(lines: list[str]) -> Iterable[tuple[int, list[str]]]:
         yield lineno, line.split()
 
 
-def _column(tokens: list[str], kind, dtype) -> np.ndarray:
-    """``kind`` (int or float) of every token, converting each distinct token
-    once: an SDPA file repeats its block numbers and indices, and the truss
-    instances a few hundred values over thousands of entries."""
-    table = {t: kind(t) for t in set(tokens)}
-    return np.fromiter(map(table.__getitem__, tokens), dtype, len(tokens))
-
-
 def load_sdpa(path_or_text) -> SdpProblem:
     """Read an SDPA sparse file into the canonical problem form.
 
@@ -425,9 +416,10 @@ def load_sdpa(path_or_text) -> SdpProblem:
     a non-finite number, a duplicate entry within one matrix.  Data that
     parses but fails :meth:`SdpProblem.validate` raises it without one.
 
-    The entry lines are read a column at a time: one split, one ``int`` or
-    ``float`` pass per field, and every check as a mask over the lines; only
-    a section that does not convert so is read again a line at a time.  The
+    The entry lines are read a column at a time: one split, one ``int``
+    conversion of the four index fields and one ``float`` conversion of the
+    values, and every check as a mask over the lines; only a section that
+    does not convert so is read again a line at a time.  The
     error names the earliest bad line, and of its faults the first in the
     order field count, token, finiteness, matrix, block and index ranges,
     diagonal-block shape, duplicate (the second occurrence is the bad line).
@@ -439,6 +431,7 @@ def load_sdpa(path_or_text) -> SdpProblem:
             text = fh.read()
 
     lines = text.splitlines()
+    del text  # the text, its lines and the entry rows are freed once read
     stream = _sdpa_tokens(lines)
     end = 0  # the number of the last line read
 
@@ -450,6 +443,13 @@ def load_sdpa(path_or_text) -> SdpProblem:
                 end, toks = next(stream)
             except StopIteration:
                 raise SdpaParseError(f"unexpected end of file while reading {what}")
+            try:  # the line at once; a line that fails is read a token at a time
+                line = np.array(toks, dtype=float)
+                if np.isfinite(line).all() and not (integer and (line % 1).any()):
+                    vals += line.tolist()
+                    continue
+            except ValueError:
+                pass
             for t in toks:
                 try:
                     v = float(t)
@@ -487,7 +487,7 @@ def load_sdpa(path_or_text) -> SdpProblem:
         rows = [rows[i] for i in kept]
     if any(sep in body for sep in ",(){}"):
         rows = [s.translate(_SEPARATORS) for s in rows]
-    del body
+    del body, lines, stream
     # _ENTRY_CHUNK lines at a time, each chunk split once with a ";" between
     # lines: every sixth token is one exactly when each line has five fields
     # (a ";" inside a line fails to convert)
@@ -499,8 +499,8 @@ def load_sdpa(path_or_text) -> SdpProblem:
             toks, k = " ; ".join(rows[a : a + _ENTRY_CHUNK]).split(), min(_ENTRY_CHUNK, n - a)
             if len(toks) != 6 * k - 1 or toks[5::6].count(";") != k - 1:
                 raise ValueError("a line without five fields")
-            idx[:, a : a + k] = [_column(toks[f::6], int, np.int64) for f in range(4)]
-            val[a : a + k] = _column(toks[4::6], float, float)
+            idx[:, a : a + k] = np.array([toks[f::6] for f in range(4)], dtype=np.int64)
+            val[a : a + k] = np.array(toks[4::6], dtype=float)
     except (ValueError, OverflowError):
         # read the lines one at a time; a bad one keeps zeros, an index
         # beyond int64 is clamped
@@ -533,12 +533,15 @@ def load_sdpa(path_or_text) -> SdpProblem:
                        f"block number {b} out of range", f"index ({i},{j}) out of range for block {b}",
                        "off-diagonal entry in diagonal block", f"duplicate entry for block {b} ({i},{j})")[check - 2]
         raise SdpaParseError(message, end + 1 + kept[first])
+    del rows
 
     # entries in file order, each at its lower-triangle (hi, lo); A_j = -F_j, C = -F0
     k, hi, lo, v = blkno - 1, hi - 1, lo - 1, -val
     a_entries, c_mats = [], []
+    by_block = np.argsort(k, kind="stable")  # file order within each block
+    cut = np.searchsorted(k[by_block], np.arange(nblocks + 1))
     for kb, m in mat_blocks:
-        sel = k == kb
+        sel = by_block[cut[kb] : cut[kb + 1]]
         j, r, c, vb = matno[sel] - 1, hi[sel], lo[sel], v[sel]
         obj = j < 0
         a_entries.append((j[~obj], r[~obj], c[~obj], vb[~obj]))
@@ -565,12 +568,13 @@ def write_sdpa(prob: SdpProblem, path_or_buf, comment: str | None = None) -> Non
     Values are printed with 17 significant digits so a round-trip reproduces
     the coordinate data bit-exactly.  Each block lists F0 = -C and then the
     F_j = -A_j in the order of j, each matrix's upper triangle row by row
-    without its zeros.  A block's lines are joined from its columns of
-    strings, each distinct number formatted once.
+    without its zeros.  A block's lines are one ``%`` format over its
+    columns.
     """
     lines = [f"* {line}" for line in comment.splitlines()] if comment else []
     sizes = list(prob.block_dims) + ([-prob.nu] if prob.nu else [])
-    lines += [str(prob.n), str(len(sizes)), " ".join(map(str, sizes)), " ".join(_fmt(-prob.b, "%.17g"))]
+    lines += [str(prob.n), str(len(sizes)), " ".join(map(str, sizes)), " ".join(map("%.17g".__mod__, (-prob.b).tolist()))]
+    entries = []
     for blkno, (m, cm, a) in enumerate(zip(prob.block_dims, prob.C, prob.A), start=1):
         r, c = np.nonzero(np.tril(cm))
         coo = a.tocoo()  # row r m + c of column j holds (A_j)_rc
@@ -578,14 +582,14 @@ def write_sdpa(prob: SdpProblem, path_or_buf, comment: str | None = None) -> Non
         low = np.flatnonzero(ar >= ac)
         low = low[np.lexsort((ac[low], ar[low], coo.col[low]))]
         matno = np.r_[np.zeros(r.size, dtype=np.int64), coo.col[low] + 1]
-        lines += _entry_lines(blkno, matno, np.r_[r, ar[low]], np.r_[c, ac[low]], np.r_[cm[r, c], coo.data[low]])
+        entries.append(_entry_text(blkno, matno, np.r_[r, ar[low]], np.r_[c, ac[low]], np.r_[cm[r, c], coo.data[low]]))
     if prob.nu:
         coo = prob.D.tocoo()
         order = np.lexsort((coo.row, coo.col))
         k = np.r_[np.arange(prob.nu), coo.row[order]]
         matno = np.r_[np.zeros(prob.nu, dtype=np.int64), coo.col[order] + 1]
-        lines += _entry_lines(prob.p + 1, matno, k, k, np.r_[prob.d, coo.data[order]])
-    text = "\n".join(lines) + "\n"
+        entries.append(_entry_text(prob.p + 1, matno, k, k, np.r_[prob.d, coo.data[order]]))
+    text = "\n".join(lines) + "\n" + "".join(entries)
     if hasattr(path_or_buf, "write"):
         path_or_buf.write(text)
     else:
@@ -593,20 +597,15 @@ def write_sdpa(prob: SdpProblem, path_or_buf, comment: str | None = None) -> Non
             fh.write(text)
 
 
-def _fmt(v: np.ndarray, spec: str) -> np.ndarray:
-    """``spec % x`` of every entry of ``v``, formatting each distinct bit
-    pattern once (so 0.0 and -0.0 stay apart)."""
-    u, inv = np.unique(v.view(f"i{v.itemsize}"), return_inverse=True)
-    return np.array(list(map(spec.__mod__, u.view(v.dtype).tolist())), dtype=object)[inv.ravel()]
-
-
-def _entry_lines(blkno: int, matno, r, c, v) -> list[str]:
-    """SDPA lines of one block: the entry -v of matrix ``matno`` at the
-    lower-triangle (r, c), written as its upper-triangle mirror; zeros are
-    left out."""
+def _entry_text(blkno: int, matno, r, c, v) -> str:
+    """SDPA lines of one block, each ending in a newline: the entry -v of
+    matrix ``matno`` at the lower-triangle (r, c), written as its
+    upper-triangle mirror; zeros are left out."""
     keep = v != 0.0
-    cols = _fmt(matno[keep], "%d"), _fmt(c[keep] + 1, "%d"), _fmt(r[keep] + 1, "%d"), _fmt(-v[keep], "%.17g")
-    return list(map(" ".join, zip(cols[0], repeat(str(blkno)), *cols[1:])))
+    args = [None] * (4 * int(keep.sum()))
+    for f, col in enumerate((matno[keep], c[keep] + 1, r[keep] + 1, -v[keep])):
+        args[f::4] = col.tolist()
+    return f"%d {blkno} %d %d %.17g\n" * (len(args) // 4) % tuple(args)
 
 
 def block_operator(n: int, m: int, j, r, c, v) -> sp.csr_matrix:

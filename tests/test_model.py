@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -243,6 +244,25 @@ class TestRoundTrip:
         for got, want in [*zip(again.C, prob.C), (again.d, prob.d)]:
             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert again.b.tobytes() == prob.b.tobytes()
+
+    def test_interleaved_blocks_keep_file_order_per_block(self):
+        """Entry lines dealt round-robin over the three blocks load into the
+        arrays of the file that lists each block's lines together."""
+        prob = random_problem(6, dims=(4, 3), n=7, nu=5)
+        buf = io.StringIO()
+        write_sdpa(prob, buf)
+        lines = buf.getvalue().splitlines()
+        blocks: dict[str, list[str]] = {}
+        for line in lines[4:]:
+            blocks.setdefault(line.split()[1], []).append(line)
+        dealt = [line for group in itertools.zip_longest(*blocks.values()) for line in group if line]
+        assert len(blocks) == 3 and dealt != lines[4:]
+        grouped, mixed = load_sdpa(io.StringIO(buf.getvalue())), load_sdpa(io.StringIO("\n".join(lines[:4] + dealt)))
+        for got, want in [*zip(mixed.A, grouped.A), (mixed.D, grouped.D)]:
+            for key in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, key), getattr(want, key))
+        assert all(np.array_equal(got, want) for got, want in zip(mixed.C, grouped.C))
+        assert np.array_equal(mixed.d, grouped.d)
 
     def test_seventeen_digit_values_survive(self):
         rng = np.random.default_rng(7)
