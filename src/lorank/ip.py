@@ -304,12 +304,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
 
         def direction(target: BlockSymMatrix, what: str, record: bool = False, deflate: Deflation | None = None):
             """(dy, dX, dS, CG report) for the complementarity target, or
-            None when the run ends at this solve.  A direction is used when
-            ``PcgReport.usable``; anything worse ends the run, gracefully if
-            the point already meets the standard tolerance.  Such a point
-            keeps only converged directions: there a stagnated solve marks
-            the float64 floor, and its step can undo the accuracy already
-            reached."""
+            None when ``RunRecord.take`` ends the run at this solve."""
             nonlocal status
             dy, rep = pcg_solve(
                 lambda v: schur_matvec(prob, scal, v),
@@ -320,17 +315,9 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
                 record=record,
                 deflate=deflate,
             )
-            run.cg_total += rep.iterations
-            if not rep.converged:
-                if errs.max() <= config.graceful_tol:
-                    status = "numerical_limit"
-                    return None
-                if not rep.usable:
-                    raise SolverFailure(
-                        f"{what} CG failed at iteration {it} "
-                        f"(breakdown={rep.breakdown}, relres={rep.relres:.2e})",
-                        run.report("cg_failure", pt, errs),
-                    )
+            if not run.take(rep, what, it, pt, errs):
+                status = "numerical_limit"
+                return None
             return (dy, *recover_directions(prob, scal, dy, rd, target), rep)
 
         # the corrector solves with the same H and P: deflate it with the
@@ -374,7 +361,6 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
 
         run.record(
             it,
-            cg=rep_p.iterations + rep_c.iterations,
             precond=prec.kind,
             cg_tol=cg_tol,
             dimacs_max=errs.max(),

@@ -48,7 +48,7 @@ from .model import (
     pd_errors,
 )
 from .pcg import cg_tolerance, pcg_solve
-from .report import DIAG_LIMIT, RunRecord, SolveReport, SolverConfig, SolverFailure
+from .report import DIAG_LIMIT, RunRecord, SolveReport, SolverConfig
 
 PDAL_KINDS = ("gamma", "delta", "beta", "none")
 
@@ -68,10 +68,6 @@ INNER_EPS_MIN = 1e-14
 ARMIJO = 0.05           # sufficient-decrease fraction of the line search
 LS_MAX_HALVINGS = 40
 PD_TOL = 1e-10          # relative round-off the multiplier's definiteness test allows
-
-
-class InnerCgFailure(RuntimeError):
-    """PCG failed inside an inner Newton solve."""
 
 
 class DomainViolation(Exception):
@@ -337,7 +333,6 @@ class InnerResult:
     ev: PointEval                  # penalty state at the returned point ev.y
     x: BlockSymMatrix
     iterations: int
-    cg_iterations: int
     merit: float
     early_stop: bool
     converged: bool
@@ -348,33 +343,33 @@ class InnerResult:
 
 def inner_solve(
     ctx: OuterCtx,
-    y0: np.ndarray,
-    x0: BlockSymMatrix,
+    run: RunRecord,
+    pt: PrimalDualPoint,
+    errs: DimacsErrors,
     eps_inner: float,
-    cfg: PdalConfig,
     cg_tol: float,
-    e_outer: float,
-    diagnostics: list[dict] | None = None,
     outer_index: int = 0,
-) -> InnerResult:
-    """Damped Newton on the primal-dual stationarity system.
+) -> InnerResult | None:
+    """Damped Newton on the primal-dual stationarity system, from the outer
+    point ``pt`` with its DIMACS errors ``errs``.
 
     Stops when the merit drops below eps_inner with a positive definite
     multiplier, or when the early-stopping conjunction (outer error halved,
-    both residuals small, multiplier positive definite) fires.
+    both residuals small, multiplier positive definite) fires.  Returns
+    None when ``RunRecord.take`` ends the run at a Newton step's solve.
     """
-    prob = ctx.prob
-    y = y0.copy()
-    x_hat = x0.copy()
+    prob, cfg = ctx.prob, run.config
+    e_outer = _pd_error_of(errs)
+    y = pt.y.copy()
+    x_hat = pt.X.copy()
     ev = evaluate_point(ctx, y)
-    cg_total = 0
     kinds: list[str] = []
 
     for ell in range(cfg.max_inner):
         g1, g2 = pd_residuals(ctx, ev, x_hat)
         m_val = merit(g1, g2)
         if m_val <= eps_inner and _block_pd(x_hat):
-            return InnerResult(ev, x_hat, ell, cg_total, m_val, False, True, precond_kinds=kinds)
+            return InnerResult(ev, x_hat, ell, m_val, False, True, precond_kinds=kinds)
         # the residual clauses first: they are cheap, and most points that
         # fail the conjunction fail one of them before pd_error is measured
         if (
@@ -384,21 +379,17 @@ def inner_solve(
             and pd_error(prob, y, x_hat, ev.slack(), ev.slack_min_eigs) < 0.5 * e_outer
             and _block_pd(x_hat)
         ):
-            return InnerResult(ev, x_hat, ell, cg_total, m_val, True, True, precond_kinds=kinds)
+            return InnerResult(ev, x_hat, ell, m_val, True, True, precond_kinds=kinds)
 
         prec = _pdal_preconditioner(ctx, ev, cfg)
         if prec.kind not in kinds:
             kinds.append(prec.kind)
-        if diagnostics is not None and prob.n <= DIAG_LIMIT:
-            diagnostics.append(_dense_hessian_record(ctx, ev, prec, outer_index, ell))
+        if cfg.diag and prob.n <= DIAG_LIMIT:
+            run.diagnostics.append(_dense_hessian_record(ctx, ev, prec, outer_index, ell))
         op = lambda v: hessian_matvec(ctx, ev, v)  # noqa: E731
         dy, rep = pcg_solve(op, prec.apply_inv, -ev.grad, tol=cg_tol, maxiter=cfg.cg_maxiter)
-        cg_total += rep.iterations
-        if not rep.usable:
-            raise InnerCgFailure(
-                f"inner Newton CG failed (outer {outer_index}, inner {ell}, "
-                f"breakdown={rep.breakdown})"
-            )
+        if not run.take(rep, f"inner {ell}", outer_index, pt, errs):
+            return None
         dx = newton_direction(ctx, ev, x_hat, g2, dy)
 
         slope = merit_dderiv(ctx, ev, g1, g2, dy, dx)
@@ -426,12 +417,12 @@ def inner_solve(
             # the unchanged point back so the outer loop can refresh
             # multipliers; it failed the convergence test at the top
             return InnerResult(
-                ev, x_hat, ell + 1, cg_total, m_val, False, False, line_search_failures=1, precond_kinds=kinds
+                ev, x_hat, ell + 1, m_val, False, False, line_search_failures=1, precond_kinds=kinds
             )
 
     g1, g2 = pd_residuals(ctx, ev, x_hat)
     return InnerResult(
-        ev, x_hat, cfg.max_inner, cg_total, merit(g1, g2), False, False, precond_kinds=kinds, cap_hit=True
+        ev, x_hat, cfg.max_inner, merit(g1, g2), False, False, precond_kinds=kinds, cap_hit=True
     )
 
 
@@ -497,15 +488,10 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
         )
         eps_k = max(INNER_EPS_MIN, INNER_EPS0 * INNER_EPS_DECAY**k)
         cg_tol = cg_tolerance(k, cfg.cg_floor)
-        e_outer = _pd_error_of(errs)
-        try:
-            res = inner_solve(
-                ctx, y, x, eps_k, cfg, cg_tol, e_outer,
-                run.diagnostics if cfg.diag else None, k,
-            )
-        except InnerCgFailure as exc:
-            raise SolverFailure(str(exc), run.report("cg_failure", pt, errs)) from exc
-        run.cg_total += res.cg_iterations
+        res = inner_solve(ctx, run, pt, errs, eps_k, cg_tol, k)
+        if res is None:
+            status = "numerical_limit"
+            break
 
         y_old, x_old, pi_old = y, x, (pi_lin, pi_lmi)
         ev = res.ev
@@ -527,7 +513,6 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
 
         run.record(
             k,
-            cg=res.cg_iterations,
             precond="+".join(res.precond_kinds),
             cg_tol=cg_tol,
             dimacs_max=errs.max(),
@@ -537,7 +522,7 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
             inner_converged=res.converged,
             inner_cap_hit=res.cap_hit,
             line_search_failures=res.line_search_failures,
-            pd_error=e_outer,
+            pd_error=_pd_error_of(errs),
             pi_lin=pi_lin,
             pi_lmi=pi_lmi,
         )

@@ -15,6 +15,7 @@ import scipy
 
 from . import _threads
 from .model import DimacsErrors, PrimalDualPoint, SdpProblem, objective_values
+from .pcg import PcgReport
 
 # Largest n for which a solve with ``diag`` forms the dense n x n Newton
 # matrix of each iteration for its diagnostics.
@@ -174,9 +175,9 @@ class SolverFailure(RuntimeError):
 
 
 class RunRecord:
-    """The bookkeeping of one solve: its start time, its trace rows, its
-    dense diagnostics and its CG total, and from them the report of the
-    point where it ended, final or partial."""
+    """The bookkeeping of one solve (start time, trace rows, dense
+    diagnostics, CG total), the gate of its CG solves, and from them the
+    report of the point where it ended, final or partial."""
 
     def __init__(self, prob: SdpProblem, config: SolverConfig):
         self.prob, self.config = prob, config
@@ -185,12 +186,30 @@ class RunRecord:
         self.diagnostics: list[dict] = []
         self.cg_total = 0
 
-    def record(self, iteration: int, *, cg: int, precond: str, cg_tol: float, dimacs_max: float, **fields):
+    def take(self, rep: PcgReport, layer: str, iteration: int, pt: PrimalDualPoint, errs: DimacsErrors) -> bool:
+        """Count the CG of ``rep``, the solve of ``layer`` at ``iteration``,
+        and tell whether its direction is used.  A converged one is.  At a
+        point that meets ``graceful_tol`` no other is, since a stagnated
+        step there can undo the accuracy reached: the run ends
+        ``numerical_limit`` (False).  Elsewhere a ``usable`` stagnation is
+        used, and anything worse raises SolverFailure (``cg_failure``)."""
+        self.cg_total += rep.iterations
+        used = rep.converged or errs.max() > self.config.graceful_tol
+        if used and not rep.usable:
+            raise SolverFailure(
+                f"{layer} CG failed at iteration {iteration} (breakdown={rep.breakdown}, relres={rep.relres:.2e})",
+                self.report("cg_failure", pt, errs),
+            )
+        return used
+
+    def record(self, iteration: int, *, precond: str, cg_tol: float, dimacs_max: float, **fields):
         """One trace row: the keys every driver writes, the driver's own
-        ``fields``, and ``time``, the seconds since the start."""
+        ``fields``, ``cg``, the CG iterations taken since the previous row,
+        and ``time``, the seconds since the start."""
         self.trace.append({
-            "iteration": iteration, "cg": cg, "precond": precond, "cg_tol": cg_tol, "dimacs_max": dimacs_max,
-            **fields, "time": time.perf_counter() - self.t0,
+            "iteration": iteration, "cg": self.cg_total - sum(row["cg"] for row in self.trace),
+            "precond": precond, "cg_tol": cg_tol, "dimacs_max": dimacs_max, **fields,
+            "time": time.perf_counter() - self.t0,
         })
 
     def report(self, status: str, pt: PrimalDualPoint, errs: DimacsErrors) -> SolveReport:

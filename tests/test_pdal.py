@@ -9,6 +9,7 @@ from lorank.linalg import NotPositiveDefinite, sym
 from lorank import pdal
 from lorank.model import (
     BlockSymMatrix,
+    DimacsErrors,
     PrimalDualPoint,
     SdpProblem,
     apply_A_adjoint,
@@ -16,6 +17,7 @@ from lorank.model import (
     dual_slack,
     load_sdpa,
 )
+from lorank.report import RunRecord
 from lorank.pdal import (
     DomainViolation,
     _pdal_preconditioner,
@@ -453,6 +455,15 @@ class TestResidualsMeritNewton:
         assert np.linalg.norm(res) <= tol * 10 * max(1.0, np.linalg.norm(ev.grad))
 
 
+def inner(ctx, y, x0, eps_inner, cfg, cg_tol, e_outer):
+    """``inner_solve`` from the outer point (y, x0) of a fresh run with
+    ``cfg``, whose errors have pd error ``e_outer``; their err2 of 1 keeps
+    the point above every graceful tolerance."""
+    pt = PrimalDualPoint(y, x0, dual_slack(ctx.prob, y))
+    errs = DimacsErrors(e_outer, 1.0, 0.0, e_outer, e_outer, 0.0)
+    return inner_solve(ctx, RunRecord(ctx.prob, cfg), pt, errs, eps_inner, cg_tol)
+
+
 class TestInnerSolve:
     def test_zero_iterations_at_optimum(self, tru3):
         _, _, prob = tru3
@@ -469,9 +480,7 @@ class TestInnerSolve:
         ctx2 = OuterCtx(prob2, ctx.y_prox, ctx.x_blocks, ctx.x_lin, ctx.pi_lmi, ctx.pi_lin, ctx.r)
         ev2 = evaluate_point(ctx2, y)
         x0 = BlockSymMatrix([b.copy() for b in ev2.xbar_blocks], ev2.xbar_lin.copy())
-        res = inner_solve(
-            ctx2, y, x0, 1e-12, PdalConfig(), 1e-8, e_outer=1.0
-        )
+        res = inner(ctx2, y, x0, 1e-12, PdalConfig(), 1e-8, e_outer=1.0)
         assert res.iterations == 0
         assert res.converged
 
@@ -480,7 +489,7 @@ class TestInnerSolve:
         ctx, y = make_ctx(prob, seed=14)
         x0 = BlockSymMatrix([np.eye(m) for m in prob.block_dims], np.ones(prob.nu))
         # e_outer = 0 disables early stopping, forcing merit convergence
-        res = inner_solve(ctx, y, x0, 1e-10, PdalConfig(max_inner=30), 1e-8, e_outer=0.0)
+        res = inner(ctx, y, x0, 1e-10, PdalConfig(max_inner=30), 1e-8, e_outer=0.0)
         assert res.merit <= 1e-10
         assert res.converged
         assert res.precond_kinds == ["gamma"]
@@ -494,7 +503,7 @@ class TestInnerSolve:
         ctx, y = make_ctx(prob, seed=14)
         x0 = BlockSymMatrix([np.eye(m) for m in prob.block_dims], np.ones(prob.nu))
         start = merit(*pd_residuals(ctx, evaluate_point(ctx, y), x0))
-        res = inner_solve(ctx, y, x0, 1e-10, PdalConfig(max_inner=30), 1e-8, e_outer=0.0)
+        res = inner(ctx, y, x0, 1e-10, PdalConfig(max_inner=30), 1e-8, e_outer=0.0)
         assert res.iterations == 1 and res.line_search_failures == 1
         assert res.converged is False and not res.early_stop and not res.cap_hit
         assert res.merit == start
@@ -508,7 +517,7 @@ class TestInnerSolve:
         _, _, prob = tru3
         ctx, y = make_ctx(prob, seed=14)
         x0 = BlockSymMatrix([np.eye(m) for m in prob.block_dims], np.ones(prob.nu))
-        res = inner_solve(ctx, y, x0, 1e-10, PdalConfig(max_inner=30), 1e-8, e_outer=0.0)
+        res = inner(ctx, y, x0, 1e-10, PdalConfig(max_inner=30), 1e-8, e_outer=0.0)
         assert res.converged
         assert res.precond_kinds == ["beta"]
 
