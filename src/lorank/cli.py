@@ -7,8 +7,9 @@ when the DIMACS measures meet the tolerance, 1 when the solver stopped
 short, 2 on input errors (including a configuration the solver rejects,
 such as a preconditioner kind of the other driver), 3 on solver failures,
 whose partial report is still written like any other, with the failure's
-message under ``failure``.  ``bench`` records per-row failures in the CSV
-and keeps going; a rejected configuration ends it with exit code 2.
+message, layer, iteration, relres and breakdown under ``failure``.
+``bench`` records per-row failures in the CSV and keeps going; a rejected
+configuration ends it with exit code 2.
 """
 
 from __future__ import annotations
@@ -55,7 +56,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         if args.command == "solve":
             exc.report.instance = args.input.name
-            _write_report(args, exc.report, exc.report.to_dict() | {"failure": str(exc)})
+            failure = {"message": str(exc), "layer": exc.layer, "iteration": exc.iteration,
+                       "relres": exc.relres, "breakdown": exc.breakdown}
+            _write_report(args, exc.report, exc.report.to_dict() | {"failure": failure})
         return 3
 
 

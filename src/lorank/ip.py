@@ -352,9 +352,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
             if errs.max() <= config.graceful_tol:
                 status = "numerical_limit"
                 break
-            raise SolverFailure(
-                f"step repair failed at iteration {it}", run.report("factorization_failure", pt, errs)
-            ) from exc
+            raise SolverFailure(run.report("factorization_failure", pt, errs), "step repair", it) from exc
 
         pt = PrimalDualPoint(pt.y + beta * dy, pt.X + alpha * dX, pt.S + beta * dS)
         short_steps = short_steps + 1 if min(alpha, beta) < STALL_STEP else 0

@@ -110,8 +110,9 @@ class PcgReport:
         """Converged, or stagnated at the float64 residual floor with
         relres <= 0.1: the drivers take such a solve as an accurate
         direction (the computed residual is dominated by round-off in the
-        operator when the system is extremely ill-conditioned), except ip
-        at a point that already meets the standard DIMACS tolerance."""
+        operator when the system is extremely ill-conditioned), except at
+        a point that already meets the standard DIMACS tolerance
+        (``report.RunRecord.take``)."""
         return self.converged or (self.stagnated and self.relres <= 0.1)
 
 

@@ -21,9 +21,13 @@ solution reduces the inner loop to a single Newton step.
 
 The outer loop stops when all six DIMACS measures reach eps_dimacs, the
 interior-point driver's rule; each iterate is measured once, and the report
-carries that measurement.  An outer iteration that takes no Newton step and
-leaves every quantity its successor reads unchanged ends the run, with
-status ``numerical_limit`` at the standard 1e-5 level and ``stalled`` above.
+carries that measurement.  Each Newton step's CG solve passes the gate both
+drivers share, ``RunRecord.take``: it ends the run ``numerical_limit`` when
+a solve that did not converge comes at an outer point meeting the standard
+1e-5 level, and ``cg_failure`` when the solve is not usable.  An outer
+iteration that takes no Newton step and leaves every quantity its successor
+reads unchanged ends the run, with status ``numerical_limit`` at the
+standard 1e-5 level and ``stalled`` above.
 """
 
 from __future__ import annotations

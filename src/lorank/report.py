@@ -112,7 +112,7 @@ class SolveReport:
     spectra: list[dict] = field(default_factory=list)
     diagnostics: list[dict] = field(default_factory=list)
     instance: str = ""
-    schema: int = 1
+    schema: int = 2
 
     @property
     def converged(self) -> bool:
@@ -167,11 +167,16 @@ class SolveReport:
 
 
 class SolverFailure(RuntimeError):
-    """A solve that ended in an exception; ``report`` is its partial report."""
+    """A solve that ended in an exception; ``report`` is its partial report.
+    ``layer`` and ``iteration`` name where it failed, and ``relres`` and
+    ``breakdown`` the CG solve that failed (None when no CG solve did)."""
 
-    def __init__(self, message: str, report: SolveReport):
-        super().__init__(message)
-        self.report = report
+    def __init__(self, report: SolveReport, layer: str, iteration: int, relres: float | None = None,
+                 breakdown: bool | None = None):
+        what = layer if relres is None else f"{layer} CG"
+        detail = "" if relres is None else f" (breakdown={breakdown}, relres={relres:.2e})"
+        super().__init__(f"{what} failed at iteration {iteration}{detail}")
+        self.report, self.layer, self.iteration, self.relres, self.breakdown = report, layer, iteration, relres, breakdown
 
 
 class RunRecord:
@@ -196,10 +201,7 @@ class RunRecord:
         self.cg_total += rep.iterations
         used = rep.converged or errs.max() > self.config.graceful_tol
         if used and not rep.usable:
-            raise SolverFailure(
-                f"{layer} CG failed at iteration {iteration} (breakdown={rep.breakdown}, relres={rep.relres:.2e})",
-                self.report("cg_failure", pt, errs),
-            )
+            raise SolverFailure(self.report("cg_failure", pt, errs), layer, iteration, rep.relres, rep.breakdown)
         return used
 
     def record(self, iteration: int, *, precond: str, cg_tol: float, dimacs_max: float, **fields):

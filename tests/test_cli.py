@@ -90,7 +90,7 @@ class TestSolve:
         out = capsys.readouterr().out
         assert rc == 0
         payload = json.loads(out)
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert payload["status"] == "optimal"
         assert payload["sdpa_objective"] == pytest.approx(1.0, abs=1e-5)
         assert payload["dimacs_max"] <= 1e-7
@@ -159,8 +159,9 @@ class TestSolve:
         assert payload["status"] == "stalled" and payload["iterations"] == 5
 
     def test_failure_message_in_the_report(self, gen_dir, tmp_path, capsys, monkeypatch):
-        """A failed solve writes the failure's message, which names the layer
-        and the iteration, into its report under ``failure``."""
+        """A failed solve writes the failure into its report under
+        ``failure``: the message and, as fields, the layer and the
+        iteration; relres and breakdown are null when no CG solve failed."""
 
         def exhausted(*args):
             raise NotPositiveDefinite(0, "step repair exhausted")
@@ -172,7 +173,13 @@ class TestSolve:
         assert "solver failure: step repair failed at iteration 0" in capsys.readouterr().err
         payload = json.loads(report_path.read_text())
         assert payload["status"] == "factorization_failure"
-        assert payload["failure"] == "step repair failed at iteration 0"
+        assert payload["failure"] == {
+            "message": "step repair failed at iteration 0",
+            "layer": "step repair",
+            "iteration": 0,
+            "relres": None,
+            "breakdown": None,
+        }
 
     def test_report_records_the_thread_environment(self, gen_dir, tmp_path, capsys, monkeypatch):
         """The report's ``env`` block holds the thread variables as the run
@@ -188,7 +195,7 @@ class TestSolve:
         assert env["LORANK_THREADS"] == "1" and env["OMP_NUM_THREADS"] == "1"
         assert env["MKL_NUM_THREADS"] is None and "OPENBLAS_NUM_THREADS" in env
         assert env["numpy"] == numpy.__version__ and env["scipy"] == scipy.__version__
-        assert payload["schema"] == 1 and "failure" not in payload
+        assert payload["schema"] == 2 and "failure" not in payload
 
     @pytest.mark.parametrize("out", [True, False])
     def test_solver_failure_keeps_its_report(self, gen_dir, tmp_path, capsys, out):
@@ -203,6 +210,9 @@ class TestSolve:
         payload = json.loads(report_path.read_text() if out else captured.out)
         assert payload["status"] == "cg_failure"
         assert payload["instance"] == "tru3.dat-s"
+        failure = payload["failure"]
+        assert (failure["layer"], failure["iteration"], failure["breakdown"]) == ("predictor", 0, False)
+        assert failure["message"] == f"predictor CG failed at iteration 0 (breakdown=False, relres={failure['relres']:.2e})"
 
     def test_cg_floor_defaults_to_the_drivers(self, gen_dir, tmp_path):
         from lorank.cli import _config

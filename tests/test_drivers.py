@@ -2,7 +2,9 @@
 config checks, the report of the point a solve returns, and the trace rows
 of the run record."""
 
+import importlib
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,3 +126,77 @@ def test_trace_rows_carry_the_common_keys(driver, request):
     times = [row["time"] for row in rep.trace]
     assert times == sorted(times) and rep.wall_time >= times[-1]
     assert rep.cg_total == sum(row["cg"] for row in rep.trace)
+
+
+def wrap_pcg(monkeypatch, driver, change=lambda rep: rep) -> list[int]:
+    """Wrap the driver module's ``pcg_solve``: each solve runs as it would,
+    its report passes through ``change``, and the returned list collects
+    the CG iterations each solve ran."""
+    module = importlib.import_module(f"lorank.{driver}")
+    solve, ran = module.pcg_solve, []
+
+    def wrapped(*args, **kwargs):
+        dy, rep = solve(*args, **kwargs)
+        ran.append(rep.iterations)
+        return dy, change(rep)
+
+    monkeypatch.setattr(module, "pcg_solve", wrapped)
+    return ran
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_failed_report_counts_every_cg_iteration(driver, tru3, monkeypatch):
+    """A failed run's partial report counts every CG iteration run, those of
+    the iteration that failed included."""
+    _, _, prob = tru3
+    config_cls, solve = DRIVERS[driver]
+    ran = wrap_pcg(monkeypatch, driver)
+    with pytest.raises(SolverFailure) as info:
+        solve(prob, config_cls(cg_maxiter=3))
+    assert info.value.report.cg_total == sum(ran) > 0
+
+
+# outcome: (the outcome every solve reports, eps_dimacs); each solve keeps
+# its iterations and the IP predictor its deflation space
+CONVERGED = {"converged": True, "stagnated": False, "breakdown": False}
+GATE_CASES = {
+    "converged": (CONVERGED, 1e-5),
+    "stagnated": (CONVERGED | {"relres": 0.05, "converged": False, "stagnated": True}, 1e-5),
+    "numerical_limit": (CONVERGED | {"relres": 0.05, "converged": False, "stagnated": True}, 1e-7),
+    "cg_failure": (CONVERGED | {"relres": 0.5, "converged": False, "stagnated": True}, 1e-5),
+}
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+@pytest.mark.parametrize("outcome", GATE_CASES)
+def test_gate_decides_every_cg_solve(driver, outcome, tru3, request, monkeypatch):
+    """``RunRecord.take`` decides every CG solve of both drivers.  Each solve
+    keeps its direction and reports as the case says.  A converged solve,
+    and a stagnation at relres 0.05 at a point above 1e-5, give their
+    direction: the run is the plain one.  When more is asked for, the first
+    solve at a point meeting 1e-5 that does not converge ends the run
+    ``numerical_limit`` there.  A solve at relres 0.5 ends it
+    ``cg_failure`` at its first solve, with the partial report of the start
+    point."""
+    _, _, prob = tru3
+    _, plain = request.getfixturevalue(f"tru3_{driver}")
+    config_cls, solve = DRIVERS[driver]
+    fields, eps = GATE_CASES[outcome]
+    ran = wrap_pcg(monkeypatch, driver, lambda rep: replace(rep, **fields))
+    if outcome == "cg_failure":
+        with pytest.raises(SolverFailure) as info:
+            solve(prob, config_cls(eps_dimacs=eps))
+        failed = info.value.report
+        assert failed.status == "cg_failure" and failed.iterations == 0 and len(ran) == 1
+        assert failed.dimacs == dimacs(prob, start_point(driver, prob))
+        assert (info.value.iteration, info.value.relres) == (0, 0.5)
+        return
+    _, rep = solve(prob, config_cls(eps_dimacs=eps))
+    if outcome == "numerical_limit":
+        assert rep.status == "numerical_limit" and rep.dimacs_max() <= 1e-5
+        # the gate ended it: one solve more than the trace rows took
+        rows = 2 * rep.iterations if driver == "ip" else sum(row["inner_iterations"] for row in rep.trace)
+        assert len(ran) == rows + 1
+    else:
+        assert rep.status == "optimal"
+        assert (rep.iterations, rep.cg_total, rep.dimacs) == (plain.iterations, plain.cg_total, plain.dimacs)
