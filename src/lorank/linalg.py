@@ -2,8 +2,11 @@
 
 Everything downstream (solvers, preconditioners, the instance generator)
 works with plain float64 numpy arrays for dense symmetric matrices.  Block
-sizes stay in the low thousands, so dense LAPACK eigendecomposition and
-Cholesky are the right tools; no iterative eigensolvers are used anywhere.
+sizes stay in the low thousands, so dense LAPACK kernels are the right tools:
+Cholesky, a full eigendecomposition (``sym_eig``) for the dense oracles, and
+``top_eig``, one tridiagonal reduction that yields the whole spectrum and
+only the few top eigenvectors the spectral split needs.  No Krylov
+eigensolver is used anywhere.
 """
 
 from __future__ import annotations
@@ -52,6 +55,46 @@ def sym_eig(a: np.ndarray) -> EigDecomp:
         raise ValueError("sym_eig: input contains non-finite entries")
     w, q = np.linalg.eigh(sym(a))
     return EigDecomp(w, q)
+
+
+def top_eig(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every eigenvalue of sym(a), ascending, and the m x k eigenvectors of
+    the k largest, in the same order, all from one tridiagonal reduction.
+
+    LAPACK ``dsytrd`` (blocked, at the queried workspace) reduces a to
+    T = Q'aQ; ``dsterf`` takes T's whole spectrum in O(m^2) and ``dstein``
+    the k top vectors of T by inverse iteration; ``dormqr`` on the
+    reflectors below the subdiagonal maps them back by Q (the reduction's Q
+    is diag(1, Q~), so it acts on rows 1..m-1).  Neither the m - k other
+    vectors nor Q itself is formed: at the block sizes used here this costs
+    about half a full ``eigh``.  Raises ``ValueError`` on non-finite input,
+    as ``sym_eig`` does, and ``np.linalg.LinAlgError`` if LAPACK fails.
+    """
+    a = np.asarray(a, dtype=float)
+    m = a.shape[0]
+    if not 0 <= k <= m:
+        raise ValueError(f"top_eig: k = {k} outside [0, {m}]")
+    s = a + a.T  # 2 sym(a); halving the eigenvalues afterwards is exact
+    if not np.isfinite(s).all():
+        raise ValueError("top_eig: input contains non-finite entries")
+    if m == 1:
+        return 0.5 * s[0], np.ones((1, k))
+    # dsytrd and dormqr fail only on illegal arguments, which the wrappers
+    # rule out; dsterf and dstein can fail to converge
+    lwork, _ = lapack.dsytrd_lwork(m, lower=1)
+    # s.T is s in Fortran order, so the wrapper overwrites it without a copy
+    c, d, e, tau, _ = lapack.dsytrd(s.T, lower=1, lwork=int(lwork), overwrite_a=1)
+    w, info = lapack.dsterf(d, e)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"top_eig: dsterf failed (info={info})")
+    if k == 0:
+        return 0.5 * w, np.zeros((m, 0))
+    # T as one block: dstein's split indices say rows 1..m
+    z, info = lapack.dstein(d, e, w[m - k :], np.ones(m, dtype=np.int32), np.full(m, m, dtype=np.int32))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"top_eig: dstein failed (info={info})")
+    z[1:], _, _ = lapack.dormqr("L", "N", c[1:, :-1], tau, z[1:], k)
+    return 0.5 * w, z
 
 
 def chol(a: np.ndarray, context: str = "") -> np.ndarray:

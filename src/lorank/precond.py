@@ -47,7 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
 
-from .linalg import chol, chol_solve, sym, sym_eig
+from .linalg import chol, chol_solve, sym, top_eig
 from .model import SdpProblem, Support
 
 
@@ -55,26 +55,26 @@ from .model import SdpProblem, Support
 class SplitBlock:
     """Spectral split W = w0 + u u' of one scaling block.
 
-    ``tau`` is the cluster threshold; ``u`` has the k outlier columns scaled
-    by sqrt(lambda - tau).  ``eigs`` keeps the full ascending spectrum of W
-    for the cheap scalar summaries the gamma/delta bases need, ``q`` its
-    eigenvectors.  The m x m cluster part ``w0`` is formed on first read:
-    pdal's gamma and beta bases never read it.
+    ``tau`` is the cluster threshold; ``u`` has the k outlier eigenvectors
+    as columns, scaled by sqrt(lambda - tau).  ``eigs`` keeps the full
+    ascending spectrum of W for the cheap scalar summaries the gamma/delta
+    bases need, and ``w`` the block itself.  The m x m cluster part
+    w0 = W - u u' is formed on first read: pdal's gamma and beta bases never
+    read it.
     """
 
     u: np.ndarray
     tau: float
     k: int
     eigs: np.ndarray
-    q: np.ndarray
+    w: np.ndarray
     degenerate: bool = False
 
     @cached_property
     def w0(self) -> np.ndarray:
-        """Q diag(lambda_1..lambda_{m-k}, tau, ..., tau) Q'."""
-        m = self.dim
-        w0_eigs = np.concatenate([self.eigs[: m - self.k], np.full(self.k, self.tau)])
-        return sym((self.q * w0_eigs) @ self.q.T)
+        """sym(W - u u'): W with its k top eigenvalues lowered to tau, exact
+        in exact arithmetic and within eps * lambda_max in floating point."""
+        return sym(self.w - self.u @ self.u.T)
 
     @property
     def dim(self) -> int:
@@ -104,18 +104,20 @@ def spectral_split(w: np.ndarray, rank: int) -> SplitBlock:
     single-load truss instances.  The cluster threshold tau is
     ``tau_cluster_mean``.  When it exceeds the largest cluster eigenvalue
     the split is degenerate; tau is pulled just below it so the
-    decomposition identity still holds exactly.
+    decomposition identity still holds exactly.  The spectrum and the k
+    outlier vectors come from one tridiagonal reduction (``top_eig``); no
+    other eigenvector is formed.
     """
     m = w.shape[0]
-    lam, q = sym_eig(w)
     k = min(max(0, rank), m - 1)
+    lam, v = top_eig(w, k)
     tau = tau_cluster_mean(lam, k)
     lam_edge = lam[m - k - 1]  # largest eigenvalue kept in the cluster
     degenerate = tau > lam_edge
     if degenerate:
         tau = lam_edge * (1.0 - 1e-8)
-    u = q[:, m - k :] * np.sqrt(np.maximum(lam[m - k :] - tau, 0.0))
-    return SplitBlock(u, tau, k, lam, q, degenerate)
+    u = v * np.sqrt(np.maximum(lam[m - k :] - tau, 0.0))
+    return SplitBlock(u, tau, k, lam, w, degenerate)
 
 
 @dataclass

@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import eigh, svd
 
 from lorank.ip import (
     IpConfig,
@@ -71,6 +71,44 @@ class TestNtScaling:
         assert np.allclose(nt.g @ nt.g.T, nt.w, rtol=1e-12)
         assert np.allclose(nt.g_inv @ nt.g, np.eye(6), atol=1e-11)
         assert np.allclose(np.diag(nt.g.T @ s @ nt.g), nt.d, rtol=1e-10)
+
+
+class TestNtScalingRoute:
+    """nt_scaling reads V and D^2 from the Gram matrix L'SL while their
+    spread stays within GRAM_SPREAD_MAX, and takes the SVD of R'L past it."""
+
+    @staticmethod
+    def centred_pair(rng, m):
+        """X with condition 1e2 and S = L^{-T} Y L^{-1} (X = L L'), so that
+        XS = L Y L^{-1} has Y's eigenvalues, all in [1, 1.5]."""
+        x = spd_with_spectrum(rng, rng.permutation(np.logspace(0.0, 2.0, m)))
+        y = spd_with_spectrum(rng, 1.0 + 0.5 * rng.random(m))
+        l_inv = np.linalg.inv(np.linalg.cholesky(x))
+        return x, sym(l_inv.T @ y @ l_inv)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_centred_pairs_skip_the_svd(self, seed, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("svd called below the spread bound")
+
+        monkeypatch.setattr(ip_module, "svd", no_svd)
+        x, s = self.centred_pair(np.random.default_rng(seed), 10)
+        nt = nt_scaling(x, s)
+        assert nt.d.max() ** 2 <= ip_module.GRAM_SPREAD_MAX * nt.d.min() ** 2
+        assert np.linalg.norm(nt.w @ s @ nt.w - x) <= 1e-12 * np.linalg.norm(x)
+        assert np.linalg.norm((nt.g * nt.d) @ nt.g.T - x) <= 1e-12 * np.linalg.norm(x)
+
+    def test_wide_pair_takes_the_svd(self, monkeypatch):
+        calls = []
+
+        def counted_svd(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(ip_module, "svd", counted_svd)
+        x, s = TestFactoredStepLength.pair(np.random.default_rng(0), 12, 1e8)
+        nt_scaling(x, s)
+        assert calls == [(12, 12)]
 
 
 class TestSchurMatvec:

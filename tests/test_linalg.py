@@ -9,6 +9,7 @@ from lorank.linalg import (
     min_eig,
     sym,
     sym_eig,
+    top_eig,
 )
 
 from conftest import rand_spd, rand_sym, spd_with_spectrum
@@ -139,6 +140,69 @@ class TestMinEig:
         a[1, 1] = bad
         with pytest.raises(np.linalg.LinAlgError):
             min_eig(a)
+
+
+class TestTopEig:
+    """The tridiagonal kernel against np.linalg.eigh: every eigenvalue to
+    1e-12 |a|; the top k vectors equal to eigh's up to sign where their
+    eigenvalue is simple, and an orthonormal eigenbasis within a repeated
+    cluster."""
+
+    @staticmethod
+    def planted(seed, m, outliers):
+        """A cluster of m - len(outliers) eigenvalues 1 and the outliers
+        above it."""
+        rng = np.random.default_rng(seed)
+        eigs = np.concatenate([np.ones(m - len(outliers)), 1.0 + np.asarray(outliers)])
+        return spd_with_spectrum(rng, rng.permutation(eigs))
+
+    @pytest.mark.parametrize("outliers", [(1e4,), (1e4, 1e8), (1e4, 1e8, 1e12), (1e6, 1e6 + 1e3, 1e12)])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_planted_cluster_and_outliers(self, seed, outliers):
+        m = 12
+        a = self.planted(seed, m, outliers)
+        norm = np.linalg.norm(a, 2)
+        ref_w, ref_q = np.linalg.eigh(a)
+        gaps = np.diff(ref_w)
+        for k in (0, 1, 2, m - 1):
+            w, v = top_eig(a, k)
+            assert v.shape == (m, k)
+            assert np.abs(w - ref_w).max() <= 1e-12 * norm
+            assert np.linalg.norm(a @ v - v * w[m - k :]) <= 1e-12 * norm
+            assert np.allclose(v.T @ v, np.eye(k), rtol=0.0, atol=1e-12)
+            # each simple outlier's vector: eigh's up to sign, to eps |a| / gap
+            for j in range(m - min(k, len(outliers)), m):
+                gap = min(gaps[j - 1], gaps[j] if j < m - 1 else np.inf)
+                col, ref = v[:, j - (m - k)], ref_q[:, j]
+                assert np.linalg.norm(col - np.sign(col @ ref) * ref) <= 1e-13 * norm / gap
+
+    @pytest.mark.parametrize("m", [2, 7, 41, 85])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_reads_the_symmetric_part(self, seed, m):
+        a = np.random.default_rng(seed).standard_normal((m, m))
+        ref_w, ref_q = np.linalg.eigh(sym(a))
+        w, v = top_eig(a, 1)
+        assert np.abs(w - ref_w).max() <= 1e-12 * np.abs(ref_w).max()
+        assert np.linalg.norm(v[:, 0] - np.sign(v[:, 0] @ ref_q[:, -1]) * ref_q[:, -1]) <= 1e-10
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_one_by_one(self, k):
+        w, v = top_eig(np.array([[-2.5]]), k)
+        assert np.array_equal(w, [-2.5])
+        assert np.array_equal(v, np.ones((1, k)))
+
+    def test_does_not_touch_its_input(self):
+        a = rand_sym(np.random.default_rng(0), 6)
+        saved = a.copy()
+        top_eig(a, 2)
+        assert np.array_equal(a, saved)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        a = np.eye(3)
+        a[2, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            top_eig(a, 1)
 
 
 class TestKroneckerIdentities:
