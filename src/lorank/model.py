@@ -110,25 +110,22 @@ class Support(NamedTuple):
 
     rows : (n, s) the support rows of each A_j, ascending; padding repeats row 0
     sub  : (n, s, s) A_j on rows x rows, zero on the padding
-    real : (n, s) true at the real, unpadded positions; their row-major
-           order numbers them
-    pos  : (j, c) of the real positions in that order, the coordinates
-           of G_u's nonzeros
+    real : (n, s) true at the real, unpadded positions
     """
 
     rows: np.ndarray
     sub: np.ndarray
     real: np.ndarray
-    pos: tuple[np.ndarray, np.ndarray]
 
 
-def block_supports(a_t: Sequence[sp.csr_matrix], dims: Sequence[int]) -> list[Support]:
-    """The :class:`Support` of every block, from A_i' as CSR: the support
-    rows of A_j are the columns c of its stored values (A_j)_{rc}, and every
-    row r is such a column too, since A_j is symmetric."""
-    n = a_t[0].shape[0] if a_t else 0
+def block_supports(a_ops: Sequence[sp.csr_matrix], dims: Sequence[int]) -> list[Support]:
+    """The :class:`Support` of every block, read from A_i' as CSR: the
+    support rows of A_j are the columns c of its stored values (A_j)_{rc},
+    and every row r is such a column too, since A_j is symmetric."""
+    n = a_ops[0].shape[1] if a_ops else 0
     supports = []
-    for a, m in zip(a_t, dims):
+    for a_op, m in zip(a_ops, dims):
+        a = a_op.T.tocsr()
         j = np.repeat(np.arange(n), np.diff(a.indptr))
         r, c = np.divmod(a.indices, m)
         keys, slot = np.unique(j * m + c, return_inverse=True)  # the positions (j, c), sorted
@@ -139,7 +136,7 @@ def block_supports(a_t: Sequence[sp.csr_matrix], dims: Sequence[int]) -> list[Su
         rows[pos_j, local] = pos_c
         sub = np.zeros(rows.shape + rows.shape[1:])
         np.add.at(sub, (j, local[np.searchsorted(keys, j * m + r)], local[slot.ravel()]), a.data)
-        supports.append(Support(rows, sub, np.arange(rows.shape[1]) < counts[:, None], (pos_j, pos_c)))
+        supports.append(Support(rows, sub, np.arange(rows.shape[1]) < counts[:, None]))
     return supports
 
 
@@ -151,18 +148,15 @@ class ConstraintOps:
     stacked    : [A_1; ...; A_p; D] as CSR of shape (sum m_i^2 + nu, n),
                  the adjoint map of all blocks and the linear rows
     stacked_t  : its transpose as CSR, the forward map
-    a_t        : per block, A_i' as CSR of shape (n, m_i^2), for the
-                 preconditioner columns
     a_norms_sq : per block, diag(A_i'A_i)
     d_sq_t     : (D o D)' as CSR, so d_sq_t @ w = diag(D' diag(w) D)
     supports   : per block, the :class:`Support` of its A_j (n s^2 floats),
-                 the one sparsity index of the preconditioners' bases,
-                 factors and inner Schur complements
+                 the one sparsity index of the preconditioners' bases and
+                 of the slot grid of their low-rank blocks
     """
 
     stacked: sp.csr_matrix
     stacked_t: sp.csr_matrix
-    a_t: list[sp.csr_matrix]
     a_norms_sq: list[np.ndarray]
     d_sq_t: sp.csr_matrix
     supports: list[Support]
@@ -219,14 +213,12 @@ class SdpProblem:
         data must not be modified afterwards."""
         if self._ops is None:
             stacked = sp.vstack(self.A + [self.D], format="csr")
-            a_t = [a.T.tocsr() for a in self.A]
             self._ops = ConstraintOps(
                 stacked,
                 stacked.T.tocsr(),
-                a_t,
                 [column_norms_sq(a) for a in self.A],
                 self.D.multiply(self.D).T.tocsr(),
-                block_supports(a_t, self.block_dims),
+                block_supports(self.A, self.block_dims),
             )
         return self._ops
 

@@ -262,7 +262,6 @@ def merit_dderiv(
 def newton_direction(
     ctx: OuterCtx,
     ev: PointEval,
-    x_hat: BlockSymMatrix,
     g2: BlockSymMatrix,
     dy: np.ndarray,
 ) -> BlockSymMatrix:
@@ -394,7 +393,7 @@ def inner_solve(
         dy, rep = pcg_solve(op, prec.apply_inv, -ev.grad, tol=cg_tol, maxiter=cfg.cg_maxiter)
         if not run.take(rep, f"inner {ell}", outer_index, pt, errs):
             return None
-        dx = newton_direction(ctx, ev, x_hat, g2, dy)
+        dx = newton_direction(ctx, ev, g2, dy)
 
         slope = merit_dderiv(ctx, ev, g1, g2, dy, dx)
         if slope >= 0:

@@ -30,7 +30,8 @@ solve.  Each block's outlier count comes from the config's ``rank``,
 clamped to the block by ``spectral_split``.
 
 Every build returns through one SMW assembly, which keeps the low-rank
-block V = G F factored (G sparse, F block diagonal) and applies P through
+block V = G F factored (G sparse, F block diagonal), lays G out on one
+padded slot grid with s slots per row and outlier, and applies P through
 SMW on a diagonal base, or by a Cholesky factor of P itself for tilde's
 dense base or K >= n columns.
 """
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -49,6 +49,8 @@ from scipy.linalg import eigh
 
 from .linalg import chol, chol_solve, sym, top_eig
 from .model import SdpProblem, Support
+
+TILDE_DENSE_LIMIT = 4000  # largest n whose dense tilde base is assembled and factored
 
 
 @dataclass
@@ -120,45 +122,33 @@ def spectral_split(w: np.ndarray, rank: int) -> SplitBlock:
     return SplitBlock(u, tau, k, lam, w, degenerate)
 
 
-@dataclass
-class LowRankPiece:
-    """One piece A_i'(U x F) = [G_{u_1} ... G_{u_k}] (I_k x F) of the
-    low-rank block V, kept factored.  ``g[a]`` holds the values of G_{u_a}
-    on the padded (n, s) grid of ``support``, exact zeros on the padding;
-    ``f`` is the m x m factor."""
-
-    support: Support
-    g: np.ndarray
-    f: np.ndarray
-
-    @property
-    def cols(self) -> int:
-        return len(self.g) * len(self.f)
-
-
-def low_rank_factor(support: Support, left: np.ndarray, right: np.ndarray) -> LowRankPiece:
-    """The piece A'(left x right) of V, with columns A'(vec of
-    outer(left[:,a], right[:,b])) for all (a, b), kept factored as G F.
+def low_rank_factor(support: Support, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slots of the piece A'(left x right) of V, columns A' vec(outer(
+    left[:, a], right[:, b])) for all (a, b), kept factored as G F.
 
     ``support`` is the block's :class:`Support` (``SdpProblem.ops.supports``),
-    ``left`` the m x k outlier factor and ``right`` a full m x m factor.  For
-    outlier u the m columns are G_u @ right with G_u[j, c] = (A_j u)_c,
-    nonzero only on the support rows c of A_j: one batched s x s product
-    for all j and outliers; neither the (m^2, m) Kronecker product nor the
-    n x (k m) block is formed.  The product sums in ascending row order, as
-    a sum over the entries of A' would (``matmul`` rounds differently).
+    ``left`` the m x k outlier factor and ``right`` the full m x m factor F.
+    Returns ``(cols, vals)``, each n x (k s): slot a s + l of row j is
+    outlier a's, at column a m + rows[j, l] of G with value (A_j u_a)_c at
+    c = rows[j, l], exactly 0 on the padding.  One batched s x s product for
+    all j and outliers, summed in ascending row order as a sum over the
+    entries of A' would (``matmul`` rounds differently); neither the
+    (m^2, m) Kronecker product nor the n x (k m) block is formed.
     """
-    ut = left.T[:, support.rows]  # (k, n, s)
-    g = sum(support.sub[:, :, l] * ut[:, :, l, None] for l in range(ut.shape[2]))  # (k, n, s)
-    return LowRankPiece(support, g, right)
+    n, s = support.rows.shape
+    lt = left[support.rows]  # (n, s, k)
+    vals = sum(support.sub[:, None, :, l] * lt[:, l, :, None] for l in range(s))  # (n, k, s)
+    cols = len(right) * np.arange(left.shape[1])[:, None] + support.rows[:, None, :]
+    return cols.reshape(n, -1), vals.reshape(n, -1)
 
 
 @dataclass
 class SmwPreconditioner:
     """base + V V' preconditioner with V = G F kept factored.
 
-    G is the sparse n x K matrix of the pieces' G_u, held as coordinates
-    (``g_rows``, ``g_cols``, ``g_vals``); F is block diagonal: ``factors``
+    G is the sparse n x K matrix of the pieces' G_u, held as the
+    coordinates (``g_rows``, ``g_cols``, ``g_vals``) of the real slots of
+    the build's slot grid (:func:`_smw`); F is block diagonal: ``factors``
     lists each piece's columns [start, stop) of V and its m x m factor,
     repeated over the piece's outliers.  ``base`` is a positive diagonal or
     tilde's dense n x n matrix.  The apply has two modes: through SMW with
@@ -210,66 +200,55 @@ class SmwPreconditioner:
         return (np.diag(self.base) if self.base.ndim == 1 else self.base) + v @ v.T
 
 
-def _theta_block(q: LowRankPiece, q2: LowRankPiece, binv: np.ndarray) -> np.ndarray:
-    """The block (I x F_q)' G_q' diag(binv) G_q2 (I x F_q2) of Theta - I.
-
-    One bincount per pair of outliers (a, b) sums binv_j g[a, j, l] g2[b, j, l2]
-    into the cell (rows[j, l], rows2[j, l2]), each cell over ascending j; the
-    padding adds exact zeros.  The factors then act on the m x m2 cells."""
-    k, m, k2, m2 = len(q.g), len(q.f), len(q2.g), len(q2.f)
-    cells = (q.support.rows[:, :, None] * m2 + q2.support.rows[:, None, :]).ravel()
-    sums = np.column_stack([
-        np.bincount(cells, (x[:, :, None] * y[:, None, :]).ravel(), minlength=m * m2)
-        for x in q.g * binv[:, None] for y in q2.g
-    ])  # [(c, d), (a, b)]
-    t = (q.f.T @ sums.reshape(m, m2 * k * k2)).reshape(m, m2, k, k2)     # [c', d, a, b]
-    t = t.transpose(2, 0, 3, 1).reshape(k * m * k2, m2) @ q2.f            # [(a, c', b), d']
-    return t.reshape(k * m, k2 * m2)
-
-
 def _smw(
     kind: str, base: np.ndarray, recipe: Sequence[tuple[Support, np.ndarray, np.ndarray]]
 ) -> SmwPreconditioner:
     """The one SMW assembly of base + V V' with V the pieces A_i'(U x F)
     of ``recipe``, one ``(support, U, F)`` per piece.
 
+    The pieces' slots (:func:`low_rank_factor`) lie side by side in one
+    padded n x P slot grid, P = sum k s; G's apply keeps the real slots.
     ``base`` is a diagonal, which must be positive, or tilde's dense n x n
-    matrix.  On a diagonal base Theta = I + F'(G' base^{-1} G)F is summed
-    over the padded support grids (:func:`_theta_block`); G's apply keeps
-    the real positions.  A dense base, or K >= n columns, has P = base
-    + V V' assembled and factored instead: its n x n Cholesky then costs no
-    more than Theta's, and the SMW apply, which passes through Theta's
-    larger condition number, loses accuracy that a direct solve keeps.
+    matrix.  On a diagonal base the lower triangle of Theta = I +
+    F'(G' base^{-1} G)F is summed one outlier pair at a time: one bincount
+    over the pair's slots into the m x m2 cells, each over ascending j, the
+    padding adding exact zeros.  A dense base, or K >= n columns, has
+    P = base + V V' assembled and factored instead: its n x n Cholesky then
+    costs no more than Theta's, and the SMW apply, which passes through
+    Theta's larger condition number, loses accuracy that a direct solve
+    keeps.
     """
     if base.ndim == 1 and np.any(base <= 0.0):
         raise ValueError(f"{kind}: nonpositive base diagonal entry")
-    pieces = [q for q in (low_rank_factor(sup, u, f) for sup, u, f in recipe) if q.cols]
-    starts = list(accumulate((q.cols for q in pieces), initial=0))
-    size = starts[-1]
-    # column of G for outlier a of a piece at position (j, c): start + a m + c
-    cols = [
-        s + len(q.f) * np.arange(len(q.g))[:, None] + q.support.pos[1]
-        for q, s in zip(pieces, starts)
-    ]
-    none = [np.zeros(0, dtype=np.intp)]
-    prec = SmwPreconditioner(
-        kind,
-        base,
-        np.concatenate([np.tile(q.support.pos[0], len(q.g)) for q in pieces] + none),
-        np.concatenate([c.ravel() for c in cols] + none),
-        np.concatenate([q.g[:, q.support.real].ravel() for q in pieces] + none),
-        [(s, s + q.cols, q.f) for q, s in zip(pieces, starts)],
-    )
+    cols, vals, real = ([np.zeros((base.shape[0], 0), dtype=t)] for t in (np.intp, float, bool))
+    factors, outliers = [], []  # per outlier: its slots' support rows and values, first column, F
+    size = 0
+    for sup, u, f in recipe:
+        c, v = low_rank_factor(sup, u, f)
+        k, m, s = u.shape[1], len(f), sup.rows.shape[1]
+        if k:
+            cols.append(c + size)
+            vals.append(v)
+            real += [sup.real] * k
+            factors.append((size, size + k * m, f))
+            outliers += [(sup.rows, v[:, a * s : a * s + s], size + a * m, f) for a in range(k)]
+            size += k * m
+    cols, vals, real = np.hstack(cols), np.hstack(vals), np.hstack(real)
+    slots = np.flatnonzero(real)  # the real slots in row-major order
+    prec = SmwPreconditioner(kind, base, slots // real.shape[1], cols.ravel()[slots], vals.ravel()[slots], factors)
     if base.ndim == 2 or size >= prec.n:
         prec.p_l = chol(prec.dense(), f"{kind} preconditioner")
         return prec
-    # Theta's lower triangle, block by block: all chol reads
     theta = np.eye(size)
     binv = 1.0 / base
-    for i, (q, s) in enumerate(zip(pieces, starts)):
-        for q2, s2 in zip(pieces[i:], starts[i:]):
-            theta[s2 : s2 + q2.cols, s : s + q.cols] += _theta_block(q, q2, binv).T
-    prec.theta_l = chol(theta, f"{kind} inner Schur complement")
+    for i, (rows, g, c, f) in enumerate(outliers):
+        x = g * binv[:, None]
+        for rows2, g2, c2, f2 in outliers[i:]:
+            m, m2 = len(f), len(f2)
+            cells = (rows[:, :, None] * m2 + rows2[:, None, :]).ravel()
+            sums = np.bincount(cells, (x[:, :, None] * g2[:, None, :]).ravel(), minlength=m * m2)
+            theta[c2 : c2 + m2, c : c + m] += (f.T @ sums.reshape(m, m2) @ f2).T
+    prec.theta_l = chol(theta, f"{kind} inner Schur complement")  # reads the lower triangle
     return prec
 
 
@@ -359,29 +338,24 @@ def identity(n: int) -> SmwPreconditioner:
     return _smw("none", np.ones(n), [])
 
 
-def build_h_tilde(
-    prob: SdpProblem,
-    splits: Sequence[SplitBlock],
-    lin_diag: np.ndarray,
-    dense_limit: int = 4000,
-) -> SmwPreconditioner:
+def build_h_tilde(prob: SdpProblem, splits: Sequence[SplitBlock], lin_diag: np.ndarray) -> SmwPreconditioner:
     """Variant with base sum tau_i^2 A_i'A_i + diag(linear term).
 
     The base is dense, so the build assembles and factors P itself; on
     problems where A'A has no convenient structure this is exactly the cost
-    the alpha variant avoids.  Refuses n beyond ``dense_limit`` with
+    the alpha variant avoids.  Refuses n beyond ``TILDE_DENSE_LIMIT`` with
     ValueError.  A P that does not factor raises NotPositiveDefinite, and
     the IP falls back to beta as for the other kinds.
     """
     n = prob.n
-    if n > dense_limit:
+    if n > TILDE_DENSE_LIMIT:
         raise ValueError(
-            f"tilde base factorization refused for n={n} > {dense_limit}: "
+            f"tilde base factorization refused for n={n} > {TILDE_DENSE_LIMIT}: "
             "A'A is not cheaply invertible at this size"
         )
     base = np.zeros((n, n))
-    for a_t, a_op, s in zip(prob.ops.a_t, prob.A, splits):
-        base += s.tau**2 * (a_t @ a_op).toarray()
+    for a_op, s in zip(prob.A, splits):
+        base += s.tau**2 * (a_op.T.tocsr() @ a_op).toarray()
     base[np.diag_indices(n)] += lin_diag
     return _smw("tilde", base, _outlier_recipe(prob, splits, "tilde"))
 

@@ -332,9 +332,6 @@ class TestOperators:
         ops = prob.ops
         assert prob.ops is ops
         for i, a in enumerate(prob.A):
-            assert ops.a_t[i].format == "csr"
-            assert ops.a_t[i].shape == (prob.n, prob.block_dims[i] ** 2)
-            assert np.array_equal(ops.a_t[i].toarray(), a.toarray().T)
             assert np.array_equal(ops.a_norms_sq[i], column_norms_sq(a))
         d = prob.D.toarray()
         stacked = np.vstack([a.toarray() for a in prob.A] + [d])

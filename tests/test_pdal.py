@@ -379,7 +379,7 @@ class TestResidualsMeritNewton:
         )
         g1, g2 = pd_residuals(ctx, ev, x_hat)
         dy = rng.standard_normal(prob.n) * 0.1
-        dx = newton_direction(ctx, ev, x_hat, g2, dy)
+        dx = newton_direction(ctx, ev, g2, dy)
         slope = merit_dderiv(ctx, ev, g1, g2, dy, dx)
         h = 1e-7
 
@@ -402,7 +402,7 @@ class TestResidualsMeritNewton:
             ev.xbar_lin + 0.1,
         )
         g1, g2 = pd_residuals(ctx, ev, x_hat)
-        dx = newton_direction(ctx, ev, x_hat, g2, np.zeros(prob.n))
+        dx = newton_direction(ctx, ev, g2, np.zeros(prob.n))
         assert np.allclose(dx.blocks[0], -g2.blocks[0], rtol=1e-12)
         assert np.allclose(dx.lin, -g2.lin, rtol=1e-12)
 
@@ -446,7 +446,7 @@ class TestResidualsMeritNewton:
         tol = 1e-12
         dy, rep = pcg_solve(lambda v: hessian_matvec(ctx, ev, v), lambda v: v, -ev.grad, tol=tol)
         assert rep.converged
-        dx = newton_direction(ctx, ev, x_hat, g2, dy)
+        dx = newton_direction(ctx, ev, g2, dy)
         # first block equation: r dy + A*(dx) = -G1
         res = ctx.r * dy.copy()
         for a_op, blk in zip(prob.A, dx.blocks):

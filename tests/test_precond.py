@@ -6,6 +6,7 @@ from lorank.ip import IpConfig, initial_point, ip_solve, make_scaling, nt_scalin
 from lorank.linalg import sym
 from lorank.model import column_norms_sq
 from lorank.pdal import OuterCtx, PdalConfig, _pdal_preconditioner, evaluate_point, pdal_solve
+from lorank import precond
 from lorank.precond import (
     _smw,
     alpha_base,
@@ -141,15 +142,14 @@ def ip_state_splits(prob, seed=0, k=1):
     return pt, scal, splits, lin_diag
 
 
-def piece_dense(piece, n):
-    """Dense n x (k m) columns [G_{u_1} F ... G_{u_k} F] of a factored piece."""
-    cols = []
-    sup = piece.support
-    for g in piece.g:
-        g_u = np.zeros((n, piece.f.shape[0]))
-        g_u[np.nonzero(sup.real)[0], sup.rows[sup.real]] = g[sup.real]  # the real positions are distinct
-        cols.append(g_u @ piece.f)
-    return np.hstack(cols) if cols else np.zeros((n, 0))
+def piece_dense(slots, sup, f, n):
+    """Dense n x (k m) columns [G_{u_1} F ... G_{u_k} F] of a piece's slots."""
+    cols, vals = slots
+    k, m = cols.shape[1] // sup.rows.shape[1], len(f)
+    real = np.tile(sup.real, k)
+    g = np.zeros((n, k * m))
+    g[np.nonzero(real)[0], cols[real]] = vals[real]  # the real slots are distinct cells
+    return np.hstack([g[:, a * m : a * m + m] @ f for a in range(k)] + [np.zeros((n, 0))])
 
 
 def random_recipe(seed, dims, n, k):
@@ -205,9 +205,11 @@ class TestAlpha:
         rng = np.random.default_rng(10 * block + k)
         u = rng.standard_normal((m, k))
         f = np.linalg.cholesky(rand_spd(rng, m))
-        piece = low_rank_factor(prob.ops.supports[block], u, f)
-        assert not piece.g[:, ~piece.support.real].any()  # Theta sums the padding too
-        got = piece_dense(piece, prob.n)
+        sup = prob.ops.supports[block]
+        cols, vals = low_rank_factor(sup, u, f)
+        assert cols.shape == vals.shape == (prob.n, k * sup.rows.shape[1])
+        assert not vals[~np.tile(sup.real, k)].any()  # Theta sums the padding too
+        got = piece_dense((cols, vals), sup, f, prob.n)
         assert got.shape == (prob.n, k * m)
         want = prob.A[block].toarray().T @ np.kron(u, f)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -337,6 +339,31 @@ class TestSmwInverse:
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("seed", range(3))
+    def test_theta_with_unequal_outlier_counts(self, seed):
+        """Theta against the dense oracle when the pieces have k = 2 and
+        k = 1 outliers on blocks of different size, with a k = 0 piece
+        between them that adds no columns."""
+        rng = np.random.default_rng(300 + seed)
+        dims, n = (4, 6), 26
+        prob = random_problem(300 + seed, dims=dims, n=n, nu=2)
+        sups = prob.ops.supports
+        pieces = [(0, 2), (1, 0), (1, 1)]  # (block, k)
+        recipe = [
+            (sups[i], rng.standard_normal((dims[i], k)), np.linalg.cholesky(rand_spd(rng, dims[i])))
+            for i, k in pieces
+        ]
+        base = rng.random(n) + 0.5
+        pc = _smw("alpha", base, recipe)
+        assert pc.rank == 2 * 4 + 6 < n and pc.theta_l is not None
+        assert [(a, b) for a, b, _ in pc.factors] == [(0, 8), (8, 14)]
+        v = pc.dense_v()
+        want_v = np.hstack([prob.A[i].toarray().T @ np.kron(u, f) for (i, _), (_, u, f) in zip(pieces, recipe)])
+        assert np.linalg.norm(v - want_v) <= 1e-13 * np.linalg.norm(v)
+        want = np.eye(pc.rank) + v.T @ (v / base[:, None])
+        got = pc.theta_l @ pc.theta_l.T
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("seed", range(3))
     def test_symmetry_probe(self, seed):
         rng = np.random.default_rng(100 + seed)
         n = 8
@@ -378,7 +405,7 @@ class TestSmwInverse:
         arrays = [a for a in vars(pc).values() if isinstance(a, np.ndarray)]
         arrays += [f for _, _, f in pc.factors]
         held = sum(a.size for a in arrays)
-        nnz = sum(a_t.nnz for a_t in prob.ops.a_t)
+        nnz = sum(a.nnz for a in prob.A)
         assert held <= 3 * nnz + 2 * size**2 + n
         assert held < n * size / 2
 
@@ -518,11 +545,12 @@ class TestTilde:
             pc.apply_inv(rhs), np.linalg.solve(pc.dense(), rhs), rtol=1e-8, atol=1e-10
         )
 
-    def test_size_refusal(self):
+    def test_size_refusal(self, monkeypatch):
         prob = random_problem(13, dims=(3,), n=8, nu=4)
         s = [spectral_split(np.eye(3), 1)]
+        monkeypatch.setattr(precond, "TILDE_DENSE_LIMIT", 4)
         with pytest.raises(ValueError, match="refused"):
-            build_h_tilde(prob, s, np.ones(8), dense_limit=4)
+            build_h_tilde(prob, s, np.ones(8))
 
 
 def pdal_state(prob, seed=0):
