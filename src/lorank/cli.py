@@ -104,9 +104,6 @@ def _solver_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rank", type=int, default=1, help="expected dual rank per block")
     p.add_argument("--tol", type=float, default=1e-5, help="DIMACS stopping tolerance")
     p.add_argument("--cg-maxiter", type=int, default=100000)
-    p.add_argument("--cg-floor", type=float, default=None,
-                   help="floor of the CG tolerance, which starts at 0.01 and halves per outer "
-                        "iteration (default: 1e-8 ip, 1e-6 pdal)")
     p.add_argument("--maxiter", type=int, default=None,
                    help="outer iteration cap (default: 200 ip, 500 pdal)")
     p.add_argument("--diag", action="store_true", help=f"dense diagnostics for n <= {DIAG_LIMIT}")
@@ -149,11 +146,11 @@ def _sidecar_path(input_path: Path) -> Path:
 
 def _config(args) -> SolverConfig:
     """The solver configuration: the flags over the driver's defaults, which
-    stand for --maxiter, --precond and --cg-floor when they are not given.
+    stand for --maxiter and --precond when they are not given.
     The config classes reject invalid values, such as a preconditioner kind
     of the other driver or a nonpositive tolerance."""
     config_cls = DRIVERS[args.solver][0]
-    given = {"max_iter": args.maxiter, "precond": args.precond, "cg_floor": args.cg_floor}
+    given = {"max_iter": args.maxiter, "precond": args.precond}
     try:
         return config_cls(
             eps_dimacs=args.tol,

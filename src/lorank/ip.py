@@ -50,12 +50,12 @@ GRAM_SPREAD_MAX = 1e6
 class IpConfig(SolverConfig):
     SOLVER = "ip"
     KINDS = IP_KINDS
+    # floor 1e-8: at 1e-6 the late, ill-conditioned Schur systems leave
+    # directions whose outcome on tru9 depends on rounding alone
+    CG_FLOOR = 1e-8
 
     max_iter: int = 200
     precond: str = "cluster"
-    # floor 1e-8: at 1e-6 the late, ill-conditioned Schur systems leave
-    # directions whose outcome on tru9 depends on rounding alone
-    cg_floor: float = 1e-8
 
 
 @dataclass
@@ -302,7 +302,7 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
         if it == config.max_iter:
             break
 
-        cg_tol = cg_tolerance(it, config.cg_floor)
+        cg_tol = cg_tolerance(it, config.CG_FLOOR)
         xs = pt.X.dot(pt.S)
         mu = xs / (prob.m_total + prob.nu)
         scal = make_scaling(pt)

@@ -3,15 +3,12 @@
 Everything downstream (solvers, preconditioners, the instance generator)
 works with plain float64 numpy arrays for dense symmetric matrices.  Block
 sizes stay in the low thousands, so dense LAPACK kernels are the right tools:
-Cholesky, a full eigendecomposition (``sym_eig``) for the dense oracles, and
-``top_eig``, one tridiagonal reduction that yields the whole spectrum and
-only the few top eigenvectors the spectral split needs.  No Krylov
-eigensolver is used anywhere.
+Cholesky, ``min_eig`` for the cone tests, and ``top_eig``, one tridiagonal
+reduction that yields the whole spectrum and only the few top eigenvectors
+the spectral split needs.  No Krylov eigensolver is used anywhere.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -32,29 +29,9 @@ class NotPositiveDefinite(Exception):
         super().__init__(msg)
 
 
-class EigDecomp(NamedTuple):
-    """Eigendecomposition A = Q diag(w) Q^T with w ascending."""
-
-    w: np.ndarray
-    q: np.ndarray
-
-
 def sym(a: np.ndarray) -> np.ndarray:
     """Explicitly symmetrize, purging round-off asymmetry."""
     return 0.5 * (a + a.T)
-
-
-def sym_eig(a: np.ndarray) -> EigDecomp:
-    """Full eigendecomposition of a symmetric matrix, eigenvalues ascending.
-
-    Raises a diagnostic ``np.linalg.LinAlgError`` on non-convergence, which
-    for finite symmetric input does not happen in practice.
-    """
-    a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("sym_eig: input contains non-finite entries")
-    w, q = np.linalg.eigh(sym(a))
-    return EigDecomp(w, q)
 
 
 def top_eig(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -67,8 +44,8 @@ def top_eig(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     reflectors below the subdiagonal maps them back by Q (the reduction's Q
     is diag(1, Q~), so it acts on rows 1..m-1).  Neither the m - k other
     vectors nor Q itself is formed: at the block sizes used here this costs
-    about half a full ``eigh``.  Raises ``ValueError`` on non-finite input,
-    as ``sym_eig`` does, and ``np.linalg.LinAlgError`` if LAPACK fails.
+    about half a full ``eigh``.  Raises ``ValueError`` on non-finite input
+    and ``np.linalg.LinAlgError`` if LAPACK fails.
     """
     a = np.asarray(a, dtype=float)
     m = a.shape[0]

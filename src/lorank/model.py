@@ -60,9 +60,6 @@ class BlockSymMatrix:
         s = sum(float(np.vdot(a, b)) for a, b in zip(self.blocks, other.blocks))
         return s + float(self.lin @ other.lin)
 
-    def norm(self) -> float:
-        return float(np.sqrt(self.dot(self)))
-
 
 @dataclass
 class PrimalDualPoint:
@@ -222,9 +219,10 @@ class SdpProblem:
             )
         return self._ops
 
-    def validate(self) -> list[str]:
-        """Consistency checks; returns a list of warnings (empty when clean)."""
-        warnings = []
+    def validate(self) -> None:
+        """Consistency checks; raises ValueError on the first one that fails."""
+        if not self.block_dims:
+            raise ValueError("no matrix block: the problem needs at least one LMI block")
         for i, (m, a) in enumerate(zip(self.block_dims, self.A)):
             if a.shape != (m * m, n := self.n):
                 raise ValueError(f"block {i}: operator shape {a.shape} != ({m * m}, {n})")
@@ -239,11 +237,6 @@ class SdpProblem:
                 raise ValueError(f"block {i}: objective is not symmetric")
         if self.D.shape != (self.nu, self.n):
             raise ValueError(f"linear block shape {self.D.shape} != ({self.nu}, {self.n})")
-        if self.n <= max(self.block_dims):
-            warnings.append(
-                "n <= max block size: matrix-free solves lose their advantage here"
-            )
-        return warnings
 
 
 def apply_A_adjoint(prob: SdpProblem, y: np.ndarray) -> BlockSymMatrix:

@@ -32,7 +32,7 @@ standard 1e-5 level and ``stalled`` above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -123,10 +123,10 @@ def multiplier_update_lmi(z: np.ndarray, x: np.ndarray, pi: float) -> np.ndarray
 class PdalConfig(SolverConfig):
     SOLVER = "pdal"
     KINDS = PDAL_KINDS
+    CG_FLOOR = 1e-6
 
     max_iter: int = 500
     precond: str = "gamma"
-    cg_floor: float = 1e-6
     r: float = 1e-4                # proximal weight; also the floor of the inner Hessian
     max_inner: int = 100
 
@@ -138,20 +138,22 @@ class PdalConfig(SolverConfig):
             raise ValueError(f"max_inner must be >= 1, got {self.max_inner!r}")
 
 
-def pdal_config_profile(profile: str, **overrides) -> PdalConfig:
-    """``PdalConfig()`` with ``overrides``; 'tru' is the one profile name.
+def pdal_config_profile(profile: str) -> PdalConfig:
+    """``PdalConfig()``; 'tru' is the one profile name.
 
     PDAL has one parameter set: it solves the tru and the vib instances
     alike.  Any other profile name raises ValueError."""
     if profile != "tru":
         raise ValueError(f"unknown profile {profile!r}; PDAL has only 'tru'")
-    return replace(PdalConfig(), **overrides)
+    return PdalConfig()
 
 
 @dataclass
 class OuterCtx:
     """Quantities frozen during one inner solve: proximal center, multiplier
-    estimates and penalty parameters."""
+    estimates and penalty parameters.  The X arrays are the outer iterate's
+    own, uncopied: the context only reads them, and each outer iteration
+    builds a new X."""
 
     prob: SdpProblem
     y_prox: np.ndarray
@@ -483,14 +485,14 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
         ctx = OuterCtx(
             prob=prob,
             y_prox=y,
-            x_blocks=[b.copy() for b in x.blocks],
-            x_lin=x.lin.copy(),
+            x_blocks=x.blocks,
+            x_lin=x.lin,
             pi_lmi=pi_lmi,
             pi_lin=pi_lin,
             r=cfg.r,
         )
         eps_k = max(INNER_EPS_MIN, INNER_EPS0 * INNER_EPS_DECAY**k)
-        cg_tol = cg_tolerance(k, cfg.cg_floor)
+        cg_tol = cg_tolerance(k, cfg.CG_FLOOR)
         res = inner_solve(ctx, run, pt, errs, eps_k, cg_tol, k)
         if res is None:
             status = "numerical_limit"

@@ -70,7 +70,6 @@ class SplitBlock:
     k: int
     eigs: np.ndarray
     w: np.ndarray
-    degenerate: bool = False
 
     @cached_property
     def w0(self) -> np.ndarray:
@@ -78,15 +77,11 @@ class SplitBlock:
         in exact arithmetic and within eps * lambda_max in floating point."""
         return sym(self.w - self.u @ self.u.T)
 
-    @property
-    def dim(self) -> int:
-        return self.eigs.size
-
     def min_eig_w0(self) -> float:
         return float(min(self.eigs[0], self.tau))
 
     def mean_eig_w0(self) -> float:
-        m = self.dim
+        m = self.eigs.size
         return float((self.eigs[: m - self.k].sum() + self.k * self.tau) / m)
 
 
@@ -115,11 +110,10 @@ def spectral_split(w: np.ndarray, rank: int) -> SplitBlock:
     lam, v = top_eig(w, k)
     tau = tau_cluster_mean(lam, k)
     lam_edge = lam[m - k - 1]  # largest eigenvalue kept in the cluster
-    degenerate = tau > lam_edge
-    if degenerate:
+    if tau > lam_edge:
         tau = lam_edge * (1.0 - 1e-8)
     u = v * np.sqrt(np.maximum(lam[m - k :] - tau, 0.0))
-    return SplitBlock(u, tau, k, lam, w, degenerate)
+    return SplitBlock(u, tau, k, lam, w)
 
 
 def low_rank_factor(support: Support, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -59,16 +59,15 @@ def spectrum_summary(blocks: Sequence[np.ndarray]) -> list[dict]:
 @dataclass
 class SolverConfig:
     """The settings both drivers read.  ``IpConfig`` and ``PdalConfig`` set
-    their solver name and preconditioner kinds, and the defaults that
-    differ: the iteration cap, the preconditioner and the CG tolerance
-    floor."""
+    their solver name, preconditioner kinds and CG tolerance floor, and
+    the defaults that differ: the iteration cap and the preconditioner."""
 
     SOLVER: ClassVar[str]
     KINDS: ClassVar[tuple[str, ...]]
+    CG_FLOOR: ClassVar[float]        # floor of pcg.cg_tolerance's schedule
 
     max_iter: int                    # outer-iteration cap
     precond: str                     # one of KINDS
-    cg_floor: float                  # floor of pcg.cg_tolerance's schedule
     eps_dimacs: float = 1e-5         # stop when every DIMACS measure is at or below it
     rank: int = 1                    # outlier count of every block
     cg_maxiter: int = 100000
@@ -77,10 +76,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
-        for name in ("eps_dimacs", "cg_floor"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not (math.isfinite(self.eps_dimacs) and self.eps_dimacs > 0):
+            raise ValueError(f"eps_dimacs must be finite and positive, got {self.eps_dimacs!r}")
         if self.cg_maxiter < 1:
             raise ValueError(f"cg_maxiter must be >= 1, got {self.cg_maxiter!r}")
         if type(self.rank) is not int:

@@ -214,21 +214,21 @@ class TestSolve:
         assert (failure["layer"], failure["iteration"], failure["breakdown"]) == ("predictor", 0, False)
         assert failure["message"] == f"predictor CG failed at iteration 0 (breakdown=False, relres={failure['relres']:.2e})"
 
-    def test_cg_floor_defaults_to_the_drivers(self, gen_dir, tmp_path):
-        from lorank.cli import _config
-
-        path = str(gen_dir / "tru3.dat-s")
-        parse = build_parser().parse_args
-        assert _config(parse(["solve", path])).cg_floor == 1e-8
-        assert _config(parse(["solve", path, "--solver", "pdal"])).cg_floor == 1e-6
-        assert _config(parse(["solve", path, "--cg-floor", "1e-7"])).cg_floor == 1e-7
-
-    @pytest.mark.parametrize("flag", ["--cg-tol0", "--csv-append"])
+    @pytest.mark.parametrize("flag", ["--cg-tol0", "--csv-append", "--cg-floor"])
     def test_deleted_options_are_rejected(self, gen_dir, capsys, flag):
         with pytest.raises(SystemExit) as info:
             main(["solve", str(gen_dir / "tru3.dat-s"), flag, "1e-3"])
         assert info.value.code == 2
         assert flag in capsys.readouterr().err
+
+    def test_cg_floor_defaults_to_the_drivers(self, gen_dir):
+        """The CG tolerance floor is fixed per driver; no flag sets it."""
+        from lorank.cli import _config
+
+        path = str(gen_dir / "tru3.dat-s")
+        parse = build_parser().parse_args
+        assert _config(parse(["solve", path])).CG_FLOOR == 1e-8
+        assert _config(parse(["solve", path, "--solver", "pdal"])).CG_FLOOR == 1e-6
 
     def test_rank_auto_exit_code(self, gen_dir, capsys):
         """``--rank`` takes an int only."""
@@ -238,7 +238,7 @@ class TestSolve:
         assert "--rank" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, n_inputs", [("solve", 1), ("bench", 1), ("bench", 0)])
-    @pytest.mark.parametrize("option", [["--cg-floor", "-1"], ["--cg-maxiter", "0"], ["--tol", "0"]])
+    @pytest.mark.parametrize("option", [["--maxiter", "-1"], ["--cg-maxiter", "0"], ["--tol", "0"]])
     def test_out_of_range_setting_exit_code(self, gen_dir, capsys, command, n_inputs, option):
         """A setting out of range is rejected before the solve starts, by
         ``bench`` also when it has no instance to solve."""
@@ -284,6 +284,14 @@ class TestSolve:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and "no structurally nonzero" in err
+
+    def test_diagonal_block_only_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "lp.dat-s"
+        bad.write_text("1\n1\n-2\n1.0\n0 1 1 1 1.0\n1 1 1 1 1.0\n1 1 2 2 1.0\n")
+        rc = main(["solve", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: no matrix block") and "Traceback" not in err
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         rc = main(["solve", str(tmp_path / "nope.dat-s")])

@@ -47,7 +47,6 @@ def test_config_rejects_negative_cap(driver):
 @pytest.mark.parametrize(
     "field, value",
     [("eps_dimacs", 0.0), ("eps_dimacs", -1e-5), ("eps_dimacs", float("nan")),
-     ("cg_floor", -1.0), ("cg_floor", 0.0), ("cg_floor", float("inf")),
      ("cg_maxiter", 0), ("rank", "two"), ("rank", 1.5), ("rank", 2.0), ("rank", None), ("rank", True),
      ("rank", "auto")],
 )

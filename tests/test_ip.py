@@ -20,7 +20,7 @@ from lorank.ip import (
 )
 from lorank import ip as ip_module
 from lorank import precond
-from lorank.linalg import NotPositiveDefinite, min_eig, sym, sym_eig
+from lorank.linalg import NotPositiveDefinite, min_eig, sym
 from lorank.model import (
     BlockSymMatrix,
     PrimalDualPoint,
@@ -304,7 +304,7 @@ class TestRhsAndRecovery:
         assert np.linalg.norm(res_lin) <= 1e-14 * np.linalg.norm(dX.lin)
         if step == "predictor":
             # scaled complementarity: Hp(X dS + dX S) = -Hp(X S) with P = W^{-1/2}
-            lam, q = sym_eig(w)
+            lam, q = np.linalg.eigh(sym(w))
             wih = (q / np.sqrt(lam)) @ q.T
             wh = (q * np.sqrt(lam)) @ q.T
 

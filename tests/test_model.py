@@ -184,6 +184,13 @@ class TestLoadSdpa:
         with pytest.raises(SdpaParseError, match="block 0: no structurally nonzero"):
             load_sdpa(io.StringIO(text))
 
+    def test_diagonal_block_only_is_a_parse_error(self):
+        """An LP: its one block is diagonal, and the solvers need an LMI block."""
+        text = "1\n1\n-2\n1.0\n0 1 1 1 1.0\n1 1 1 1 1.0\n1 1 2 2 1.0\n"
+        with pytest.raises(SdpaParseError, match="^no matrix block") as err:
+            load_sdpa(io.StringIO(text))
+        assert err.value.lineno is None
+
     def test_diagonal_block(self):
         text = """\
 2
@@ -490,11 +497,9 @@ class TestDimacs:
 
 
 class TestValidation:
-    def test_small_n_warning(self):
-        entries = [([0], [0], [0], [1.0])]
-        c = [np.diag([1.0, 0.0, 0.0, 0.0])]
-        prob = build_problem([4], entries, c, np.array([1.0]), sp.csr_matrix((0, 1)), np.zeros(0))
-        assert any("matrix-free" in w for w in prob.validate())
+    def test_no_matrix_block_rejected(self):
+        with pytest.raises(ValueError, match="no matrix block"):
+            build_problem([], [], [], np.array([1.0]), sp.csr_matrix(np.ones((2, 1))), np.ones(2))
 
     def test_zero_block_rejected(self):
         entries = [([], [], [], [])]

@@ -45,7 +45,7 @@ class TestTauRule:
         tau = tau_cluster_mean(np.array([2.0, 2.0]), 1)
         assert tau == pytest.approx(3.0)
         s = spectral_split(np.diag([2.0, 2.0]), 1)
-        assert s.degenerate
+        assert s.tau == s.eigs[0] * (1.0 - 1e-8)
         assert s.tau < 2.0
 
     def test_arithmetic(self):
@@ -61,21 +61,21 @@ class TestSpectralSplit:
         # a clean split with a zero column
         w = np.diag([3.0, 5.0, 5.0])
         s = spectral_split(w, 1)
-        assert s.tau == 5.0 and not s.degenerate
+        assert s.tau == 5.0 and s.tau <= s.eigs[1]
         assert np.linalg.norm(s.u) == 0.0
         assert np.allclose(s.w0, w, atol=1e-12)
 
     def test_identity_degenerate_fallback(self):
         # the threshold rule asks for tau = 1.5 > cluster edge: fallback engages
         s = spectral_split(np.eye(3), 1)
-        assert s.degenerate
+        assert s.tau == s.eigs[1] * (1.0 - 1e-8)
         assert np.linalg.norm(s.u) <= 2e-4
         assert np.allclose(s.w0, np.eye(3), atol=1e-7)
         assert np.allclose(s.w0 + s.u @ s.u.T, np.eye(3), atol=1e-12)
 
     def test_clean_outlier(self):
         s = spectral_split(np.diag([3.0, 5.0, 100.0]), 1)
-        assert not s.degenerate
+        assert s.tau == tau_cluster_mean(s.eigs, 1) and s.tau <= s.eigs[1]
         assert np.allclose(s.w0, np.diag([3.0, 5.0, 5.0]), atol=1e-12)
         assert np.allclose(s.u @ s.u.T, np.diag([0.0, 0.0, 95.0]), atol=1e-10)
 
