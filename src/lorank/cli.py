@@ -5,11 +5,12 @@ Exit codes for ``gen``: 0 when the instance and its sidecar are written,
 non-finite number or a nonpositive compliance bound).  For ``solve``: 0
 when the DIMACS measures meet the tolerance, 1 when the solver stopped
 short, 2 on input errors (including a configuration the solver rejects,
-such as a preconditioner kind of the other driver), 3 on solver failures,
-whose partial report is still written like any other, with the failure's
-message, layer, iteration, relres and breakdown under ``failure``.
-``bench`` records per-row failures in the CSV and keeps going; a rejected
-configuration ends it with exit code 2.
+such as a preconditioner kind of the other driver, or ``tilde`` on a
+problem past its size limit), 3 on solver failures, whose partial report
+is still written like any other, with the failure's message, layer,
+iteration, relres and breakdown under ``failure``.  ``bench`` records
+per-row failures in the CSV, a refused problem among them, and keeps
+going; settings that are rejected end it with exit code 2.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import _threads  # noqa: F401
 from .ip import IP_KINDS, IpConfig, ip_solve
 from .model import SdpaParseError, load_sdpa, write_sdpa
 from .pdal import PDAL_KINDS, PdalConfig, pdal_solve
-from .report import CSV_COLUMNS, DIAG_LIMIT, SolveReport, SolverConfig, SolverFailure, _json_default
+from .report import CSV_COLUMNS, DIAG_LIMIT, ConfigError, SolveReport, SolverConfig, SolverFailure, _json_default
 from .truss import (
     TrussSdpSpec,
     assemble_sdp,
@@ -38,10 +39,6 @@ from .truss import (
 
 # --solver: the config class and the solve function of each driver
 DRIVERS = {"ip": (IpConfig, ip_solve), "pdal": (PdalConfig, pdal_solve)}
-
-
-class ConfigError(ValueError):
-    """A solver configuration built from the command line was rejected."""
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -200,7 +197,7 @@ def cmd_bench(args) -> int:
         try:
             report, _ = _run(args, cfg, path)
             rows.append(report.csv_row())
-        except (SolverFailure, SdpaParseError, FileNotFoundError) as exc:
+        except (SolverFailure, SdpaParseError, FileNotFoundError, ConfigError) as exc:
             row = [str(path.name), args.solver, cfg.precond, f"failed: {exc}"]
             row += [""] * (len(CSV_COLUMNS) - len(row))
             rows.append(row)

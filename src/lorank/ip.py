@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import solve_triangular, svd
 
 from . import precond as pc
-from .linalg import NotPositiveDefinite, chol, min_eig, sym
+from .linalg import NotPositiveDefinite, chol, is_pd, min_eig, sym
 from .model import (
     BlockSymMatrix,
     PrimalDualPoint,
@@ -28,7 +28,7 @@ from .model import (
     dimacs,
 )
 from .pcg import Deflation, cg_tolerance, pcg_solve
-from .report import DIAG_LIMIT, RunRecord, SolveReport, SolverConfig, SolverFailure
+from .report import ConfigError, RunRecord, SolveReport, SolverConfig, SolverFailure
 
 IP_KINDS = ("alpha", "beta", "cluster", "tilde", "none")
 
@@ -64,14 +64,8 @@ class NtBlock:
     g: np.ndarray
     g_inv: np.ndarray
     d: np.ndarray        # diag(G' S G), the scaling singular values
-
-    def x_inv_factor(self) -> np.ndarray:
-        """F = D^{-1/2} G^{-1} with F'F = X^{-1} (X = G D G')."""
-        return self.g_inv / np.sqrt(self.d)[:, None]
-
-    def s_inv_factor(self) -> np.ndarray:
-        """F = D^{-1/2} G' with F'F = S^{-1} (S = G^{-T} D G^{-1})."""
-        return self.g.T / np.sqrt(self.d)[:, None]
+    fx: np.ndarray       # D^{-1/2} G^{-1}, with fx'fx = X^{-1} (X = G D G')
+    fs: np.ndarray       # D^{-1/2} G', with fs'fs = S^{-1} (S = G^{-T} D G^{-1})
 
 
 def nt_scaling(x: np.ndarray, s: np.ndarray) -> NtBlock:
@@ -87,7 +81,7 @@ def nt_scaling(x: np.ndarray, s: np.ndarray) -> NtBlock:
     a triangular solve with L, not from the equal product D^{-1/2} U' R':
     the product, which leans on the SVD identity, cost late IP iterates
     more iterations on tru8 and tru9 across variable orders.  Propagates
-    NotPositiveDefinite when a block left the cone.
+    NotPositiveDefinite when a block left the cone.  Forms ``fx``, ``fs`` too.
     """
     l = chol(x, "NT scaling (X block)")
     r = chol(s, "NT scaling (S block)")
@@ -101,13 +95,16 @@ def nt_scaling(x: np.ndarray, s: np.ndarray) -> NtBlock:
     g = l @ v / np.sqrt(sig)
     g_inv = solve_triangular(l, v * np.sqrt(sig), lower=True, trans="T").T
     w = g @ g.T
-    return NtBlock(sym(w), g, g_inv, sig)
+    root = np.sqrt(sig)[:, None]
+    return NtBlock(sym(w), g, g_inv, sig, g_inv / root, g.T / root)
 
 
 @dataclass
 class Scaling:
     blocks: list[NtBlock]
     lin_w2: np.ndarray   # x_lin / s_lin, the squared diagonal scaling
+    fx: list[np.ndarray]  # the blocks' step-length factors, for step_length
+    fs: list[np.ndarray]
 
     def lin_diag(self, prob: SdpProblem) -> np.ndarray:
         """Diagonal of D' diag(x/s) D (exact for disjoint box rows)."""
@@ -121,7 +118,7 @@ class Scaling:
 
 def make_scaling(pt: PrimalDualPoint) -> Scaling:
     blocks = [nt_scaling(x, s) for x, s in zip(pt.X.blocks, pt.S.blocks)]
-    return Scaling(blocks, pt.X.lin / pt.S.lin)
+    return Scaling(blocks, pt.X.lin / pt.S.lin, [nt.fx for nt in blocks], [nt.fs for nt in blocks])
 
 
 def schur_matvec(prob: SdpProblem, scal: Scaling, dy: np.ndarray) -> np.ndarray:
@@ -179,9 +176,9 @@ def step_length(
 ) -> float:
     """min(1, -tau / lambda_min(M^{-1} dM)) over all blocks and the linear part.
 
-    ``factors`` holds one F per block with F'F = M^{-1} (``NtBlock``'s
-    ``x_inv_factor`` or ``s_inv_factor``), so lambda_min(M^{-1} dM) is that
-    of F dM F' and no block is factored again."""
+    ``factors`` holds one F per block with F'F = M^{-1} (``Scaling.fx`` or
+    ``Scaling.fs``), so lambda_min(M^{-1} dM) is that of F dM F' and no
+    block is factored again."""
     candidates = [1.0]
     for f, dm in zip(factors, dirs.blocks):
         lam = min_eig(f @ dm @ f.T)
@@ -195,14 +192,9 @@ def step_length(
 
 
 def _is_interior(mats: BlockSymMatrix) -> bool:
-    try:
-        for b in mats.blocks:
-            chol(b)
-    except NotPositiveDefinite:
-        return False
     if mats.lin.size and mats.lin.min() <= 0:
         return False
-    return True
+    return all(is_pd(b) for b in mats.blocks)
 
 
 def step_with_repair(
@@ -263,28 +255,24 @@ def _build_preconditioner(
     return pc.build_h_beta(pc.cluster_base(prob, splits, lin_diag))
 
 
-def _dense_diagnostics(
-    prob: SdpProblem, scal: Scaling, splits: list[pc.SplitBlock], prec: pc.SmwPreconditioner
-) -> dict:
-    """Dense conditioning record for one iteration (n <= diag limit) of the
-    preconditioner the iteration applied.  For alpha and cluster it adds
-    the split bound: their bases stand in for each
-    B_i = A_i'(W0_i x W0_i)A_i by tau_i^2 I and by diag(B_i)."""
-    n = prob.n
-    h = pc.dense_of(lambda v: schur_matvec(prob, scal, v), n)
-    kind = prec.kind
+def _split_bound(prob: SdpProblem, splits: list[pc.SplitBlock], kind: str) -> tuple[list, list]:
+    """The (terms, approx) pairs of the split bound of a dense record: the
+    alpha and cluster bases stand in for each B_i = A_i'(W0_i x W0_i)A_i by
+    tau_i^2 I and by diag(B_i).  Other kinds have none."""
     bounded = kind in ("alpha", "cluster")
     terms = [pc.dense_sandwich(a, s.w0, s.w0) for a, s in zip(prob.A, splits)] if bounded else []
-    approx = [s.tau**2 * np.eye(n) if kind == "alpha" else np.diag(np.diag(t)) for s, t in zip(splits, terms)]
-    return {"precond": kind, **pc.conditioning(h, prec.dense(), terms, approx)}
+    approx = [s.tau**2 * np.eye(prob.n) if kind == "alpha" else np.diag(np.diag(t)) for s, t in zip(splits, terms)]
+    return terms, approx
 
 
 def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDualPoint, SolveReport]:
     """Run the predictor-corrector loop until the DIMACS measures drop below
     the configured tolerance, the steps stall (``STALL_ITERS`` iterations in
     a row with min(alpha, beta) < ``STALL_STEP``) or the iteration cap is
-    hit."""
+    hit.  Raises ConfigError for ``tilde`` past ``TILDE_DENSE_LIMIT``."""
     config = config or IpConfig()
+    if config.precond == "tilde" and prob.n > pc.TILDE_DENSE_LIMIT:
+        raise ConfigError(f"precond tilde refuses n = {prob.n} > TILDE_DENSE_LIMIT = {pc.TILDE_DENSE_LIMIT} (dense base)")
     run = RunRecord(prob, config)
     pt = initial_point(prob)
     status = "max_iterations"
@@ -311,10 +299,9 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
 
         prec = _build_preconditioner(config.precond, prob, splits, lin_diag)
 
-        if config.diag and prob.n <= DIAG_LIMIT:
-            rec = _dense_diagnostics(prob, scal, splits, prec)
-            rec["iteration"] = it
-            run.diagnostics.append(rec)
+        if run.diagnosing:
+            run.diagnose(lambda v: schur_matvec(prob, scal, v), prec, *_split_bound(prob, splits, prec.kind),
+                         iteration=it)
 
         rp, rd = errs.rp, errs.rd
         wrdw = scal.sandwich(rd)
@@ -346,11 +333,9 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
         _, dX_p, dS_p, rep_p = pred
         space = rep_p.deflation
 
-        x_factors = [nt.x_inv_factor() for nt in scal.blocks]
-        s_factors = [nt.s_inv_factor() for nt in scal.blocks]
         # Mehrotra's sigma from the full predictor step to the boundary
-        alpha_p = step_length(x_factors, pt.X, dX_p, 1.0)
-        beta_p = step_length(s_factors, pt.S, dS_p, 1.0)
+        alpha_p = step_length(scal.fx, pt.X, dX_p, 1.0)
+        beta_p = step_length(scal.fs, pt.S, dS_p, 1.0)
         num = (pt.X + alpha_p * dX_p).dot(pt.S + beta_p * dS_p)
         sigma = min(1.0, max(0.0, num / xs)) ** SIGMA_POWER
         # SDPT3's corrector fraction: closer to the boundary after a long predictor
@@ -362,8 +347,8 @@ def ip_solve(prob: SdpProblem, config: IpConfig | None = None) -> tuple[PrimalDu
         dy, dX, dS, rep_c = corr
 
         try:
-            alpha, alpha_repairs = step_with_repair(x_factors, pt.X, dX, step_frac, STEP_REPAIR_LIMIT)
-            beta, beta_repairs = step_with_repair(s_factors, pt.S, dS, step_frac, STEP_REPAIR_LIMIT)
+            alpha, alpha_repairs = step_with_repair(scal.fx, pt.X, dX, step_frac, STEP_REPAIR_LIMIT)
+            beta, beta_repairs = step_with_repair(scal.fs, pt.S, dS, step_frac, STEP_REPAIR_LIMIT)
         except NotPositiveDefinite as exc:
             if errs.max() <= config.graceful_tol:
                 status = "numerical_limit"

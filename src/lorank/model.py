@@ -41,9 +41,6 @@ class BlockSymMatrix:
     blocks: list[np.ndarray]
     lin: np.ndarray
 
-    def copy(self) -> "BlockSymMatrix":
-        return BlockSymMatrix([b.copy() for b in self.blocks], self.lin.copy())
-
     def __add__(self, other: "BlockSymMatrix") -> "BlockSymMatrix":
         return BlockSymMatrix([a + b for a, b in zip(self.blocks, other.blocks)], self.lin + other.lin)
 
@@ -223,6 +220,8 @@ class SdpProblem:
         """Consistency checks; raises ValueError on the first one that fails."""
         if not self.block_dims:
             raise ValueError("no matrix block: the problem needs at least one LMI block")
+        if not len(self.block_dims) == len(self.A) == len(self.C):
+            raise ValueError(f"block_dims, A and C have {len(self.block_dims)}, {len(self.A)} and {len(self.C)} entries")
         for i, (m, a) in enumerate(zip(self.block_dims, self.A)):
             if a.shape != (m * m, n := self.n):
                 raise ValueError(f"block {i}: operator shape {a.shape} != ({m * m}, {n})")

@@ -10,14 +10,15 @@ where Phi/phi are penalty rescalings that vanish at the constraint boundary
 and blow up as the argument approaches the penalty parameter pi.  LMI blocks
 use the hyperbolic penalty t -> t / (1 - t), whose matrix lift needs only the
 resolvent Z = (pi I - A)^{-1} and admits the closed multiplier update
-Xbar = pi^2 Z X Z; box rows use the quadratic-extrapolated logarithm.
+Xbar = pi^2 Z X Z; box rows use the quadratic-extrapolated logarithm.  The
+weight r (``R``), ``MAX_INNER`` and the other parameters are module constants.
 
 Each outer iteration solves the stationarity condition as a primal-dual
-system in (y, X) by damped Newton steps; the n x n Newton matrix (the
-Hessian of F) is applied matrix-free and solved by PCG with the gamma/delta
-preconditioners.  An early-stopping rule hands control back to the outer
-loop as soon as the combined primal-dual error halves, which near the
-solution reduces the inner loop to a single Newton step.
+system in (y, X) by at most ``MAX_INNER`` damped Newton steps; the n x n
+Newton matrix (the Hessian of F) is applied matrix-free and solved by PCG
+with the gamma/delta preconditioners.  An early-stopping rule hands control
+back to the outer loop as soon as the combined primal-dual error halves,
+which near the solution reduces the inner loop to a single Newton step.
 
 The outer loop stops when all six DIMACS measures reach eps_dimacs, the
 interior-point driver's rule; each iterate is measured once, and the report
@@ -52,13 +53,15 @@ from .model import (
     pd_errors,
 )
 from .pcg import cg_tolerance, pcg_solve
-from .report import DIAG_LIMIT, RunRecord, SolveReport, SolverConfig
+from .report import RunRecord, SolveReport, SolverConfig
 
 PDAL_KINDS = ("gamma", "delta", "beta", "none")
 
 # One parameter set for the tru and the vib instances: the ``tru`` column of
-# the paper's parameter table, with the proximal weight ``PdalConfig.r``
-# lowered from 0.01 to 1e-4.
+# the paper's parameter table, with the proximal weight ``R`` lowered from
+# 0.01 to 1e-4.
+R = 1e-4                # proximal weight; also the floor of the inner Hessian
+MAX_INNER = 100         # Newton steps per inner solve
 QLOG_TAU = 0.5          # box-penalty extrapolation point
 PI_LIN_MIN = 1e-9       # penalty floors, box rows and LMI blocks
 PI_LMI_MIN = 1e-5
@@ -127,15 +130,6 @@ class PdalConfig(SolverConfig):
 
     max_iter: int = 500
     precond: str = "gamma"
-    r: float = 1e-4                # proximal weight; also the floor of the inner Hessian
-    max_inner: int = 100
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not (np.isfinite(self.r) and self.r > 0):
-            raise ValueError(f"r must be finite and positive, got {self.r!r}")
-        if self.max_inner < 1:
-            raise ValueError(f"max_inner must be >= 1, got {self.max_inner!r}")
 
 
 def pdal_config_profile(profile: str) -> PdalConfig:
@@ -343,7 +337,7 @@ class InnerResult:
     converged: bool
     line_search_failures: int = 0
     precond_kinds: list[str] = field(default_factory=list)  # applied, in order of first use
-    cap_hit: bool = False          # ended at max_inner Newton steps
+    cap_hit: bool = False          # ended at MAX_INNER Newton steps
 
 
 def inner_solve(
@@ -365,12 +359,12 @@ def inner_solve(
     """
     prob, cfg = ctx.prob, run.config
     e_outer = _pd_error_of(errs)
-    y = pt.y.copy()
-    x_hat = pt.X.copy()
+    # the outer point, uncopied: y and x_hat are only ever rebound
+    y, x_hat = pt.y, pt.X
     ev = evaluate_point(ctx, y)
     kinds: list[str] = []
 
-    for ell in range(cfg.max_inner):
+    for ell in range(MAX_INNER):
         g1, g2 = pd_residuals(ctx, ev, x_hat)
         m_val = merit(g1, g2)
         if m_val <= eps_inner and _block_pd(x_hat):
@@ -389,9 +383,9 @@ def inner_solve(
         prec = _pdal_preconditioner(ctx, ev, cfg)
         if prec.kind not in kinds:
             kinds.append(prec.kind)
-        if cfg.diag and prob.n <= DIAG_LIMIT:
-            run.diagnostics.append(_dense_hessian_record(ctx, ev, prec, outer_index, ell))
         op = lambda v: hessian_matvec(ctx, ev, v)  # noqa: E731
+        if run.diagnosing:
+            run.diagnose(op, prec, outer=outer_index, inner=ell, r=ctx.r)
         dy, rep = pcg_solve(op, prec.apply_inv, -ev.grad, tol=cg_tol, maxiter=cfg.cg_maxiter)
         if not run.take(rep, f"inner {ell}", outer_index, pt, errs):
             return None
@@ -427,24 +421,8 @@ def inner_solve(
 
     g1, g2 = pd_residuals(ctx, ev, x_hat)
     return InnerResult(
-        ev, x_hat, cfg.max_inner, merit(g1, g2), False, False, precond_kinds=kinds, cap_hit=True
+        ev, x_hat, MAX_INNER, merit(g1, g2), False, False, precond_kinds=kinds, cap_hit=True
     )
-
-
-def _dense_hessian_record(
-    ctx: OuterCtx, ev: PointEval, prec: pc.SmwPreconditioner, outer: int, inner: int
-) -> dict:
-    """Dense record of one Newton step (n <= diag limit): the extreme
-    eigenvalues of the Hessian, against the floor r, and its conditioning
-    under the preconditioner the step applied."""
-    h = pc.dense_of(lambda v: hessian_matvec(ctx, ev, v), ctx.prob.n)
-    return {
-        "outer": outer,
-        "inner": inner,
-        "precond": prec.kind,
-        "r": ctx.r,
-        **pc.conditioning(h, prec.dense()),
-    }
 
 
 def penalty_update(pi_lin: float, pi_lmi: float, lam_max_lmi: float) -> tuple[float, float]:
@@ -489,7 +467,7 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
             x_lin=x.lin,
             pi_lmi=pi_lmi,
             pi_lin=pi_lin,
-            r=cfg.r,
+            r=R,
         )
         eps_k = max(INNER_EPS_MIN, INNER_EPS0 * INNER_EPS_DECAY**k)
         cg_tol = cg_tolerance(k, cfg.CG_FLOOR)

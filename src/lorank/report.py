@@ -1,6 +1,6 @@
-"""The scaffold both drivers share: the settings they both read, the run
-record each solve keeps, and its report (per-iteration trace, spectra
-summary, JSON/CSV output)."""
+"""The scaffold both drivers share: the settings they both read and the error
+for a rejected one, the run record each solve keeps (CG gate, dense
+diagnostics) and its report (per-iteration trace, spectra, JSON/CSV)."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import numpy as np
 import scipy
 
 from . import _threads
+from . import precond as pc
 from .model import DimacsErrors, PrimalDualPoint, SdpProblem, objective_values
 from .pcg import PcgReport
 
@@ -163,6 +164,11 @@ class SolveReport:
         return [str(v) for v in vals]
 
 
+class ConfigError(ValueError):
+    """A solver configuration that was rejected: a setting out of range on
+    the command line, or a pair of setting and problem a driver refuses."""
+
+
 class SolverFailure(RuntimeError):
     """A solve that ended in an exception; ``report`` is its partial report.
     ``layer`` and ``iteration`` name where it failed, and ``relres`` and
@@ -187,6 +193,18 @@ class RunRecord:
         self.trace: list[dict] = []
         self.diagnostics: list[dict] = []
         self.cg_total = 0
+
+    @property
+    def diagnosing(self) -> bool:
+        """Dense diagnostics are on: ``diag`` is set and n <= ``DIAG_LIMIT``."""
+        return self.config.diag and self.prob.n <= DIAG_LIMIT
+
+    def diagnose(self, matvec, prec: pc.SmwPreconditioner, terms=(), approx=(), **keys):
+        """Append one dense record: the driver's ``keys``, the kind of ``prec``
+        and ``pc.conditioning`` of the Newton matrix of ``matvec`` under the
+        dense ``prec``, with the split bound of ``terms`` against ``approx``."""
+        h = pc.dense_of(matvec, self.prob.n)
+        self.diagnostics.append({**keys, "precond": prec.kind, **pc.conditioning(h, prec.dense(), terms, approx)})
 
     def take(self, rep: PcgReport, layer: str, iteration: int, pt: PrimalDualPoint, errs: DimacsErrors) -> bool:
         """Count the CG of ``rep``, the solve of ``layer`` at ``iteration``,

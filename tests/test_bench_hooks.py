@@ -76,16 +76,18 @@ def _inside(spans, rec, layer):
     return False
 
 
-def test_pdal_evaluates_points_only_in_inner_solve(tracing, vib5):
+def test_pdal_evaluates_points_only_in_inner_solve(tracing, vib5, monkeypatch):
     """The multiplier repair reads the inner solve's last evaluation; on
     vib5 with r = 0.01 it repairs from outer 49 on (the default r solves
     vib5 without a repair)."""
+    from lorank import pdal
     from lorank.pdal import PdalConfig, pdal_solve
 
+    monkeypatch.setattr(pdal, "R", 0.01)
     _, _, prob = vib5
     tracer = tracing.Tracer()
     with tracer.patched():
-        pdal_solve(prob, PdalConfig(r=0.01, max_iter=55))
+        pdal_solve(prob, PdalConfig(max_iter=55))
     spans = tracer.spans
     evals = [rec for rec in spans if rec[0] == "pdal.evaluate_point"]
     assert evals

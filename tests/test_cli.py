@@ -9,6 +9,7 @@ import pytest
 import scipy
 
 from lorank import ip as ip_module
+from lorank import precond
 from lorank.cli import build_parser, main
 from lorank.linalg import NotPositiveDefinite
 from lorank.model import load_sdpa
@@ -293,6 +294,19 @@ class TestSolve:
         assert rc == 2
         assert err.startswith("error: no matrix block") and "Traceback" not in err
 
+    def test_tilde_past_its_limit_exit_code(self, gen_dir, tmp_path, capsys, monkeypatch):
+        """tilde on a problem past its dense limit is refused before the
+        first iteration, by an error that names n and the limit."""
+        monkeypatch.setattr(precond, "TILDE_DENSE_LIMIT", 35)
+        out = tmp_path / "tilde.json"
+        rc = main(["solve", str(gen_dir / "tru3.dat-s"), "--precond", "tilde", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "n = 36" in err and "TILDE_DENSE_LIMIT = 35" in err
+        assert "Traceback" not in err and not out.exists()
+        monkeypatch.setattr(precond, "TILDE_DENSE_LIMIT", 36)
+        assert main(["solve", str(gen_dir / "tru3.dat-s"), "--precond", "tilde", "--out", str(out)]) == 0
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         rc = main(["solve", str(tmp_path / "nope.dat-s")])
         capsys.readouterr()
@@ -335,6 +349,17 @@ class TestBench:
         assert len(rows) == 3
         assert rows[1][0] == "tru3.dat-s"
         assert rows[2][3].startswith("failed")
+
+    def test_tilde_refused_row_is_recorded(self, gen_dir, toy_file, tmp_path, capsys, monkeypatch):
+        """A problem tilde refuses is a failed row, and the sweep goes on."""
+        monkeypatch.setattr(precond, "TILDE_DENSE_LIMIT", 35)
+        out = tmp_path / "bench.csv"
+        rc = main(["bench", str(gen_dir / "tru3.dat-s"), str(toy_file), "--precond", "tilde", "--csv", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        header, refused, solved = list(csv.reader(out.open()))
+        assert refused[3].startswith("failed: precond tilde") and "n = 36" in refused[3]
+        assert solved[0] == "toy.dat-s" and solved[header.index("status")] == "optimal"
 
     @pytest.mark.parametrize("solver, args, kind", [("ip", [], "cluster"), ("pdal", [], "gamma"),
                                                    ("ip", ["--precond", "beta"], "beta")])

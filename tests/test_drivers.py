@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lorank import precond, report
 from lorank.cli import DRIVERS
 from lorank.ip import initial_point
 from lorank.model import BlockSymMatrix, PrimalDualPoint, dimacs, dual_slack
@@ -76,13 +77,23 @@ def test_none_applies_the_identity_on_every_row(driver, tru3):
         assert all(row["defl_rank"] == 0 for row in rep.trace)
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [("r", 0.0), ("r", -1e-4), ("r", float("nan")), ("r", float("inf")), ("max_inner", 0), ("max_inner", -1)],
-)
-def test_pdal_config_rejects_out_of_range_settings(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must be"):
-        DRIVERS["pdal"][0](**{field: value})
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_diag_past_the_limit_forms_no_dense_matrix(driver, tru3, monkeypatch):
+    """``diag`` on a problem past ``DIAG_LIMIT`` writes no dense record and
+    never forms the n x n Newton matrix; at the limit it forms it."""
+    _, _, prob = tru3
+    config_cls, solve = DRIVERS[driver]
+
+    def no_dense(*args):
+        raise AssertionError("dense_of called")
+
+    monkeypatch.setattr(precond, "dense_of", no_dense)
+    monkeypatch.setattr(report, "DIAG_LIMIT", prob.n - 1)
+    _, rep = solve(prob, config_cls(diag=True, max_iter=2))
+    assert len(rep.trace) == 2 and rep.diagnostics == []
+    monkeypatch.setattr(report, "DIAG_LIMIT", prob.n)
+    with pytest.raises(AssertionError, match="dense_of called"):
+        solve(prob, config_cls(diag=True, max_iter=2))
 
 
 @pytest.mark.parametrize("driver", DRIVERS)

@@ -403,7 +403,7 @@ class TestFactoredStepLength:
         m = 12
         x, s = self.pair(rng, m, cond)
         nt = nt_scaling(x, s)
-        for mat, f in ((x, nt.x_inv_factor()), (s, nt.s_inv_factor())):
+        for mat, f in ((x, nt.fx), (s, nt.fs)):
             dm = rand_sym(rng, m) * np.linalg.norm(mat, 2)
             expected = eigh(dm, mat, eigvals_only=True)[0]
             got = min_eig(f @ dm @ f.T)
@@ -416,7 +416,7 @@ class TestFactoredStepLength:
         x, s = self.pair(rng, 10, 1e8)
         nt = nt_scaling(x, s)
         assert np.allclose(nt.g_inv @ nt.g, np.eye(10), atol=1e-11)
-        for mat, f in ((x, nt.x_inv_factor()), (s, nt.s_inv_factor())):
+        for mat, f in ((x, nt.fx), (s, nt.fs)):
             # F M F' = I up to a few eps * cond(M)
             assert np.allclose(f @ mat @ f.T, np.eye(10), atol=1e-7)
 
@@ -428,7 +428,7 @@ class TestFactoredStepLength:
         nt = nt_scaling(x, s)
         dx = -3.0 * rand_spd(rng, 6)
         ds = rand_sym(rng, 6)
-        for mat, dm, f in ((x, dx, nt.x_inv_factor()), (s, ds, nt.s_inv_factor())):
+        for mat, dm, f in ((x, dx, nt.fx), (s, ds, nt.fs)):
             mats, dirs = BlockSymMatrix([mat], np.zeros(0)), BlockSymMatrix([dm], np.zeros(0))
             lam = eigh(dm, mat, eigvals_only=True)[0]
             expected = min(1.0, -0.9 / lam) if lam < 0 else 1.0

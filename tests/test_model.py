@@ -501,6 +501,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="no matrix block"):
             build_problem([], [], [], np.array([1.0]), sp.csr_matrix(np.ones((2, 1))), np.ones(2))
 
+    @pytest.mark.parametrize("n_ops, n_objs", [(0, 0), (0, 1), (1, 0), (2, 1)])
+    def test_block_count_mismatch_rejected(self, n_ops, n_objs):
+        """One operator and one objective block per entry of block_dims;
+        zip would stop at the shortest list and let the solve fail later."""
+        ops = [sp.csr_matrix(np.ones((4, 1)))] * n_ops
+        prob = SdpProblem([2], ops, [np.eye(2)] * n_objs, np.array([1.0]), sp.csr_matrix((0, 1)), np.zeros(0))
+        with pytest.raises(ValueError, match=f"^block_dims, A and C have 1, {n_ops} and {n_objs} entries"):
+            prob.validate()
+
     def test_zero_block_rejected(self):
         entries = [([], [], [], [])]
         c = [np.diag([1.0, 0.0, 0.0])]

@@ -484,12 +484,13 @@ class TestInnerSolve:
         assert res.iterations == 0
         assert res.converged
 
-    def test_merit_decreases(self, tru3):
+    def test_merit_decreases(self, tru3, monkeypatch):
+        monkeypatch.setattr(pdal, "MAX_INNER", 30)
         _, _, prob = tru3
         ctx, y = make_ctx(prob, seed=14)
         x0 = BlockSymMatrix([np.eye(m) for m in prob.block_dims], np.ones(prob.nu))
         # e_outer = 0 disables early stopping, forcing merit convergence
-        res = inner(ctx, y, x0, 1e-10, PdalConfig(max_inner=30), 1e-8, e_outer=0.0)
+        res = inner(ctx, y, x0, 1e-10, PdalConfig(), 1e-8, e_outer=0.0)
         assert res.merit <= 1e-10
         assert res.converged
         assert res.precond_kinds == ["gamma"]
@@ -499,11 +500,12 @@ class TestInnerSolve:
         Newton step: the point and its merit are those of the start, and the
         inner solve ends unconverged."""
         monkeypatch.setattr(pdal, "LS_MAX_HALVINGS", 0)
+        monkeypatch.setattr(pdal, "MAX_INNER", 30)
         _, _, prob = tru3
         ctx, y = make_ctx(prob, seed=14)
         x0 = BlockSymMatrix([np.eye(m) for m in prob.block_dims], np.ones(prob.nu))
         start = merit(*pd_residuals(ctx, evaluate_point(ctx, y), x0))
-        res = inner(ctx, y, x0, 1e-10, PdalConfig(max_inner=30), 1e-8, e_outer=0.0)
+        res = inner(ctx, y, x0, 1e-10, PdalConfig(), 1e-8, e_outer=0.0)
         assert res.iterations == 1 and res.line_search_failures == 1
         assert res.converged is False and not res.early_stop and not res.cap_hit
         assert res.merit == start
@@ -514,10 +516,11 @@ class TestInnerSolve:
             raise NotPositiveDefinite(0, "gamma companion factor")
 
         monkeypatch.setattr(precond, "build_h_gamma", failing_build)
+        monkeypatch.setattr(pdal, "MAX_INNER", 30)
         _, _, prob = tru3
         ctx, y = make_ctx(prob, seed=14)
         x0 = BlockSymMatrix([np.eye(m) for m in prob.block_dims], np.ones(prob.nu))
-        res = inner(ctx, y, x0, 1e-10, PdalConfig(max_inner=30), 1e-8, e_outer=0.0)
+        res = inner(ctx, y, x0, 1e-10, PdalConfig(), 1e-8, e_outer=0.0)
         assert res.converged
         assert res.precond_kinds == ["beta"]
 
@@ -595,7 +598,7 @@ class TestPdalSolve:
         """One parameter set: the tru profile is the default config (r = 1e-4)
         and no other profile exists."""
         assert pdal_config_profile("tru") == PdalConfig()
-        assert PdalConfig().r == 1e-4
+        assert pdal.R == 1e-4
         with pytest.raises(ValueError, match="vib"):
             pdal_config_profile("vib")
 
@@ -623,12 +626,13 @@ class TestPdalSolve:
             assert row["precond"] == ("gamma" if row["inner_iterations"] else "")
             assert row["inner_cap_hit"] is False
 
-    def test_trace_records_inner_cap_hits(self, tru3):
-        """An inner solve that ends at max_inner Newton steps, neither
+    def test_trace_records_inner_cap_hits(self, tru3, monkeypatch):
+        """An inner solve that ends at MAX_INNER Newton steps, neither
         converged, stopped early nor ended by a line-search failure, is
         flagged in its trace row."""
+        monkeypatch.setattr(pdal, "MAX_INNER", 1)
         _, _, prob = tru3
-        _, rep = pdal_solve(prob, PdalConfig(max_inner=1, max_iter=3))
+        _, rep = pdal_solve(prob, PdalConfig(max_iter=3))
         hits = [row["inner_cap_hit"] for row in rep.trace]
         assert len(hits) == 3 and any(hits)
         for row in rep.trace:
