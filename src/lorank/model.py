@@ -147,6 +147,8 @@ class ConstraintOps:
     supports   : per block, the :class:`Support` of its A_j (n s^2 floats),
                  the one sparsity index of the preconditioners' bases and
                  of the slot grid of their low-rank blocks
+    slot_plans : the slot grids' layouts, one per recipe shape, filled by
+                 the preconditioner builds (``precond._slot_plan``)
     """
 
     stacked: sp.csr_matrix
@@ -154,6 +156,7 @@ class ConstraintOps:
     a_norms_sq: list[np.ndarray]
     d_sq_t: sp.csr_matrix
     supports: list[Support]
+    slot_plans: dict = field(default_factory=dict)
 
 
 class SdpaParseError(ValueError):

@@ -20,6 +20,15 @@ with the gamma/delta preconditioners.  An early-stopping rule hands control
 back to the outer loop as soon as the combined primal-dual error halves,
 which near the solution reduces the inner loop to a single Newton step.
 
+The Newton systems are solved inexactly (Dembo, Eisenstat & Steihaug 1982;
+Eisenstat & Walker 1996): each step's PCG solve asks for the relative
+residual max(cg_tol, min(``ETA_MAX``, ``ETA_C`` sqrt(merit))), with cg_tol
+the outer iteration's ``pcg.cg_tolerance`` and merit the inner merit at the
+Newton iterate.  Far from the inner solution a loose direction serves as
+well as an exact one; as the merit falls the tolerance tightens to cg_tol.
+Each trace row keeps cg_tol and, as ``cg_tol_max``, the loosest tolerance
+its Newton steps asked for.
+
 The outer loop stops when all six DIMACS measures reach eps_dimacs, the
 interior-point driver's rule; each iterate is measured once, and the report
 carries that measurement.  Each Newton step's CG solve passes the gate both
@@ -33,7 +42,8 @@ standard 1e-5 level and ``stalled`` above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -72,6 +82,8 @@ GAMMA_LMI = 0.5
 INNER_EPS0 = 1e-2       # inner merit target eps_k = max(MIN, EPS0 * DECAY**k)
 INNER_EPS_DECAY = 0.3
 INNER_EPS_MIN = 1e-14
+ETA_MAX = 3e-3          # Newton-step CG tolerance max(outer floor, min(ETA_MAX, ETA_C * sqrt(merit)))
+ETA_C = 0.3
 ARMIJO = 0.05           # sufficient-decrease fraction of the line search
 LS_MAX_HALVINGS = 40
 PD_TOL = 1e-10          # relative round-off the multiplier's definiteness test allows
@@ -335,8 +347,9 @@ class InnerResult:
     merit: float
     early_stop: bool
     converged: bool
+    precond_kinds: list[str]       # applied, in order of first use
+    cg_tol_max: float | None       # loosest CG tolerance of its Newton steps; None without one
     line_search_failures: int = 0
-    precond_kinds: list[str] = field(default_factory=list)  # applied, in order of first use
     cap_hit: bool = False          # ended at MAX_INNER Newton steps
 
 
@@ -350,7 +363,8 @@ def inner_solve(
     outer_index: int = 0,
 ) -> InnerResult | None:
     """Damped Newton on the primal-dual stationarity system, from the outer
-    point ``pt`` with its DIMACS errors ``errs``.
+    point ``pt`` with its DIMACS errors ``errs``; ``cg_tol`` is the floor of
+    each Newton step's CG tolerance (module docstring).
 
     Stops when the merit drops below eps_inner with a positive definite
     multiplier, or when the early-stopping conjunction (outer error halved,
@@ -362,13 +376,14 @@ def inner_solve(
     # the outer point, uncopied: y and x_hat are only ever rebound
     y, x_hat = pt.y, pt.X
     ev = evaluate_point(ctx, y)
+    g1, g2 = pd_residuals(ctx, ev, x_hat)
+    m_val = merit(g1, g2)
     kinds: list[str] = []
+    tol_max = None
 
     for ell in range(MAX_INNER):
-        g1, g2 = pd_residuals(ctx, ev, x_hat)
-        m_val = merit(g1, g2)
         if m_val <= eps_inner and _block_pd(x_hat):
-            return InnerResult(ev, x_hat, ell, m_val, False, True, precond_kinds=kinds)
+            return InnerResult(ev, x_hat, ell, m_val, False, True, kinds, tol_max)
         # the residual clauses first: they are cheap, and most points that
         # fail the conjunction fail one of them before pd_error is measured
         if (
@@ -378,7 +393,7 @@ def inner_solve(
             and pd_error(prob, y, x_hat, ev.slack(), ev.slack_min_eigs) < 0.5 * e_outer
             and _block_pd(x_hat)
         ):
-            return InnerResult(ev, x_hat, ell, m_val, True, True, precond_kinds=kinds)
+            return InnerResult(ev, x_hat, ell, m_val, True, True, kinds, tol_max)
 
         prec = _pdal_preconditioner(ctx, ev, cfg)
         if prec.kind not in kinds:
@@ -386,7 +401,9 @@ def inner_solve(
         op = lambda v: hessian_matvec(ctx, ev, v)  # noqa: E731
         if run.diagnosing:
             run.diagnose(op, prec, outer=outer_index, inner=ell, r=ctx.r)
-        dy, rep = pcg_solve(op, prec.apply_inv, -ev.grad, tol=cg_tol, maxiter=cfg.cg_maxiter)
+        tol = max(cg_tol, min(ETA_MAX, ETA_C * math.sqrt(m_val)))
+        tol_max = tol if tol_max is None else max(tol_max, tol)
+        dy, rep = pcg_solve(op, prec.apply_inv, -ev.grad, tol=tol, maxiter=cfg.cg_maxiter)
         if not run.take(rep, f"inner {ell}", outer_index, pt, errs):
             return None
         dx = newton_direction(ctx, ev, g2, dy)
@@ -395,7 +412,6 @@ def inner_solve(
         if slope >= 0:
             slope = 0.0
         alpha = 1.0
-        accepted = False
         for _ in range(LS_MAX_HALVINGS):
             try:
                 ev_trial = evaluate_point(ctx, y + alpha * dy)
@@ -404,25 +420,20 @@ def inner_solve(
                 continue
             x_trial = x_hat + alpha * dx
             g1t, g2t = pd_residuals(ctx, ev_trial, x_trial)
-            if merit(g1t, g2t) <= m_val + ARMIJO * alpha * slope:
-                y = ev_trial.y
-                x_hat = x_trial
-                ev = ev_trial
-                accepted = True
+            m_trial = merit(g1t, g2t)
+            if m_trial <= m_val + ARMIJO * alpha * slope:
+                # the next pass starts from the accepted trial's residuals
+                y, x_hat, ev = ev_trial.y, x_trial, ev_trial
+                g1, g2, m_val = g1t, g2t, m_trial
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             # step collapsed below ~1e-12 (merit at its float64 floor): hand
             # the unchanged point back so the outer loop can refresh
             # multipliers; it failed the convergence test at the top
-            return InnerResult(
-                ev, x_hat, ell + 1, m_val, False, False, line_search_failures=1, precond_kinds=kinds
-            )
+            return InnerResult(ev, x_hat, ell + 1, m_val, False, False, kinds, tol_max, line_search_failures=1)
 
-    g1, g2 = pd_residuals(ctx, ev, x_hat)
-    return InnerResult(
-        ev, x_hat, MAX_INNER, merit(g1, g2), False, False, precond_kinds=kinds, cap_hit=True
-    )
+    return InnerResult(ev, x_hat, MAX_INNER, m_val, False, False, kinds, tol_max, cap_hit=True)
 
 
 def penalty_update(pi_lin: float, pi_lmi: float, lam_max_lmi: float) -> tuple[float, float]:
@@ -498,6 +509,7 @@ def pdal_solve(prob: SdpProblem, config: PdalConfig | None = None) -> tuple[Prim
             k,
             precond="+".join(res.precond_kinds),
             cg_tol=cg_tol,
+            cg_tol_max=res.cg_tol_max,
             dimacs_max=errs.max(),
             inner_iterations=res.iterations,
             merit=res.merit,

@@ -116,24 +116,84 @@ def spectral_split(w: np.ndarray, rank: int) -> SplitBlock:
     return SplitBlock(u, tau, k, lam, w)
 
 
-def low_rank_factor(support: Support, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The slots of the piece A'(left x right) of V, columns A' vec(outer(
-    left[:, a], right[:, b])) for all (a, b), kept factored as G F.
+def low_rank_factor(support: Support, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The slot values of the piece A'(left x right) of V, columns A' vec(
+    outer(left[:, a], right[:, b])) for all (a, b), kept factored as G F.
 
     ``support`` is the block's :class:`Support` (``SdpProblem.ops.supports``),
     ``left`` the m x k outlier factor and ``right`` the full m x m factor F.
-    Returns ``(cols, vals)``, each n x (k s): slot a s + l of row j is
-    outlier a's, at column a m + rows[j, l] of G with value (A_j u_a)_c at
-    c = rows[j, l], exactly 0 on the padding.  One batched s x s product for
-    all j and outliers, summed in ascending row order as a sum over the
-    entries of A' would (``matmul`` rounds differently); neither the
-    (m^2, m) Kronecker product nor the n x (k m) block is formed.
+    Returns the n x (k s) values: slot a s + l of row j is outlier a's, with
+    value (A_j u_a)_c at c = rows[j, l] (its column of G is ``_SlotPlan``'s),
+    exactly 0 on the padding.  One batched s x s product for all j and
+    outliers, summed in ascending row order as a sum over the entries of A'
+    would (``matmul`` rounds differently); neither the (m^2, m) Kronecker
+    product nor the n x (k m) block is formed.
     """
     n, s = support.rows.shape
     lt = left[support.rows]  # (n, s, k)
     vals = sum(support.sub[:, None, :, l] * lt[:, l, :, None] for l in range(s))  # (n, k, s)
-    cols = len(right) * np.arange(left.shape[1])[:, None] + support.rows[:, None, :]
-    return cols.reshape(n, -1), vals.reshape(n, -1)
+    return vals.reshape(n, -1)
+
+
+@dataclass(frozen=True)
+class _SlotPlan:
+    """What the slot grid of a recipe owes to the supports, outlier counts
+    and block sizes of its pieces alone, so one problem computes it once.
+
+    ``slots`` are the real slots of the n x P grid in row-major order and
+    ``g_rows``, ``g_cols`` their coordinates in G; ``spans`` is each piece
+    with outliers' columns [start, stop) of V; per outlier in piece order,
+    ``outliers`` holds (first slot, slot count, first column, piece) and
+    ``cells[i]`` the m x m2 cell index of Theta's pair (i, i2) for each
+    i2 >= i, empty when P is factored directly.  ``supports`` holds the pieces' supports, whose ids key the
+    plan (``_slot_plan``), alive as long as it.
+    """
+
+    supports: tuple[Support, ...]
+    slots: np.ndarray
+    g_rows: np.ndarray
+    g_cols: np.ndarray
+    spans: list[tuple[int, int]]
+    outliers: list[tuple[int, int, int, int]]
+    cells: list[list[np.ndarray]]
+
+    @property
+    def size(self) -> int:
+        return self.spans[-1][1] if self.spans else 0
+
+
+def _slot_plan(plans: dict, recipe: Sequence[tuple[Support, np.ndarray, np.ndarray]], n: int) -> _SlotPlan:
+    """The :class:`_SlotPlan` of ``recipe`` from ``plans``
+    (``SdpProblem.ops.slot_plans``), computed and stored on first use."""
+    shape = tuple((sup, u.shape[1], len(f)) for sup, u, f in recipe)
+    key = tuple((id(sup), k, m) for sup, k, m in shape)
+    if key in plans:
+        return plans[key]
+    cols, real = [np.zeros((n, 0), dtype=np.intp)], [np.zeros((n, 0), dtype=bool)]
+    spans, outliers, grids = [], [], []  # grids: per outlier, its support rows and m
+    size = width = 0
+    for sup, k, m in shape:
+        if k:
+            s = sup.rows.shape[1]
+            cols.append((size + m * np.arange(k)[:, None] + sup.rows[:, None, :]).reshape(n, -1))
+            real += [sup.real] * k
+            outliers += [(width + a * s, s, size + a * m, len(spans)) for a in range(k)]
+            grids += [(sup.rows, m)] * k
+            spans.append((size, size + k * m))
+            size += k * m
+            width += k * s
+    cols, real = np.hstack(cols), np.hstack(real)
+    slots = np.flatnonzero(real)
+    # Theta is summed only when it is smaller than P (see _smw)
+    cells = [
+        [(rows[:, :, None] * m2 + rows2[:, None, :]).ravel() for rows2, m2 in grids[i:]]
+        for i, (rows, _) in enumerate(grids)
+    ] if size < n else []
+    plan = _SlotPlan(
+        tuple(sup for sup, _, _ in shape), slots, slots // real.shape[1], cols.ravel()[slots], spans, outliers, cells
+    )
+    plans[key] = plan
+    return plan
 
 
 @dataclass
@@ -195,13 +255,16 @@ class SmwPreconditioner:
 
 
 def _smw(
-    kind: str, base: np.ndarray, recipe: Sequence[tuple[Support, np.ndarray, np.ndarray]]
+    kind: str, base: np.ndarray, recipe: Sequence[tuple[Support, np.ndarray, np.ndarray]], plans: dict
 ) -> SmwPreconditioner:
     """The one SMW assembly of base + V V' with V the pieces A_i'(U x F)
     of ``recipe``, one ``(support, U, F)`` per piece.
 
     The pieces' slots (:func:`low_rank_factor`) lie side by side in one
     padded n x P slot grid, P = sum k s; G's apply keeps the real slots.
+    The grid's layout and Theta's cell indices come from the recipe's
+    :class:`_SlotPlan` in ``plans``, the problem's
+    ``SdpProblem.ops.slot_plans``; a build computes only the values.
     ``base`` is a diagonal, which must be positive, or tilde's dense n x n
     matrix.  On a diagonal base the lower triangle of Theta = I +
     F'(G' base^{-1} G)F is summed one outlier pair at a time: one bincount
@@ -214,32 +277,22 @@ def _smw(
     """
     if base.ndim == 1 and np.any(base <= 0.0):
         raise ValueError(f"{kind}: nonpositive base diagonal entry")
-    cols, vals, real = ([np.zeros((base.shape[0], 0), dtype=t)] for t in (np.intp, float, bool))
-    factors, outliers = [], []  # per outlier: its slots' support rows and values, first column, F
-    size = 0
-    for sup, u, f in recipe:
-        c, v = low_rank_factor(sup, u, f)
-        k, m, s = u.shape[1], len(f), sup.rows.shape[1]
-        if k:
-            cols.append(c + size)
-            vals.append(v)
-            real += [sup.real] * k
-            factors.append((size, size + k * m, f))
-            outliers += [(sup.rows, v[:, a * s : a * s + s], size + a * m, f) for a in range(k)]
-            size += k * m
-    cols, vals, real = np.hstack(cols), np.hstack(vals), np.hstack(real)
-    slots = np.flatnonzero(real)  # the real slots in row-major order
-    prec = SmwPreconditioner(kind, base, slots // real.shape[1], cols.ravel()[slots], vals.ravel()[slots], factors)
-    if base.ndim == 2 or size >= prec.n:
+    n = base.shape[0]
+    plan = _slot_plan(plans, recipe, n)
+    vals = np.hstack([np.zeros((n, 0))] + [low_rank_factor(sup, u, f) for sup, u, f in recipe])
+    fs = [f for _, u, f in recipe if u.shape[1]]
+    factors = [(a, b, f) for (a, b), f in zip(plan.spans, fs)]
+    prec = SmwPreconditioner(kind, base, plan.g_rows, plan.g_cols, vals.ravel()[plan.slots], factors)
+    if base.ndim == 2 or plan.size >= n:
         prec.p_l = chol(prec.dense(), f"{kind} preconditioner")
         return prec
-    theta = np.eye(size)
+    theta = np.eye(plan.size)
     binv = 1.0 / base
-    for i, (rows, g, c, f) in enumerate(outliers):
+    outliers = [(vals[:, q : q + s], c, fs[piece]) for q, s, c, piece in plan.outliers]
+    for i, (g, c, f) in enumerate(outliers):
         x = g * binv[:, None]
-        for rows2, g2, c2, f2 in outliers[i:]:
+        for (g2, c2, f2), cells in zip(outliers[i:], plan.cells[i]):
             m, m2 = len(f), len(f2)
-            cells = (rows[:, :, None] * m2 + rows2[:, None, :]).ravel()
             sums = np.bincount(cells, (x[:, :, None] * g2[:, None, :]).ravel(), minlength=m * m2)
             theta[c2 : c2 + m2, c : c + m] += (f.T @ sums.reshape(m, m2) @ f2).T
     prec.theta_l = chol(theta, f"{kind} inner Schur complement")  # reads the lower triangle
@@ -317,19 +370,19 @@ def build_h_alpha(
         kind, a_diag = "cluster", cluster_base(prob, splits, lin_diag)
     else:
         raise ValueError(f"alpha base must be tau or cluster, got {base!r}")
-    return _smw(kind, a_diag, _outlier_recipe(prob, splits, kind))
+    return _smw(kind, a_diag, _outlier_recipe(prob, splits, kind), prob.ops.slot_plans)
 
 
 def build_h_beta(a_diag: np.ndarray) -> SmwPreconditioner:
     """Diagonal-only preconditioner: the base diagonal of the driver's
     default kind (``cluster_base`` for ip, ``gamma_base`` for pdal) without
     its columns."""
-    return _smw("beta", a_diag, [])
+    return _smw("beta", a_diag, [], {})
 
 
 def identity(n: int) -> SmwPreconditioner:
     """The ``none`` kind: P = I, rank 0; its apply x / 1.0 is exact."""
-    return _smw("none", np.ones(n), [])
+    return _smw("none", np.ones(n), [], {})
 
 
 def build_h_tilde(prob: SdpProblem, splits: Sequence[SplitBlock], lin_diag: np.ndarray) -> SmwPreconditioner:
@@ -351,7 +404,7 @@ def build_h_tilde(prob: SdpProblem, splits: Sequence[SplitBlock], lin_diag: np.n
     for a_op, s in zip(prob.A, splits):
         base += s.tau**2 * (a_op.T.tocsr() @ a_op).toarray()
     base[np.diag_indices(n)] += lin_diag
-    return _smw("tilde", base, _outlier_recipe(prob, splits, "tilde"))
+    return _smw("tilde", base, _outlier_recipe(prob, splits, "tilde"), prob.ops.slot_plans)
 
 
 def build_h_gamma(
@@ -374,7 +427,7 @@ def build_h_gamma(
         (sup, s.u, root2 * chol(sym(v_mat), "gamma companion factor"))
         for sup, s, v_mat in zip(prob.ops.supports, w_splits, v_mats)
     ]
-    return _smw("gamma", a_diag, recipe)
+    return _smw("gamma", a_diag, recipe, prob.ops.slot_plans)
 
 
 def build_h_delta(
@@ -401,7 +454,7 @@ def build_h_delta(
             recipe.append((sup, sw.u, root2 * theta))
         if sv.k:
             recipe.append((sup, sv.u, root2 * gamma))
-    return _smw("delta", a_diag, recipe)
+    return _smw("delta", a_diag, recipe, prob.ops.slot_plans)
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,7 @@ def test_criterion_6_oracle_equivalence():
             (sup, rng.standard_normal((m, k)), np.linalg.cholesky(rand_spd(rng, m)))
             for sup, m in zip(prob.ops.supports, dims)
         ]
-        pc = _smw("alpha", a_diag, recipe)
+        pc = _smw("alpha", a_diag, recipe, prob.ops.slot_plans)
         vv = np.hstack(
             [dense_operator(prob, i).T @ np.kron(u, f) for i, (_, u, f) in enumerate(recipe)]
         )

@@ -17,6 +17,7 @@ from lorank.model import (
     dual_slack,
     load_sdpa,
 )
+from lorank.pcg import cg_tolerance
 from lorank.report import RunRecord
 from lorank.pdal import (
     DomainViolation,
@@ -605,19 +606,53 @@ class TestPdalSolve:
     def test_tru_profile_ends_the_vib5_tail(self, vib5):
         """While X sits at its fixed point, y creeps along the LMI face by
         ||b - A(X)|| / r per outer iteration: 304 outers at r = 0.01, 46 at
-        r = 1e-3 and 34 at r = 1e-4."""
+        r = 1e-3 and 34 at r = 1e-4.  With Newton-step tolerances that follow
+        the merit, the run takes 553 CG in 139 linear solves (1,007 in 136
+        at the outer tolerance alone)."""
         _, _, prob = vib5
         _, rep = pdal_solve(prob, PdalConfig())
         assert rep.status == "optimal"
         assert rep.iterations <= 40
+        assert rep.cg_total <= 700
+        assert sum(row["inner_iterations"] for row in rep.trace) <= 140
         assert -rep.dual_objective == pytest.approx(16.0065, abs=1e-4)
 
     def test_tru_profile_tru7_cg_work(self):
-        """The same crawl cost 14,007 CG iterations on tru7 at r = 0.01."""
+        """The same crawl cost 14,007 CG iterations on tru7 at r = 0.01; at
+        r = 1e-4 the run takes 381."""
         _, _, prob = make_truss_problem(7, "tru")
         _, rep = pdal_solve(prob, PdalConfig())
         assert rep.status == "optimal"
-        assert rep.cg_total <= 1000
+        assert rep.cg_total <= 420
+
+    def test_newton_cg_tolerance_follows_the_merit(self, tru3, monkeypatch):
+        """Every Newton step's PCG solve asks for a tolerance between its
+        outer iteration's floor cg_tolerance(k, CG_FLOOR) and
+        max(floor, ETA_MAX); each trace row keeps the floor as ``cg_tol``
+        and the loosest tolerance of its steps as ``cg_tol_max``.  Early
+        Newton steps, far from the inner solution, use a looser tolerance
+        than the floor."""
+        tols = []
+        solve = pdal.pcg_solve
+
+        def spying_solve(op, precond_inv, rhs, tol, **kwargs):
+            tols.append(tol)
+            return solve(op, precond_inv, rhs, tol=tol, **kwargs)
+
+        monkeypatch.setattr(pdal, "pcg_solve", spying_solve)
+        _, _, prob = tru3
+        _, rep = pdal_solve(prob, PdalConfig())
+        assert rep.status == "optimal"
+        assert len(tols) == sum(row["inner_iterations"] for row in rep.trace)
+        loosened = 0
+        for row in rep.trace:
+            floor = cg_tolerance(row["iteration"], PdalConfig.CG_FLOOR)
+            steps = [tols.pop(0) for _ in range(row["inner_iterations"])]
+            assert row["cg_tol"] == floor
+            assert all(floor <= tol <= max(floor, pdal.ETA_MAX) for tol in steps)
+            assert row["cg_tol_max"] == (max(steps) if steps else None)
+            loosened += sum(tol > floor for tol in steps)
+        assert loosened > 0
 
     def test_trace_records_inner_events(self, tru3_pdal):
         _, rep = tru3_pdal

@@ -8,6 +8,7 @@ from lorank.model import column_norms_sq
 from lorank.pdal import OuterCtx, PdalConfig, _pdal_preconditioner, evaluate_point, pdal_solve
 from lorank import precond
 from lorank.precond import (
+    _slot_plan,
     _smw,
     alpha_base,
     build_h_alpha,
@@ -142,13 +143,12 @@ def ip_state_splits(prob, seed=0, k=1):
     return pt, scal, splits, lin_diag
 
 
-def piece_dense(slots, sup, f, n):
-    """Dense n x (k m) columns [G_{u_1} F ... G_{u_k} F] of a piece's slots."""
-    cols, vals = slots
-    k, m = cols.shape[1] // sup.rows.shape[1], len(f)
-    real = np.tile(sup.real, k)
+def piece_dense(plan, vals, f, n):
+    """Dense n x (k m) columns [G_{u_1} F ... G_{u_k} F] of a one-piece
+    slot plan and the piece's slot values."""
+    k, m = len(plan.outliers), len(f)
     g = np.zeros((n, k * m))
-    g[np.nonzero(real)[0], cols[real]] = vals[real]  # the real slots are distinct cells
+    g[plan.g_rows, plan.g_cols] = vals.ravel()[plan.slots]  # the real slots are distinct cells
     return np.hstack([g[:, a * m : a * m + m] @ f for a in range(k)] + [np.zeros((n, 0))])
 
 
@@ -206,10 +206,12 @@ class TestAlpha:
         u = rng.standard_normal((m, k))
         f = np.linalg.cholesky(rand_spd(rng, m))
         sup = prob.ops.supports[block]
-        cols, vals = low_rank_factor(sup, u, f)
-        assert cols.shape == vals.shape == (prob.n, k * sup.rows.shape[1])
+        vals = low_rank_factor(sup, u, f)
+        assert vals.shape == (prob.n, k * sup.rows.shape[1])
         assert not vals[~np.tile(sup.real, k)].any()  # Theta sums the padding too
-        got = piece_dense((cols, vals), sup, f, prob.n)
+        plan = _slot_plan({}, [(sup, u, f)], prob.n)
+        assert plan.slots.size == k * sup.real.sum()
+        got = piece_dense(plan, vals, f, prob.n)
         assert got.shape == (prob.n, k * m)
         want = prob.A[block].toarray().T @ np.kron(u, f)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -291,7 +293,7 @@ class TestSmwInverse:
     def test_matches_dense_inverse(self, seed):
         rng = np.random.default_rng(seed)
         prob, a_diag, recipe = random_recipe(seed, dims=(3, 4), n=5, k=1)
-        pc = _smw("alpha", a_diag, recipe)
+        pc = _smw("alpha", a_diag, recipe, prob.ops.slot_plans)
         v = recipe_dense_v(prob, recipe)
         dense = np.diag(a_diag) + v @ v.T
         rhs = rng.standard_normal(5)
@@ -303,7 +305,7 @@ class TestSmwInverse:
         through the factor of P itself; both match the dense inverse."""
         rng = np.random.default_rng(n)
         prob, a_diag, recipe = random_recipe(n, dims=(3, 4), n=n, k=1)
-        pc = _smw("alpha", a_diag, recipe)
+        pc = _smw("alpha", a_diag, recipe, prob.ops.slot_plans)
         assert pc.rank == 7 and (pc.p_l is None) == (n > 7) and (pc.theta_l is None) == (n <= 7)
         v = recipe_dense_v(prob, recipe)
         rhs = rng.standard_normal(n)
@@ -330,7 +332,7 @@ class TestSmwInverse:
             for sup, m in zip(sups, dims)
         ]
         base = rng.random(n) + 0.5
-        pc = _smw("alpha", base, recipe)
+        pc = _smw("alpha", base, recipe, prob.ops.slot_plans)
         assert pc.rank == k * sum(dims) < n and pc.theta_l is not None
         v = pc.dense_v()
         assert np.linalg.norm(v - recipe_dense_v(prob, recipe)) <= 1e-13 * np.linalg.norm(v)
@@ -353,7 +355,7 @@ class TestSmwInverse:
             for i, k in pieces
         ]
         base = rng.random(n) + 0.5
-        pc = _smw("alpha", base, recipe)
+        pc = _smw("alpha", base, recipe, prob.ops.slot_plans)
         assert pc.rank == 2 * 4 + 6 < n and pc.theta_l is not None
         assert [(a, b) for a, b, _ in pc.factors] == [(0, 8), (8, 14)]
         v = pc.dense_v()
@@ -363,12 +365,29 @@ class TestSmwInverse:
         got = pc.theta_l @ pc.theta_l.T
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
+    def test_slot_plan_is_computed_once_per_shape(self):
+        """Builds of one recipe shape share one slot plan, and a build from
+        the stored plan equals one from a fresh plan bit for bit; another
+        outlier count is another shape."""
+        prob, base, recipe = random_recipe(7, dims=(4, 6), n=26, k=2)
+        plans = prob.ops.slot_plans
+        first = _smw("alpha", base, recipe, plans)
+        rng = np.random.default_rng(7)
+        recipe2 = [(sup, rng.standard_normal(u.shape), f) for sup, u, f in recipe]
+        second = _smw("alpha", base, recipe2, plans)
+        assert len(plans) == 1 and second.g_rows is first.g_rows and second.g_cols is first.g_cols
+        fresh = _smw("alpha", base, recipe2, {})
+        assert np.array_equal(second.g_vals, fresh.g_vals)
+        assert np.array_equal(second.theta_l, fresh.theta_l)
+        _smw("alpha", base, [(sup, u[:, :1], f) for sup, u, f in recipe], plans)
+        assert len(plans) == 2
+
     @pytest.mark.parametrize("seed", range(3))
     def test_symmetry_probe(self, seed):
         rng = np.random.default_rng(100 + seed)
         n = 8
-        _, _, recipe = random_recipe(100 + seed, dims=(4,), n=n, k=3)
-        pc = _smw("alpha", rng.random(n) + 0.2, recipe)
+        prob, _, recipe = random_recipe(100 + seed, dims=(4,), n=n, k=3)
+        pc = _smw("alpha", rng.random(n) + 0.2, recipe, prob.ops.slot_plans)
         a, b = rng.standard_normal(n), rng.standard_normal(n)
         lhs = float(pc.apply_inv(a) @ b)
         rhs = float(a @ pc.apply_inv(b))
